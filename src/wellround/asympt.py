@@ -16,7 +16,14 @@ from math import isqrt, log, pi, sqrt
 import mpmath
 import numpy as np
 
-from .dirichlet import ArithSeq
+from .dirichlet import (
+    CHI_MINUS3,
+    CHI_MINUS4,
+    ArithSeq,
+    OutOfRangeError,
+    evaluate,
+    moebius_seq,
+)
 
 
 class UnsupportedDiscriminantError(ValueError):
@@ -47,22 +54,13 @@ def zeta_prime_2_over_zeta_2(N: int = 1_000_000) -> float:
     return -(partial + tail) / ZETA2
 
 
-_CHI = {-4: (0, 1, 0, -1), -3: (0, 1, -1)}
-
-
-def _chi(D: int, n: int) -> int:
-    if D not in _CHI:
-        raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-    table = _CHI[D]
-    return table[n % len(table)]
-
-
 def L_at_one(D: int) -> float:
     """L(1, chi_D) from the finite character sum."""
-    if D not in (-4, -3):
+    chi = {-4: CHI_MINUS4, -3: CHI_MINUS3}.get(D)
+    if chi is None:
         raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-    q = abs(D)
-    total = sum(n * _chi(D, n) for n in range(1, q))
+    q = chi.modulus
+    total = sum(n * chi(n) for n in range(1, q))
     return -pi / q ** 1.5 * total
 
 
@@ -233,8 +231,6 @@ def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[
     prefix = counts.summatory_all()
     for x in checkpoints:
         if x > counts.N:
-            from .dirichlet import OutOfRangeError
-
             raise OutOfRangeError(f"checkpoint {x} beyond bound {counts.N}")
         A = prefix[x - 1]
         m = model(x)
@@ -341,12 +337,6 @@ def zeta(s: float) -> float:
     return float(mpmath.zeta(s))
 
 
-def dirichlet_value(f: ArithSeq, s: float) -> float:
-    from .dirichlet import evaluate
-
-    return evaluate(f, s)
-
-
 def D_square(s: float) -> float:
     return (
         (2.0 + 2.0**s)
@@ -383,8 +373,8 @@ def E_hex(s: float) -> float:
 
 
 def _truncated_with_error(series_fn, s: float, N: int) -> tuple[float, float]:
-    full = dirichlet_value(series_fn(N), s)
-    half = dirichlet_value(series_fn(N // 2), s)
+    full = evaluate(series_fn(N), s)
+    half = evaluate(series_fn(N // 2), s)
     return full, 2.0 * abs(full - half) + 1e-12
 
 
@@ -501,35 +491,15 @@ def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
     return float(np.sum(vals[mask] ** (-s)))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted(set(out + [n // d for d in out]))
-
-
-def _mu(n: int) -> int:
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
-
-
 def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
     """The same restricted sum assembled from unrestricted pieces by Moebius
     inversion over the divisors of l D / k; must agree with the direct sum."""
     if D % k or C % l or (l * D) % k:
         raise DomainError("need k | D and l | C")
+    n = l * D // k
+    mu = moebius_seq(n)
     total = 0.0
-    for c in _divisors(l * D // k):
-        mu = _mu(c)
-        if mu == 0:
-            continue
-        total += mu * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
+    for c in range(1, n + 1):
+        if n % c == 0 and mu[c]:
+            total += mu[c] * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
     return total

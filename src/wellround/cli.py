@@ -15,10 +15,11 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .dirichlet import ArithSeq
 from .gram import (
+    HEXAGONAL_GRAM,
+    SQUARE_GRAM,
     GramForm,
     NotPositiveDefiniteError,
     classify,
@@ -26,7 +27,7 @@ from .gram import (
     is_rational,
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
-from .sublattices import CensusReport, UnsupportedDimensionError, wr_census_bruteforce
+from .sublattices import UnsupportedDimensionError, wr_census_bruteforce
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -91,12 +92,18 @@ def _spec_gram(args) -> GramForm:
     if preset and gram:
         raise CliError("give either --preset or --gram, not both", EXIT_BAD_INPUT)
     if preset == "square":
-        return GramForm.of(1, 0, 1)
+        return SQUARE_GRAM
     if preset == "hexagonal":
-        return GramForm.of(2, 1, 2)
+        return HEXAGONAL_GRAM
     if gram:
         return _parse_gram(gram)
     raise CliError("a lattice is required: --preset or --gram", EXIT_BAD_INPUT)
+
+
+def _positive_max(args) -> int:
+    if args.max < 1:
+        raise CliError("--max must be at least 1", EXIT_BAD_INPUT)
+    return args.max
 
 
 def _emit_rows(args, header: list[str], rows: list[list]) -> None:
@@ -138,27 +145,6 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _census_bruteforce(g: GramForm, N: int, threads: int) -> CensusReport:
-    if threads <= 1:
-        return wr_census_bruteforce(g, N)
-    # half-open slices of [1, N + 1)
-    chunks = []
-    step = max(1, N // threads)
-    lo = 1
-    while lo <= N:
-        hi = min(N + 1, lo + step)
-        chunks.append((lo, hi))
-        lo = hi
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(
-            pool.map(lambda c: wr_census_bruteforce(g, N, index_range=c), chunks)
-        )
-    report = parts[0]
-    for part in parts[1:]:
-        report = report.merge(part)
-    return report
-
-
 def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
     from .general import (
         ExistenceVerdict,
@@ -183,9 +169,7 @@ def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
 
 def cmd_census(args) -> int:
     g = _spec_gram(args)
-    N = args.max
-    if N < 1:
-        raise CliError("--max must be at least 1", EXIT_BAD_INPUT)
+    N = _positive_max(args)
     if args.mode == "formula":
         counts = _formula_counts(g, N, args.preset)
         _emit_rows(
@@ -194,7 +178,7 @@ def cmd_census(args) -> int:
             [[n, counts[n]] for n in range(1, N + 1)],
         )
         return EXIT_OK
-    report = _census_bruteforce(g, N, args.threads)
+    report = wr_census_bruteforce(g, N)
     if args.mode == "bruteforce":
         if args.format == "json":
             print(report.to_json())
@@ -252,7 +236,7 @@ def cmd_series(args) -> int:
             f"unknown series {args.name!r}; choose from {sorted(_SERIES)}",
             EXIT_BAD_INPUT,
         )
-    seq = _SERIES[args.name](args.max)
+    seq = _SERIES[args.name](_positive_max(args))
     prefix = seq.summatory_all()
     _emit_rows(
         args,
@@ -266,6 +250,8 @@ def cmd_asympt(args) -> int:
     from . import asympt
 
     checkpoints = args.checkpoints
+    if not checkpoints or min(checkpoints) < 2:
+        raise CliError("--checkpoints entries must be at least 2", EXIT_BAD_INPUT)
     N = max(checkpoints)
     if args.lattice == "square":
         from .square import a_square
@@ -333,6 +319,8 @@ def cmd_frames(args) -> int:
     from .general import enumerate_frames
 
     g = _spec_gram(args)
+    if args.bound < 0:
+        raise CliError("--bound must be nonnegative", EXIT_BAD_INPUT)
     frames = enumerate_frames(g, args.bound)
     if args.format == "json":
         print(json.dumps([f.to_json() for f in frames]))
@@ -354,6 +342,8 @@ def cmd_epstein(args) -> int:
         raise CliError(f"cannot parse form {args.form!r}: {e}", EXIT_BAD_INPUT)
     if len(form) != 3:
         raise CliError("--form needs three entries a,b,c", EXIT_BAD_INPUT)
+    if not args.radius > 0:
+        raise CliError("--radius must be positive", EXIT_BAD_INPUT)
     try:
         if args.residue:
             value = epstein_residue_estimate(form, R0=args.radius)
@@ -395,12 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["csv", "json"],
         default=_env("FORMAT", "csv"),
         help="output format (default csv; WELLROUND_FORMAT)",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=int(_env("THREADS", "1")),
-        help="worker count for census (WELLROUND_THREADS); output is identical for any value",
     )
     parser = argparse.ArgumentParser(
         prog="wellround",

@@ -176,11 +176,6 @@ def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def reduced_entries(g: GramForm) -> tuple[Scalar, Scalar, Scalar]:
-    r, _ = gauss_reduce(g)
-    return r.a, r.b, r.c
-
-
 def classify_reduced(a, b, c) -> LatticeType:
     """Geometric type from reduced entries satisfying 0 <= 2b <= a <= c."""
     eq_ac = a == c

@@ -21,6 +21,7 @@ from .dirichlet import (
     convolve,
     inv_zeta_2s,
     ones_seq,
+    pair_band,
     shift_support,
 )
 
@@ -34,43 +35,17 @@ def b_hex_primitive(N: int) -> ArithSeq:
     return convolve(inv_zeta_2s(N), b_hex(N))
 
 
-def _pairs_band(N: int) -> ArithSeq:
-    """w(n) = number of factorizations n = p*q with p < q < 3p."""
-    out = [0] * N
-    p = 1
-    while p * (p + 1) <= N:
-        for q in range(p + 1, min(3 * p - 1, N // p) + 1):
-            out[p * q - 1] += 1
-        p += 1
-    return ArithSeq(out)
-
-
-def _pairs_odd_band(N: int) -> ArithSeq:
-    """Odd analogue at n = (2k+1)(2l+1) with 1 <= k < l <= 3k."""
-    out = [0] * N
-    k = 1
-    while (2 * k + 1) * (2 * k + 3) <= N:
-        p = 2 * k + 1
-        for l in range(k + 1, 3 * k + 1):
-            q = 2 * l + 1
-            if p * q > N:
-                break
-            out[p * q - 1] += 1
-        k += 1
-    return ArithSeq(out)
-
-
 def hex_pair_counts(parity: str, N: int) -> ArithSeq:
-    if parity == "any":
-        return _pairs_band(N)
-    if parity == "odd":
-        return _pairs_odd_band(N)
-    raise ValueError(f"unknown parity {parity!r}")
+    """Factorization counts n = pq with p < q < 3p; parity "odd" takes odd
+    p < q with p >= 3."""
+    if parity not in ("any", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    return pair_band(N, 9, odd=parity == "odd")
 
 
 def a_hex(N: int) -> ArithSeq:
     """Well-rounded sublattices of the hexagonal lattice by index."""
     bpr_off_ramified = convolve(alt_euler_factor(3, N), b_hex_primitive(N))
-    even = shift_support(convolve(_pairs_band(N), bpr_off_ramified), 4).scale(3)
-    odd = convolve(_pairs_odd_band(N), bpr_off_ramified).scale(3)
+    even = shift_support(convolve(hex_pair_counts("any", N), bpr_off_ramified), 4).scale(3)
+    odd = convolve(hex_pair_counts("odd", N), bpr_off_ramified).scale(3)
     return b_hex(N) + even + odd

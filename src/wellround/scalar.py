@@ -275,6 +275,3 @@ class Scalar:
             val = Scalar(Fraction(term))
         return -val if neg else val
 
-
-ZERO = Scalar(0)
-ONE = Scalar(1)

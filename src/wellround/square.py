@@ -11,14 +11,18 @@ by integer squaring; the boundary q^2 = 3 p^2 has no integer solutions.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .dirichlet import (
     CHI_MINUS4,
     ArithSeq,
     alt_euler_factor,
     character_seq,
     convolve,
+    delta_seq,
     inv_zeta_2s,
     ones_seq,
+    pair_band,
     shift_support,
 )
 
@@ -33,36 +37,6 @@ def b_square_primitive(N: int) -> ArithSeq:
     return convolve(inv_zeta_2s(N), b_square(N))
 
 
-def _pairs_strict_band(N: int) -> ArithSeq:
-    """w(n) = number of factorizations n = p*q with p < q and q^2 < 3 p^2."""
-    out = [0] * N
-    p = 1
-    while p * (p + 1) <= N:
-        q = p + 1
-        while q * p <= N and q * q < 3 * p * p:
-            out[p * q - 1] += 1
-            q += 1
-        p += 1
-    return ArithSeq(out)
-
-
-def _pairs_odd_strict_band(N: int) -> ArithSeq:
-    """Odd-index analogue: counts n = (2k+1)(2l+1), 1 <= k < l, (2l+1)^2 < 3(2k+1)^2."""
-    out = [0] * N
-    k = 1
-    while (2 * k + 1) * (2 * k + 3) <= N:
-        p = 2 * k + 1
-        l = k + 1
-        while True:
-            q = 2 * l + 1
-            if p * q > N or q * q >= 3 * p * p:
-                break
-            out[p * q - 1] += 1
-            l += 1
-        k += 1
-    return ArithSeq(out)
-
-
 def rhombic_square_series(N: int) -> dict[str, ArithSeq]:
     """Counts of rhombic, centred rectangular and square sublattices combined.
 
@@ -74,7 +48,7 @@ def rhombic_square_series(N: int) -> dict[str, ArithSeq]:
     base = convolve(zeta2, bpr)
     even = shift_support(base, 2)
     # odd indices: both generators odd, primitive part restricted to odd norm
-    odd_zeta = ArithSeq([1 if n % 2 else 0 for n in range(1, N + 1)])
+    odd_zeta = ArithSeq(np.arange(1, N + 1) % 2)
     odd = convolve(
         convolve(odd_zeta, odd_zeta), convolve(alt_euler_factor(2, N), bpr)
     )
@@ -87,7 +61,7 @@ def primitive_type_series(N: int) -> dict[str, ArithSeq]:
     """Primitive square, rhombic-or-centred-rectangular and rectangular counts."""
     bpr = b_square_primitive(N)
     zeta2_over_zeta2s = convolve(convolve(ones_seq(N), ones_seq(N)), inv_zeta_2s(N))
-    rect_factor = zeta2_over_zeta2s - ArithSeq([1] + [0] * (N - 1))
+    rect_factor = zeta2_over_zeta2s - delta_seq(N)
     rectangular = convolve(rect_factor, bpr)
     rhombic = rhombic_square_series(N)["primitive"] - bpr
     return {"square": bpr, "rhombic_cr": rhombic, "rectangular": rectangular}
@@ -99,19 +73,17 @@ def pair_counts(parity: str, N: int) -> ArithSeq:
     parity "any": pairs p < q < sqrt(3) p at n = pq.
     parity "odd": odd pairs 2k+1 < 2l+1 inside the same band, k >= 1.
     """
-    if parity == "any":
-        return _pairs_strict_band(N)
-    if parity == "odd":
-        return _pairs_odd_strict_band(N)
-    raise ValueError(f"unknown parity {parity!r}")
+    if parity not in ("any", "odd"):
+        raise ValueError(f"unknown parity {parity!r}")
+    return pair_band(N, 3, odd=parity == "odd")
 
 
 def a_square(N: int) -> ArithSeq:
     """Well-rounded sublattices of the square lattice by index."""
     bpr = b_square_primitive(N)
-    even = shift_support(convolve(_pairs_strict_band(N), bpr), 2).scale(2)
+    even = shift_support(convolve(pair_counts("any", N), bpr), 2).scale(2)
     odd = convolve(
-        convolve(alt_euler_factor(2, N), _pairs_odd_strict_band(N)), bpr
+        convolve(alt_euler_factor(2, N), pair_counts("odd", N)), bpr
     ).scale(2)
     return b_square(N) + even + odd
 

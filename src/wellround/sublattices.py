@@ -100,8 +100,6 @@ class CensusReport:
     """Per-index tallies of sublattice types up to a bound N.
 
     ``by_type[t][n-1]`` counts index-n sublattices of geometric type t.
-    Reports over disjoint index ranges merge by elementwise addition, so a
-    census may be split across workers and recombined in any order.
     """
 
     N: int
@@ -129,16 +127,6 @@ class CensusReport:
 
     def summatory_well_rounded(self, x: int) -> int:
         return sum(self.well_rounded(n) for n in range(1, x + 1))
-
-    def merge(self, other: "CensusReport") -> "CensusReport":
-        if other.N != self.N:
-            raise ValueError("census bounds differ")
-        out = CensusReport(self.N)
-        for t in _TYPE_ORDER:
-            out.by_type[t] = [
-                u + v for u, v in zip(self.by_type[t], other.by_type[t])
-            ]
-        return out
 
     def row(self, n: int) -> list[int]:
         return (
@@ -169,25 +157,17 @@ def _classify_int(a: int, b: int, c: int) -> LatticeType:
     return classify_reduced(*_reduce_int(a, b, c))
 
 
-def wr_census_bruteforce(
-    g: GramForm, N: int, index_range: tuple[int, int] | None = None
-) -> CensusReport:
-    """Classify every sublattice of index <= N; exhaustive oracle.
-
-    ``index_range`` restricts tallying to a half-open slice of [1, N] so the
-    work can be partitioned; merging the slice reports reproduces the full
-    census.
-    """
+def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
+    """Classify every sublattice of index <= N; exhaustive oracle."""
     g.check_positive_definite()
     if N < 1:
         raise ValueError("census bound must be positive")
-    lo, hi = index_range if index_range is not None else (1, N + 1)
     report = CensusReport(N)
     if g.is_integral():
         ga = int(g.a.rat)
         gb = int(g.b.rat)
         gc = int(g.c.rat)
-        for n in range(lo, hi):
+        for n in range(1, N + 1):
             for m in range(1, n + 1):
                 if n % m:
                     continue
@@ -198,7 +178,7 @@ def wr_census_bruteforce(
                     c = ga * k * k + 2 * gb * k * l + gc * l * l
                     report.tally(n, _classify_int(a, b, c))
         return report
-    for n in range(lo, hi):
+    for n in range(1, N + 1):
         for B in hnf_enumerate(n):
             sub = sublattice_gram(B, g)
             r, _ = gauss_reduce(sub)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellround import asympt
+from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4
 
 
 class TestConstants:
@@ -26,10 +27,9 @@ class TestConstants:
             asympt.L_at_one(-7)
 
     def test_L_at_one_partial_sum_crosscheck(self):
-        for D, value in ((-4, math.pi / 4), (-3, math.pi / (3 * math.sqrt(3)))):
+        for chi, value in ((CHI_MINUS4, math.pi / 4), (CHI_MINUS3, math.pi / (3 * math.sqrt(3)))):
             N = 1_000_000
-            q = abs(D)
-            total = sum(asympt._chi(D, n) / n for n in range(1, N))
+            total = sum(chi(n) / n for n in range(1, N))
             assert abs(total - value) < 1e-5
 
     def test_L_prime_over_L(self):

@@ -88,13 +88,6 @@ class TestCensus:
         assert code == 0
         assert all(line.split(",")[-1] == "0" for line in out.strip().splitlines()[1:])
 
-    def test_threads_do_not_change_output(self, capsys):
-        _, a, _ = run(capsys, "census", "--preset", "square", "--max", "25")
-        _, b, _ = run(
-            capsys, "census", "--preset", "square", "--max", "25", "--threads", "3"
-        )
-        assert a == b
-
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         from wellround import cli
         from wellround.dirichlet import ArithSeq
@@ -111,6 +104,25 @@ class TestCensus:
     def test_bad_max_exits_2(self, capsys):
         code, _, _ = run(capsys, "census", "--preset", "square", "--max", "0")
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["asympt", "--checkpoints", "1"], "--checkpoints"),
+        (["asympt", "--checkpoints", "0,100"], "--checkpoints"),
+        (["series", "--name", "a_square", "--max", "-3"], "--max"),
+        (["series", "--name", "a_square", "--max", "0"], "--max"),
+        (["epstein", "--form", "1,0,1", "--radius", "-5"], "--radius"),
+        (["epstein", "--form", "1,0,1", "--radius", "0", "--residue"], "--radius"),
+        (["frames", "--preset", "square", "--bound", "-1"], "--bound"),
+    ],
+)
+def test_bad_flag_value_exits_2(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
 
 
 class TestSeries:

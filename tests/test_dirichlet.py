@@ -16,12 +16,29 @@ from wellround.dirichlet import (
     inv_zeta_2s,
     moebius_seq,
     ones_seq,
+    pair_band,
     shift_support,
 )
 
 small_seqs = st.builds(
     ArithSeq, st.lists(st.integers(-9, 9), min_size=1, max_size=40)
 )
+
+# lengths on both sides of the split point isqrt(N) of the convolution
+lengths = st.one_of(
+    st.integers(1, 400),
+    st.integers(1, 20).flatmap(lambda k: st.sampled_from([k * k - 1, k * k, k * k + 1])),
+).filter(lambda n: 1 <= n <= 400)
+
+
+def divisor_sum(f: list[int], g: list[int]) -> list[int]:
+    """(f*g)(n) for n = 1..N in Python integers, one (d, e) pair at a time."""
+    N = min(len(f), len(g))
+    out = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for e in range(1, N // d + 1):
+            out[d * e] += f[d - 1] * g[e - 1]
+    return out[1:]
 
 
 class TestArithSeq:
@@ -67,8 +84,23 @@ class TestConvolution:
         N = 200
         assert convolve(moebius_seq(N), ones_seq(N)) == delta_seq(N)
 
+    @given(lengths, st.sampled_from([9, 1 << 40]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_divisor_sum(self, N, size, data):
+        coeffs = st.lists(st.integers(-size, size), min_size=N, max_size=N)
+        f, g = data.draw(coeffs), data.draw(coeffs)
+        assert list(convolve(ArithSeq(f), ArithSeq(g))) == divisor_sum(f, g)
+
+    def test_products_beyond_int64(self):
+        # 30 * (2^40 + 30)^2 > 2^63: the exact (object) dtype must run
+        f = [(1 << 40) + n for n in range(1, 31)]
+        h = convolve(ArithSeq(f), ArithSeq(f))
+        assert h._a.dtype == object
+        assert list(h) == divisor_sum(f, f)
+        assert max(h) > 1 << 63 and all(type(v) is int for v in h)
+
     def test_fast_and_exact_paths_agree(self):
-        big = ArithSeq([(1 << 25) + n for n in range(1, 31)])  # forces exact path
+        big = ArithSeq([(1 << 25) + n for n in range(1, 31)])
         small = ArithSeq(list(range(1, 31)))
         expected = [
             sum(big[d] * small[n // d] for d in range(1, n + 1) if n % d == 0)
@@ -106,6 +138,19 @@ class TestBuildingBlocks:
     def test_shift_support(self):
         f = ArithSeq([1, 2, 3, 4])
         assert list(shift_support(f, 2)) == [0, 1, 0, 2]
+
+
+class TestPairBand:
+    @pytest.mark.parametrize("r", [3, 9])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_matches_double_loop(self, r, odd):
+        for N in (1, 2, 3, 15, 48, 49, 50, 500):
+            expected = [0] * (N + 1)
+            for p in range(1, N + 1):
+                for q in range(p + 1, N // p + 1):
+                    if q * q < r * p * p and (not odd or (p % 2 and q % 2 and p >= 3)):
+                        expected[p * q] += 1
+            assert list(pair_band(N, r, odd)) == expected[1:]
 
 
 class TestSummatoryAsymptotics:

@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellround.gram import (
@@ -87,15 +88,20 @@ class TestReduction:
         assert classify(g) == classify(g.scale(k))
 
     @given(integral_pd_forms())
+    @example(GramForm.of(2, 10, 51))  # minimum 1 at (-5, 1)
     @settings(max_examples=60)
     def test_minimality(self, g):
-        # the reduced a is the minimum of the form over small coordinates
+        # the reduced a is the minimum of the form over all nonzero vectors.
+        # Q(x, y) = ((ax + by)^2 + (ac - b^2) y^2) / a, so every v with
+        # Q(v) <= a has y^2 <= a*a / (ac - b^2) and |ax + by| <= sqrt(a*a).
         r, _ = gauss_reduce(g)
+        a, b, c = (int(e.rat) for e in (g.a, g.b, g.c))
+        y_max = isqrt(a * a // (a * c - b * b))
         values = [
             g.value(x, y)
-            for x in range(-4, 5)
-            for y in range(-4, 5)
-            if (x, y) != (0, 0)
+            for y in range(-y_max, y_max + 1)
+            for x in range((-a - b * y) // a - 1, (a - b * y) // a + 2)
+            if (x, y) != (0, 0) and abs(a * x + b * y) <= a
         ]
         assert min(values) == r.a
 

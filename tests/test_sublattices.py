@@ -76,13 +76,6 @@ class TestCensus:
         for n in range(1, 21):
             assert r.total(n) == g_count(n)
 
-    def test_merge_partition(self):
-        g = GramForm.of(2, 1, 2)
-        whole = wr_census_bruteforce(g, 20)
-        left = wr_census_bruteforce(g, 20, index_range=(1, 11))
-        right = wr_census_bruteforce(g, 20, index_range=(11, 21))
-        assert left.merge(right).to_csv() == whole.to_csv()
-
     def test_scalar_entries(self):
         g = GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))
         r = wr_census_bruteforce(g, 6)
