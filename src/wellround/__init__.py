@@ -11,6 +11,7 @@ from .dirichlet import ArithSeq, OutOfRangeError, convolve
 from .general import (
     CslInfo,
     ExistenceVerdict,
+    InvariantError,
     NoFrameError,
     NotApplicableError,
     ReflectionFrame,
@@ -62,6 +63,7 @@ __all__ = [
     "CslInfo",
     "ExistenceVerdict",
     "GramForm",
+    "InvariantError",
     "LatticeType",
     "MixedRadicandError",
     "NoFrameError",

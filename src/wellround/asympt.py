@@ -230,6 +230,8 @@ def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[
     rows = []
     prefix = counts.summatory_all()
     for x in checkpoints:
+        if x < 2:
+            raise ValueError(f"checkpoint {x} is below 2; the residual divides by log x")
         if x > counts.N:
             raise OutOfRangeError(f"checkpoint {x} beyond bound {counts.N}")
         A = prefix[x - 1]

@@ -17,6 +17,7 @@ import os
 import sys
 
 from .dirichlet import ArithSeq
+from .general import InvariantError
 from .gram import (
     HEXAGONAL_GRAM,
     SQUARE_GRAM,
@@ -454,12 +455,12 @@ def main(argv: list[str] | None = None) -> int:
     except (NotRationalError, UnsupportedDimensionError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
+    except InvariantError as e:
+        print(f"invariant breach: {e}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (NotPositiveDefiniteError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except AssertionError as e:
-        print(f"invariant breach: {e}", file=sys.stderr)
-        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

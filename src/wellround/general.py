@@ -9,6 +9,14 @@ to signs, rational lattices infinitely many.  Counting therefore reduces to
 enumerating orthogonal pairs and lattice points in a sqrt(3)-window, with
 all inequalities decided exactly by squaring.
 
+For a rational lattice the pairs are searched in plain integers on the
+integral primitive form (a, b, c): w = (m, n) has the orthogonal row
+(alpha, beta) = (am + bn, bm + cn), z = (beta, -alpha)/gcd(alpha, beta) and
+sigma = Q(w)/gcd(alpha, beta), so a pair of too large an index is dropped
+before Q(z) is computed.  The window is scanned per row: for each k the
+admissible l form one interval whose ends are exact integer square roots of
+Q(sqrt D) values, and a boundary hit can only sit at one of the two ends.
+
 Boundary hits of the window are precisely the hexagonal sublattices; in a
 rational lattice each hexagonal sublattice is invariant under three
 orthogonal pairs and hence appears as a boundary hit in exactly three window
@@ -44,6 +52,10 @@ class NotPrimitiveVectorError(ValueError):
 
 class NotIntegralFormError(ValueError):
     pass
+
+
+class InvariantError(ValueError):
+    """An identity of the counting theory failed; the computation is wrong."""
 
 
 class ExistenceVerdict(enum.Enum):
@@ -153,7 +165,8 @@ def _bezout_complement(w: Vec) -> Vec:
     w0, w1 = w
     # find (x, y) with w0*y - w1*x = 1
     g0, s, t = _ext_gcd(w0, w1)
-    assert g0 == 1
+    if g0 != 1:
+        raise InvariantError(f"{w} is not primitive; it has no Bezout complement")
     return (-t, s)
 
 
@@ -176,7 +189,8 @@ def brs_index(w: Vec, g: GramForm) -> int:
     a, b, c = _check_integral_primitive(g)
     ww = a * w[0] * w[0] + 2 * b * w[0] * w[1] + c * w[1] * w[1]
     q, r = divmod(ww, g_star(w, g))
-    assert r == 0
+    if r:
+        raise InvariantError(f"g*({w}) does not divide Q({w}) = {ww}")
     return q
 
 
@@ -215,29 +229,39 @@ def _norm_decomposition(t: Scalar, n: Scalar) -> tuple[Fraction | None, Fraction
     return q, r
 
 
-def _frame_from_w(w: Vec, g: GramForm) -> ReflectionFrame | None:
-    z = orthogonal_primitive(w, g)
-    if z is None:
-        return None
-    sigma = abs(w[0] * z[1] - w[1] * z[0])
-    kappa_sq = g.value(*w) / g.value(*z)
-    if kappa_sq < 1:
-        w, z = z, w
-        kappa_sq = 1 / kappa_sq
-    w, z = _canonical_pair(w, z)
+def _frame(w: Vec, z: Vec, sigma: int, kappa_sq: Scalar) -> ReflectionFrame:
+    """The frame {+-w, +-z}; each member is stored with its larger sign."""
     return ReflectionFrame(
-        w=w,
-        z=z,
+        w=max(w, _neg(w)),
+        z=max(z, _neg(z)),
         sigma=sigma,
         kappa_sq=kappa_sq,
         parity="even" if sigma % 2 == 0 else "odd",
     )
 
 
-def _canonical_pair(w: Vec, z: Vec) -> tuple[Vec, Vec]:
-    w = max(w, _neg(w))
-    z = max(z, _neg(z))
-    return w, z
+def _frame_from_w(
+    w: Vec, form: tuple[int, int, int], sigma_cap: int | None = None
+) -> ReflectionFrame | None:
+    """The frame through w for the integral form (a, b, c), in integers.
+
+    Returns None when its index sigma exceeds sigma_cap.
+    """
+    a, b, c = form
+    m, n = w
+    alpha = a * m + b * n
+    beta = b * m + c * n
+    g = gcd(alpha, beta)
+    z = (beta // g, -alpha // g)
+    qw = m * alpha + n * beta
+    # |det(w, z)| = (m alpha + n beta) / g = Q(w) / g
+    sigma = qw // g
+    if sigma_cap is not None and sigma > sigma_cap:
+        return None
+    qz = a * z[0] * z[0] + 2 * b * z[0] * z[1] + c * z[1] * z[1]
+    if qw < qz:
+        w, z, qw, qz = z, w, qz, qw
+    return _frame(w, z, sigma, Scalar(Fraction(qw, qz)))
 
 
 def unique_frame(g: GramForm) -> ReflectionFrame:
@@ -256,9 +280,13 @@ def unique_frame(g: GramForm) -> ReflectionFrame:
         root = (Scalar.of(q) + Scalar.of(r * r)).sqrt_rational()
         beta = -1 / (2 * r) if q == 0 else (r + root) / q
         w = _primitive((beta.denominator, beta.numerator))
-    frame = _frame_from_w(w, g)
-    assert frame is not None
-    return frame
+    z = orthogonal_primitive(w, g)
+    if z is None:
+        raise InvariantError(f"{verdict.value} lattice has no vector orthogonal to {w}")
+    kappa_sq = g.value(*w) / g.value(*z)
+    if kappa_sq < 1:
+        w, z, kappa_sq = z, w, 1 / kappa_sq
+    return _frame(w, z, abs(w[0] * z[1] - w[1] * z[0]), kappa_sq)
 
 
 def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
@@ -276,64 +304,67 @@ def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
 # -- window counting ----------------------------------------------------------
 
 
-def _window_hits_even(kappa_sq, sigma: int, x: int):
-    """Indices 2*sigma*k*l with kappa^2 k^2 <= 3 l^2 and l^2 <= 3 kappa^2 k^2.
+def _window_hits(kappa_sq: Scalar, scale: int, x: int, odd: bool):
+    """(scale*p*q, on_boundary) for p, q >= 1 with kappa^2 p^2 <= 3 q^2,
+    q^2 <= 3 kappa^2 p^2 and scale*p*q <= x; p and q odd when `odd`.
 
-    Yields (index, on_boundary) per admissible (k, l), k, l >= 1.
+    Row p holds the q from ceil(sqrt(kappa^2 p^2 / 3)) to
+    floor(sqrt(3 kappa^2 p^2)), capped at x // (scale*p); only its two ends
+    can lie on the boundary.  The lower end grows with p while the cap
+    shrinks, so the first row whose lower end passes its cap is the last.
     """
-    three_ks = kappa_sq * 3
-    k = 1
-    while 2 * sigma * k <= x:
-        kk = k * k
-        l_cap = x // (2 * sigma * k)
-        for l in range(1, l_cap + 1):
-            ll = Scalar.of(l * l)
-            lo = (ll * 3 - kappa_sq * kk).sign()
-            hi = (three_ks * kk - ll).sign()
-            if lo < 0:
-                continue
-            if hi < 0:
-                break
-            yield 2 * sigma * k * l, (lo == 0 or hi == 0)
-        k += 1
+    step = 2 if odd else 1
+    low_unit, high_unit = kappa_sq / 3, kappa_sq * 3
+    p = 1
+    while True:
+        cap = x // (scale * p)
+        low_sq = low_unit * (p * p)
+        lo = low_sq.isqrt()
+        lo_on = (low_sq - lo * lo).sign() == 0
+        if not lo_on:
+            lo += 1
+        if odd and lo % 2 == 0:
+            lo, lo_on = lo + 1, False
+        if lo > cap:
+            return
+        high_sq = high_unit * (p * p)
+        hi = high_sq.isqrt()
+        hi_on = (high_sq - hi * hi).sign() == 0
+        if hi > cap:
+            hi, hi_on = cap, False
+        if odd and hi % 2 == 0:
+            hi, hi_on = hi - 1, False
+        for q in range(lo, hi + 1, step):
+            yield scale * p * q, (lo_on and q == lo) or (hi_on and q == hi)
+        p += step
 
 
-def _window_hits_odd(kappa_sq, sigma: int, x: int):
+def _window_hits_even(kappa_sq: Scalar, sigma: int, x: int):
+    """Indices 2*sigma*k*l with kappa^2 k^2 <= 3 l^2 and l^2 <= 3 kappa^2 k^2."""
+    yield from _window_hits(kappa_sq, 2 * sigma, x, odd=False)
+
+
+def _window_hits_odd(kappa_sq: Scalar, sigma: int, x: int):
     """Indices sigma(2k+1)(2l+1)/2 over the same window in odd coordinates."""
-    half = sigma // 2
-    three_ks = kappa_sq * 3
-    k = 0
-    while half * (2 * k + 1) <= x:
-        p = 2 * k + 1
-        pp = p * p
-        q_cap = x // (half * p)
-        l = 0
-        while 2 * l + 1 <= q_cap:
-            q = 2 * l + 1
-            qq = Scalar.of(q * q)
-            lo = (qq * 3 - kappa_sq * pp).sign()
-            hi = (three_ks * pp - qq).sign()
-            if hi < 0:
-                break
-            if lo >= 0:
-                yield half * p * q, (lo == 0 or hi == 0)
-            l += 1
-        k += 1
+    yield from _window_hits(kappa_sq, sigma // 2, x, odd=True)
+
+
+def _frame_hits(frame: ReflectionFrame, x: int):
+    """Window hits of one frame; the odd window exists only for even sigma."""
+    yield from _window_hits_even(frame.kappa_sq, frame.sigma, x)
+    if frame.sigma % 2 == 0:
+        yield from _window_hits_odd(frame.kappa_sq, frame.sigma, x)
 
 
 def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
     """Well-rounded sublattice counts by index for a non-rational lattice."""
     if is_rational(g):
         raise NotApplicableError("lattice is rational; use count_wr_rational")
-    frame = unique_frame(g)
     counts = [0] * x
-    for n, boundary in _window_hits_even(frame.kappa_sq, frame.sigma, x):
-        assert not boundary  # would force a rational similarity class
+    for n, boundary in _frame_hits(unique_frame(g), x):
+        if boundary:  # a hexagonal sublattice forces a rational similarity class
+            raise InvariantError(f"window boundary hit at index {n} of a non-rational lattice")
         counts[n - 1] += 1
-    if frame.sigma % 2 == 0:
-        for n, boundary in _window_hits_odd(frame.kappa_sq, frame.sigma, x):
-            assert not boundary
-            counts[n - 1] += 1
     return ArithSeq(counts)
 
 
@@ -378,42 +409,35 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
 # -- rational lattices: frame enumeration and counting ------------------------
 
 
-def _coord_search_bound(a: int, b: int, c: int, norm_cap: int) -> tuple[int, int]:
-    # Q(m, n) = a (m + b n / a)^2 + (d / a) n^2 <= norm_cap
+def _primitive_vectors_up_to_norm(form: tuple[int, int, int], norm_cap: int):
+    """All primitive (m, n) up to sign with Q(m, n) <= norm_cap, by rows n.
+
+    a Q(m, n) = (am + bn)^2 + d n^2, so row n holds the m with
+    |am + bn| <= isqrt(a norm_cap - d n^2).
+    """
+    a, b, c = form
     d = a * c - b * b
-    n_max = isqrt(norm_cap * a // d) + 1
-    m_max = isqrt(norm_cap // a) + 1 + (abs(b) * n_max) // a + 1
-    return m_max, n_max
-
-
-def _primitive_vectors_up_to_norm(g: GramForm, norm_cap: Fraction):
-    """All primitive (m, n) up to sign with Q(m, n) <= norm_cap."""
-    a, b, c = int(g.a.rat), int(g.b.rat), int(g.c.rat)
-    cap = int(norm_cap) + 1
-    m_max, n_max = _coord_search_bound(a, b, c, cap)
-    for n in range(0, n_max + 1):
-        for m in range(-m_max, m_max + 1):
-            if n == 0 and m <= 0:
+    for n in range(0, isqrt(norm_cap * a // d) + 1):
+        s = isqrt(a * norm_cap - d * n * n)
+        # ceil((-s - bn) / a) <= m <= floor((s - bn) / a)
+        for m in range(-((s + b * n) // a), (s - b * n) // a + 1):
+            if (n == 0 and m <= 0) or gcd(m, n) != 1:
                 continue
-            if gcd(abs(m), n) != 1:
-                continue
-            if a * m * m + 2 * b * m * n + c * n * n <= norm_cap:
-                yield (m, n)
+            yield (m, n)
 
 
 def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
     """All orthogonal pairs whose members have coordinates bounded by H."""
     if not is_rational(g):
         raise NotRationalError("frame enumeration needs a rational lattice")
-    gi, _ = rational_normalize(g)
+    form = _check_integral_primitive(rational_normalize(g)[0])
     frames: dict[frozenset, ReflectionFrame] = {}
     for n in range(0, H + 1):
         for m in range(-H, H + 1):
-            if (n == 0 and m <= 0) or gcd(abs(m), n) != 1:
+            if (n == 0 and m <= 0) or gcd(m, n) != 1:
                 continue
-            frame = _frame_from_w((m, n), gi)
-            if frame is not None:
-                frames.setdefault(frame.key(), frame)
+            frame = _frame_from_w((m, n), form)
+            frames.setdefault(frame.key(), frame)
     return sorted(frames.values(), key=lambda f: (f.sigma, f.w, f.z))
 
 
@@ -424,12 +448,12 @@ def _frames_for_count(g: GramForm, x: int) -> list[ReflectionFrame]:
     least Q(w)/d for the integral primitive form of discriminant d, so
     Q(w) <= 2 x d suffices.
     """
-    gi, _ = rational_normalize(g)
-    d = int(gi.discriminant().rat)
+    form = _check_integral_primitive(rational_normalize(g)[0])
+    a, b, c = form
     frames: dict[frozenset, ReflectionFrame] = {}
-    for w in _primitive_vectors_up_to_norm(gi, Fraction(2 * x * d)):
-        frame = _frame_from_w(w, gi)
-        if frame is not None and frame.sigma <= 2 * x:
+    for w in _primitive_vectors_up_to_norm(form, 2 * x * (a * c - b * b)):
+        frame = _frame_from_w(w, form, 2 * x)
+        if frame is not None:
             frames.setdefault(frame.key(), frame)
     return list(frames.values())
 
@@ -439,24 +463,20 @@ def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
 
     Sums window counts over all contributing orthogonal pairs; window
     boundary hits are hexagonal sublattices shared by three pairs and enter
-    with weight 1/3.
+    with weight 1/3, so the tally is kept in thirds.
     """
     if not is_rational(g):
         raise NotRationalError("use count_wr_nonrational for this lattice")
-    counts = [Fraction(0)] * x
-    third = Fraction(1, 3)
+    thirds = [0] * x
     for frame in _frames_for_count(g, x):
-        kappa_sq = Scalar.of(frame.kappa_sq.as_fraction())
-        for n, boundary in _window_hits_even(kappa_sq, frame.sigma, x):
-            counts[n - 1] += third if boundary else 1
-        if frame.sigma % 2 == 0:
-            for n, boundary in _window_hits_odd(kappa_sq, frame.sigma, x):
-                counts[n - 1] += third if boundary else 1
+        for n, boundary in _frame_hits(frame, x):
+            thirds[n - 1] += 1 if boundary else 3
     out = []
-    for v in counts:
-        if v.denominator != 1:
-            raise AssertionError(f"non-integral count {v}; frame set inconsistent")
-        out.append(int(v))
+    for n, t in enumerate(thirds, 1):
+        q, r = divmod(t, 3)
+        if r:
+            raise InvariantError(f"non-integral count {t}/3 at index {n}; frame set inconsistent")
+        out.append(q)
     return ArithSeq(out)
 
 

@@ -199,6 +199,14 @@ class Scalar:
             f += 1
         return f
 
+    def isqrt(self) -> int:
+        """Exact floor of the square root; ValueError for a negative value.
+
+        floor(sqrt(v)) = isqrt(floor(v)) for every real v >= 0, so the exact
+        floor above settles it, and floor(v) < 0 exactly when v < 0.
+        """
+        return math.isqrt(self.floor())
+
     def round_half(self) -> int:
         """floor(x + 1/2); used as the reduction shift coefficient."""
         return (self + Fraction(1, 2)).floor()
@@ -245,7 +253,8 @@ class Scalar:
 
     @staticmethod
     def parse(text: str) -> "Scalar":
-        """Parse "p/q", "sqrt(D)", "r/s*sqrt(D)" and sums like "1+2*sqrt(2)"."""
+        """Parse "p/q", "sqrt(D)", "r/s*sqrt(D)", "c*sqrt(D)/s" and sums like
+        "1+2*sqrt(2)" or "1+sqrt(5)/2"."""
         text = text.strip().replace(" ", "")
         if not text:
             raise ValueError("empty scalar")
@@ -266,12 +275,15 @@ class Scalar:
     def _parse_term(term: str) -> "Scalar":
         neg = term.startswith("-")
         term = term.lstrip("+-")
-        if "sqrt" in term:
-            coeff_part, _, root_part = term.partition("sqrt")
-            root_part = root_part.strip("()")
-            coeff = Fraction(coeff_part.rstrip("*")) if coeff_part.rstrip("*") else Fraction(1)
-            val = Scalar(0, coeff, int(root_part))
-        else:
-            val = Scalar(Fraction(term))
+        try:
+            if "sqrt" in term:
+                coeff_part, _, root_part = term.partition("sqrt")
+                root_part, _, divisor = root_part.partition("/")
+                coeff = Fraction(coeff_part.rstrip("*") or 1) / Fraction(divisor or 1)
+                val = Scalar(0, coeff, int(root_part.strip("()")))
+            else:
+                val = Scalar(Fraction(term))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {term!r}") from None
         return -val if neg else val
 

@@ -44,10 +44,20 @@ EPSTEIN_REL_TOL = 0.02
 MOEBIUS_TOL = 1e-6
 
 
+_clock = {"start": 0.0}
+
+
+@pytest.fixture(autouse=True)
+def _criterion_clock():
+    """Start each criterion's wall clock (module fixtures are set up before)."""
+    _clock["start"] = time.perf_counter()
+
+
 def _report(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     suffix = f" ({detail})" if detail else ""
-    line = f"[{status}] {name}{suffix}"
+    elapsed = time.perf_counter() - _clock["start"]
+    line = f"[{status}] {name}{suffix} [{elapsed:.2f}s]"
     print(line, file=sys.__stdout__, flush=True)
     from conftest import ACCEPTANCE_LINES
 
@@ -71,7 +81,7 @@ def test_criterion_01_square_oracle():
     ok = list(a_square(N)) == census.well_rounded_list()
     elapsed = time.monotonic() - start
     ok = ok and elapsed < 60
-    _report("criterion 1: square formula = census for n <= 150", ok, f"{elapsed:.1f}s")
+    _report("criterion 1: square formula = census for n <= 150", ok)
     assert ok
 
 

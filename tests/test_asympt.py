@@ -105,6 +105,12 @@ class TestModels:
         for r in rows:
             assert r["A"] >= 0 and "residual_over_sqrt_x" in r
 
+    def test_model_report_rejects_checkpoint_below_two(self):
+        from wellround.dirichlet import ArithSeq
+
+        with pytest.raises(ValueError, match="checkpoint 1"):
+            asympt.model_report(ArithSeq([1, 1, 1]), asympt.AsymptoticModel(0.1, 0.2), [1])
+
     def test_model_report_out_of_range(self):
         from wellround.dirichlet import OutOfRangeError
         from wellround.square import a_square

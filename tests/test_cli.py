@@ -88,6 +88,27 @@ class TestCensus:
         assert code == 0
         assert all(line.split(",")[-1] == "0" for line in out.strip().splitlines()[1:])
 
+    def test_root_with_divisor_parses(self, capsys):
+        code, out, _ = run(
+            capsys, "census", "--gram", "diag(1,sqrt(3)/2)", "--max", "30", "--mode", "both"
+        )
+        assert code == 0
+        assert all(line.split(",")[-1] == "0" for line in out.strip().splitlines()[1:])
+
+    def test_invariant_error_exits_3(self, capsys, monkeypatch):
+        from wellround import cli
+        from wellround.general import InvariantError
+
+        def breach(g, N, preset):
+            raise InvariantError("frame set inconsistent")
+
+        monkeypatch.setattr(cli, "_formula_counts", breach)
+        code, _, err = run(
+            capsys, "census", "--preset", "square", "--max", "5", "--mode", "formula"
+        )
+        assert code == 3
+        assert err == "invariant breach: frame set inconsistent\n"
+
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         from wellround import cli
         from wellround.dirichlet import ArithSeq

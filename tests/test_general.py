@@ -3,9 +3,12 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wellround.general import (
     ExistenceVerdict,
+    InvariantError,
     NoFrameError,
     NotIntegralFormError,
     NotPrimitiveVectorError,
@@ -21,6 +24,9 @@ from wellround.general import (
     nonrational_census,
     orthogonal_primitive,
     unique_frame,
+    _bezout_complement,
+    _window_hits_even,
+    _window_hits_odd,
 )
 from wellround.gram import GramForm
 from wellround.hexagonal import a_hex
@@ -30,6 +36,42 @@ from wellround.sublattices import wr_census_bruteforce
 
 SQRT2 = Scalar(0, 1, 2)
 DIAG_1_SQRT2 = GramForm(Scalar(1), Scalar(0), SQRT2)
+# {t, n} shape descriptors with a = 1: b = t/2, c = n; here
+# {t: sqrt(2), n: 4} and {t: sqrt(5), n: 3 + sqrt(5)}
+NORM_CONDITION_LATTICES = [
+    GramForm(Scalar(1), SQRT2 / 2, Scalar(4)),
+    GramForm(Scalar(1), Scalar(0, Fraction(1, 2), 5), Scalar(3, 1, 5)),
+]
+WINDOW_KAPPA_SQ = [
+    Scalar(1),
+    Scalar(Fraction(4, 3)),
+    Scalar(3),
+    Scalar(Fraction(9, 4)),
+    Scalar(2, 1, 2),
+    Scalar(Fraction(3, 2), Fraction(1, 2), 5),
+]
+
+
+@st.composite
+def reduced_primitive_forms(draw):
+    a = draw(st.integers(1, 8))
+    b = draw(st.integers(-(a // 2), a // 2))
+    c = draw(st.integers(a, a + 10))
+    assume(gcd(gcd(a, abs(b)), c) == 1)
+    return GramForm.of(a, b, c)
+
+
+def _window_direct(kappa_sq, scale, x, odd):
+    """Every (p, q) tested on its own with two exact sign tests."""
+    step = 2 if odd else 1
+    hits = []
+    for p in range(1, x // scale + 1, step):
+        for q in range(1, x // (scale * p) + 1, step):
+            lo = (Scalar(3 * q * q) - kappa_sq * (p * p)).sign()
+            hi = (kappa_sq * (3 * p * p) - q * q).sign()
+            if lo >= 0 and hi >= 0:
+                hits.append((scale * p * q, lo == 0 or hi == 0))
+    return hits
 
 
 class TestExistence:
@@ -105,6 +147,10 @@ class TestDualInvariants:
         assert brs_parity((1, 0), GramForm.of(1, 0, 1)) == "odd"
         assert brs_parity((1, 1), GramForm.of(1, 0, 1)) == "even"
         assert brs_parity((1, 1), GramForm.of(1, 0, 2)) == "odd"
+
+    def test_bezout_complement_of_imprimitive_is_invariant_error(self):
+        with pytest.raises(InvariantError):
+            _bezout_complement((2, 4))
 
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitiveVectorError):
@@ -233,7 +279,47 @@ class TestNonRationalCounting:
             assert list(count_wr_nonrational(g, N)) == census.well_rounded_list()
 
 
+    @pytest.mark.parametrize("g", NORM_CONDITION_LATTICES, ids=["t=sqrt2,n=4", "t=sqrt5,n=3+sqrt5"])
+    def test_norm_condition_matches_census(self, g):
+        assert existence(g) == ExistenceVerdict.NORM_CONDITION_HOLDS
+        N = 36
+        census = wr_census_bruteforce(g, N)
+        assert list(count_wr_nonrational(g, N)) == census.well_rounded_list()
+
+
+class TestWindow:
+    @pytest.mark.parametrize("kappa_sq", WINDOW_KAPPA_SQ, ids=str)
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 4, 6])
+    def test_even_matches_direct_loop(self, kappa_sq, sigma):
+        x = 300
+        assert list(_window_hits_even(kappa_sq, sigma, x)) == _window_direct(
+            kappa_sq, 2 * sigma, x, odd=False
+        )
+
+    @pytest.mark.parametrize("kappa_sq", WINDOW_KAPPA_SQ, ids=str)
+    @pytest.mark.parametrize("sigma", [2, 4, 6])
+    def test_odd_matches_direct_loop(self, kappa_sq, sigma):
+        x = 300
+        assert list(_window_hits_odd(kappa_sq, sigma, x)) == _window_direct(
+            kappa_sq, sigma // 2, x, odd=True
+        )
+
+    @pytest.mark.parametrize(
+        "kappa_sq, window",
+        [(Scalar(3), _window_hits_even), (Scalar(3), _window_hits_odd),
+         (Scalar(Fraction(4, 3)), _window_hits_even)],
+    )
+    def test_boundary_hits_are_found(self, kappa_sq, window):
+        assert any(on_boundary for _, on_boundary in window(kappa_sq, 2, 300))
+
+
 class TestRationalCounting:
+    @settings(max_examples=25, deadline=None)
+    @given(reduced_primitive_forms(), st.integers(1, 60))
+    def test_matches_census_on_random_forms(self, g, N):
+        census = wr_census_bruteforce(g, N)
+        assert list(count_wr_rational(g, N)) == census.well_rounded_list()
+
     def test_reproduces_square_pipeline(self):
         N = 40
         assert list(count_wr_rational(GramForm.of(1, 0, 1), N)) == list(a_square(N))

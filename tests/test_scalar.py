@@ -1,7 +1,8 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wellround.scalar import MixedRadicandError, NotRationalError, Scalar
@@ -71,6 +72,37 @@ class TestOrdering:
         assert abs(float(x) - r) <= 0.5 + 1e-12
 
 
+class TestIsqrt:
+    @given(st.fractions(min_value=0, max_value=10**12, max_denominator=10**4))
+    def test_rational_matches_math_isqrt(self, v):
+        # floor(sqrt(p/q)) = floor(isqrt(p*q) / q)
+        p, q = v.numerator, v.denominator
+        assert Scalar(v).isqrt() == isqrt(p * q) // q
+
+    @given(
+        st.fractions(min_value=-(10**9), max_value=10**9, max_denominator=50),
+        st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=50),
+        roots,
+    )
+    def test_surd_brackets_by_exact_squares(self, r, i, root):
+        v = Scalar(r, i, root)
+        assume(v.sign() >= 0)
+        f = v.isqrt()
+        assert f >= 0
+        assert Scalar(f * f) <= v < Scalar((f + 1) * (f + 1))
+
+    def test_exact_squares(self):
+        assert Scalar(3).isqrt() == 1
+        assert Scalar(4).isqrt() == 2
+        assert Scalar(Fraction(9, 4)).isqrt() == 1
+        # (1 + sqrt(2))^2 = 3 + 2 sqrt(2) lies in [5, 6)
+        assert Scalar(3, 2, 2).isqrt() == 2
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            Scalar(1, -1, 2).isqrt()
+
+
 class TestSquareDetection:
     def test_square_rational(self):
         assert Scalar(Fraction(9, 4)).is_square_rational()
@@ -89,3 +121,21 @@ class TestSerialization:
         assert Scalar.parse("sqrt(2)") == Scalar(0, 1, 2)
         assert Scalar.parse("-2/3*sqrt(5)") == Scalar(0, Fraction(-2, 3), 5)
         assert Scalar.parse("1+2*sqrt(2)") == Scalar(1, 2, 2)
+
+    @pytest.mark.parametrize(
+        "text, exact",
+        [
+            ("sqrt(3)/2", "1/2*sqrt(3)"),
+            ("3*sqrt(2)/4", "3/4*sqrt(2)"),
+            ("1+sqrt(5)/2", "1+1/2*sqrt(5)"),
+            ("-sqrt(7)/3", "-1/3*sqrt(7)"),
+        ],
+    )
+    def test_parse_divisor_after_root(self, text, exact):
+        x, y = Scalar.parse(text), Scalar.parse(exact)
+        assert (x.rat, x.irr, x.root) == (y.rat, y.irr, y.root)
+
+    @pytest.mark.parametrize("text", ["1/0", "sqrt(3)/0"])
+    def test_parse_zero_denominator(self, text):
+        with pytest.raises(ValueError):
+            Scalar.parse(text)
