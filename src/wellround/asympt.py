@@ -443,14 +443,26 @@ def epstein_truncated(Q, s: float, R: float, tail: bool = True) -> float:
     return total
 
 
-def epstein_residue_estimate(Q, depth: int = 7, R0: float = 4.0e5) -> float:
-    """Residue of the Epstein zeta function at s=1 via a Richardson ladder."""
+def epstein_residue_extrapolants(Q, depth: int = 7, R0: float = 4.0e5) -> tuple[float, float]:
+    """The last two Richardson extrapolants (e_depth, e_{depth-1}) of the
+    Epstein zeta residue at s=1.
+
+    The ladder is v_j = (s_j - 1) Z(s_j) at s_j = 1 + 2^-j; e_j = 2 v_j - v_{j-1}
+    removes its error term linear in (s - 1), and |e_depth - e_{depth-1}|
+    measures what that step leaves.
+    """
+    if depth < 3:
+        raise DomainError("need depth >= 3 for two extrapolants")
     values = []
     for j in range(1, depth + 1):
         s = 1.0 + 2.0**-j
         values.append((s - 1.0) * epstein_truncated(Q, s, R0))
-    # one extrapolation step: error linear in (s - 1)
-    return 2.0 * values[-1] - values[-2]
+    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
+
+
+def epstein_residue_estimate(Q, depth: int = 7, R0: float = 4.0e5) -> float:
+    """Residue of the Epstein zeta function at s=1 via a Richardson ladder."""
+    return epstein_residue_extrapolants(Q, depth, R0)[0]
 
 
 def epstein_primitive_truncated(Q, s: float, R: float) -> float:

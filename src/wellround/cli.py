@@ -201,16 +201,17 @@ def cmd_census(args) -> int:
         "formula",
         "diff",
     ]
-    rows = []
-    mismatch = False
-    for n in range(1, N + 1):
-        row = report.row(n)
-        diff = counts[n] - report.well_rounded(n)
-        mismatch = mismatch or diff != 0
-        rows.append(row + [counts[n], diff])
+    rows = [
+        report.row(n) + [counts[n], counts[n] - report.well_rounded(n)]
+        for n in range(1, N + 1)
+    ]
     _emit_rows(args, header, rows)
-    if mismatch:
-        print("census mismatch: formula and brute force disagree", file=sys.stderr)
+    n = next((row[0] for row in rows if row[-1]), None)
+    if n is not None:
+        print(
+            f"census mismatch at n={n}: census {report.well_rounded(n)}, formula {counts[n]}",
+            file=sys.stderr,
+        )
         return EXIT_INVARIANT
     return EXIT_OK
 
@@ -335,7 +336,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_epstein(args) -> int:
-    from .asympt import DomainError, epstein_residue_estimate, epstein_truncated
+    from .asympt import DomainError, epstein_residue_extrapolants, epstein_truncated
 
     try:
         form = tuple(float(Scalar.parse(v)) for v in args.form.split(","))
@@ -347,8 +348,10 @@ def cmd_epstein(args) -> int:
         raise CliError("--radius must be positive", EXIT_BAD_INPUT)
     try:
         if args.residue:
-            value = epstein_residue_estimate(form, R0=args.radius)
-            error = abs(value - epstein_residue_estimate(form, R0=args.radius / 4))
+            # truncation error (R against R/4) plus extrapolation error (e_7 against e_6)
+            value, previous = epstein_residue_extrapolants(form, R0=args.radius)
+            coarse, _ = epstein_residue_extrapolants(form, R0=args.radius / 4)
+            error = abs(value - coarse) + abs(value - previous)
             payload = {"residue": _float_field(value, error)}
         else:
             value = epstein_truncated(form, args.s, args.radius)

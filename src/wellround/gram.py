@@ -7,15 +7,25 @@ to the canonical chain 0 <= 2b <= a <= c, from which the geometric type
 (general / rectangular / centred rectangular / rhombic / square / hexagonal)
 is read off the equality pattern.  A planar lattice is well-rounded exactly
 when its reduced form has a = c.
+
+`gauss_reduce` is the public reduction, on Scalars, with basis tracking.  The
+census uses two reducers without it, on integer data (`_integer_pairs`: the
+form scaled by the common denominator of its six rational parts, each entry
+x + y sqrt(D) with integers x, y): `_reduce_int` on plain ints for forms over
+Q, and `_reduce_pair` on integer pairs for forms over Q(sqrt(D)), which
+decides signs by integer squaring and round(b/a) by an exact integer floor.
+Since sqrt(D) is irrational, two pairs are equal exactly when their
+components are, so `_classify_pair` reads the type off component-wise.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import Rat, Scalar
+from .scalar import MixedRadicandError, Rat, Scalar
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -176,15 +186,95 @@ def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
+def _integer_pairs(g: GramForm) -> tuple[int | None, tuple[tuple[int, int], ...]]:
+    """(D, ((ax, ay), (bx, by), (cx, cy))): g scaled by the common denominator
+    L of its six rational parts, each entry x + y sqrt(D) with integers x, y.
+
+    D is None for a form over Q (every y is then 0).  Scaling by L > 0 changes
+    no reduction step and no equality, so the scaled form has g's type.
+    Entries from two different fields raise MixedRadicandError.
+    """
+    entries = (g.a, g.b, g.c)
+    roots = list(dict.fromkeys(e.root for e in entries if e.root is not None))
+    if len(roots) > 1:
+        raise MixedRadicandError(f"cannot mix sqrt({roots[0]}) and sqrt({roots[1]})")
+    L = math.lcm(*(part.denominator for e in entries for part in (e.rat, e.irr)))
+    return (roots[0] if roots else None), tuple((int(e.rat * L), int(e.irr * L)) for e in entries)
+
+
+def _sign_pair(x: int, y: int, D: int) -> int:
+    """Exact sign of x + y sqrt(D), by integer squaring as in Scalar.sign."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    # opposite signs; x^2 = y^2 D is impossible for squarefree D > 1, y != 0
+    d = x * x - y * y * D
+    return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
+
+
+def _round_half_pair(bx: int, by: int, ax: int, ay: int, D: int) -> int:
+    """round(b/a) = floor((2b + a) / 2a) for a > 0, exactly.
+
+    Multiplying by the conjugate of a gives (p + q sqrt(D)) / w with integers
+    p, q and w = 2 N(a) != 0; with w > 0, floor((p + q sqrt(D)) / w) =
+    (p + floor(q sqrt(D))) // w, and floor(q sqrt(D)) is an integer square
+    root.  The result m satisfies (2m - 1)a <= 2b < (2m + 1)a.
+    """
+    ux, uy = 2 * bx + ax, 2 * by + ay
+    p = ux * ax - uy * ay * D
+    q = uy * ax - ux * ay
+    w = 2 * (ax * ax - ay * ay * D)
+    if w < 0:
+        p, q, w = -p, -q, -w
+    # q^2 D is not a square for q != 0: floor(q sqrt(D)) = -isqrt(q^2 D) - 1 if q < 0
+    root = math.isqrt(q * q * D)
+    return (p + (root if q >= 0 else -root - 1)) // w
+
+
+def _reduce_pair(
+    ax: int, ay: int, bx: int, by: int, cx: int, cy: int, D: int
+) -> tuple[int, int, int, int, int, int]:
+    """_reduce_int over Z[sqrt(D)]: entries are integer pairs (x, y) = x + y sqrt(D).
+
+    After the shear, -a <= 2b < a, so once b is made nonnegative 2b <= a
+    holds and only a <= c is left to test.
+    """
+    while True:
+        if _sign_pair(ax - cx, ay - cy, D) > 0:
+            ax, ay, cx, cy = cx, cy, ax, ay
+        m = _round_half_pair(bx, by, ax, ay, D)
+        if m:
+            bx, by, cx, cy = (
+                bx - m * ax,
+                by - m * ay,
+                cx - 2 * m * bx + m * m * ax,
+                cy - 2 * m * by + m * m * ay,
+            )
+        if _sign_pair(bx, by, D) < 0:
+            bx, by = -bx, -by
+        if _sign_pair(ax - cx, ay - cy, D) <= 0:
+            return ax, ay, bx, by, cx, cy
+
+
+def _type_of(a_is_c: bool, b_is_0: bool, a_is_2b: bool) -> LatticeType:
+    """Geometric type from the equality pattern of a reduced form."""
+    if b_is_0:
+        return LatticeType.SQUARE if a_is_c else LatticeType.RECTANGULAR
+    if a_is_c:
+        # |v - w|^2 = 2a - 2b equals a exactly when a = 2b
+        return LatticeType.HEXAGONAL if a_is_2b else LatticeType.RHOMBIC
+    return LatticeType.CENTRED_RECTANGULAR if a_is_2b else LatticeType.GENERAL
+
+
 def classify_reduced(a, b, c) -> LatticeType:
     """Geometric type from reduced entries satisfying 0 <= 2b <= a <= c."""
-    eq_ac = a == c
-    if b == 0:
-        return LatticeType.SQUARE if eq_ac else LatticeType.RECTANGULAR
-    if eq_ac:
-        # |v - w|^2 = 2a - 2b equals a exactly when a = 2b
-        return LatticeType.HEXAGONAL if a == b * 2 else LatticeType.RHOMBIC
-    return LatticeType.CENTRED_RECTANGULAR if a == b * 2 else LatticeType.GENERAL
+    return _type_of(a == c, b == 0, a == b * 2)
+
+
+def _classify_pair(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> LatticeType:
+    """classify_reduced for integer-pair entries, compared component-wise."""
+    return _type_of(ax == cx and ay == cy, bx == 0 and by == 0, ax == 2 * bx and ay == 2 * by)
 
 
 def classify(g: GramForm) -> LatticeType:

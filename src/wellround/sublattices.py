@@ -5,6 +5,12 @@ the columns of [[m, k], [0, l]] with m, l >= 1 and 0 <= k < m; its index is
 m*l.  Enumerating these and classifying the restricted Gram form gives an
 exhaustive census of sublattice types up to a given index, the brute-force
 oracle against which every generating-function counter is checked.
+
+`wr_census_bruteforce` is one HNF loop over integer data: the form is scaled
+once to integer pairs and the reducer is chosen before the loop, plain-int
+`_reduce_int` for a form over Q and the Z[sqrt(D)] pair loop `_reduce_pair`
+otherwise.  `hnf_enumerate` and `sublattice_gram` are the public,
+Scalar-valued API; the census does not call them.
 """
 
 from __future__ import annotations
@@ -14,8 +20,15 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .gram import GramForm, LatticeType, _reduce_int, classify_reduced, gauss_reduce
-from .scalar import Scalar
+from .gram import (
+    GramForm,
+    LatticeType,
+    _classify_pair,
+    _integer_pairs,
+    _reduce_int,
+    _reduce_pair,
+    classify_reduced,
+)
 
 
 class UnsupportedDimensionError(ValueError):
@@ -153,8 +166,35 @@ class CensusReport:
         )
 
 
-def _classify_int(a: int, b: int, c: int) -> LatticeType:
-    return classify_reduced(*_reduce_int(a, b, c))
+def _sublattice_classifier(g: GramForm):
+    """classify(m, k, l): the type of the HNF sublattice (m, k, l) of g,
+    from g's integer pairs, by `_reduce_int` over Q or `_reduce_pair`."""
+    D, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
+    if D is None:
+
+        def classify(m: int, k: int, l: int) -> LatticeType:
+            a = ax * m * m
+            b = ax * m * k + bx * m * l
+            c = ax * k * k + 2 * bx * k * l + cx * l * l
+            return classify_reduced(*_reduce_int(a, b, c))
+
+        return classify
+
+    def classify(m: int, k: int, l: int) -> LatticeType:
+        mm, mk, ml, kk, kl, ll = m * m, m * k, m * l, k * k, 2 * k * l, l * l
+        return _classify_pair(
+            *_reduce_pair(
+                ax * mm,
+                ay * mm,
+                ax * mk + bx * ml,
+                ay * mk + by * ml,
+                ax * kk + bx * kl + cx * ll,
+                ay * kk + by * kl + cy * ll,
+                D,
+            )
+        )
+
+    return classify
 
 
 def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
@@ -162,25 +202,13 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     g.check_positive_definite()
     if N < 1:
         raise ValueError("census bound must be positive")
+    classify = _sublattice_classifier(g)
     report = CensusReport(N)
-    if g.is_integral():
-        ga = int(g.a.rat)
-        gb = int(g.b.rat)
-        gc = int(g.c.rat)
-        for n in range(1, N + 1):
-            for m in range(1, n + 1):
-                if n % m:
-                    continue
-                l = n // m
-                for k in range(m):
-                    a = ga * m * m
-                    b = ga * m * k + gb * m * l
-                    c = ga * k * k + 2 * gb * k * l + gc * l * l
-                    report.tally(n, _classify_int(a, b, c))
-        return report
     for n in range(1, N + 1):
-        for B in hnf_enumerate(n):
-            sub = sublattice_gram(B, g)
-            r, _ = gauss_reduce(sub)
-            report.tally(n, classify_reduced(r.a, r.b, r.c))
+        for m in range(1, n + 1):
+            if n % m:
+                continue
+            l = n // m
+            for k in range(m):
+                report.tally(n, classify(m, k, l))
     return report

@@ -148,6 +148,14 @@ class TestEpstein:
         target = math.pi / math.sqrt(0.75)
         assert abs(hexa - target) / target < 0.02
 
+    def test_extrapolants(self):
+        last, previous = asympt.epstein_residue_extrapolants((1, 0, 1), R0=1.0e4)
+        assert last == asympt.epstein_residue_estimate((1, 0, 1), R0=1.0e4)
+        # the gap between the last two extrapolants bounds the error at s = 1
+        assert abs(last - math.pi) <= abs(last - previous)
+        with pytest.raises(asympt.DomainError):
+            asympt.epstein_residue_extrapolants((1, 0, 1), depth=2)
+
     def test_primitive_sum_factors(self):
         # full sum over Q <= R equals sum over scalings g of
         # g^{-2s} * (coprime sum over Q <= R / g^2), an exact identity

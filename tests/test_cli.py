@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -113,14 +114,15 @@ class TestCensus:
         from wellround import cli
         from wellround.dirichlet import ArithSeq
 
+        # the square census is 1, 1, 0, 1, 2; the formula is wrong from n = 4 on
         monkeypatch.setattr(
-            cli, "_formula_counts", lambda g, N, preset: ArithSeq([99] * N)
+            cli, "_formula_counts", lambda g, N, preset: ArithSeq([1, 1, 0, 99, 7])
         )
         code, _, err = run(
             capsys, "census", "--preset", "square", "--max", "5", "--mode", "both"
         )
         assert code == 3
-        assert "mismatch" in err
+        assert err == "census mismatch at n=4: census 1, formula 99\n"
 
     def test_bad_max_exits_2(self, capsys):
         code, _, _ = run(capsys, "census", "--preset", "square", "--max", "0")
@@ -198,6 +200,16 @@ class TestOtherCommands:
         payload = json.loads(out)
         assert payload["value"]["value"] == pytest.approx(6.0268, abs=0.01)
         assert payload["value"]["abs_error"] >= 0
+
+    @pytest.mark.parametrize("form, det", [("1,0,1", 1), ("2,1,2", 3)])
+    def test_epstein_residue_error_covers_true_error(self, capsys, form, det):
+        # the residue at s = 1 is pi / sqrt(ac - b^2)
+        code, out, _ = run(
+            capsys, "epstein", "--form", form, "--residue", "--radius", "1e4", "--format", "json"
+        )
+        assert code == 0
+        residue = json.loads(out)["residue"]
+        assert residue["abs_error"] >= abs(residue["value"] - math.pi / math.sqrt(det))
 
     def test_epstein_bad_form_exits_2(self, capsys):
         code, _, _ = run(capsys, "epstein", "--form", "1,0")

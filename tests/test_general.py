@@ -61,6 +61,45 @@ def reduced_primitive_forms(draw):
     return GramForm.of(a, b, c)
 
 
+_QUARTERS = st.builds(Fraction, st.integers(-24, 24), st.just(4))
+_NONZERO_QUARTERS = st.builds(
+    lambda k, sign: Fraction(sign * k, 4), st.integers(1, 24), st.sampled_from([1, -1])
+)
+
+
+@st.composite
+def shape_lattices(draw, verdict):
+    """{t, n} lattices (a = 1, b = t/2, c = n) over Q(sqrt D) with the given
+    existence verdict.
+
+    An irrational t with n = q + r t has a well-rounded sublattice exactly
+    when q + r^2 is a rational square k; then n - t^2/4 = k - (r - t/2)^2,
+    so r within 9/8 of t/2 and k >= 2 keep the form positive definite.
+    Trace-rational lattices have a rational t and an irrational n.
+    """
+    D = draw(st.sampled_from([2, 3, 5]))
+    if verdict is ExistenceVerdict.TRACE_RATIONAL_ONLY:
+        t = Scalar(draw(_QUARTERS))
+        n_irr = draw(_NONZERO_QUARTERS)
+        # n_rat - |n_irr| sqrt(D) > t^2/4
+        n_rat = t.rat**2 / 4 + abs(n_irr) * (isqrt(D) + 1) + draw(_QUARTERS.map(abs))
+        n = Scalar(n_rat, n_irr, D)
+    else:
+        t = Scalar(draw(_QUARTERS), draw(_NONZERO_QUARTERS), D)
+        r = Fraction(round(float(t) * 2), 4) + draw(st.sampled_from([-1, 0, 1]))
+        if verdict is ExistenceVerdict.NORM_CONDITION_HOLDS:
+            k = Fraction(draw(st.integers(3, 24)), 2) ** 2
+        else:
+            # num / den with den a square: a rational square exactly when num is
+            num, den = draw(st.integers(8, 80)), draw(st.sampled_from([1, 4]))
+            assume(isqrt(num) ** 2 != num)
+            k = Fraction(num, den)
+        n = Scalar(k - r * r) + t * r
+    g = GramForm(Scalar(1), t / 2, n)
+    assume((n - t * t / 4).sign() > 0)
+    return g
+
+
 def _window_direct(kappa_sq, scale, x, odd):
     """Every (p, q) tested on its own with two exact sign tests."""
     step = 2 if odd else 1
@@ -285,6 +324,35 @@ class TestNonRationalCounting:
         N = 36
         census = wr_census_bruteforce(g, N)
         assert list(count_wr_nonrational(g, N)) == census.well_rounded_list()
+
+
+class TestPipelinesPerVerdict:
+    """Every non-rational pipeline against the census, on random lattices
+    drawn per existence verdict."""
+
+    @pytest.mark.parametrize(
+        "verdict",
+        [ExistenceVerdict.TRACE_RATIONAL_ONLY, ExistenceVerdict.NORM_CONDITION_HOLDS],
+        ids=lambda v: v.value,
+    )
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), N=st.integers(1, 60))
+    def test_counters_match_census(self, verdict, data, N):
+        g = data.draw(shape_lattices(verdict))
+        assert existence(g) == verdict
+        census = wr_census_bruteforce(g, N).well_rounded_list()
+        assert list(count_wr_nonrational(g, N)) == census
+        assert list(nonrational_census(g, N)) == census
+
+    @settings(max_examples=20, deadline=None)
+    @given(shape_lattices(ExistenceVerdict.NO_WELL_ROUNDED), st.integers(1, 60))
+    def test_no_well_rounded_census_is_zero(self, g, N):
+        assert existence(g) == ExistenceVerdict.NO_WELL_ROUNDED
+        assert wr_census_bruteforce(g, N).well_rounded_list() == [0] * N
+        with pytest.raises(NoFrameError):
+            count_wr_nonrational(g, N)
+        with pytest.raises(NoFrameError):
+            nonrational_census(g, N)
 
 
 class TestWindow:

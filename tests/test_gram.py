@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wellround.gram import (
@@ -10,6 +10,11 @@ from wellround.gram import (
     LatticeType,
     NotPositiveDefiniteError,
     Unimodular,
+    _classify_pair,
+    _integer_pairs,
+    _reduce_pair,
+    _round_half_pair,
+    _sign_pair,
     classify,
     gauss_reduce,
     is_rational,
@@ -153,3 +158,56 @@ class TestRationality:
         # gi is the unit-leading-entry rescaling of g times the scale factor
         assert gi.scale((g.a / gi.a.as_fraction()).as_fraction()) == g
         assert (gi.a / scale) == (g.a / g.a)
+
+
+_PAIR_ENTRIES = st.integers(-10**6, 10**6)
+_RADICANDS = st.sampled_from([2, 3, 5, 6, 7, 10])
+
+
+class TestIntegerPairs:
+    """The Z[sqrt(D)] census core against the Scalar arithmetic it replaces."""
+
+    @given(_PAIR_ENTRIES, _PAIR_ENTRIES, _RADICANDS)
+    @example(0, 0, 2)
+    @example(-7, 5, 2)  # 49 < 50: -7 + 5 sqrt(2) > 0
+    @example(7, -5, 2)
+    def test_sign_matches_scalar(self, x, y, D):
+        assert _sign_pair(x, y, D) == Scalar(x, y, D).sign()
+
+    @given(_PAIR_ENTRIES, _PAIR_ENTRIES, _PAIR_ENTRIES, _PAIR_ENTRIES, _RADICANDS)
+    @example(3, 0, 2, 0, 2)  # b/a = 3/2 exactly rounds up
+    @example(-3, 0, 2, 0, 2)  # b/a = -3/2 exactly rounds up as well
+    @example(1, 1, 1, -1, 2)  # b/a = (1 + sqrt 2)/(sqrt 2 - 1) = 3 + 2 sqrt 2
+    def test_round_half_brackets(self, bx, by, ax, ay, D):
+        assume(ax or ay)
+        if Scalar(ax, ay, D).sign() < 0:
+            ax, ay = -ax, -ay
+        a, b = Scalar(ax, ay, D), Scalar(bx, by, D)
+        m = _round_half_pair(bx, by, ax, ay, D)
+        assert m == (b / a).round_half()
+        assert a * (2 * m - 1) <= b * 2 < a * (2 * m + 1)
+
+    @given(st.data())
+    def test_reduce_matches_gauss_reduce(self, data):
+        D = data.draw(st.sampled_from([2, 3, 5]))
+
+        def positive():
+            x, y = data.draw(st.tuples(st.integers(-20, 20), st.integers(-20, 20)))
+            assume(x or y)
+            return Scalar(x, y, D) if Scalar(x, y, D).sign() > 0 else Scalar(-x, -y, D)
+
+        # U^T diag(p, q) U for positive p, q and an integer U with det U != 0
+        p, q = positive(), positive()
+        (u, v), (w, z) = data.draw(st.tuples(*[st.tuples(st.integers(-6, 6), st.integers(-6, 6))] * 2))
+        assume(u * z != v * w)
+        g = GramForm(p * (u * u) + q * (w * w), p * (u * v) + q * (w * z), p * (v * v) + q * (z * z))
+        (ax, ay), (bx, by), (cx, cy) = _integer_pairs(g)[1]
+        r, _ = gauss_reduce(g)
+        reduced = _reduce_pair(ax, ay, bx, by, cx, cy, D)
+        assert [Scalar(x, y, D) for x, y in zip(reduced[::2], reduced[1::2])] == [r.a, r.b, r.c]
+        assert _classify_pair(*reduced) == classify(g)
+
+    def test_scaled_to_common_denominator(self):
+        g = GramForm(Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 3), 5), Scalar(2, Fraction(3, 4), 5))
+        assert _integer_pairs(g) == (5, ((6, 0), (0, 4), (24, 9)))
+        assert _integer_pairs(GramForm.of(2, 1, 3)) == (None, ((2, 0), (1, 0), (3, 0)))

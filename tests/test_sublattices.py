@@ -1,9 +1,18 @@
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from wellround.gram import GramForm, LatticeType, Unimodular, classify
-from wellround.scalar import Scalar
+from wellround.gram import (
+    GramForm,
+    LatticeType,
+    Unimodular,
+    classify,
+    classify_reduced,
+    gauss_reduce,
+)
+from wellround.scalar import MixedRadicandError, Scalar
 from wellround.sublattices import (
     CensusReport,
     SublatticeBasis,
@@ -96,3 +105,55 @@ class TestCensus:
             "well_rounded",
         ]
         assert len(lines) == 5  # header + 3 rows + trailing newline
+
+
+def _oracle_csv(g: GramForm, N: int) -> str:
+    """The census the slow way: Scalar Gauss reduction of every HNF sublattice."""
+    report = CensusReport(N)
+    for n in range(1, N + 1):
+        for basis in hnf_enumerate(n):
+            r, _ = gauss_reduce(sublattice_gram(basis, g))
+            report.tally(n, classify_reduced(r.a, r.b, r.c))
+    return report.to_csv()
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Positive definite forms over Q, Q(sqrt 2), Q(sqrt 3) or Q(sqrt 5) whose
+    rational parts have denominators up to 4, in a random unimodular basis."""
+    D = draw(st.sampled_from([None, 2, 3, 5]))
+
+    def scalar():
+        irr = draw(_SMALL_RATIONALS) if D else 0
+        return Scalar(draw(_SMALL_RATIONALS), irr, D)
+
+    def positive():
+        s = scalar()
+        assume(s.sign() != 0)
+        return s if s.sign() > 0 else -s
+
+    a, b, e = positive(), scalar(), positive()
+    g = GramForm(a, b, b * b / a + e)  # ac - b^2 = a e > 0
+    U = Unimodular.identity()
+    for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
+        U = U @ Unimodular(((0, 1), (1, k)))
+    return g.transform(U)
+
+
+class TestIntegerCensusCore:
+    @settings(max_examples=20, deadline=None)
+    @given(quadratic_forms(), st.integers(1, 30))
+    @example(GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2)), 30)
+    @example(GramForm.of(1, Fraction(1, 2), Fraction(1, 3)), 30)
+    def test_matches_scalar_oracle(self, g, N):
+        assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
+
+    def test_mixed_fields_are_refused(self):
+        # b^2 = 1/2 is rational, so the form is positive definite, but its
+        # sublattice entries would need both sqrt(2) and sqrt(3)
+        g = GramForm(Scalar(1), Scalar(0, Fraction(1, 2), 2), Scalar(0, 1, 3))
+        with pytest.raises(MixedRadicandError):
+            wr_census_bruteforce(g, 5)
