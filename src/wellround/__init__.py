@@ -5,9 +5,13 @@ reduction and classification, Hermite-normal-form sublattice censuses,
 Dirichlet coefficient streams for the square and hexagonal lattices, and
 the general rational / non-rational counting theory.  The asympt module is
 the single float-bearing layer (constants, growth models, Epstein sums).
+
+The numpy-backed names (the Dirichlet streams and the square and hexagonal
+counters) load on first use, so that the exact layers run without numpy.
 """
 
-from .dirichlet import ArithSeq, OutOfRangeError, convolve
+import importlib
+
 from .general import (
     CslInfo,
     ExistenceVerdict,
@@ -38,14 +42,7 @@ from .gram import (
     is_well_rounded,
     rational_normalize,
 )
-from .hexagonal import a_hex, b_hex, b_hex_primitive
 from .scalar import MixedRadicandError, NotRationalError, Scalar
-from .square import (
-    a_square,
-    b_square,
-    b_square_primitive,
-    is_admissible_index_square,
-)
 from .sublattices import (
     CensusReport,
     SublatticeBasis,
@@ -56,6 +53,27 @@ from .sublattices import (
 )
 
 __version__ = "0.1.0"
+
+_NUMPY_BACKED = {
+    "ArithSeq": "dirichlet",
+    "OutOfRangeError": "dirichlet",
+    "convolve": "dirichlet",
+    "a_hex": "hexagonal",
+    "b_hex": "hexagonal",
+    "b_hex_primitive": "hexagonal",
+    "a_square": "square",
+    "b_square": "square",
+    "b_square_primitive": "square",
+    "is_admissible_index_square": "square",
+}
+
+
+def __getattr__(name: str):
+    module = _NUMPY_BACKED.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "ArithSeq",

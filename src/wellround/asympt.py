@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, log, pi, sqrt
 
-import mpmath
 import numpy as np
 
 from .dirichlet import (
@@ -328,6 +327,8 @@ def interval_sum_bounds(l: int, alpha: float, beta: float, gamma: float, s: floa
 
 def L_chi(D: int, s: float) -> float:
     """L(s, chi_D) through Hurwitz zeta values."""
+    import mpmath
+
     if D == -4:
         return float(4.0**-s * (mpmath.zeta(s, Fraction(1, 4)) - mpmath.zeta(s, Fraction(3, 4))))
     if D == -3:
@@ -336,6 +337,8 @@ def L_chi(D: int, s: float) -> float:
 
 
 def zeta(s: float) -> float:
+    import mpmath
+
     return float(mpmath.zeta(s))
 
 
@@ -408,6 +411,9 @@ def sandwich_check_hex(s: float, N: int = 50_000) -> bool:
 
 # -- Epstein zeta sums --------------------------------------------------------
 
+# 320 MB of float64 values: ten times the grid of `1,0,1` at the CLI's default radius
+MAX_GRID_POINTS = 40_000_000
+
 
 def _form_floats(Q) -> tuple[float, float, float]:
     a, b, c = (float(v) for v in Q)
@@ -416,31 +422,49 @@ def _form_floats(Q) -> tuple[float, float, float]:
     return a, b, c
 
 
-def _grid_values(Q, bound: int) -> np.ndarray:
-    a, b, c = _form_floats(Q)
-    m = np.arange(-bound, bound + 1, dtype=np.float64)
-    M, Nn = np.meshgrid(m, m, indexing="ij")
-    return a * M * M + 2.0 * b * M * Nn + c * Nn * Nn
-
-
 def _bound_for_radius(Q, R: float) -> int:
     a, b, c = _form_floats(Q)
     lam_min = ((a + c) - sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
+    # the disk lies in the square |m|, |n| <= sqrt(R / lam_min); lam_min may round to 0
+    if not 4.0 * R <= lam_min * MAX_GRID_POINTS:
+        raise DomainError(f"--radius {R:g} needs over {MAX_GRID_POINTS:,} grid points for the form")
     return isqrt(int(R / lam_min)) + 2
+
+
+def _disk_values(Q, R: float, keep=None) -> np.ndarray:
+    """Q(m, n) at the points with 0 < Q <= R and keep(m, n), in row-major
+    (m, n) order; m is an integer column broadcast against a row n."""
+    bound = _bound_for_radius(Q, R)
+    a, b, c = _form_floats(Q)
+    m = np.arange(-bound, bound + 1)
+    M, N = m[:, None], m[None, :]
+    vals = a * M * M + 2.0 * b * M * N + c * N * N
+    mask = (vals > 0) & (vals <= R)
+    if keep is not None:
+        mask &= keep(M, N)
+    return vals[mask]
+
+
+def _disk_sum(v: np.ndarray, Q, s: float, R: float, tail: bool = True) -> float:
+    """Sum of v^(-s) over a disk's values, plus the integral tail beyond R."""
+    total = float(np.sum(v ** (-s)))
+    if tail:
+        a, b, c = _form_floats(Q)
+        total += pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
+    return total
+
+
+def _ladder_extrapolants(v: np.ndarray, Q, R: float, depth: int = 7) -> tuple[float, float]:
+    ladder = (1.0 + 2.0**-j for j in range(1, depth + 1))
+    values = [(s - 1.0) * _disk_sum(v, Q, s, R) for s in ladder]
+    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
 def epstein_truncated(Q, s: float, R: float, tail: bool = True) -> float:
     """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R, plus an integral tail."""
     if s <= 1:
         raise DomainError("need s > 1")
-    vals = _grid_values(Q, _bound_for_radius(Q, R))
-    mask = (vals > 0) & (vals <= R)
-    total = float(np.sum(vals[mask] ** (-s)))
-    if tail:
-        a, b, c = _form_floats(Q)
-        d = a * c - b * b
-        total += pi / sqrt(d) * R ** (1.0 - s) / (s - 1.0)
-    return total
+    return _disk_sum(_disk_values(Q, R), Q, s, R, tail)
 
 
 def epstein_residue_extrapolants(Q, depth: int = 7, R0: float = 4.0e5) -> tuple[float, float]:
@@ -453,11 +477,7 @@ def epstein_residue_extrapolants(Q, depth: int = 7, R0: float = 4.0e5) -> tuple[
     """
     if depth < 3:
         raise DomainError("need depth >= 3 for two extrapolants")
-    values = []
-    for j in range(1, depth + 1):
-        s = 1.0 + 2.0**-j
-        values.append((s - 1.0) * epstein_truncated(Q, s, R0))
-    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
+    return _ladder_extrapolants(_disk_values(Q, R0), Q, R0, depth)
 
 
 def epstein_residue_estimate(Q, depth: int = 7, R0: float = 4.0e5) -> float:
@@ -467,29 +487,17 @@ def epstein_residue_estimate(Q, depth: int = 7, R0: float = 4.0e5) -> float:
 
 def epstein_primitive_truncated(Q, s: float, R: float) -> float:
     """Sum over coprime (m, n) with 0 < Q <= R (no tail term)."""
-    bound = _bound_for_radius(Q, R)
-    m = np.arange(-bound, bound + 1)
-    M, Nn = np.meshgrid(m, m, indexing="ij")
-    vals = _grid_values(Q, bound)
-    mask = (vals > 0) & (vals <= R) & (np.gcd(M, Nn) == 1)
-    return float(np.sum(vals[mask] ** (-s)))
+    v = _disk_values(Q, R, lambda m, n: np.gcd(m, n) == 1)
+    return _disk_sum(v, Q, s, R, tail=False)
 
 
 def epstein_restricted(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
     """Direct sum over coprime (m, n) with gcd(m, D) = k and gcd(n, C) = l,
     truncated at Q(m, n) <= R."""
-    bound = _bound_for_radius(Q, R)
-    m = np.arange(-bound, bound + 1)
-    M, Nn = np.meshgrid(m, m, indexing="ij")
-    vals = _grid_values(Q, bound)
-    mask = (
-        (vals > 0)
-        & (vals <= R)
-        & (np.gcd(M, Nn) == 1)
-        & (np.gcd(M, D) == k)
-        & (np.gcd(Nn, C) == l)
-    )
-    return float(np.sum(vals[mask] ** (-s)))
+    def keep(m, n):
+        return (np.gcd(m, n) == 1) & (np.gcd(m, D) == k) & (np.gcd(n, C) == l)
+
+    return _disk_sum(_disk_values(Q, R, keep), Q, s, R, tail=False)
 
 
 def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
@@ -497,12 +505,8 @@ def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
     truncated at Q(k m, l n) <= R."""
     qa, qb, qc = _form_floats(Q)
     scaled = (qa * k * k, qb * k * l, qc * l * l)
-    bound = _bound_for_radius(scaled, R)
-    m = np.arange(-bound, bound + 1)
-    M, Nn = np.meshgrid(m, m, indexing="ij")
-    vals = _grid_values(scaled, bound)
-    mask = (vals > 0) & (vals <= R) & (np.gcd(M, Nn) == 1) & (np.gcd(Nn, a_cond) == 1)
-    return float(np.sum(vals[mask] ** (-s)))
+    v = _disk_values(scaled, R, lambda m, n: (np.gcd(m, n) == 1) & (np.gcd(n, a_cond) == 1))
+    return _disk_sum(v, scaled, s, R, tail=False)
 
 
 def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:

@@ -15,8 +15,8 @@ import io
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from .dirichlet import ArithSeq
 from .general import InvariantError
 from .gram import (
     HEXAGONAL_GRAM,
@@ -29,6 +29,9 @@ from .gram import (
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
 from .sublattices import UnsupportedDimensionError, wr_census_bruteforce
+
+if TYPE_CHECKING:
+    from .dirichlet import ArithSeq
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -147,6 +150,7 @@ def cmd_classify(args) -> int:
 
 
 def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
+    from .dirichlet import ArithSeq
     from .general import (
         ExistenceVerdict,
         count_wr_nonrational,
@@ -336,7 +340,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_epstein(args) -> int:
-    from .asympt import DomainError, epstein_residue_extrapolants, epstein_truncated
+    from .asympt import DomainError, _disk_sum, _disk_values, _ladder_extrapolants
 
     try:
         form = tuple(float(Scalar.parse(v)) for v in args.form.split(","))
@@ -346,16 +350,21 @@ def cmd_epstein(args) -> int:
         raise CliError("--form needs three entries a,b,c", EXIT_BAD_INPUT)
     if not args.radius > 0:
         raise CliError("--radius must be positive", EXIT_BAD_INPUT)
+    R = args.radius
     try:
+        if not args.residue and args.s <= 1:
+            raise DomainError("need s > 1")
+        # one disk serves R and R/4: its values <= R/4 are the disk of R/4, in order
+        disk = _disk_values(form, R)
+        coarse = disk[disk <= R / 4]
         if args.residue:
             # truncation error (R against R/4) plus extrapolation error (e_7 against e_6)
-            value, previous = epstein_residue_extrapolants(form, R0=args.radius)
-            coarse, _ = epstein_residue_extrapolants(form, R0=args.radius / 4)
-            error = abs(value - coarse) + abs(value - previous)
-            payload = {"residue": _float_field(value, error)}
+            value, previous = _ladder_extrapolants(disk, form, R)
+            rough, _ = _ladder_extrapolants(coarse, form, R / 4)
+            payload = {"residue": _float_field(value, abs(value - rough) + abs(value - previous))}
         else:
-            value = epstein_truncated(form, args.s, args.radius)
-            error = abs(value - epstein_truncated(form, args.s, args.radius / 4))
+            value = _disk_sum(disk, form, args.s, R)
+            error = abs(value - _disk_sum(coarse, form, args.s, R / 4))
             payload = {"value": _float_field(value, error), "s": args.s}
     except DomainError as e:
         raise CliError(str(e), EXIT_BAD_INPUT)

@@ -30,10 +30,13 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from typing import TYPE_CHECKING
 
-from .dirichlet import ArithSeq
 from .gram import GramForm, is_rational, rational_normalize
 from .scalar import NotRationalError, Scalar
+
+if TYPE_CHECKING:
+    from .dirichlet import ArithSeq
 
 Vec = tuple[int, int]
 
@@ -358,6 +361,8 @@ def _frame_hits(frame: ReflectionFrame, x: int):
 
 def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
     """Well-rounded sublattice counts by index for a non-rational lattice."""
+    from .dirichlet import ArithSeq
+
     if is_rational(g):
         raise NotApplicableError("lattice is rational; use count_wr_rational")
     counts = [0] * x
@@ -375,6 +380,7 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
     equal parity and tests well-roundedness by reduction, bypassing the
     window inequalities entirely.
     """
+    from .dirichlet import ArithSeq
     from .gram import is_well_rounded
 
     frame = unique_frame(g)
@@ -465,6 +471,8 @@ def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
     boundary hits are hexagonal sublattices shared by three pairs and enter
     with weight 1/3, so the tally is kept in thirds.
     """
+    from .dirichlet import ArithSeq
+
     if not is_rational(g):
         raise NotRationalError("use count_wr_nonrational for this lattice")
     thirds = [0] * x

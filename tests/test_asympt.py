@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -183,3 +184,86 @@ class TestEpstein:
     def test_restricted_moebius_preconditions(self):
         with pytest.raises(asympt.DomainError):
             asympt.epstein_restricted_moebius((1, 0, 1), 2.0, 3, 1, 1, 4, 100.0)
+
+
+# -- the one-disk path against the meshgrid builder it replaced ----------------
+
+
+def _meshgrid_disk(Q, R):
+    """The values 0 < Q <= R as the meshgrid builder computed them: a full
+    (2B+1)^2 float grid per call, then a boolean mask."""
+    a, b, c = (float(v) for v in Q)
+    lam_min = ((a + c) - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
+    bound = math.isqrt(int(R / lam_min)) + 2
+    m = np.arange(-bound, bound + 1, dtype=np.float64)
+    M, Nn = np.meshgrid(m, m, indexing="ij")
+    vals = a * M * M + 2.0 * b * M * Nn + c * Nn * Nn
+    return vals[(vals > 0) & (vals <= R)]
+
+
+def _meshgrid_truncated(Q, s, R):
+    a, b, c = (float(v) for v in Q)
+    d = a * c - b * b
+    total = float(np.sum(_meshgrid_disk(Q, R) ** (-s)))
+    total += math.pi / math.sqrt(d) * R ** (1.0 - s) / (s - 1.0)
+    return total
+
+
+def _meshgrid_extrapolants(Q, R, depth=7):
+    values = []
+    for j in range(1, depth + 1):
+        s = 1.0 + 2.0**-j
+        values.append((s - 1.0) * _meshgrid_truncated(Q, s, R))
+    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
+
+
+R2, R3, R5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
+# (form, radius): 1,0,1 at R = 100 has points on Q = 100 and on Q = R/4 = 25,
+# and so has 2,1,2 at R = 104 (m^2 + mn + n^2 = 52 and 13)
+ONE_DISK_CASES = [
+    ((1, 0, 1), 100.0),
+    ((1, 0, 1), 1.0e4),
+    ((2, 1, 2), 104.0),
+    ((2, 1, 2), 1.0e4),
+    ((3, -1, 2), 1.0e4),
+    ((1, 0, R2), 5.0e3),
+    ((1, 0.5, R3), 5.0e3),
+    ((1, R2 / 2, 4), 5.0e3),
+    ((1, R5 / 2, 3 + R5), 5.0e3),
+]
+
+
+class TestOneDisk:
+    def test_boundary_points_present(self):
+        for Q, R in [((1, 0, 1), 100.0), ((2, 1, 2), 104.0)]:
+            v = asympt._disk_values(Q, R)
+            assert R in v and R / 4 in v
+
+    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
+    def test_disk_values_equal_meshgrid(self, Q, R):
+        assert np.array_equal(asympt._disk_values(Q, R), _meshgrid_disk(Q, R))
+
+    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
+    def test_truncated_sums_equal(self, Q, R):
+        for s in (2.0, 1.5, 1.0 + 2.0**-7):
+            assert asympt.epstein_truncated(Q, s, R) == _meshgrid_truncated(Q, s, R)
+
+    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
+    def test_extrapolants_equal(self, Q, R):
+        assert asympt.epstein_residue_extrapolants(Q, R0=R) == _meshgrid_extrapolants(Q, R)
+
+    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
+    def test_quarter_radius_subset_equals_its_own_disk(self, Q, R):
+        v = asympt._disk_values(Q, R)
+        quarter = v[v <= R / 4]
+        assert np.array_equal(quarter, _meshgrid_disk(Q, R / 4))
+        for s in (2.0, 1.5, 1.0 + 2.0**-7):
+            assert asympt._disk_sum(quarter, Q, s, R / 4) == _meshgrid_truncated(Q, s, R / 4)
+        assert asympt._ladder_extrapolants(quarter, Q, R / 4) == _meshgrid_extrapolants(Q, R / 4)
+
+    def test_oversized_grid_is_refused(self):
+        for Q, R in [((1, 0, 1), 1.0e12), ((1, 0, 1e-12), 1.0e6), ((1, 0, 1e-17), 1.0e6)]:
+            with pytest.raises(asympt.DomainError, match="--radius"):
+                asympt._disk_values(Q, R)
+        # the guard passes a radius whose square just fits
+        assert asympt._bound_for_radius((1, 0, 1), asympt.MAX_GRID_POINTS / 4.0) > 3000

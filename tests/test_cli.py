@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wellround
 from wellround.cli import main
 from wellround.gram import GramForm
 
@@ -139,6 +144,12 @@ class TestCensus:
         (["epstein", "--form", "1,0,1", "--radius", "-5"], "--radius"),
         (["epstein", "--form", "1,0,1", "--radius", "0", "--residue"], "--radius"),
         (["frames", "--preset", "square", "--bound", "-1"], "--bound"),
+        # grids past asympt.MAX_GRID_POINTS are refused before they are built
+        (["epstein", "--form", "1,0,1", "--radius", "1e12"], "--radius"),
+        (["epstein", "--form", "1,0,1", "--radius", "inf", "--residue"], "--radius"),
+        (["epstein", "--form", "1,0,1/1000000000000"], "--radius"),
+        (["epstein", "--form", "1,0,1/100000000000000000", "--residue"], "--radius"),
+        (["epstein", "--form", "1,0,1e-12"], "form"),
     ],
 )
 def test_bad_flag_value_exits_2(capsys, argv, flag):
@@ -211,6 +222,32 @@ class TestOtherCommands:
         residue = json.loads(out)["residue"]
         assert residue["abs_error"] >= abs(residue["value"] - math.pi / math.sqrt(det))
 
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            (
+                ["--residue", "--format", "csv"],
+                "residue = 3.1415483094221743 ± 0.000135\n",
+            ),
+            (
+                ["--residue", "--format", "json"],
+                '{"residue": {"value": 3.1415483094221743, "abs_error": 0.0001354870727618973}}\n',
+            ),
+            (
+                ["--s", "2", "--format", "csv"],
+                "value = 6.026812049804921 ± 1.46e-06\n",
+            ),
+            (
+                ["--s", "2", "--format", "json"],
+                '{"value": {"value": 6.026812049804921, "abs_error": 1.4617986590081955e-06}, "s": 2.0}\n',
+            ),
+        ],
+    )
+    def test_epstein_golden_output(self, capsys, args, expected):
+        # recorded from the meshgrid implementation, which built one grid per sum
+        argv = ["epstein", "--form", "1,0,1", "--radius", "1e4", *args]
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_epstein_bad_form_exits_2(self, capsys):
         code, _, _ = run(capsys, "epstein", "--form", "1,0")
         assert code == 2
@@ -238,3 +275,20 @@ class TestOtherCommands:
             capsys, "classify", "--preset", "square", "--format", "csv"
         )
         assert out.strip() == "square"
+
+
+def test_exact_commands_load_neither_numpy_nor_mpmath():
+    script = (
+        "import json, sys\n"
+        "import wellround.cli\n"
+        "seen = [sorted(sys.modules.keys() & {'numpy', 'mpmath'})]\n"
+        "wellround.cli.main(['classify', '--preset', 'square'])\n"
+        "wellround.cli.main(['census', '--preset', 'square', '--max', '30'])\n"
+        "seen.append(sorted(sys.modules.keys() & {'numpy', 'mpmath'}))\n"
+        "print(json.dumps(seen))\n"
+    )
+    src = str(Path(wellround.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
