@@ -20,8 +20,6 @@ from .general import (
     NotApplicableError,
     ReflectionFrame,
     brs_index,
-    brs_parity,
-    commensurate_to_hexagonal,
     count_wr_nonrational,
     count_wr_rational,
     enumerate_frames,
@@ -43,14 +41,7 @@ from .gram import (
     rational_normalize,
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
-from .sublattices import (
-    CensusReport,
-    SublatticeBasis,
-    g_count,
-    hnf_enumerate,
-    sublattice_gram,
-    wr_census_bruteforce,
-)
+from .sublattices import CensusReport, wr_census_bruteforce
 
 __version__ = "0.1.0"
 
@@ -91,7 +82,6 @@ __all__ = [
     "OutOfRangeError",
     "ReflectionFrame",
     "Scalar",
-    "SublatticeBasis",
     "Unimodular",
     "a_hex",
     "a_square",
@@ -100,25 +90,20 @@ __all__ = [
     "b_square",
     "b_square_primitive",
     "brs_index",
-    "brs_parity",
     "classify",
     "classify_reduced",
-    "commensurate_to_hexagonal",
     "convolve",
     "count_wr_nonrational",
     "count_wr_rational",
     "enumerate_frames",
     "existence",
-    "g_count",
     "g_star",
     "gamma_tilde_and_csl",
     "gauss_reduce",
-    "hnf_enumerate",
     "is_admissible_index_square",
     "is_rational",
     "is_well_rounded",
     "rational_normalize",
-    "sublattice_gram",
     "unique_frame",
     "wr_census_bruteforce",
 ]

@@ -28,7 +28,7 @@ from .gram import (
     is_rational,
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
-from .sublattices import UnsupportedDimensionError, wr_census_bruteforce
+from .sublattices import _CSV_HEADER, wr_census_bruteforce
 
 if TYPE_CHECKING:
     from .dirichlet import ArithSeq
@@ -39,6 +39,9 @@ EXIT_INVARIANT = 3
 EXIT_UNSUPPORTED = 4
 
 DEFAULT_MAX = 1000
+# the largest index bound accepted (--max, --checkpoints); a_square(10^7)
+# peaks at about 750 MB, and the census allocates six lists of this length
+MAX_INDEX = 10**7
 DEFAULT_CHECKPOINTS = (1000, 10_000, 100_000)
 
 
@@ -107,6 +110,8 @@ def _spec_gram(args) -> GramForm:
 def _positive_max(args) -> int:
     if args.max < 1:
         raise CliError("--max must be at least 1", EXIT_BAD_INPUT)
+    if args.max > MAX_INDEX:
+        raise CliError(f"--max must be at most {MAX_INDEX}", EXIT_BAD_INPUT)
     return args.max
 
 
@@ -130,7 +135,7 @@ def _float_field(value: float, abs_error: float) -> dict:
 
 def cmd_reduce(args) -> int:
     g = _spec_gram(args)
-    reduced, _ = gauss_reduce(g)
+    reduced = gauss_reduce(g)
     kind = classify(g).value.replace("_", " ")
     if args.format == "json":
         print(json.dumps({"gram": reduced.to_json(), "type": kind}))
@@ -192,19 +197,7 @@ def cmd_census(args) -> int:
         return EXIT_OK
     # mode both: brute force columns plus formula count and diff
     counts = _formula_counts(g, N, args.preset)
-    header = [
-        "n",
-        "total",
-        "general",
-        "rectangular",
-        "centred_rect",
-        "rhombic",
-        "square",
-        "hexagonal",
-        "well_rounded",
-        "formula",
-        "diff",
-    ]
+    header = _CSV_HEADER + ["formula", "diff"]
     rows = [
         report.row(n) + [counts[n], counts[n] - report.well_rounded(n)]
         for n in range(1, N + 1)
@@ -259,6 +252,8 @@ def cmd_asympt(args) -> int:
     if not checkpoints or min(checkpoints) < 2:
         raise CliError("--checkpoints entries must be at least 2", EXIT_BAD_INPUT)
     N = max(checkpoints)
+    if N > MAX_INDEX:
+        raise CliError(f"--checkpoints entries must be at most {MAX_INDEX}", EXIT_BAD_INPUT)
     if args.lattice == "square":
         from .square import a_square
 
@@ -464,7 +459,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (NotRationalError, UnsupportedDimensionError, NotImplementedError) as e:
+    except (NotRationalError, NotImplementedError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except InvariantError as e:

@@ -197,10 +197,6 @@ def brs_index(w: Vec, g: GramForm) -> int:
     return q
 
 
-def brs_parity(w: Vec, g: GramForm) -> str:
-    return "even" if brs_index(w, g) % 2 == 0 else "odd"
-
-
 def existence(g: GramForm) -> ExistenceVerdict:
     """Decide whether g has any well-rounded sublattice, by case analysis
     on the rationality of the normalized trace t = 2b/a and norm n = c/a."""
@@ -432,19 +428,31 @@ def _primitive_vectors_up_to_norm(form: tuple[int, int, int], norm_cap: int):
             yield (m, n)
 
 
+def _distinct_frames(
+    ws, form: tuple[int, int, int], sigma_cap: int | None = None
+) -> list[ReflectionFrame]:
+    """The frames through the vectors ws, one per set {+-w, +-z}, in order of
+    first appearance; frames of index above sigma_cap are dropped."""
+    frames: dict[frozenset, ReflectionFrame] = {}
+    for w in ws:
+        frame = _frame_from_w(w, form, sigma_cap)
+        if frame is not None:
+            frames.setdefault(frame.key(), frame)
+    return list(frames.values())
+
+
 def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
     """All orthogonal pairs whose members have coordinates bounded by H."""
     if not is_rational(g):
         raise NotRationalError("frame enumeration needs a rational lattice")
     form = _check_integral_primitive(rational_normalize(g)[0])
-    frames: dict[frozenset, ReflectionFrame] = {}
-    for n in range(0, H + 1):
-        for m in range(-H, H + 1):
-            if (n == 0 and m <= 0) or gcd(m, n) != 1:
-                continue
-            frame = _frame_from_w((m, n), form)
-            frames.setdefault(frame.key(), frame)
-    return sorted(frames.values(), key=lambda f: (f.sigma, f.w, f.z))
+    ws = (
+        (m, n)
+        for n in range(0, H + 1)
+        for m in range(-H, H + 1)
+        if not (n == 0 and m <= 0) and gcd(m, n) == 1
+    )
+    return sorted(_distinct_frames(ws, form), key=lambda f: (f.sigma, f.w, f.z))
 
 
 def _frames_for_count(g: GramForm, x: int) -> list[ReflectionFrame]:
@@ -456,12 +464,8 @@ def _frames_for_count(g: GramForm, x: int) -> list[ReflectionFrame]:
     """
     form = _check_integral_primitive(rational_normalize(g)[0])
     a, b, c = form
-    frames: dict[frozenset, ReflectionFrame] = {}
-    for w in _primitive_vectors_up_to_norm(form, 2 * x * (a * c - b * b)):
-        frame = _frame_from_w(w, form, 2 * x)
-        if frame is not None:
-            frames.setdefault(frame.key(), frame)
-    return list(frames.values())
+    ws = _primitive_vectors_up_to_norm(form, 2 * x * (a * c - b * b))
+    return _distinct_frames(ws, form, 2 * x)
 
 
 def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
@@ -486,23 +490,3 @@ def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
             raise InvariantError(f"non-integral count {t}/3 at index {n}; frame set inconsistent")
         out.append(q)
     return ArithSeq(out)
-
-
-def commensurate_to_hexagonal(g: GramForm, index_bound: int | None = None) -> bool:
-    """Bounded search for a hexagonal sublattice of a rational lattice.
-
-    A rational lattice shares a finite-index sublattice with the hexagonal
-    lattice exactly when it contains a hexagonal sublattice at all; the
-    search is bounded by 12 times the discriminant of the integral
-    primitive rescaling.
-    """
-    from .gram import LatticeType
-    from .sublattices import wr_census_bruteforce
-
-    if not is_rational(g):
-        raise NotRationalError("commensurability test needs a rational lattice")
-    gi, _ = rational_normalize(g)
-    if index_bound is None:
-        index_bound = 12 * int(gi.discriminant().rat)
-    report = wr_census_bruteforce(gi, index_bound)
-    return any(report.by_type[LatticeType.HEXAGONAL])

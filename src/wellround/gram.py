@@ -8,14 +8,15 @@ to the canonical chain 0 <= 2b <= a <= c, from which the geometric type
 is read off the equality pattern.  A planar lattice is well-rounded exactly
 when its reduced form has a = c.
 
-`gauss_reduce` is the public reduction, on Scalars, with basis tracking.  The
-census uses two reducers without it, on integer data (`_integer_pairs`: the
-form scaled by the common denominator of its six rational parts, each entry
+There is one reduction loop per field, on integer data (`_integer_pairs`: the
+form scaled by the common denominator L of its six rational parts, each entry
 x + y sqrt(D) with integers x, y): `_reduce_int` on plain ints for forms over
 Q, and `_reduce_pair` on integer pairs for forms over Q(sqrt(D)), which
 decides signs by integer squaring and round(b/a) by an exact integer floor.
 Since sqrt(D) is irrational, two pairs are equal exactly when their
-components are, so `_classify_pair` reads the type off component-wise.
+components are, so `_classify_pair` reads the type off component-wise.  The
+census calls the loops directly; `gauss_reduce` is their Scalar-facing
+wrapper, which divides the reduced entries by L again.
 """
 
 from __future__ import annotations
@@ -138,41 +139,29 @@ class Unimodular:
         return Unimodular(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
 
 
-_SWAP = Unimodular(((0, 1), (1, 0)))
-_FLIP = Unimodular(((1, 0), (0, -1)))
+def gauss_reduce(g: GramForm) -> GramForm:
+    """Lagrange-reduce g: the form 0 <= 2b <= a <= c of the same lattice.
+
+    The reduction runs on g's integer pairs, by `_reduce_int` over Q and by
+    `_reduce_pair` over Q(sqrt(D)); scaling by L > 0 commutes with every
+    step, so dividing the result by L gives the reduced form of g.
+    """
+    g.check_positive_definite()
+    D, L, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
+    if D is None:
+        return GramForm(*(Scalar(Fraction(x, L)) for x in _reduce_int(ax, bx, cx)))
+    r = _reduce_pair(ax, ay, bx, by, cx, cy, D)
+    return GramForm(*(Scalar(Fraction(x, L), Fraction(y, L), D) for x, y in zip(r[::2], r[1::2])))
 
 
-def gauss_reduce(g: GramForm) -> tuple[GramForm, Unimodular]:
-    """Lagrange-reduce g; returns (reduced form, U) with U^T g U reduced.
+def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
+    """Lagrange reduction of an integer form (a, b, c).
 
     Loop: swap so a <= c, shear w <- w - round(b/a) v, flip the sign of w to
     make b >= 0.  The first entry strictly decreases whenever a step changes
     it, and takes values in a discrete set, so the loop terminates with
     0 <= 2b <= a <= c.
     """
-    g.check_positive_definite()
-    a, b, c = g.a, g.b, g.c
-    U = Unimodular.identity()
-    while True:
-        if (a - c).sign() > 0:
-            a, c = c, a
-            U = U @ _SWAP
-        m = (b / a).round_half()
-        if m != 0:
-            # w' = w - m v
-            b2 = b - a * m
-            c = c - b * (2 * m) + a * (m * m)
-            b = b2
-            U = U @ Unimodular(((1, -m), (0, 1)))
-        if b.sign() < 0:
-            b = -b
-            U = U @ _FLIP
-        if (a - c).sign() <= 0 and (b * 2 - a).sign() <= 0:
-            return GramForm(a, b, c), U
-
-
-def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Fast path of gauss_reduce for plain integer entries, no basis tracking."""
     while True:
         if a > c:
             a, c = c, a
@@ -186,9 +175,10 @@ def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def _integer_pairs(g: GramForm) -> tuple[int | None, tuple[tuple[int, int], ...]]:
-    """(D, ((ax, ay), (bx, by), (cx, cy))): g scaled by the common denominator
-    L of its six rational parts, each entry x + y sqrt(D) with integers x, y.
+def _integer_pairs(g: GramForm) -> tuple[int | None, int, tuple[tuple[int, int], ...]]:
+    """(D, L, ((ax, ay), (bx, by), (cx, cy))): g scaled by the common
+    denominator L of its six rational parts, each entry x + y sqrt(D) with
+    integers x, y.
 
     D is None for a form over Q (every y is then 0).  Scaling by L > 0 changes
     no reduction step and no equality, so the scaled form has g's type.
@@ -199,7 +189,8 @@ def _integer_pairs(g: GramForm) -> tuple[int | None, tuple[tuple[int, int], ...]
     if len(roots) > 1:
         raise MixedRadicandError(f"cannot mix sqrt({roots[0]}) and sqrt({roots[1]})")
     L = math.lcm(*(part.denominator for e in entries for part in (e.rat, e.irr)))
-    return (roots[0] if roots else None), tuple((int(e.rat * L), int(e.irr * L)) for e in entries)
+    pairs = tuple((int(e.rat * L), int(e.irr * L)) for e in entries)
+    return (roots[0] if roots else None), L, pairs
 
 
 def _sign_pair(x: int, y: int, D: int) -> int:
@@ -278,7 +269,7 @@ def _classify_pair(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> Latt
 
 
 def classify(g: GramForm) -> LatticeType:
-    r, _ = gauss_reduce(g)
+    r = gauss_reduce(g)
     return classify_reduced(r.a, r.b, r.c)
 
 

@@ -207,10 +207,6 @@ class Scalar:
         """
         return math.isqrt(self.floor())
 
-    def round_half(self) -> int:
-        """floor(x + 1/2); used as the reduction shift coefficient."""
-        return (self + Fraction(1, 2)).floor()
-
     def is_square_rational(self) -> bool:
         """True iff the value is the square of a rational."""
         if not self.is_rational or self.rat < 0:
@@ -258,11 +254,11 @@ class Scalar:
         text = text.strip().replace(" ", "")
         if not text:
             raise ValueError("empty scalar")
-        # split into at most two signed terms
+        # split into at most two signed terms; a sign after e or E is an exponent's
         terms = []
         start = 0
         for pos in range(1, len(text)):
-            if text[pos] in "+-" and text[pos - 1] not in "+-*/(":
+            if text[pos] in "+-" and text[pos - 1] not in "+-*/(eE":
                 terms.append(text[start:pos])
                 start = pos
         terms.append(text[start:])

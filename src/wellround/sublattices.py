@@ -7,10 +7,10 @@ exhaustive census of sublattice types up to a given index, the brute-force
 oracle against which every generating-function counter is checked.
 
 `wr_census_bruteforce` is one HNF loop over integer data: the form is scaled
-once to integer pairs and the reducer is chosen before the loop, plain-int
-`_reduce_int` for a form over Q and the Z[sqrt(D)] pair loop `_reduce_pair`
-otherwise.  `hnf_enumerate` and `sublattice_gram` are the public,
-Scalar-valued API; the census does not call them.
+once to integer pairs and the reduction loop of its field is chosen before
+the loop, plain-int `_reduce_int` for a form over Q and the Z[sqrt(D)] pair
+loop `_reduce_pair` otherwise.  These are the loops that `gram.gauss_reduce`
+wraps, so the census and the public reduction share one reduction per field.
 """
 
 from __future__ import annotations
@@ -29,61 +29,6 @@ from .gram import (
     _reduce_pair,
     classify_reduced,
 )
-
-
-class UnsupportedDimensionError(ValueError):
-    """Only the planar case is implemented."""
-
-
-@dataclass(frozen=True)
-class SublatticeBasis:
-    """Hermite form basis: generator columns (m, 0) and (k, l), 0 <= k < m."""
-
-    m: int
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.l < 1 or not 0 <= self.k < self.m:
-            raise ValueError(f"not a normal form triple: {self}")
-
-    @property
-    def index(self) -> int:
-        return self.m * self.l
-
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.m, self.k), (0, self.l))
-
-
-def hnf_enumerate(n: int) -> list[SublatticeBasis]:
-    """All index-n sublattices, one canonical basis each; length sigma_1(n)."""
-    if n < 1:
-        raise ValueError("index must be positive")
-    out = []
-    for m in range(1, n + 1):
-        if n % m:
-            continue
-        l = n // m
-        out.extend(SublatticeBasis(m, k, l) for k in range(m))
-    return out
-
-
-def g_count(n: int, d: int = 2) -> int:
-    """Number of index-n sublattices in dimension d; only d=2 supported."""
-    if d != 2:
-        raise UnsupportedDimensionError(f"dimension {d} not supported")
-    if n < 1:
-        raise ValueError("index must be positive")
-    return sum(m for m in range(1, n + 1) if n % m == 0)
-
-
-def sublattice_gram(B: SublatticeBasis, g: GramForm) -> GramForm:
-    """Gram form of the sublattice basis (restriction of g)."""
-    m, k, l = B.m, B.k, B.l
-    a = g.a * (m * m)
-    b = g.a * (m * k) + g.b * (m * l)
-    c = g.a * (k * k) + g.b * (2 * k * l) + g.c * (l * l)
-    return GramForm(a, b, c)
 
 
 _TYPE_ORDER = [
@@ -169,7 +114,7 @@ class CensusReport:
 def _sublattice_classifier(g: GramForm):
     """classify(m, k, l): the type of the HNF sublattice (m, k, l) of g,
     from g's integer pairs, by `_reduce_int` over Q or `_reduce_pair`."""
-    D, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
+    D, _, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
     if D is None:
 
         def classify(m: int, k: int, l: int) -> LatticeType:

@@ -53,6 +53,87 @@ class TestClassifyReduce:
         assert g == GramForm.of(2, 1, 5)
 
 
+# [[1, sqrt(5)/2], [sqrt(5)/2, 3]] over Q(sqrt 5), in the basis (2, 1), (1, 1)
+_Q5_SKEWED = '[["7+2*sqrt(5)", "5+3/2*sqrt(5)"], ["5+3/2*sqrt(5)", "4+sqrt(5)"]]'
+
+
+@pytest.mark.parametrize(
+    "lattice, expected",
+    [
+        (
+            ["--preset", "square"],
+            [
+                "[[1, 0], [0, 1]] (square)\n",
+                '{"gram": {"a": "1", "b": "0", "c": "1"}, "type": "square"}\n',
+                "square\n",
+                '{"type": "square"}\n',
+            ],
+        ),
+        (
+            ["--preset", "hexagonal"],
+            [
+                "[[2, 1], [1, 2]] (hexagonal)\n",
+                '{"gram": {"a": "2", "b": "1", "c": "2"}, "type": "hexagonal"}\n',
+                "hexagonal\n",
+                '{"type": "hexagonal"}\n',
+            ],
+        ),
+        (
+            ["--gram", "[[2,1],[1,3]]"],
+            [
+                "[[2, 1], [1, 3]] (centred rectangular)\n",
+                '{"gram": {"a": "2", "b": "1", "c": "3"}, "type": "centred rectangular"}\n',
+                "centred_rectangular\n",
+                '{"type": "centred_rectangular"}\n',
+            ],
+        ),
+        (
+            ["--gram", '[[1,"1/2"],["1/2","1/3"]]'],
+            [
+                "[[1/3, 1/6], [1/6, 1/3]] (hexagonal)\n",
+                '{"gram": {"a": "1/3", "b": "1/6", "c": "1/3"}, "type": "hexagonal"}\n',
+                "hexagonal\n",
+                '{"type": "hexagonal"}\n',
+            ],
+        ),
+        (
+            ["--gram", "diag(1,sqrt(2))"],
+            [
+                "[[1, 0], [0, sqrt(2)]] (rectangular)\n",
+                '{"gram": {"a": "1", "b": "0", "c": {"rat": "0", "irr": "1", "D": 2}}, "type": "rectangular"}\n',
+                "rectangular\n",
+                '{"type": "rectangular"}\n',
+            ],
+        ),
+        (
+            ["--gram", _Q5_SKEWED],
+            [
+                "[[1, -1+1/2*sqrt(5)], [-1+1/2*sqrt(5), 4-sqrt(5)]] (general)\n",
+                '{"gram": {"a": "1", "b": {"rat": "-1", "irr": "1/2", "D": 5}, "c": {"rat": "4", "irr": "-1", "D": 5}}, "type": "general"}\n',
+                "general\n",
+                '{"type": "general"}\n',
+            ],
+        ),
+    ],
+)
+def test_reduce_classify_golden_output(capsys, lattice, expected):
+    # recorded from the Scalar reduction loop, before gauss_reduce wrapped the
+    # integer loops: reduce and classify, csv and json
+    got = [
+        run(capsys, command, *lattice, "--format", fmt)
+        for command in ("reduce", "classify")
+        for fmt in ("csv", "json")
+    ]
+    assert got == [(0, out, "") for out in expected]
+
+
+@pytest.mark.parametrize("command", ["reduce", "classify"])
+def test_mixed_fields_exit_2(capsys, command):
+    # the roots are named in entry order, as the census names them
+    gram = '[[1,"sqrt(2)/2"],["sqrt(2)/2","sqrt(3)"]]'
+    assert run(capsys, command, "--gram", gram) == (2, "", "error: cannot mix sqrt(2) and sqrt(3)\n")
+
+
 class TestCensus:
     def test_both_mode_square(self, capsys):
         code, out, _ = run(
@@ -149,7 +230,11 @@ class TestCensus:
         (["epstein", "--form", "1,0,1", "--radius", "inf", "--residue"], "--radius"),
         (["epstein", "--form", "1,0,1/1000000000000"], "--radius"),
         (["epstein", "--form", "1,0,1/100000000000000000", "--residue"], "--radius"),
-        (["epstein", "--form", "1,0,1e-12"], "form"),
+        (["epstein", "--form", "1,0,1e-12"], "--radius"),
+        # index bounds past cli.MAX_INDEX are refused before any array is built
+        (["series", "--name", "a_square", "--max", "10000001"], "--max"),
+        (["census", "--preset", "square", "--mode", "formula", "--max", "10000001"], "--max"),
+        (["asympt", "--checkpoints", "1000,10000001"], "--checkpoints"),
     ],
 )
 def test_bad_flag_value_exits_2(capsys, argv, flag):

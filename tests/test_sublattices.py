@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wellround.gram import (
@@ -10,18 +10,15 @@ from wellround.gram import (
     Unimodular,
     classify,
     classify_reduced,
-    gauss_reduce,
 )
 from wellround.scalar import MixedRadicandError, Scalar
-from wellround.sublattices import (
-    CensusReport,
-    SublatticeBasis,
-    UnsupportedDimensionError,
-    g_count,
-    hnf_enumerate,
-    sublattice_gram,
-    wr_census_bruteforce,
-)
+from wellround.sublattices import CensusReport, wr_census_bruteforce
+
+from oracle import gauss_reduce, hnf_enumerate, quadratic_forms, sublattice_gram
+
+
+def sigma_1(n: int) -> int:
+    return sum(m for m in range(1, n + 1) if n % m == 0)
 
 
 class TestEnumeration:
@@ -29,7 +26,7 @@ class TestEnumeration:
         # number of index-n sublattices is the divisor sum sigma_1(n)
         for n, expected in [(1, 1), (2, 3), (3, 4), (4, 7), (6, 12), (12, 28)]:
             assert len(list(hnf_enumerate(n))) == expected
-            assert g_count(n) == expected
+            assert sigma_1(n) == expected
 
     def test_bases_are_distinct_sublattices(self):
         seen = set()
@@ -37,10 +34,6 @@ class TestEnumeration:
             assert basis.index == 12
             seen.add((basis.m, basis.k, basis.l))
         assert len(seen) == 28
-
-    def test_dimension_guard(self):
-        with pytest.raises(UnsupportedDimensionError):
-            g_count(10, d=3)
 
 
 class TestSublatticeGram:
@@ -83,7 +76,7 @@ class TestCensus:
     def test_totals_match_sigma(self):
         r = wr_census_bruteforce(GramForm.of(1, 0, 3), 20)
         for n in range(1, 21):
-            assert r.total(n) == g_count(n)
+            assert r.total(n) == sigma_1(n)
 
     def test_scalar_entries(self):
         g = GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))
@@ -115,32 +108,6 @@ def _oracle_csv(g: GramForm, N: int) -> str:
             r, _ = gauss_reduce(sublattice_gram(basis, g))
             report.tally(n, classify_reduced(r.a, r.b, r.c))
     return report.to_csv()
-
-
-_SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-
-@st.composite
-def quadratic_forms(draw):
-    """Positive definite forms over Q, Q(sqrt 2), Q(sqrt 3) or Q(sqrt 5) whose
-    rational parts have denominators up to 4, in a random unimodular basis."""
-    D = draw(st.sampled_from([None, 2, 3, 5]))
-
-    def scalar():
-        irr = draw(_SMALL_RATIONALS) if D else 0
-        return Scalar(draw(_SMALL_RATIONALS), irr, D)
-
-    def positive():
-        s = scalar()
-        assume(s.sign() != 0)
-        return s if s.sign() > 0 else -s
-
-    a, b, e = positive(), scalar(), positive()
-    g = GramForm(a, b, b * b / a + e)  # ac - b^2 = a e > 0
-    U = Unimodular.identity()
-    for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
-        U = U @ Unimodular(((0, 1), (1, k)))
-    return g.transform(U)
 
 
 class TestIntegerCensusCore:
