@@ -3,8 +3,8 @@
 Subcommands: reduce, classify, census, series, asympt, constants, exists,
 frames, epstein.  Output is CSV (RFC 4180) or JSON via --format.  Exit
 codes: 0 ok, 2 bad input, 3 invariant breach, 4 unsupported domain.
-Config precedence: flags over WELLROUND_* environment variables over the
-documented defaults (max index 1000, checkpoints 1000/10000/100000).
+Flags not given take the documented defaults (max index 1000, checkpoints
+1000/10000/100000).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
+import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -51,10 +51,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _env(name: str, default):
-    return os.environ.get(f"WELLROUND_{name}", default)
-
-
 def _parse_gram(text: str) -> GramForm:
     """Accept a JSON matrix, an {a,b,c} object, a {t,n} shape descriptor,
     or the diag(x,y) shorthand; entries may be exact scalar strings."""
@@ -75,7 +71,7 @@ def _parse_gram(text: str) -> GramForm:
             t = _scalar(obj.get("t", "0"))
             n = _scalar(obj.get("n", "1"))
             return GramForm(Scalar(1), t / Scalar(2), n)
-        return GramForm.from_json(obj)
+        return GramForm(_scalar(obj["a"]), _scalar(obj["b"]), _scalar(obj["c"]))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, MixedRadicandError) as e:
         raise CliError(f"cannot parse Gram form {text!r}: {e}", EXIT_BAD_INPUT)
 
@@ -278,8 +274,6 @@ def cmd_asympt(args) -> int:
 def _fit_model(counts: ArithSeq, checkpoints):
     """Least-squares fit of c1 x log x + c2 x through the checkpoints;
     purely empirical, no claim about the true growth law."""
-    import math
-
     import numpy as np
 
     prefix = counts.summatory_all()
@@ -381,9 +375,12 @@ def _add_lattice_args(p: argparse.ArgumentParser) -> None:
 
 def _checkpoint_list(text: str) -> list[int]:
     try:
-        return [int(float(part)) for part in text.split(",") if part]
+        values = [float(part) for part in text.split(",") if part]
+        if all(math.isfinite(v) and v.is_integer() for v in values):
+            return [int(v) for v in values]
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}")
+        pass
+    raise argparse.ArgumentTypeError(f"bad checkpoint list {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=["csv", "json"],
-        default=_env("FORMAT", "csv"),
-        help="output format (default csv; WELLROUND_FORMAT)",
+        default="csv",
+        help="output format (default csv)",
     )
     parser = argparse.ArgumentParser(
         prog="wellround",
@@ -401,29 +398,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    default_max = int(_env("MAX", str(DEFAULT_MAX)))
-    default_checkpoints = _checkpoint_list(
-        _env("CHECKPOINTS", ",".join(str(c) for c in DEFAULT_CHECKPOINTS))
-    )
-
     for name in ("reduce", "classify", "exists"):
         p = sub.add_parser(name, parents=[common])
         _add_lattice_args(p)
 
     p = sub.add_parser("census", parents=[common])
     _add_lattice_args(p)
-    p.add_argument("--max", type=int, default=default_max)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX)
     p.add_argument("--mode", choices=["bruteforce", "formula", "both"], default="bruteforce")
 
     p = sub.add_parser("series", parents=[common])
     p.add_argument("--name", required=True)
-    p.add_argument("--max", type=int, default=default_max)
+    p.add_argument("--max", type=int, default=DEFAULT_MAX)
 
     p = sub.add_parser("asympt", parents=[common])
     p.add_argument("--lattice", choices=["square", "hex", "custom"], default="square")
     p.add_argument("--gram")
     p.add_argument("--preset", help=argparse.SUPPRESS)
-    p.add_argument("--checkpoints", type=_checkpoint_list, default=default_checkpoints)
+    p.add_argument("--checkpoints", type=_checkpoint_list, default=list(DEFAULT_CHECKPOINTS))
 
     sub.add_parser("constants", parents=[common])
 

@@ -14,8 +14,9 @@ integral primitive form (a, b, c): w = (m, n) has the orthogonal row
 (alpha, beta) = (am + bn, bm + cn), z = (beta, -alpha)/gcd(alpha, beta) and
 sigma = Q(w)/gcd(alpha, beta), so a pair of too large an index is dropped
 before Q(z) is computed.  The window is scanned per row: for each k the
-admissible l form one interval whose ends are exact integer square roots of
-Q(sqrt D) values, and a boundary hit can only sit at one of the two ends.
+admissible l form one interval whose ends are integer square roots of
+exact floors of Q(sqrt D) values, taken on integer pairs by `gram._floor_pair`,
+and a boundary hit can only sit at one of the two ends.
 
 Boundary hits of the window are precisely the hexagonal sublattices; in a
 rational lattice each hexagonal sublattice is invariant under three
@@ -32,7 +33,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
-from .gram import GramForm, is_rational, rational_normalize
+from .gram import GramForm, _floor_pair, _integer_pairs, is_rational, rational_normalize
 from .scalar import NotRationalError, Scalar
 
 if TYPE_CHECKING:
@@ -311,24 +312,26 @@ def _window_hits(kappa_sq: Scalar, scale: int, x: int, odd: bool):
     floor(sqrt(3 kappa^2 p^2)), capped at x // (scale*p); only its two ends
     can lie on the boundary.  The lower end grows with p while the cap
     shrinks, so the first row whose lower end passes its cap is the last.
+    kappa^2 = (u + v sqrt(D)) / L in integers, so each end is the integer
+    square root of a `_floor_pair`, and lies on the boundary only when
+    v = 0 and its square is exact.
     """
     step = 2 if odd else 1
-    low_unit, high_unit = kappa_sq / 3, kappa_sq * 3
+    D, L, ((u, v),) = _integer_pairs((kappa_sq,))
     p = 1
     while True:
         cap = x // (scale * p)
-        low_sq = low_unit * (p * p)
-        lo = low_sq.isqrt()
-        lo_on = (low_sq - lo * lo).sign() == 0
+        up, vp = u * p * p, v * p * p
+        lo = isqrt(_floor_pair(up, vp, 3 * L, D))
+        lo_on = v == 0 and up == 3 * L * lo * lo
         if not lo_on:
             lo += 1
         if odd and lo % 2 == 0:
             lo, lo_on = lo + 1, False
         if lo > cap:
             return
-        high_sq = high_unit * (p * p)
-        hi = high_sq.isqrt()
-        hi_on = (high_sq - hi * hi).sign() == 0
+        hi = isqrt(_floor_pair(3 * up, 3 * vp, L, D))
+        hi_on = v == 0 and 3 * up == L * hi * hi
         if hi > cap:
             hi, hi_on = cap, False
         if odd and hi % 2 == 0:

@@ -12,7 +12,8 @@ There is one reduction loop per field, on integer data (`_integer_pairs`: the
 form scaled by the common denominator L of its six rational parts, each entry
 x + y sqrt(D) with integers x, y): `_reduce_int` on plain ints for forms over
 Q, and `_reduce_pair` on integer pairs for forms over Q(sqrt(D)), which
-decides signs by integer squaring and round(b/a) by an exact integer floor.
+decides signs by integer squaring and round(b/a) by `_floor_pair`, the one
+exact floor of (p + q sqrt(D)) / w; the window rows of `general` use it too.
 Since sqrt(D) is irrational, two pairs are equal exactly when their
 components are, so `_classify_pair` reads the type off component-wise.  The
 census calls the loops directly; `gauss_reduce` is their Scalar-facing
@@ -58,13 +59,6 @@ class GramForm:
     @staticmethod
     def of(a, b, c) -> "GramForm":
         return GramForm(Scalar.of(a), Scalar.of(b), Scalar.of(c))
-
-    @staticmethod
-    def from_matrix(rows) -> "GramForm":
-        (a, b), (b2, c) = rows
-        if Scalar.of(b) != Scalar.of(b2):
-            raise ValueError("Gram matrix must be symmetric")
-        return GramForm.of(a, b, c)
 
     def discriminant(self) -> Scalar:
         return self.a * self.c - self.b * self.b
@@ -147,7 +141,7 @@ def gauss_reduce(g: GramForm) -> GramForm:
     step, so dividing the result by L gives the reduced form of g.
     """
     g.check_positive_definite()
-    D, L, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
+    D, L, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs((g.a, g.b, g.c))
     if D is None:
         return GramForm(*(Scalar(Fraction(x, L)) for x in _reduce_int(ax, bx, cx)))
     r = _reduce_pair(ax, ay, bx, by, cx, cy, D)
@@ -175,16 +169,16 @@ def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
             return a, b, c
 
 
-def _integer_pairs(g: GramForm) -> tuple[int | None, int, tuple[tuple[int, int], ...]]:
-    """(D, L, ((ax, ay), (bx, by), (cx, cy))): g scaled by the common
-    denominator L of its six rational parts, each entry x + y sqrt(D) with
-    integers x, y.
+def _integer_pairs(
+    entries: tuple[Scalar, ...],
+) -> tuple[int | None, int, tuple[tuple[int, int], ...]]:
+    """(D, L, pairs): the entries scaled by the common denominator L of their
+    rational parts, each entry x + y sqrt(D) as a pair (x, y) of integers.
 
-    D is None for a form over Q (every y is then 0).  Scaling by L > 0 changes
-    no reduction step and no equality, so the scaled form has g's type.
-    Entries from two different fields raise MixedRadicandError.
+    D is None for entries in Q (every y is then 0).  Scaling a form by L > 0
+    changes no reduction step and no equality, so the scaled form has the
+    form's type.  Entries from two different fields raise MixedRadicandError.
     """
-    entries = (g.a, g.b, g.c)
     roots = list(dict.fromkeys(e.root for e in entries if e.root is not None))
     if len(roots) > 1:
         raise MixedRadicandError(f"cannot mix sqrt({roots[0]}) and sqrt({roots[1]})")
@@ -204,13 +198,25 @@ def _sign_pair(x: int, y: int, D: int) -> int:
     return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
 
 
+def _floor_pair(p: int, q: int, w: int, D: int | None) -> int:
+    """floor((p + q sqrt(D)) / w) for w > 0, exactly; D may be None when q = 0.
+
+    floor((p + y) / w) = (p + floor(y)) // w for real y, and floor(q sqrt(D))
+    is an integer square root: q^2 D is not a square for q != 0, so it is
+    isqrt(q^2 D) for q >= 0 and -isqrt(q^2 D) - 1 for q < 0.
+    """
+    if not q:
+        return p // w
+    root = math.isqrt(q * q * D)
+    return (p + (root if q > 0 else -root - 1)) // w
+
+
 def _round_half_pair(bx: int, by: int, ax: int, ay: int, D: int) -> int:
     """round(b/a) = floor((2b + a) / 2a) for a > 0, exactly.
 
     Multiplying by the conjugate of a gives (p + q sqrt(D)) / w with integers
-    p, q and w = 2 N(a) != 0; with w > 0, floor((p + q sqrt(D)) / w) =
-    (p + floor(q sqrt(D))) // w, and floor(q sqrt(D)) is an integer square
-    root.  The result m satisfies (2m - 1)a <= 2b < (2m + 1)a.
+    p, q and w = 2 N(a) != 0, whose floor `_floor_pair` takes once w > 0.
+    The result m satisfies (2m - 1)a <= 2b < (2m + 1)a.
     """
     ux, uy = 2 * bx + ax, 2 * by + ay
     p = ux * ax - uy * ay * D
@@ -218,9 +224,7 @@ def _round_half_pair(bx: int, by: int, ax: int, ay: int, D: int) -> int:
     w = 2 * (ax * ax - ay * ay * D)
     if w < 0:
         p, q, w = -p, -q, -w
-    # q^2 D is not a square for q != 0: floor(q sqrt(D)) = -isqrt(q^2 D) - 1 if q < 0
-    root = math.isqrt(q * q * D)
-    return (p + (root if q >= 0 else -root - 1)) // w
+    return _floor_pair(p, q, w, D)
 
 
 def _reduce_pair(
@@ -275,10 +279,6 @@ def classify(g: GramForm) -> LatticeType:
 
 def is_well_rounded(g: GramForm) -> bool:
     return classify(g) in WELL_ROUNDED_TYPES
-
-
-def discriminant(g: GramForm) -> Scalar:
-    return g.discriminant()
 
 
 def is_rational(g: GramForm) -> bool:

@@ -35,17 +35,9 @@ def b_hex_primitive(N: int) -> ArithSeq:
     return convolve(inv_zeta_2s(N), b_hex(N))
 
 
-def hex_pair_counts(parity: str, N: int) -> ArithSeq:
-    """Factorization counts n = pq with p < q < 3p; parity "odd" takes odd
-    p < q with p >= 3."""
-    if parity not in ("any", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    return pair_band(N, 9, odd=parity == "odd")
-
-
 def a_hex(N: int) -> ArithSeq:
     """Well-rounded sublattices of the hexagonal lattice by index."""
     bpr_off_ramified = convolve(alt_euler_factor(3, N), b_hex_primitive(N))
-    even = shift_support(convolve(hex_pair_counts("any", N), bpr_off_ramified), 4).scale(3)
-    odd = convolve(hex_pair_counts("odd", N), bpr_off_ramified).scale(3)
+    even = shift_support(convolve(pair_band(N, 9), bpr_off_ramified), 4).scale(3)
+    odd = convolve(pair_band(N, 9, odd=True), bpr_off_ramified).scale(3)
     return b_hex(N) + even + odd

@@ -68,11 +68,6 @@ class Scalar:
             return x
         return Scalar(Fraction(x))
 
-    @staticmethod
-    def sqrt(D: int, coeff: Rat = 1) -> "Scalar":
-        """coeff * sqrt(D) for squarefree D > 1."""
-        return Scalar(0, coeff, D)
-
     # -- predicates -----------------------------------------------------------
 
     @property
@@ -180,32 +175,13 @@ class Scalar:
             return hash(self.rat)
         return hash((self.rat, self.irr, self.root))
 
-    # -- integer part ---------------------------------------------------------
+    # -- float value and rational squares --------------------------------------
 
     def __float__(self) -> float:
         v = float(self.rat)
         if self.irr != 0:
             v += float(self.irr) * math.sqrt(self.root)
         return v
-
-    def floor(self) -> int:
-        """Exact floor, via a float seed corrected by exact comparisons."""
-        if self.irr == 0:
-            return self.rat.numerator // self.rat.denominator
-        f = math.floor(float(self))
-        while self._cmp(f) < 0:
-            f -= 1
-        while self._cmp(f + 1) >= 0:
-            f += 1
-        return f
-
-    def isqrt(self) -> int:
-        """Exact floor of the square root; ValueError for a negative value.
-
-        floor(sqrt(v)) = isqrt(floor(v)) for every real v >= 0, so the exact
-        floor above settles it, and floor(v) < 0 exactly when v < 0.
-        """
-        return math.isqrt(self.floor())
 
     def is_square_rational(self) -> bool:
         """True iff the value is the square of a rational."""

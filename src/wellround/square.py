@@ -67,23 +67,12 @@ def primitive_type_series(N: int) -> dict[str, ArithSeq]:
     return {"square": bpr, "rhombic_cr": rhombic, "rectangular": rectangular}
 
 
-def pair_counts(parity: str, N: int) -> ArithSeq:
-    """Factorization counts inside the shortest-vector band.
-
-    parity "any": pairs p < q < sqrt(3) p at n = pq.
-    parity "odd": odd pairs 2k+1 < 2l+1 inside the same band, k >= 1.
-    """
-    if parity not in ("any", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    return pair_band(N, 3, odd=parity == "odd")
-
-
 def a_square(N: int) -> ArithSeq:
     """Well-rounded sublattices of the square lattice by index."""
     bpr = b_square_primitive(N)
-    even = shift_support(convolve(pair_counts("any", N), bpr), 2).scale(2)
+    even = shift_support(convolve(pair_band(N, 3), bpr), 2).scale(2)
     odd = convolve(
-        convolve(alt_euler_factor(2, N), pair_counts("odd", N)), bpr
+        convolve(alt_euler_factor(2, N), pair_band(N, 3, odd=True)), bpr
     ).scale(2)
     return b_square(N) + even + odd
 

@@ -83,9 +83,6 @@ class CensusReport:
     def well_rounded_list(self) -> list[int]:
         return [self.well_rounded(n) for n in range(1, self.N + 1)]
 
-    def summatory_well_rounded(self, x: int) -> int:
-        return sum(self.well_rounded(n) for n in range(1, x + 1))
-
     def row(self, n: int) -> list[int]:
         return (
             [n, self.total(n)]
@@ -114,7 +111,7 @@ class CensusReport:
 def _sublattice_classifier(g: GramForm):
     """classify(m, k, l): the type of the HNF sublattice (m, k, l) of g,
     from g's integer pairs, by `_reduce_int` over Q or `_reduce_pair`."""
-    D, _, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs(g)
+    D, _, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs((g.a, g.b, g.c))
     if D is None:
 
         def classify(m: int, k: int, l: int) -> LatticeType:

@@ -1,15 +1,17 @@
 """Test-local oracle: Lagrange reduction and HNF sublattices on Scalars.
 
 An independent reference for the integer reduction loops of
-`wellround.gram` (`_reduce_int`, `_reduce_pair`) and the HNF loop of
-`wellround.sublattices`.  Everything here runs on exact `Scalar` arithmetic
-and tracks the change of basis, so that a test can compare the package's
-integer loops against a computation that shares none of their code.
+`wellround.gram` (`_reduce_int`, `_reduce_pair`), its exact floor
+`_floor_pair` and the HNF loop of `wellround.sublattices`.  Everything here
+runs on exact `Scalar` arithmetic and tracks the change of basis, so that a
+test can compare the package's integer loops against a computation that
+shares none of their code.
 `quadratic_forms` draws the forms such comparisons run on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,9 +25,21 @@ _SWAP = Unimodular(((0, 1), (1, 0)))
 _FLIP = Unimodular(((1, 0), (0, -1)))
 
 
+def floor(x: Scalar) -> int:
+    """Exact floor, via a float seed corrected by exact comparisons."""
+    if x.irr == 0:
+        return x.rat.numerator // x.rat.denominator
+    f = math.floor(float(x))
+    while x < f:
+        f -= 1
+    while x >= f + 1:
+        f += 1
+    return f
+
+
 def round_half(x: Scalar) -> int:
     """floor(x + 1/2); the reduction shift coefficient."""
-    return (x + Fraction(1, 2)).floor()
+    return floor(x + Fraction(1, 2))
 
 
 def gauss_reduce(g: GramForm) -> tuple[GramForm, Unimodular]:

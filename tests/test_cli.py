@@ -244,6 +244,28 @@ def test_bad_flag_value_exits_2(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc"])
+def test_bad_checkpoint_list_exits_2(capsys, checkpoints):
+    # refused by argparse while parsing, before any count is made
+    with pytest.raises(SystemExit) as exc:
+        main(["asympt", "--checkpoints", checkpoints])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert "argument --checkpoints: bad checkpoint list" in out.err
+
+
+@pytest.mark.parametrize(
+    "gram",
+    ['[[1.1, 0], [0, 1]]', '{"a": 1.1, "b": 0, "c": 1}', '{"t": 0, "n": 1.1}'],
+)
+def test_inexact_gram_entry_exits_2(capsys, gram):
+    # all three JSON forms refuse a float that is not an integer
+    code, out, err = run(capsys, "classify", "--gram", gram)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse Gram form") and "non-exact entry 1.1" in err
+
+
 class TestSeries:
     def test_series_csv(self, capsys):
         code, out, _ = run(capsys, "series", "--name", "b_square", "--max", "5")
@@ -351,15 +373,11 @@ class TestOtherCommands:
         assert code == 0
         assert out.splitlines()[0].startswith("x,")
 
-    def test_env_format_precedence(self, capsys, monkeypatch):
-        monkeypatch.setenv("WELLROUND_FORMAT", "json")
-        code, out, _ = run(capsys, "classify", "--preset", "square")
-        assert json.loads(out) == {"type": "square"}
-        # explicit flag beats the environment
-        code, out, _ = run(
-            capsys, "classify", "--preset", "square", "--format", "csv"
-        )
-        assert out.strip() == "square"
+
+def _child_env(**extra: str) -> dict[str, str]:
+    """The environment for a `wellround` child process that imports this tree."""
+    src = str(Path(wellround.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra}
 
 
 def test_exact_commands_load_neither_numpy_nor_mpmath():
@@ -372,8 +390,14 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
         "seen.append(sorted(sys.modules.keys() & {'numpy', 'mpmath'}))\n"
         "print(json.dumps(seen))\n"
     )
-    src = str(Path(wellround.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+
+
+def test_environment_sets_no_defaults():
+    # WELLROUND_* variables are not read: malformed values change nothing
+    env = _child_env(WELLROUND_MAX="abc", WELLROUND_FORMAT="xml", WELLROUND_CHECKPOINTS="x")
+    argv = [sys.executable, "-m", "wellround.cli", "classify", "--preset", "square"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "square\n", "")

@@ -48,6 +48,15 @@ WINDOW_KAPPA_SQ = [
     Scalar(Fraction(9, 4)),
     Scalar(2, 1, 2),
     Scalar(Fraction(3, 2), Fraction(1, 2), 5),
+    # a negative sqrt(D) part and denominators: 3 - sqrt(2), (9 + sqrt(3))/7,
+    # (7 - 3 sqrt(5))/2 and 5/3
+    Scalar(3, -1, 2),
+    Scalar(Fraction(9, 7), Fraction(1, 7), 3),
+    Scalar(Fraction(7, 2), Fraction(-3, 2), 5),
+    Scalar(Fraction(5, 3)),
+    # 3 + sqrt(2)/10: at p = 1, kappa^2/3 lies just above 1 and 3 kappa^2 just
+    # above 9, so both row ends sit next to the boundary without touching it
+    Scalar(3, Fraction(1, 10), 2),
 ]
 
 

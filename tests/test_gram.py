@@ -11,6 +11,7 @@ from wellround.gram import (
     NotPositiveDefiniteError,
     Unimodular,
     _classify_pair,
+    _floor_pair,
     _integer_pairs,
     _reduce_pair,
     _round_half_pair,
@@ -23,6 +24,7 @@ from wellround.gram import (
 )
 from wellround.scalar import Scalar
 
+from oracle import floor as oracle_floor
 from oracle import gauss_reduce as oracle_reduce
 from oracle import quadratic_forms
 
@@ -209,7 +211,7 @@ class TestIntegerPairs:
         (u, v), (w, z) = data.draw(st.tuples(*[st.tuples(st.integers(-6, 6), st.integers(-6, 6))] * 2))
         assume(u * z != v * w)
         g = GramForm(p * (u * u) + q * (w * w), p * (u * v) + q * (w * z), p * (v * v) + q * (z * z))
-        (ax, ay), (bx, by), (cx, cy) = _integer_pairs(g)[2]
+        (ax, ay), (bx, by), (cx, cy) = _integer_pairs((g.a, g.b, g.c))[2]
         r, _ = oracle_reduce(g)
         reduced = _reduce_pair(ax, ay, bx, by, cx, cy, D)
         assert [Scalar(x, y, D) for x, y in zip(reduced[::2], reduced[1::2])] == [r.a, r.b, r.c]
@@ -217,5 +219,19 @@ class TestIntegerPairs:
 
     def test_scaled_to_common_denominator(self):
         g = GramForm(Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 3), 5), Scalar(2, Fraction(3, 4), 5))
-        assert _integer_pairs(g) == (5, 12, ((6, 0), (0, 4), (24, 9)))
-        assert _integer_pairs(GramForm.of(2, 1, 3)) == (None, 1, ((2, 0), (1, 0), (3, 0)))
+        assert _integer_pairs((g.a, g.b, g.c)) == (5, 12, ((6, 0), (0, 4), (24, 9)))
+        assert _integer_pairs((Scalar(2), Scalar(1), Scalar(3))) == (None, 1, ((2, 0), (1, 0), (3, 0)))
+
+    @given(
+        st.integers(-(10**12), 10**12),
+        st.integers(-(10**6), 10**6),
+        st.integers(1, 10**6),
+        st.sampled_from([2, 3, 5]),
+    )
+    def test_floor_matches_oracle(self, p, q, w, D):
+        # q of either sign: floor(q sqrt(D)) is -isqrt(q^2 D) - 1 for q < 0
+        assert _floor_pair(p, q, w, D) == oracle_floor(Scalar(Fraction(p, w), Fraction(q, w), D))
+
+    @given(st.integers(-(10**12), 10**12), st.integers(1, 10**6))
+    def test_floor_of_rational_is_floor_division(self, p, w):
+        assert _floor_pair(p, 0, w, None) == p // w

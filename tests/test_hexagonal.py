@@ -1,11 +1,9 @@
-import pytest
-
+from wellround.dirichlet import pair_band
 from wellround.gram import GramForm, LatticeType
 from wellround.hexagonal import (
     a_hex,
     b_hex,
     b_hex_primitive,
-    hex_pair_counts,
 )
 from wellround.sublattices import wr_census_bruteforce
 
@@ -28,7 +26,7 @@ class TestSimilarCounts:
 
 class TestPairCounts:
     def test_band(self):
-        w = hex_pair_counts("any", 40)
+        w = pair_band(40, 9)
         assert w[2] == 1  # 1*2, q <= 3p - 1 = 2
         assert w[6] == 1  # 2*3
         assert w[10] == 1  # 2*5
@@ -36,21 +34,17 @@ class TestPairCounts:
         assert w[40] == 2  # 5*8 and 4*10
 
     def test_band_multiplicity(self):
-        w = hex_pair_counts("any", 40)
+        w = pair_band(40, 9)
         # 12 = 2*6 (6 > 3*2-1=5, outside) and 3*4 (4 <= 8, inside)
         assert w[12] == 1
         # 24 = 3*8 (8 <= 8, inside) and 4*6 (6 <= 11, inside)
         assert w[24] == 2
 
     def test_odd_band(self):
-        w = hex_pair_counts("odd", 120)
+        w = pair_band(120, 9, odd=True)
         assert w[15] == 1  # (3,5): l=2 <= 3
         assert w[105] == 1  # (2k+1,2l+1) = (5,21): l=10 > 6? no -> (7,15)
         assert w[3] == 0  # k >= 1
-
-    def test_unknown_parity(self):
-        with pytest.raises(ValueError):
-            hex_pair_counts("even", 10)
 
 
 class TestWellRounded:

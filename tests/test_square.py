@@ -1,5 +1,4 @@
-import pytest
-
+from wellround.dirichlet import pair_band
 from wellround.gram import GramForm
 from wellround.square import (
     a_square,
@@ -7,7 +6,6 @@ from wellround.square import (
     b_square_primitive,
     fukshansky_superset_member,
     is_admissible_index_square,
-    pair_counts,
     primitive_type_series,
     rhombic_square_series,
 )
@@ -34,21 +32,17 @@ class TestSimilarCounts:
 
 class TestPairCounts:
     def test_band_examples(self):
-        w = pair_counts("any", 40)
+        w = pair_band(40, 3)
         # 2*3: 3 < 2*sqrt(3), inside; 2*4: 16 >= 12, outside
         assert w[6] == 1 and w[8] == 0
         assert w[12] == 1  # 3*4
         assert w[35] == 1  # 5*7
 
     def test_odd_band_starts_at_k_one(self):
-        w = pair_counts("odd", 40)
+        w = pair_band(40, 3, odd=True)
         assert w[15] == 1  # 3*5, 25 < 27
         assert w[21] == 0  # 3*7, 49 >= 27
         assert w[3] == 0  # 1*3 excluded: k >= 1
-
-    def test_unknown_parity(self):
-        with pytest.raises(ValueError):
-            pair_counts("even", 10)
 
 
 class TestWellRounded:
