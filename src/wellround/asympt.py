@@ -3,13 +3,15 @@
 This is the only module that touches floating point.  Everything exact
 (coefficient streams, censuses, window counts) lives elsewhere; here those
 streams are compared against the closed-form constants and the truncated
-analytic objects that describe their growth.
+analytic objects that describe their growth.  Each float the CLI prints
+with an error comes from one call here, as a pair (value, abs_error):
+`constants_table`, `epstein_truncated`, `epstein_residue_estimate`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, log, pi, sqrt
 
@@ -151,9 +153,12 @@ def _band_gap_sum_hex_odd(P: int) -> float:
     return float(np.sum(4.0 * (LOG3 / 2.0 - inner) / (2 * k + 1)))
 
 
-def _richardson(term, P: int) -> float:
+def _richardson(term, P: int) -> tuple[float, float]:
+    """The limit of the partial sums term(P), and its change from P/2."""
     # partial sums approach the limit like A/P; eliminate the leading tail
-    return 2.0 * term(2 * P) - term(P)
+    mid = term(P)
+    value = 2.0 * term(2 * P) - mid
+    return value, abs(2.0 * mid - term(P // 2) - value)
 
 
 def c_square_eval(P: int = 400_000) -> tuple[float, float]:
@@ -162,8 +167,8 @@ def c_square_eval(P: int = 400_000) -> tuple[float, float]:
     L = L_at_one(-4)
     lpl = L_prime_over_L(-4)
     zp = zeta_prime_2_over_zeta_2()
-    s1 = _richardson(_band_gap_sum_square, P)
-    s2 = _richardson(_band_gap_sum_square_odd, P)
+    s1, e1 = _richardson(_band_gap_sum_square, P)
+    s2, e2 = _richardson(_band_gap_sum_square_odd, P)
     bracket = (
         ZETA2
         + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
@@ -171,10 +176,7 @@ def c_square_eval(P: int = 400_000) -> tuple[float, float]:
         - s1
         - (4.0 / 3.0) * s2
     )
-    err = abs(
-        _richardson(_band_gap_sum_square, P // 2) - s1
-    ) + 4.0 / 3.0 * abs(_richardson(_band_gap_sum_square_odd, P // 2) - s2)
-    return L / ZETA2 * bracket, L / ZETA2 * err + 1e-9
+    return L / ZETA2 * bracket, L / ZETA2 * (e1 + 4.0 / 3.0 * e2) + 1e-9
 
 
 def c_triangle_eval(P: int = 400_000) -> tuple[float, float]:
@@ -183,17 +185,13 @@ def c_triangle_eval(P: int = 400_000) -> tuple[float, float]:
     L = L_at_one(-3)
     lpl = L_prime_over_L(-3)
     zp = zeta_prime_2_over_zeta_2()
-    t1 = _richardson(_band_gap_sum_hex, P)
-    t2 = _richardson(_band_gap_sum_hex_odd, P)
+    t1, e1 = _richardson(_band_gap_sum_hex, P)
+    t2, e2 = _richardson(_band_gap_sum_hex_odd, P)
     # the band-gap sums enter without the log 3 factor carried by the
     # constant part of the bracket
     bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - t2
     scale = 9.0 * L / (16.0 * ZETA2)
-    err = scale * (
-        abs(_richardson(_band_gap_sum_hex, P // 2) - t1)
-        + abs(_richardson(_band_gap_sum_hex_odd, P // 2) - t2)
-    )
-    return L + scale * bracket, err + 1e-9
+    return L + scale * bracket, scale * (e1 + e2) + 1e-9
 
 
 # -- growth models ------------------------------------------------------------
@@ -203,8 +201,6 @@ def c_triangle_eval(P: int = 400_000) -> tuple[float, float]:
 class AsymptoticModel:
     c1: float
     c2: float
-    error_exponent: float = 0.75
-    description: str = ""
 
     def __post_init__(self):
         if self.c1 < 0:
@@ -216,12 +212,12 @@ class AsymptoticModel:
 
 def square_model() -> AsymptoticModel:
     c1 = LOG3 / (2.0 * pi)
-    return AsymptoticModel(c1, c_square_eval()[0] - c1, 0.75, "square lattice")
+    return AsymptoticModel(c1, c_square_eval()[0] - c1)
 
 
 def hexagonal_model() -> AsymptoticModel:
     c1 = 3.0 * sqrt(3.0) * LOG3 / (8.0 * pi)
-    return AsymptoticModel(c1, c_triangle_eval()[0] - c1, 0.75, "hexagonal lattice")
+    return AsymptoticModel(c1, c_triangle_eval()[0] - c1)
 
 
 def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[dict]:
@@ -242,59 +238,26 @@ def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[
                 "A": A,
                 "model": m,
                 "residual": resid,
-                "residual_over_x_power": resid / (x**model.error_exponent * log(x)),
+                "residual_over_x_power": resid / (x**0.75 * log(x)),
                 "residual_over_sqrt_x": resid / sqrt(x),
             }
         )
     return rows
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    L1_chi4: float
-    L1_chi3: float
-    Lp_over_L_chi4: float
-    Lp_over_L_chi3: float
-    euler_gamma: float
-    zeta2: float
-    zetap2_over_zeta2: float
-    c_square: float
-    c_triangle: float
-    errors: dict = field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        def entry(v, e):
-            return {"value": v, "abs_error": e}
-
-        e = self.errors
-        return {
-            "L1_chi4": entry(self.L1_chi4, 1e-14),
-            "L1_chi3": entry(self.L1_chi3, 1e-14),
-            "Lp_over_L_chi4": entry(self.Lp_over_L_chi4, 1e-10),
-            "Lp_over_L_chi3": entry(self.Lp_over_L_chi3, 1e-10),
-            "euler_gamma": entry(self.euler_gamma, 1e-12),
-            "zeta2": entry(self.zeta2, 1e-15),
-            "zetap2_over_zeta2": entry(self.zetap2_over_zeta2, 1e-10),
-            "c_square": entry(self.c_square, e.get("c_square", 1e-5)),
-            "c_triangle": entry(self.c_triangle, e.get("c_triangle", 1e-5)),
-        }
-
-
-def constants_table() -> ConstantsTable:
-    csq, esq = c_square_eval()
-    ctr, etr = c_triangle_eval()
-    return ConstantsTable(
-        L1_chi4=L_at_one(-4),
-        L1_chi3=L_at_one(-3),
-        Lp_over_L_chi4=L_prime_over_L(-4),
-        Lp_over_L_chi3=L_prime_over_L(-3),
-        euler_gamma=euler_gamma(),
-        zeta2=ZETA2,
-        zetap2_over_zeta2=zeta_prime_2_over_zeta_2(),
-        c_square=csq,
-        c_triangle=ctr,
-        errors={"c_square": esq, "c_triangle": etr},
-    )
+def constants_table() -> dict[str, tuple[float, float]]:
+    """Every constant the `constants` command prints, as (value, abs_error)."""
+    return {
+        "L1_chi4": (L_at_one(-4), 1e-14),
+        "L1_chi3": (L_at_one(-3), 1e-14),
+        "Lp_over_L_chi4": (L_prime_over_L(-4), 1e-10),
+        "Lp_over_L_chi3": (L_prime_over_L(-3), 1e-10),
+        "euler_gamma": (euler_gamma(), 1e-12),
+        "zeta2": (ZETA2, 1e-15),
+        "zetap2_over_zeta2": (zeta_prime_2_over_zeta_2(), 1e-10),
+        "c_square": c_square_eval(),
+        "c_triangle": c_triangle_eval(),
+    }
 
 
 # -- interval tail bounds -----------------------------------------------------
@@ -454,35 +417,36 @@ def _disk_sum(v: np.ndarray, Q, s: float, R: float, tail: bool = True) -> float:
     return total
 
 
-def _ladder_extrapolants(v: np.ndarray, Q, R: float, depth: int = 7) -> tuple[float, float]:
-    ladder = (1.0 + 2.0**-j for j in range(1, depth + 1))
+def _ladder_extrapolants(v: np.ndarray, Q, R: float) -> tuple[float, float]:
+    ladder = (1.0 + 2.0**-j for j in range(1, 8))
     values = [(s - 1.0) * _disk_sum(v, Q, s, R) for s in ladder]
     return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
-def epstein_truncated(Q, s: float, R: float, tail: bool = True) -> float:
-    """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R, plus an integral tail."""
-    if s <= 1:
-        raise DomainError("need s > 1")
-    return _disk_sum(_disk_values(Q, R), Q, s, R, tail)
+def epstein_truncated(Q, s: float, R: float) -> tuple[float, float]:
+    """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R plus an integral tail, and
+    its change from the same sum at R/4."""
+    if not s > 1:
+        raise DomainError(f"--s must be above 1, not {s:g}")
+    disk = _disk_values(Q, R)
+    value = _disk_sum(disk, Q, s, R)
+    # the values <= R/4 of the disk of R are the disk of R/4, in order
+    return value, abs(value - _disk_sum(disk[disk <= R / 4], Q, s, R / 4))
 
 
-def epstein_residue_extrapolants(Q, depth: int = 7, R0: float = 4.0e5) -> tuple[float, float]:
-    """The last two Richardson extrapolants (e_depth, e_{depth-1}) of the
-    Epstein zeta residue at s=1.
+def epstein_residue_estimate(Q, R: float) -> tuple[float, float]:
+    """Residue of the Epstein zeta function at s=1 via a Richardson ladder,
+    and its error.
 
-    The ladder is v_j = (s_j - 1) Z(s_j) at s_j = 1 + 2^-j; e_j = 2 v_j - v_{j-1}
-    removes its error term linear in (s - 1), and |e_depth - e_{depth-1}|
-    measures what that step leaves.
+    The ladder is v_j = (s_j - 1) Z(s_j) at s_j = 1 + 2^-j, j = 1..7, and
+    e_j = 2 v_j - v_{j-1} removes its error term linear in (s - 1).  The
+    error adds the truncation error |e_7(R) - e_7(R/4)| and what the last
+    step leaves, |e_7 - e_6|.
     """
-    if depth < 3:
-        raise DomainError("need depth >= 3 for two extrapolants")
-    return _ladder_extrapolants(_disk_values(Q, R0), Q, R0, depth)
-
-
-def epstein_residue_estimate(Q, depth: int = 7, R0: float = 4.0e5) -> float:
-    """Residue of the Epstein zeta function at s=1 via a Richardson ladder."""
-    return epstein_residue_extrapolants(Q, depth, R0)[0]
+    disk = _disk_values(Q, R)
+    value, previous = _ladder_extrapolants(disk, Q, R)
+    rough, _ = _ladder_extrapolants(disk[disk <= R / 4], Q, R / 4)
+    return value, abs(value - rough) + abs(value - previous)
 
 
 def epstein_primitive_truncated(Q, s: float, R: float) -> float:

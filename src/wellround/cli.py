@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import io
 import json
 import math
@@ -73,7 +74,7 @@ def _parse_gram(text: str) -> GramForm:
             return GramForm(Scalar(1), t / Scalar(2), n)
         return GramForm(_scalar(obj["a"]), _scalar(obj["b"]), _scalar(obj["c"]))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, MixedRadicandError) as e:
-        raise CliError(f"cannot parse Gram form {text!r}: {e}", EXIT_BAD_INPUT)
+        raise CliError(f"cannot parse Gram form {text!r} of --gram: {e}", EXIT_BAD_INPUT)
 
 
 def _scalar(v) -> Scalar:
@@ -209,20 +210,15 @@ def cmd_census(args) -> int:
     return EXIT_OK
 
 
+# series name -> the module that defines it, imported on use
 _SERIES = {
-    "a_square": lambda N: _lazy("square", "a_square")(N),
-    "b_square": lambda N: _lazy("square", "b_square")(N),
-    "b_square_primitive": lambda N: _lazy("square", "b_square_primitive")(N),
-    "a_hex": lambda N: _lazy("hexagonal", "a_hex")(N),
-    "b_hex": lambda N: _lazy("hexagonal", "b_hex")(N),
-    "b_hex_primitive": lambda N: _lazy("hexagonal", "b_hex_primitive")(N),
+    "a_square": "square",
+    "b_square": "square",
+    "b_square_primitive": "square",
+    "a_hex": "hexagonal",
+    "b_hex": "hexagonal",
+    "b_hex_primitive": "hexagonal",
 }
-
-
-def _lazy(module: str, name: str):
-    import importlib
-
-    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def cmd_series(args) -> int:
@@ -231,7 +227,9 @@ def cmd_series(args) -> int:
             f"unknown series {args.name!r}; choose from {sorted(_SERIES)}",
             EXIT_BAD_INPUT,
         )
-    seq = _SERIES[args.name](_positive_max(args))
+    N = _positive_max(args)
+    module = importlib.import_module(f".{_SERIES[args.name]}", __package__)
+    seq = getattr(module, args.name)(N)
     prefix = seq.summatory_all()
     _emit_rows(
         args,
@@ -244,6 +242,8 @@ def cmd_series(args) -> int:
 def cmd_asympt(args) -> int:
     from . import asympt
 
+    if args.gram and args.lattice != "custom":
+        raise CliError(f"--gram needs --lattice custom, not {args.lattice}", EXIT_BAD_INPUT)
     checkpoints = args.checkpoints
     if not checkpoints or min(checkpoints) < 2:
         raise CliError("--checkpoints entries must be at least 2", EXIT_BAD_INPUT)
@@ -283,18 +283,17 @@ def _fit_model(counts: ArithSeq, checkpoints):
     (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
     from .asympt import AsymptoticModel
 
-    return AsymptoticModel(max(c1, 0.0), c2, description="empirical fit")
+    return AsymptoticModel(max(c1, 0.0), c2)
 
 
 def cmd_constants(args) -> int:
     from .asympt import constants_table
 
-    table = constants_table().to_json()
+    table = constants_table()
     if args.format == "json":
-        print(json.dumps(table))
+        print(json.dumps({k: _float_field(*v) for k, v in table.items()}))
     else:
-        rows = [[k, v["value"], v["abs_error"]] for k, v in table.items()]
-        _emit_rows(args, ["name", "value", "abs_error"], rows)
+        _emit_rows(args, ["name", "value", "abs_error"], [[k, *v] for k, v in table.items()])
     return EXIT_OK
 
 
@@ -329,7 +328,7 @@ def cmd_frames(args) -> int:
 
 
 def cmd_epstein(args) -> int:
-    from .asympt import DomainError, _disk_sum, _disk_values, _ladder_extrapolants
+    from .asympt import epstein_residue_estimate, epstein_truncated
 
     try:
         form = tuple(float(Scalar.parse(v)) for v in args.form.split(","))
@@ -339,24 +338,11 @@ def cmd_epstein(args) -> int:
         raise CliError("--form needs three entries a,b,c", EXIT_BAD_INPUT)
     if not args.radius > 0:
         raise CliError("--radius must be positive", EXIT_BAD_INPUT)
-    R = args.radius
-    try:
-        if not args.residue and args.s <= 1:
-            raise DomainError("need s > 1")
-        # one disk serves R and R/4: its values <= R/4 are the disk of R/4, in order
-        disk = _disk_values(form, R)
-        coarse = disk[disk <= R / 4]
-        if args.residue:
-            # truncation error (R against R/4) plus extrapolation error (e_7 against e_6)
-            value, previous = _ladder_extrapolants(disk, form, R)
-            rough, _ = _ladder_extrapolants(coarse, form, R / 4)
-            payload = {"residue": _float_field(value, abs(value - rough) + abs(value - previous))}
-        else:
-            value = _disk_sum(disk, form, args.s, R)
-            error = abs(value - _disk_sum(coarse, form, args.s, R / 4))
-            payload = {"value": _float_field(value, error), "s": args.s}
-    except DomainError as e:
-        raise CliError(str(e), EXIT_BAD_INPUT)
+    # a DomainError (a ValueError) exits 2 through main
+    if args.residue:
+        payload = {"residue": _float_field(*epstein_residue_estimate(form, args.radius))}
+    else:
+        payload = {"value": _float_field(*epstein_truncated(form, args.s, args.radius)), "s": args.s}
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -414,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asympt", parents=[common])
     p.add_argument("--lattice", choices=["square", "hex", "custom"], default="square")
     p.add_argument("--gram")
-    p.add_argument("--preset", help=argparse.SUPPRESS)
     p.add_argument("--checkpoints", type=_checkpoint_list, default=list(DEFAULT_CHECKPOINTS))
 
     sub.add_parser("constants", parents=[common])

@@ -75,14 +75,6 @@ class GramForm:
         """Quadratic form value a x^2 + 2b xy + c y^2."""
         return self.a * x * x + self.b * (2 * x * y) + self.c * y * y
 
-    def inner(self, u, v) -> Scalar:
-        """Bilinear form of coordinate vectors u, v."""
-        return (
-            self.a * (u[0] * v[0])
-            + self.b * (u[0] * v[1] + u[1] * v[0])
-            + self.c * (u[1] * v[1])
-        )
-
     def transform(self, U: "Unimodular | tuple") -> "GramForm":
         """Gram form of the basis with columns of U: U^T G U."""
         m = U.m if isinstance(U, Unimodular) else U
@@ -99,14 +91,6 @@ class GramForm:
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GramForm":
-        return GramForm(
-            Scalar.from_json(obj["a"]),
-            Scalar.from_json(obj["b"]),
-            Scalar.from_json(obj["c"]),
-        )
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.b}, {self.c}]]"

@@ -79,14 +79,14 @@ def a_square(N: int) -> ArithSeq:
 
 def fukshansky_superset_member(n: int) -> bool:
     """Membership in the larger candidate index set {pq|z|^2 : q <= p <= sqrt(3) q}."""
-    return _in_index_family(n, require_even_factor=False, require_odd=False)
+    return _in_index_family(n, require_odd=False)
 
 
 def is_admissible_index_square(n: int) -> bool:
     """True iff some well-rounded sublattice of the square lattice has index n."""
     if n % 2 == 0:
-        return _in_index_family(n // 2, require_even_factor=False, require_odd=False)
-    return _in_index_family(n, require_even_factor=False, require_odd=True)
+        return _in_index_family(n // 2, require_odd=False)
+    return _in_index_family(n, require_odd=True)
 
 
 def _sum_of_two_squares(n: int) -> bool:
@@ -104,7 +104,7 @@ def _sum_of_two_squares(n: int) -> bool:
     return not (n % 4 == 3)
 
 
-def _in_index_family(n: int, require_even_factor: bool, require_odd: bool) -> bool:
+def _in_index_family(n: int, require_odd: bool) -> bool:
     """n = p*q*m with q <= p <= sqrt(3) q (p^2 <= 3 q^2) and m a norm |z|^2."""
     if require_odd and n % 2 == 0:
         return False

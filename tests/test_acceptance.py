@@ -217,8 +217,8 @@ def test_criterion_09_dual_invariants_corpus():
 
 
 def test_criterion_10_epstein():
-    residue_sq = asympt.epstein_residue_estimate((1, 0, 1))
-    residue_hex = asympt.epstein_residue_estimate((1, 0.5, 1))
+    residue_sq, _ = asympt.epstein_residue_estimate((1, 0, 1), 4.0e5)
+    residue_hex, _ = asympt.epstein_residue_estimate((1, 0.5, 1), 4.0e5)
     target_hex = math.pi / math.sqrt(0.75)
     ok = (
         abs(residue_sq - math.pi) / math.pi < EPSTEIN_REL_TOL

@@ -50,11 +50,11 @@ class TestConstants:
         assert c_tr == pytest.approx(0.4915036, abs=1e-5)
         assert 0 < err_sq < 1e-5 and 0 < err_tr < 1e-5
 
-    def test_constants_table_json(self):
-        table = asympt.constants_table().to_json()
+    def test_constants_table_pairs(self):
+        table = asympt.constants_table()
         for entry in table.values():
-            assert set(entry) == {"value", "abs_error"}
-        assert table["c_square"]["value"] == pytest.approx(0.6272237, abs=1e-5)
+            assert len(entry) == 2
+        assert table["c_square"][0] == pytest.approx(0.6272237, abs=1e-5)
 
 
 class TestIntervalSumBounds:
@@ -139,30 +139,29 @@ class TestEpstein:
         # for x^2 + y^2: 4 zeta(s) L(s, chi_4); at s = 2: 4 zeta(2) Catalan
         catalan = 0.915965594177219
         expected = 4 * (math.pi**2 / 6) * catalan
-        value = asympt.epstein_truncated((1, 0, 1), 2.0, 1.0e5)
+        value, _ = asympt.epstein_truncated((1, 0, 1), 2.0, 1.0e5)
         assert value == pytest.approx(expected, rel=1e-6)
 
     def test_residues_within_two_percent(self):
-        sq = asympt.epstein_residue_estimate((1, 0, 1), R0=1.0e5)
+        sq, _ = asympt.epstein_residue_estimate((1, 0, 1), 1.0e5)
         assert abs(sq - math.pi) / math.pi < 0.02
-        hexa = asympt.epstein_residue_estimate((1, 0.5, 1), R0=1.0e5)
+        hexa, _ = asympt.epstein_residue_estimate((1, 0.5, 1), 1.0e5)
         target = math.pi / math.sqrt(0.75)
         assert abs(hexa - target) / target < 0.02
 
     def test_extrapolants(self):
-        last, previous = asympt.epstein_residue_extrapolants((1, 0, 1), R0=1.0e4)
-        assert last == asympt.epstein_residue_estimate((1, 0, 1), R0=1.0e4)
+        Q, R = (1, 0, 1), 1.0e4
+        last, previous = asympt._ladder_extrapolants(asympt._disk_values(Q, R), Q, R)
+        assert last == asympt.epstein_residue_estimate(Q, R)[0]
         # the gap between the last two extrapolants bounds the error at s = 1
         assert abs(last - math.pi) <= abs(last - previous)
-        with pytest.raises(asympt.DomainError):
-            asympt.epstein_residue_extrapolants((1, 0, 1), depth=2)
 
     def test_primitive_sum_factors(self):
         # full sum over Q <= R equals sum over scalings g of
         # g^{-2s} * (coprime sum over Q <= R / g^2), an exact identity
         s = 1.5
         R = 2.0e4
-        full = asympt.epstein_truncated((1, 0, 1), s, R, tail=False)
+        full = asympt._disk_sum(asympt._disk_values((1, 0, 1), R), (1, 0, 1), s, R, tail=False)
         assembled = sum(
             g ** (-2 * s)
             * asympt.epstein_primitive_truncated((1, 0, 1), s, R / (g * g))
@@ -246,11 +245,16 @@ class TestOneDisk:
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_truncated_sums_equal(self, Q, R):
         for s in (2.0, 1.5, 1.0 + 2.0**-7):
-            assert asympt.epstein_truncated(Q, s, R) == _meshgrid_truncated(Q, s, R)
+            value = _meshgrid_truncated(Q, s, R)
+            error = abs(value - _meshgrid_truncated(Q, s, R / 4))
+            assert asympt.epstein_truncated(Q, s, R) == (value, error)
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_extrapolants_equal(self, Q, R):
-        assert asympt.epstein_residue_extrapolants(Q, R0=R) == _meshgrid_extrapolants(Q, R)
+        last, previous = _meshgrid_extrapolants(Q, R)
+        rough, _ = _meshgrid_extrapolants(Q, R / 4)
+        error = abs(last - rough) + abs(last - previous)
+        assert asympt.epstein_residue_estimate(Q, R) == (last, error)
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_quarter_radius_subset_equals_its_own_disk(self, Q, R):

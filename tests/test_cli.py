@@ -9,7 +9,6 @@ import pytest
 
 import wellround
 from wellround.cli import main
-from wellround.gram import GramForm
 
 
 def run(capsys, *argv):
@@ -48,9 +47,7 @@ class TestClassifyReduce:
             capsys, "reduce", "--gram", "[[5,4],[4,5]]", "--format", "json"
         )
         assert code == 0
-        payload = json.loads(out)
-        g = GramForm.from_json(payload["gram"])
-        assert g == GramForm.of(2, 1, 5)
+        assert json.loads(out)["gram"] == {"a": "2", "b": "1", "c": "5"}
 
 
 # [[1, sqrt(5)/2], [sqrt(5)/2, 3]] over Q(sqrt 5), in the basis (2, 1), (1, 1)
@@ -235,6 +232,12 @@ class TestCensus:
         (["series", "--name", "a_square", "--max", "10000001"], "--max"),
         (["census", "--preset", "square", "--mode", "formula", "--max", "10000001"], "--max"),
         (["asympt", "--checkpoints", "1000,10000001"], "--checkpoints"),
+        (["epstein", "--form", "1,0,1", "--s", "nan"], "--s"),
+        (["epstein", "--form", "1,0,1", "--s", "1"], "--s"),
+        # a --gram that asympt would otherwise ignore
+        (["asympt", "--lattice", "square", "--gram", "[[1,0],[0,2]]"], "--gram"),
+        (["asympt", "--lattice", "hex", "--gram", "[[1,0],[0,2]]"], "--gram"),
+        (["classify", "--gram", "not json"], "--gram"),
     ],
 )
 def test_bad_flag_value_exits_2(capsys, argv, flag):
@@ -242,6 +245,13 @@ def test_bad_flag_value_exits_2(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+def test_asympt_has_no_preset_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asympt", "--lattice", "custom", "--preset", "square"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --preset" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc"])
@@ -300,6 +310,36 @@ class TestOtherCommands:
     def test_frames_nonrational_exits_4(self, capsys):
         code, _, _ = run(capsys, "frames", "--gram", "diag(1,sqrt(2))")
         assert code == 4
+
+    def test_constants_within_stated_error(self, capsys):
+        import mpmath
+
+        code, out, _ = run(capsys, "constants", "--format", "json")
+        assert code == 0
+        table = json.loads(out)
+        assert list(table) == [
+            "L1_chi4", "L1_chi3", "Lp_over_L_chi4", "Lp_over_L_chi3", "euler_gamma",
+            "zeta2", "zetap2_over_zeta2", "c_square", "c_triangle",
+        ]
+        with mpmath.workdps(30):
+            # the characters mod 4 and mod 3, as mpmath's periodic tables
+            chi4, chi3 = [0, 1, 0, -1], [0, 1, -1]
+            reference = {
+                "L1_chi4": mpmath.dirichlet(1, chi4),
+                "L1_chi3": mpmath.dirichlet(1, chi3),
+                "Lp_over_L_chi4": mpmath.dirichlet(1, chi4, 1) / mpmath.dirichlet(1, chi4),
+                "Lp_over_L_chi3": mpmath.dirichlet(1, chi3, 1) / mpmath.dirichlet(1, chi3),
+                "euler_gamma": +mpmath.euler,
+                "zeta2": mpmath.zeta(2),
+                "zetap2_over_zeta2": mpmath.zeta(2, derivative=1) / mpmath.zeta(2),
+            }
+        for name, want in reference.items():
+            entry = table[name]
+            assert abs(entry["value"] - float(want)) <= entry["abs_error"], name
+        # the paper's seven decimals: within half of the last digit
+        for name, paper in (("c_square", 0.6272237), ("c_triangle", 0.4915036)):
+            entry = table[name]
+            assert abs(entry["value"] - paper) <= 5e-8 + entry["abs_error"], name
 
     def test_epstein_value(self, capsys):
         code, out, _ = run(

@@ -167,7 +167,7 @@ class TestUniqueFrame:
         # the frame axis comes from beta = (r + sqrt(r^2 + q))/q = 1/2
         assert frame.sigma >= 1
         w, z = frame.w, frame.z
-        assert g.inner(w, z) == Scalar(0)
+        assert g.transform(((w[0], z[0]), (w[1], z[1]))).b == Scalar(0)
 
     def test_rational_has_no_unique_frame(self):
         with pytest.raises(NoFrameError):
