@@ -3,9 +3,12 @@
 This is the only module that touches floating point.  Everything exact
 (coefficient streams, censuses, window counts) lives elsewhere; here those
 streams are compared against the closed-form constants and the truncated
-analytic objects that describe their growth.  Each float the CLI prints
-with an error comes from one call here, as a pair (value, abs_error):
-`constants_table`, `epstein_truncated`, `epstein_residue_estimate`.
+analytic objects that describe their growth, or fitted by least squares
+(`fit_model`).  Each float the CLI prints with an error comes from one call
+here, as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
+`epstein_residue_estimate`.  Both lattice constants rest on one band-gap
+sum, `_band_gap_sum(P, r, odd)`, over the band that `dirichlet.pair_band`
+counts: r = 3 for the square lattice, r = 9 for the hexagonal one.
 """
 
 from __future__ import annotations
@@ -38,16 +41,27 @@ class DomainError(ValueError):
 LOG3 = log(3.0)
 ZETA2 = pi * pi / 6.0
 
+# terms of the sums behind euler_gamma and zeta'(2)/zeta(2)
+EULER_TERMS = 100_000
+ZETA_TERMS = 1_000_000
+# values of p in each band-gap sum; `_richardson` also takes twice as many,
+# so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^52
+BAND_TERMS = 400_000
+# coefficients of each truncated series in the sandwich checks
+SANDWICH_TERMS = 20_000
 
-def euler_gamma(N: int = 100_000) -> float:
+
+def euler_gamma() -> float:
     """Euler-Mascheroni constant by Euler-Maclaurin corrected harmonic sum."""
+    N = EULER_TERMS
     H = float(np.sum(1.0 / np.arange(1, N + 1, dtype=np.float64)))
     n = float(N)
     return H - log(n) - 1.0 / (2 * n) + 1.0 / (12 * n * n) - 1.0 / (120 * n**4)
 
 
-def zeta_prime_2_over_zeta_2(N: int = 1_000_000) -> float:
+def zeta_prime_2_over_zeta_2() -> float:
     """zeta'(2)/zeta(2) from the log-weighted sum with an integral tail."""
+    N = ZETA_TERMS
     n = np.arange(1, N + 1, dtype=np.float64)
     partial = float(np.sum(np.log(n) / (n * n)))
     x = float(N)
@@ -95,80 +109,48 @@ def L_prime_over_L_gamma_form(D: int) -> float:
 # -- the two lattice constants ------------------------------------------------
 
 
-def _harmonic_prefix(n: int) -> np.ndarray:
-    # H[k] = 1 + 1/2 + ... + 1/k, H[0] = 0
-    out = np.empty(n + 1, dtype=np.float64)
-    out[0] = 0.0
-    np.cumsum(1.0 / np.arange(1, n + 1, dtype=np.float64), out=out[1:])
-    return out
+def _band_top(p: np.ndarray, r: int) -> np.ndarray:
+    """The largest q with q^2 < r p^2; the float root is exact while r p^2 < 2^52."""
+    return np.floor(np.sqrt((r * p * p - 1).astype(np.float64))).astype(np.int64)
 
 
-def _odd_harmonic_prefix(n: int) -> np.ndarray:
-    # OH[k] = 1 + 1/3 + ... + 1/(2k+1)
-    out = np.cumsum(1.0 / (2.0 * np.arange(0, n + 1, dtype=np.float64) + 1.0))
-    return out
+def _band_gap_sum(P: int, r: int, odd: bool) -> float:
+    """sum_p (1/p)(log(r)/(2 step) - sum_q 1/q) over the band of
+    `dirichlet.pair_band(N, r, odd)`: the first P values of p, odd only when
+    `odd`, and for each p the q = p (mod step) with p < q and q^2 < r p^2."""
+    step = 2 if odd else 1
+    p = np.arange(1, step * P + 1, step, dtype=np.int64)
+    top = _band_top(p, r)
+    # prefix[i] = sum of 1/q over q = 1, 1 + step, ..., 1 + i step, built in place
+    prefix = np.arange(1.0, top[-1] + 1.0, step)
+    np.cumsum(np.reciprocal(prefix, out=prefix), out=prefix)
+    # p = 1 + i step, so its q add up to prefix[(top - 1) // step] - prefix[i];
+    # updating in place keeps at most four arrays of this size alive at once
+    top -= 1
+    top //= step
+    gap = prefix[top]
+    gap -= prefix[:P]
+    np.subtract(log(r) / (2 * step), gap, out=gap)
+    gap /= p
+    return float(np.sum(gap))
 
 
-def _floor_sqrt3_times(p: np.ndarray) -> np.ndarray:
-    """Largest integer q with q^2 < 3 p^2, elementwise and exactly."""
-    q = np.floor(np.sqrt(3.0) * p.astype(np.float64)).astype(np.int64)
-    q += (q + 1) ** 2 < 3 * p * p
-    q -= q * q >= 3 * p * p
-    return q
-
-
-def _band_gap_sum_square(P: int) -> float:
-    """sum_p (1/p)(log3/2 - sum_{p<q<sqrt(3)p} 1/q), truncated at P terms."""
-    p = np.arange(1, P + 1, dtype=np.int64)
-    qmax = _floor_sqrt3_times(p)
-    H = _harmonic_prefix(int(qmax[-1]))
-    inner = H[qmax] - H[p]
-    return float(np.sum((LOG3 / 2.0 - inner) / p))
-
-
-def _band_gap_sum_square_odd(P: int) -> float:
-    """sum_k (1/(2k+1))(log3/4 - sum_window 1/(2l+1)) over 0 <= k < P."""
-    k = np.arange(0, P, dtype=np.int64)
-    pp = 2 * k + 1
-    qmax = _floor_sqrt3_times(pp)
-    lmax = (qmax - 1) // 2
-    OH = _odd_harmonic_prefix(int(lmax[-1]))
-    inner = OH[lmax] - OH[k]
-    return float(np.sum((LOG3 / 4.0 - inner) / pp))
-
-
-def _band_gap_sum_hex(P: int) -> float:
-    """sum_p (1/p)(log3 - sum_{p<q<=3p-1} 1/q), truncated at P terms."""
-    p = np.arange(1, P + 1, dtype=np.int64)
-    H = _harmonic_prefix(3 * P)
-    inner = H[3 * p - 1] - H[p]
-    return float(np.sum((LOG3 - inner) / p))
-
-
-def _band_gap_sum_hex_odd(P: int) -> float:
-    """sum_k (4/(2k+1))(log3/2 - sum_{k<l<=3k} 1/(2l+1)) over 0 <= k < P."""
-    k = np.arange(0, P, dtype=np.int64)
-    OH = _odd_harmonic_prefix(3 * (P - 1) if P > 1 else 0)
-    inner = OH[3 * k] - OH[k]
-    return float(np.sum(4.0 * (LOG3 / 2.0 - inner) / (2 * k + 1)))
-
-
-def _richardson(term, P: int) -> tuple[float, float]:
-    """The limit of the partial sums term(P), and its change from P/2."""
+def _richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
+    """The limit of the band-gap sums over P terms, and its change from P/2."""
     # partial sums approach the limit like A/P; eliminate the leading tail
-    mid = term(P)
-    value = 2.0 * term(2 * P) - mid
-    return value, abs(2.0 * mid - term(P // 2) - value)
+    mid = _band_gap_sum(P, r, odd)
+    value = 2.0 * _band_gap_sum(2 * P, r, odd) - mid
+    return value, abs(2.0 * mid - _band_gap_sum(P // 2, r, odd) - value)
 
 
-def c_square_eval(P: int = 400_000) -> tuple[float, float]:
+def c_square_eval() -> tuple[float, float]:
     """Linear-term constant of the square lattice growth law, with error estimate."""
     g = euler_gamma()
     L = L_at_one(-4)
     lpl = L_prime_over_L(-4)
     zp = zeta_prime_2_over_zeta_2()
-    s1, e1 = _richardson(_band_gap_sum_square, P)
-    s2, e2 = _richardson(_band_gap_sum_square_odd, P)
+    s1, e1 = _richardson(BAND_TERMS, 3, odd=False)
+    s2, e2 = _richardson(BAND_TERMS, 3, odd=True)
     bracket = (
         ZETA2
         + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
@@ -179,19 +161,19 @@ def c_square_eval(P: int = 400_000) -> tuple[float, float]:
     return L / ZETA2 * bracket, L / ZETA2 * (e1 + 4.0 / 3.0 * e2) + 1e-9
 
 
-def c_triangle_eval(P: int = 400_000) -> tuple[float, float]:
+def c_triangle_eval() -> tuple[float, float]:
     """Linear-term constant of the hexagonal lattice growth law, with error estimate."""
     g = euler_gamma()
     L = L_at_one(-3)
     lpl = L_prime_over_L(-3)
     zp = zeta_prime_2_over_zeta_2()
-    t1, e1 = _richardson(_band_gap_sum_hex, P)
-    t2, e2 = _richardson(_band_gap_sum_hex_odd, P)
+    t1, e1 = _richardson(BAND_TERMS, 9, odd=False)
+    t2, e2 = _richardson(BAND_TERMS, 9, odd=True)
     # the band-gap sums enter without the log 3 factor carried by the
-    # constant part of the bracket
-    bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - t2
+    # constant part of the bracket, the odd one with weight 4
+    bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - 4.0 * t2
     scale = 9.0 * L / (16.0 * ZETA2)
-    return L + scale * bracket, scale * (e1 + e2) + 1e-9
+    return L + scale * bracket, scale * (e1 + 4.0 * e2) + 1e-9
 
 
 # -- growth models ------------------------------------------------------------
@@ -218,6 +200,17 @@ def square_model() -> AsymptoticModel:
 def hexagonal_model() -> AsymptoticModel:
     c1 = 3.0 * sqrt(3.0) * LOG3 / (8.0 * pi)
     return AsymptoticModel(c1, c_triangle_eval()[0] - c1)
+
+
+def fit_model(counts: ArithSeq, checkpoints) -> AsymptoticModel:
+    """Least-squares fit of c1 x log x + c2 x through the checkpoints;
+    purely empirical, no claim about the true growth law."""
+    prefix = counts.summatory_all()
+    xs = np.array([float(x) for x in checkpoints])
+    ys = np.array([float(prefix[x - 1]) for x in checkpoints])
+    design = np.column_stack([xs * np.log(xs), xs])
+    (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
+    return AsymptoticModel(max(c1, 0.0), c2)
 
 
 def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[dict]:
@@ -346,17 +339,17 @@ def _truncated_with_error(series_fn, s: float, N: int) -> tuple[float, float]:
     return full, 2.0 * abs(full - half) + 1e-12
 
 
-def sandwich_check_square(s: float, N: int = 50_000) -> bool:
+def sandwich_check_square(s: float) -> bool:
     """Strict two-sided bound on the well-rounded series of the square lattice."""
     from .square import a_square
 
-    phi_wr, err = _truncated_with_error(a_square, s, N)
+    phi_wr, err = _truncated_with_error(a_square, s, SANDWICH_TERMS)
     lower = D_square(s) - phi_square(s)
     upper = D_square(s) + phi_square(s)
     return lower < phi_wr + err and phi_wr - err < upper
 
 
-def sandwich_check_hex(s: float, N: int = 50_000) -> bool:
+def sandwich_check_hex(s: float) -> bool:
     """Two-sided bound on the well-rounded series of the hexagonal lattice.
 
     The interval-sum lemma bounds the rhombic contribution between
@@ -365,7 +358,7 @@ def sandwich_check_hex(s: float, N: int = 50_000) -> bool:
     """
     from .hexagonal import a_hex
 
-    phi_wr, err = _truncated_with_error(a_hex, s, N)
+    phi_wr, err = _truncated_with_error(a_hex, s, SANDWICH_TERMS)
     phi = zeta(s) * L_chi(-3, s)
     lower = phi + D_hex(s) - E_hex(s)
     upper = phi + D_hex(s)

@@ -91,16 +91,14 @@ def _scalar(v) -> Scalar:
 
 
 def _spec_gram(args) -> GramForm:
-    preset = getattr(args, "preset", None)
-    gram = getattr(args, "gram", None)
-    if preset and gram:
+    if args.preset and args.gram:
         raise CliError("give either --preset or --gram, not both", EXIT_BAD_INPUT)
-    if preset == "square":
+    if args.preset == "square":
         return SQUARE_GRAM
-    if preset == "hexagonal":
+    if args.preset == "hexagonal":
         return HEXAGONAL_GRAM
-    if gram:
-        return _parse_gram(gram)
+    if args.gram:
+        return _parse_gram(args.gram)
     raise CliError("a lattice is required: --preset or --gram", EXIT_BAD_INPUT)
 
 
@@ -259,9 +257,10 @@ def cmd_asympt(args) -> int:
 
         counts, model = a_hex(N), asympt.hexagonal_model()
     else:
-        g = _spec_gram(args)
-        counts = _formula_counts(g, N, None)
-        model = _fit_model(counts, checkpoints)
+        if not args.gram:
+            raise CliError("--lattice custom needs --gram", EXIT_BAD_INPUT)
+        counts = _formula_counts(_parse_gram(args.gram), N, None)
+        model = asympt.fit_model(counts, checkpoints)
     rows = asympt.model_report(counts, model, checkpoints)
     _emit_rows(
         args,
@@ -269,21 +268,6 @@ def cmd_asympt(args) -> int:
         [[r[k] for k in rows[0]] for r in rows],
     )
     return EXIT_OK
-
-
-def _fit_model(counts: ArithSeq, checkpoints):
-    """Least-squares fit of c1 x log x + c2 x through the checkpoints;
-    purely empirical, no claim about the true growth law."""
-    import numpy as np
-
-    prefix = counts.summatory_all()
-    xs = np.array([float(x) for x in checkpoints])
-    ys = np.array([float(prefix[x - 1]) for x in checkpoints])
-    design = np.column_stack([xs * np.log(xs), xs])
-    (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    from .asympt import AsymptoticModel
-
-    return AsymptoticModel(max(c1, 0.0), c2)
 
 
 def cmd_constants(args) -> int:

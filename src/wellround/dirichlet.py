@@ -195,11 +195,13 @@ def shift_support(f: ArithSeq, m: int) -> ArithSeq:
 def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     """w(n) = number of factorizations n = p*q with p < q and q^2 < r p^2.
 
-    With `odd`, p and q are both odd and p >= 3.
+    With `odd`, p and q are both odd.  `asympt._band_gap_sum(P, r, odd)`
+    sums over the same band.  The odd loop may start at p = 1: no odd q
+    lies in (1, sqrt(r)) for r <= 9.
     """
     step = 2 if odd else 1
     out = np.zeros(N + 1, dtype=np.int64)
-    for p in range(1 + 2 * odd, isqrt(N) + 1, step):
+    for p in range(1, isqrt(N) + 1, step):
         q_max = min(isqrt(r * p * p - 1), N // p)
         out[p * (p + step) : p * q_max + 1 : p * step] += 1
     return ArithSeq(out[1:])

@@ -154,38 +154,15 @@ def g_star(w: Vec, g: GramForm) -> int:
     Completing w to a determinant-one basis (w, v2), this is the gcd of
     (w, w) and (w, v2); it divides the form discriminant and gives the
     index of the rectangular sublattice through sigma = (w, w) / g*(w).
+    Writing w = (m, n), v2 = (x, y) and (alpha, beta) = w^T G, the same row
+    as in `_frame_from_w`, it is gcd(m alpha + n beta, x alpha + y beta) =
+    gcd(alpha, beta), since det(w, v2) = 1.
     """
     a, b, c = _check_integral_primitive(g)
     if not is_primitive(w):
         raise NotPrimitiveVectorError(f"{w} is not primitive")
-    # v2 with det(w, v2) = 1 via the extended Euclid relation
-    x, y = _bezout_complement(w)
-    ww = a * w[0] * w[0] + 2 * b * w[0] * w[1] + c * w[1] * w[1]
-    wv = a * w[0] * x + b * (w[0] * y + w[1] * x) + c * w[1] * y
-    return gcd(ww, abs(wv)) if wv else abs(ww)
-
-
-def _bezout_complement(w: Vec) -> Vec:
-    w0, w1 = w
-    # find (x, y) with w0*y - w1*x = 1
-    g0, s, t = _ext_gcd(w0, w1)
-    if g0 != 1:
-        raise InvariantError(f"{w} is not primitive; it has no Bezout complement")
-    return (-t, s)
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    m, n = w
+    return gcd(a * m + b * n, b * m + c * n)
 
 
 def brs_index(w: Vec, g: GramForm) -> int:

@@ -264,7 +264,7 @@ def test_criterion_11_reduction_suite_and_sandwiches():
         if not ok:
             break
     for s in (1.5, 2.0, 3.0):
-        ok = ok and asympt.sandwich_check_square(s, N=20_000)
-        ok = ok and asympt.sandwich_check_hex(s, N=20_000)
+        ok = ok and asympt.sandwich_check_square(s)
+        ok = ok and asympt.sandwich_check_hex(s)
     _report("criterion 11: reduction property suite and series sandwiches", ok)
     assert ok

@@ -57,6 +57,34 @@ class TestConstants:
         assert table["c_square"][0] == pytest.approx(0.6272237, abs=1e-5)
 
 
+def _band_gap_reference(P, r, odd):
+    step = 2 if odd else 1
+    terms = []
+    for p in range(1, step * P + 1, step):
+        top = math.isqrt(r * p * p - 1)
+        inner = math.fsum(1.0 / q for q in range(p + step, top + 1, step))
+        terms.append((math.log(r) / (2 * step) - inner) / p)
+    return math.fsum(terms)
+
+
+class TestBandGapSum:
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("r", [3, 9])
+    @pytest.mark.parametrize("P", [1, 2, 2000])
+    def test_matches_plain_reference(self, P, r, odd):
+        assert asympt._band_gap_sum(P, r, odd) == pytest.approx(
+            _band_gap_reference(P, r, odd), rel=0, abs=1e-12
+        )
+
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_top_is_exact_at_largest_p(self, r):
+        # _richardson takes 2 * BAND_TERMS values of p, so odd p reaches 4 * BAND_TERMS - 1
+        largest = 4 * asympt.BAND_TERMS - 1
+        p = np.arange(largest - 2000, largest + 1, dtype=np.int64)
+        top = asympt._band_top(p, r)
+        assert [int(t) for t in top] == [math.isqrt(r * int(v) * int(v) - 1) for v in p]
+
+
 class TestIntervalSumBounds:
     def test_empty_window(self):
         lower, upper, exact = asympt.interval_sum_bounds(1, math.sqrt(3), 0.0, 0.0, 2.0)
@@ -123,11 +151,11 @@ class TestModels:
 class TestSandwich:
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_square(self, s):
-        assert asympt.sandwich_check_square(s, N=20_000)
+        assert asympt.sandwich_check_square(s)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_hex(self, s):
-        assert asympt.sandwich_check_hex(s, N=20_000)
+        assert asympt.sandwich_check_hex(s)
 
 
 class TestEpstein:

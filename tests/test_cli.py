@@ -252,6 +252,10 @@ def test_asympt_has_no_preset_flag(capsys):
         main(["asympt", "--lattice", "custom", "--preset", "square"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --preset" in capsys.readouterr().err
+    # without --gram, the error names only the flag asympt has
+    assert main(["asympt", "--lattice", "custom"]) == 2
+    err = capsys.readouterr().err
+    assert "--gram" in err and "--preset" not in err
 
 
 @pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc"])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from wellround.general import (
     ExistenceVerdict,
-    InvariantError,
     NoFrameError,
     NotIntegralFormError,
     NotPrimitiveVectorError,
@@ -22,7 +21,6 @@ from wellround.general import (
     nonrational_census,
     orthogonal_primitive,
     unique_frame,
-    _bezout_complement,
     _frame_from_w,
     _window_hits_even,
     _window_hits_odd,
@@ -195,10 +193,6 @@ class TestDualInvariants:
         assert _frame_from_w((1, 0), (1, 0, 1)).parity == "odd"
         assert _frame_from_w((1, 1), (1, 0, 1)).parity == "even"
         assert _frame_from_w((1, 1), (1, 0, 2)).parity == "odd"
-
-    def test_bezout_complement_of_imprimitive_is_invariant_error(self):
-        with pytest.raises(InvariantError):
-            _bezout_complement((2, 4))
 
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitiveVectorError):
