@@ -43,6 +43,10 @@ DEFAULT_MAX = 1000
 # the largest index bound accepted (--max, --checkpoints); a_square(10^7)
 # peaks at about 750 MB, and the census allocates six lists of this length
 MAX_INDEX = 10**7
+# the largest --bound of frames; the frame list grows as its square, and at
+# 700 `frames --format json` peaks at 345 MB on the square lattice and 688 MB
+# on [[1,0],[0,1000]]
+MAX_FRAME_BOUND = 700
 DEFAULT_CHECKPOINTS = (1000, 10_000, 100_000)
 
 
@@ -54,27 +58,29 @@ class CliError(Exception):
 
 def _parse_gram(text: str) -> GramForm:
     """Accept a JSON matrix, an {a,b,c} object, a {t,n} shape descriptor,
-    or the diag(x,y) shorthand; entries may be exact scalar strings."""
+    or the diag(x,y) shorthand; entries may be exact scalar strings.  The
+    form must be positive definite."""
     text = text.strip().replace("√", "sqrt")
     try:
         if text.startswith("diag(") and text.endswith(")"):
             u, v = text[5:-1].split(",")
-            return GramForm(Scalar.parse(u), Scalar(0), Scalar.parse(v))
-        obj = json.loads(text)
-        if isinstance(obj, list):
+            g = GramForm(Scalar.parse(u), Scalar(0), Scalar.parse(v))
+        elif isinstance(obj := json.loads(text), list):
             (a, b), (b2, c) = obj
             g = GramForm(_scalar(a), _scalar(b), _scalar(c))
             if _scalar(b2) != g.b:
                 raise ValueError("matrix is not symmetric")
-            return g
-        if "t" in obj or "n" in obj:
+        elif "t" in obj or "n" in obj:
             # shape descriptor: a = 1, t = 2b/a, n = c/a
             t = _scalar(obj.get("t", "0"))
             n = _scalar(obj.get("n", "1"))
-            return GramForm(Scalar(1), t / Scalar(2), n)
-        return GramForm(_scalar(obj["a"]), _scalar(obj["b"]), _scalar(obj["c"]))
+            g = GramForm(Scalar(1), t / Scalar(2), n)
+        else:
+            g = GramForm(_scalar(obj["a"]), _scalar(obj["b"]), _scalar(obj["c"]))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, MixedRadicandError) as e:
         raise CliError(f"cannot parse Gram form {text!r} of --gram: {e}", EXIT_BAD_INPUT)
+    g.check_positive_definite()
+    return g
 
 
 def _scalar(v) -> Scalar:
@@ -299,6 +305,8 @@ def cmd_frames(args) -> int:
     g = _spec_gram(args)
     if args.bound < 0:
         raise CliError("--bound must be nonnegative", EXIT_BAD_INPUT)
+    if args.bound > MAX_FRAME_BOUND:
+        raise CliError(f"--bound must be at most {MAX_FRAME_BOUND}", EXIT_BAD_INPUT)
     frames = enumerate_frames(g, args.bound)
     if args.format == "json":
         print(json.dumps([f.to_json() for f in frames]))

@@ -9,14 +9,14 @@ to signs, rational lattices infinitely many.  Counting therefore reduces to
 enumerating orthogonal pairs and lattice points in a sqrt(3)-window, with
 all inequalities decided exactly by squaring.
 
-For a rational lattice the pairs are searched in plain integers on the
-integral primitive form (a, b, c): w = (m, n) has the orthogonal row
-(alpha, beta) = (am + bn, bm + cn), z = (beta, -alpha)/gcd(alpha, beta) and
-sigma = Q(w)/gcd(alpha, beta), so a pair of too large an index is dropped
-before Q(z) is computed.  The window is scanned per row: for each k the
-admissible l form one interval whose ends are integer square roots of
-exact floors of Q(sqrt D) values, taken on integer pairs by `gram._floor_pair`,
-and a boundary hit can only sit at one of the two ends.
+For a rational lattice the pairs stream from one walk in plain integers on
+the integral primitive form (`_frames`): each pair is yielded once, at the
+first of its members that the walk reaches, with kappa^2 kept as the integer
+pair (Q(w), Q(z)), so no pair is stored or deduplicated.  The window is
+scanned per row: for each k the admissible l form one interval whose ends
+are integer square roots of exact floors of Q(sqrt D) values, taken on
+integer pairs by `gram._floor_pair`, and a boundary hit can only sit at one
+of the two ends.
 
 Boundary hits of the window are precisely the hexagonal sublattices; in a
 rational lattice each hexagonal sublattice is invariant under three
@@ -84,12 +84,6 @@ class ReflectionFrame:
     kappa_sq: Scalar
     parity: str  # "odd" | "even"
 
-    def key(self) -> frozenset:
-        """Identity of the four-element set {+-w, +-z}."""
-        return frozenset(
-            {self.w, _neg(self.w), self.z, _neg(self.z)}
-        )
-
     def to_json(self) -> dict:
         return {
             "w": list(self.w),
@@ -155,7 +149,7 @@ def g_star(w: Vec, g: GramForm) -> int:
     (w, w) and (w, v2); it divides the form discriminant and gives the
     index of the rectangular sublattice through sigma = (w, w) / g*(w).
     Writing w = (m, n), v2 = (x, y) and (alpha, beta) = w^T G, the same row
-    as in `_frame_from_w`, it is gcd(m alpha + n beta, x alpha + y beta) =
+    as in `_frames`, it is gcd(m alpha + n beta, x alpha + y beta) =
     gcd(alpha, beta), since det(w, v2) = 1.
     """
     a, b, c = _check_integral_primitive(g)
@@ -217,30 +211,6 @@ def _frame(w: Vec, z: Vec, sigma: int, kappa_sq: Scalar) -> ReflectionFrame:
     )
 
 
-def _frame_from_w(
-    w: Vec, form: tuple[int, int, int], sigma_cap: int | None = None
-) -> ReflectionFrame | None:
-    """The frame through w for the integral form (a, b, c), in integers.
-
-    Returns None when its index sigma exceeds sigma_cap.
-    """
-    a, b, c = form
-    m, n = w
-    alpha = a * m + b * n
-    beta = b * m + c * n
-    g = gcd(alpha, beta)
-    z = (beta // g, -alpha // g)
-    qw = m * alpha + n * beta
-    # |det(w, z)| = (m alpha + n beta) / g = Q(w) / g
-    sigma = qw // g
-    if sigma_cap is not None and sigma > sigma_cap:
-        return None
-    qz = a * z[0] * z[0] + 2 * b * z[0] * z[1] + c * z[1] * z[1]
-    if qw < qz:
-        w, z, qw, qz = z, w, qz, qw
-    return _frame(w, z, sigma, Scalar(Fraction(qw, qz)))
-
-
 def unique_frame(g: GramForm) -> ReflectionFrame:
     """The single orthogonal pair of a non-rational lattice that has one."""
     verdict = existence(g)
@@ -281,20 +251,20 @@ def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
 # -- window counting ----------------------------------------------------------
 
 
-def _window_hits(kappa_sq: Scalar, scale: int, x: int, odd: bool):
+def _window_hits(kappa: tuple, scale: int, x: int, odd: bool):
     """(scale*p*q, on_boundary) for p, q >= 1 with kappa^2 p^2 <= 3 q^2,
     q^2 <= 3 kappa^2 p^2 and scale*p*q <= x; p and q odd when `odd`.
 
-    Row p holds the q from ceil(sqrt(kappa^2 p^2 / 3)) to
+    kappa^2 = (u + v sqrt(D)) / L is given as the integers (u, v, L, D), D
+    None when v = 0.  Row p holds the q from ceil(sqrt(kappa^2 p^2 / 3)) to
     floor(sqrt(3 kappa^2 p^2)), capped at x // (scale*p); only its two ends
     can lie on the boundary.  The lower end grows with p while the cap
     shrinks, so the first row whose lower end passes its cap is the last.
-    kappa^2 = (u + v sqrt(D)) / L in integers, so each end is the integer
-    square root of a `_floor_pair`, and lies on the boundary only when
-    v = 0 and its square is exact.
+    Each end is the integer square root of a `_floor_pair`, and lies on the
+    boundary only when v = 0 and its square is exact.
     """
     step = 2 if odd else 1
-    D, L, ((u, v),) = _integer_pairs((kappa_sq,))
+    u, v, L, D = kappa
     p = 1
     while True:
         cap = x // (scale * p)
@@ -318,21 +288,13 @@ def _window_hits(kappa_sq: Scalar, scale: int, x: int, odd: bool):
         p += step
 
 
-def _window_hits_even(kappa_sq: Scalar, sigma: int, x: int):
-    """Indices 2*sigma*k*l with kappa^2 k^2 <= 3 l^2 and l^2 <= 3 kappa^2 k^2."""
-    yield from _window_hits(kappa_sq, 2 * sigma, x, odd=False)
-
-
-def _window_hits_odd(kappa_sq: Scalar, sigma: int, x: int):
-    """Indices sigma(2k+1)(2l+1)/2 over the same window in odd coordinates."""
-    yield from _window_hits(kappa_sq, sigma // 2, x, odd=True)
-
-
-def _frame_hits(frame: ReflectionFrame, x: int):
-    """Window hits of one frame; the odd window exists only for even sigma."""
-    yield from _window_hits_even(frame.kappa_sq, frame.sigma, x)
-    if frame.sigma % 2 == 0:
-        yield from _window_hits_odd(frame.kappa_sq, frame.sigma, x)
+def _frame_hits(kappa: tuple, sigma: int, x: int):
+    """Window hits of a frame of index sigma with kappa^2 as in `_window_hits`:
+    indices 2 sigma k l, and for even sigma also sigma (2k+1)(2l+1)/2 over
+    the same window in odd coordinates."""
+    yield from _window_hits(kappa, 2 * sigma, x, odd=False)
+    if sigma % 2 == 0:
+        yield from _window_hits(kappa, sigma // 2, x, odd=True)
 
 
 def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
@@ -341,8 +303,10 @@ def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
 
     if is_rational(g):
         raise NotApplicableError("lattice is rational; use count_wr_rational")
+    frame = unique_frame(g)
+    D, L, ((u, v),) = _integer_pairs((frame.kappa_sq,))
     counts = [0] * x
-    for n, boundary in _frame_hits(unique_frame(g), x):
+    for n, boundary in _frame_hits((u, v, L, D), frame.sigma, x):
         if boundary:  # a hexagonal sublattice forces a rational similarity class
             raise InvariantError(f"window boundary hit at index {n} of a non-rational lattice")
         counts[n - 1] += 1
@@ -391,6 +355,15 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
 # -- rational lattices: frame enumeration and counting ------------------------
 
 
+def _rational_form(g: GramForm, why: str) -> tuple[int, int, int]:
+    """The integral primitive form (a, b, c) of a positive definite rational
+    lattice; any other lattice raises NotRationalError(why)."""
+    g.check_positive_definite()
+    if not is_rational(g):
+        raise NotRationalError(why)
+    return _check_integral_primitive(rational_normalize(g)[0])
+
+
 def _primitive_vectors_up_to_norm(form: tuple[int, int, int], norm_cap: int):
     """All primitive (m, n) up to sign with Q(m, n) <= norm_cap, by rows n.
 
@@ -408,44 +381,55 @@ def _primitive_vectors_up_to_norm(form: tuple[int, int, int], norm_cap: int):
             yield (m, n)
 
 
-def _distinct_frames(
-    ws, form: tuple[int, int, int], sigma_cap: int | None = None
-) -> list[ReflectionFrame]:
-    """The frames through the vectors ws, one per set {+-w, +-z}, in order of
-    first appearance; frames of index above sigma_cap are dropped."""
-    frames: dict[frozenset, ReflectionFrame] = {}
-    for w in ws:
-        frame = _frame_from_w(w, form, sigma_cap)
-        if frame is not None:
-            frames.setdefault(frame.key(), frame)
-    return list(frames.values())
+def _frames(ws, form: tuple[int, int, int], sigma_cap: int | None, walked):
+    """(w, z, sigma, Q(w), Q(z)) with Q(w) >= Q(z), once for each frame
+    {+-w, +-z} of index sigma <= sigma_cap through a vector of ws, in integers.
+
+    ws holds vectors with n > 0, or n = 0 and m > 0, in (n, m) order, and
+    walked(z, Q(z)) tells whether such a z is in ws.  A frame is yielded at
+    its first member in ws: from w, unless z, normalized alike, is walked and
+    comes first.  On a tie Q(w) = Q(z) that first member is w.  With
+    (alpha, beta) = w^T G for the integral form (a, b, c),
+    z = (beta, -alpha)/gcd(alpha, beta) and sigma = Q(w)/gcd(alpha, beta), so
+    a frame of too large an index is dropped before Q(z) is computed.
+    """
+    a, b, c = form
+    for m, n in ws:
+        alpha = a * m + b * n
+        beta = b * m + c * n
+        g = gcd(alpha, beta)
+        qw = m * alpha + n * beta
+        # |det(w, z)| = (m alpha + n beta) / g = Q(w) / g
+        sigma = qw // g
+        if sigma_cap is not None and sigma > sigma_cap:
+            continue
+        z0, z1 = beta // g, -alpha // g
+        if z1 < 0 or (z1 == 0 and z0 < 0):
+            z0, z1 = -z0, -z1
+        qz = a * z0 * z0 + 2 * b * z0 * z1 + c * z1 * z1
+        if (z1 < n or (z1 == n and z0 < m)) and walked((z0, z1), qz):
+            continue
+        if qw < qz:
+            yield (z0, z1), (m, n), sigma, qz, qw
+        else:
+            yield (m, n), (z0, z1), sigma, qw, qz
 
 
 def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
-    """All orthogonal pairs whose members have coordinates bounded by H."""
-    if not is_rational(g):
-        raise NotRationalError("frame enumeration needs a rational lattice")
-    form = _check_integral_primitive(rational_normalize(g)[0])
+    """Every orthogonal pair with a member whose coordinates are at most H in
+    absolute value; its other member may lie outside that box."""
+    form = _rational_form(g, "frame enumeration needs a rational lattice")
     ws = (
         (m, n)
         for n in range(0, H + 1)
         for m in range(-H, H + 1)
         if not (n == 0 and m <= 0) and gcd(m, n) == 1
     )
-    return sorted(_distinct_frames(ws, form), key=lambda f: (f.sigma, f.w, f.z))
-
-
-def _frames_for_count(g: GramForm, x: int) -> list[ReflectionFrame]:
-    """Every frame that can contribute an index <= x.
-
-    A frame's smallest contribution is at least sigma/2, and sigma is at
-    least Q(w)/d for the integral primitive form of discriminant d, so
-    Q(w) <= 2 x d suffices.
-    """
-    form = _check_integral_primitive(rational_normalize(g)[0])
-    a, b, c = form
-    ws = _primitive_vectors_up_to_norm(form, 2 * x * (a * c - b * b))
-    return _distinct_frames(ws, form, 2 * x)
+    frames = _frames(ws, form, None, lambda z, qz: max(abs(z[0]), z[1]) <= H)
+    return sorted(
+        (_frame(w, z, sigma, Scalar(Fraction(qw, qz))) for w, z, sigma, qw, qz in frames),
+        key=lambda f: (f.sigma, f.w, f.z),
+    )
 
 
 def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
@@ -453,15 +437,18 @@ def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
 
     Sums window counts over all contributing orthogonal pairs; window
     boundary hits are hexagonal sublattices shared by three pairs and enter
-    with weight 1/3, so the tally is kept in thirds.
+    with weight 1/3, so the tally is kept in thirds.  A frame's smallest
+    index is at least sigma/2, and sigma >= Q(v)/d for both members v, so
+    every frame of index sigma <= 2x has both members in Q <= 2xd.
     """
     from .dirichlet import ArithSeq
 
-    if not is_rational(g):
-        raise NotRationalError("use count_wr_nonrational for this lattice")
+    a, b, c = form = _rational_form(g, "use count_wr_nonrational for this lattice")
+    cap = 2 * x * (a * c - b * b)
+    ws = _primitive_vectors_up_to_norm(form, cap)
     thirds = [0] * x
-    for frame in _frames_for_count(g, x):
-        for n, boundary in _frame_hits(frame, x):
+    for _, _, sigma, qw, qz in _frames(ws, form, 2 * x, lambda z, qz: qz <= cap):
+        for n, boundary in _frame_hits((qw, 0, qz, None), sigma, x):
             thirds[n - 1] += 1 if boundary else 3
     out = []
     for n, t in enumerate(thirds, 1):

@@ -247,6 +247,40 @@ def test_bad_flag_value_exits_2(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frames", "--gram", "[[1,2],[2,4]]", "--bound", "2"],
+        ["census", "--gram", "[[1,2],[2,4]]", "--max", "5", "--mode", "formula"],
+        ["frames", "--gram", "[[1,2],[2,1]]", "--bound", "2"],
+        ["census", "--gram", "[[-1,0],[0,-2]]", "--max", "5", "--mode", "formula"],
+        ["census", "--gram", "[[0,1],[1,0]]", "--max", "5", "--mode", "formula"],
+        ["asympt", "--lattice", "custom", "--gram", "[[0,1],[1,0]]"],
+        ["frames", "--gram", "[[0,1],[1,0]]"],
+    ],
+)
+def test_not_positive_definite_exits_2(capsys, argv):
+    # refused when --gram is parsed, before any frame or count is made
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not positive definite")
+
+
+def test_frame_bound_is_refused_before_any_walk(capsys, monkeypatch):
+    from wellround import cli, general
+
+    def no_walk(g, H):
+        raise AssertionError("enumerate_frames called")
+
+    monkeypatch.setattr(general, "enumerate_frames", no_walk)
+    code, out, err = run(capsys, "frames", "--preset", "square", "--bound", str(cli.MAX_FRAME_BOUND + 1))
+    assert (code, out) == (2, "")
+    assert err == f"error: --bound must be at most {cli.MAX_FRAME_BOUND}\n"
+    monkeypatch.setattr(general, "enumerate_frames", lambda g, H: [])
+    code, out, _ = run(capsys, "frames", "--preset", "square", "--bound", str(cli.MAX_FRAME_BOUND))
+    assert (code, out) == (0, "w0,w1,z0,z1,sigma,kappa_sq,parity\r\n")
+
+
 def test_asympt_has_no_preset_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["asympt", "--lattice", "custom", "--preset", "square"])

@@ -21,11 +21,9 @@ from wellround.general import (
     nonrational_census,
     orthogonal_primitive,
     unique_frame,
-    _frame_from_w,
-    _window_hits_even,
-    _window_hits_odd,
+    _window_hits,
 )
-from wellround.gram import GramForm, LatticeType
+from wellround.gram import GramForm, LatticeType, NotPositiveDefiniteError, _integer_pairs
 from wellround.hexagonal import a_hex
 from wellround.scalar import NotRationalError, Scalar
 from wellround.square import a_square
@@ -106,6 +104,37 @@ def shape_lattices(draw, verdict):
     return g
 
 
+def _kappa(kappa_sq):
+    """kappa^2 as the integers (u, v, L, D) that `_window_hits` takes."""
+    D, L, ((u, v),) = _integer_pairs((kappa_sq,))
+    return u, v, L, D
+
+
+def _members(w, z):
+    """The four-element set {+-w, +-z} of a frame."""
+    return frozenset({w, (-w[0], -w[1]), z, (-z[0], -z[1])})
+
+
+def _frames_reference(g, H):
+    """Frames through the box |m|, |n| <= H by the Scalar route: the
+    orthogonal vector from `orthogonal_primitive`, kappa^2 from `g.value`,
+    deduplicated by their member sets in order of first appearance."""
+    frames = {}
+    for n in range(H + 1):
+        for m in range(-H, H + 1):
+            if (n == 0 and m <= 0) or gcd(m, n) != 1:
+                continue
+            w, z = (m, n), orthogonal_primitive((m, n), g)
+            kappa_sq = g.value(*w) / g.value(*z)
+            if kappa_sq < 1:
+                w, z, kappa_sq = z, w, 1 / kappa_sq
+            w, z = max(w, (-w[0], -w[1])), max(z, (-z[0], -z[1]))
+            sigma = abs(w[0] * z[1] - w[1] * z[0])
+            frame = (w, z, sigma, kappa_sq, "even" if sigma % 2 == 0 else "odd")
+            frames.setdefault(_members(w, z), frame)
+    return sorted(frames.values(), key=lambda f: (f[2], f[0], f[1]))
+
+
 def _window_direct(kappa_sq, scale, x, odd):
     """Every (p, q) tested on its own with two exact sign tests."""
     step = 2 if odd else 1
@@ -149,7 +178,7 @@ class TestExistence:
 class TestUniqueFrame:
     def test_diag_1_sqrt2(self):
         frame = unique_frame(DIAG_1_SQRT2)
-        assert frame.key() == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+        assert _members(frame.w, frame.z) == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
         assert frame.sigma == 1
         assert frame.kappa_sq == SQRT2
         assert frame.parity == "odd"
@@ -190,9 +219,13 @@ class TestDualInvariants:
 
     def test_brs_parity_examples(self):
         # the parity of the index sigma = brs_index(w) travels with the frame
-        assert _frame_from_w((1, 0), (1, 0, 1)).parity == "odd"
-        assert _frame_from_w((1, 1), (1, 0, 1)).parity == "even"
-        assert _frame_from_w((1, 1), (1, 0, 2)).parity == "odd"
+        def parity(w, g):
+            (frame,) = [f for f in enumerate_frames(g, 1) if w in _members(f.w, f.z)]
+            return frame.parity
+
+        assert parity((1, 0), GramForm.of(1, 0, 1)) == "odd"
+        assert parity((1, 1), GramForm.of(1, 0, 1)) == "even"
+        assert parity((1, 1), GramForm.of(1, 0, 2)) == "odd"
 
     def test_rejects_imprimitive(self):
         with pytest.raises(NotPrimitiveVectorError):
@@ -275,7 +308,7 @@ class TestCsl:
 class TestFrames:
     def test_identity_frames(self):
         frames = enumerate_frames(GramForm.of(1, 0, 1), 1)
-        keys = {f.key() for f in frames}
+        keys = {_members(f.w, f.z) for f in frames}
         assert frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)}) in keys
         assert frozenset({(1, 1), (-1, -1), (1, -1), (-1, 1)}) in keys
         assert len(frames) == 2
@@ -294,6 +327,42 @@ class TestFrames:
     def test_requires_rational(self):
         with pytest.raises(NotRationalError):
             enumerate_frames(DIAG_1_SQRT2, 1)
+
+    def test_member_outside_the_box(self):
+        # every frame with a member in the box is listed: (4, -3) is listed
+        # through (1, 1), and (3, -1) through (0, 1), although its sign
+        # (-3, 1) precedes (0, 1) in the walk's (n, m) order, since it lies
+        # outside the box and is never walked
+        frames = enumerate_frames(GramForm.of(2, 1, 3), 1)
+        assert [(f.w, f.z, f.sigma, str(f.kappa_sq)) for f in frames] == [
+            ((1, -2), (1, 0), 2, "5"),
+            ((2, 1), (1, -1), 3, "5"),
+            ((3, -1), (0, 1), 3, "5"),
+            ((4, -3), (1, 1), 7, "5"),
+        ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(-8, 8),
+        st.integers(0, 30),
+        st.integers(1, 6),
+        st.sampled_from([Fraction(1), Fraction(3, 7), Fraction(2)]),
+    )
+    def test_matches_scalar_reference(self, a, b, extra, H, scale):
+        c = b * b // a + 1 + extra
+        assume(gcd(gcd(a, abs(b)), c) == 1)
+        g = GramForm.of(a, b, c).scale(scale)
+        frames = enumerate_frames(g, H)
+        assert [(f.w, f.z, f.sigma, f.kappa_sq, f.parity) for f in frames] == _frames_reference(g, H)
+
+    @pytest.mark.parametrize("form", [(1, 2, 4), (1, 2, 1), (-1, 0, -2), (0, 1, 0)])
+    def test_rejects_forms_not_positive_definite(self, form):
+        g = GramForm.of(*form)
+        with pytest.raises(NotPositiveDefiniteError):
+            enumerate_frames(g, 2)
+        with pytest.raises(NotPositiveDefiniteError):
+            count_wr_rational(g, 5)
 
 
 class TestNonRationalCounting:
@@ -363,7 +432,7 @@ class TestWindow:
     @pytest.mark.parametrize("sigma", [1, 2, 3, 4, 6])
     def test_even_matches_direct_loop(self, kappa_sq, sigma):
         x = 300
-        assert list(_window_hits_even(kappa_sq, sigma, x)) == _window_direct(
+        assert list(_window_hits(_kappa(kappa_sq), 2 * sigma, x, odd=False)) == _window_direct(
             kappa_sq, 2 * sigma, x, odd=False
         )
 
@@ -371,17 +440,19 @@ class TestWindow:
     @pytest.mark.parametrize("sigma", [2, 4, 6])
     def test_odd_matches_direct_loop(self, kappa_sq, sigma):
         x = 300
-        assert list(_window_hits_odd(kappa_sq, sigma, x)) == _window_direct(
+        assert list(_window_hits(_kappa(kappa_sq), sigma // 2, x, odd=True)) == _window_direct(
             kappa_sq, sigma // 2, x, odd=True
         )
 
+    # sigma = 2: the even window has scale 2 sigma = 4, the odd one sigma/2 = 1
     @pytest.mark.parametrize(
-        "kappa_sq, window",
-        [(Scalar(3), _window_hits_even), (Scalar(3), _window_hits_odd),
-         (Scalar(Fraction(4, 3)), _window_hits_even)],
+        "kappa_sq, scale, odd",
+        [pytest.param(Scalar(3), 4, False, id="3-even"),
+         pytest.param(Scalar(3), 1, True, id="3-odd"),
+         pytest.param(Scalar(Fraction(4, 3)), 4, False, id="4/3-even")],
     )
-    def test_boundary_hits_are_found(self, kappa_sq, window):
-        assert any(on_boundary for _, on_boundary in window(kappa_sq, 2, 300))
+    def test_boundary_hits_are_found(self, kappa_sq, scale, odd):
+        assert any(on_boundary for _, on_boundary in _window_hits(_kappa(kappa_sq), scale, 300, odd))
 
 
 class TestRationalCounting:
