@@ -313,45 +313,6 @@ def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
     return ArithSeq(counts)
 
 
-def nonrational_census(g: GramForm, x: int) -> ArithSeq:
-    """Independent check of count_wr_nonrational by direct construction.
-
-    Builds every candidate sublattice <(kw+lz)/2, (kw-lz)/2> with k, l of
-    equal parity and tests well-roundedness by reduction, bypassing the
-    window inequalities entirely.
-    """
-    from .dirichlet import ArithSeq
-    from .gram import is_well_rounded
-
-    frame = unique_frame(g)
-    w, z = frame.w, frame.z
-    counts = [0] * x
-    sigma = frame.sigma
-    k = 1
-    # index is sigma*k*l/2; minimal l is 1
-    while sigma * k <= 2 * x:
-        for l in range(1, 2 * x // (sigma * k) + 1):
-            if (k - l) % 2:
-                continue
-            num = sigma * k * l
-            if num % 2:
-                continue
-            n = num // 2
-            if n > x:
-                break
-            u = ((k * w[0] + l * z[0]), (k * w[1] + l * z[1]))
-            v = ((k * w[0] - l * z[0]), (k * w[1] - l * z[1]))
-            if any(c % 2 for c in u + v):
-                continue
-            u = (u[0] // 2, u[1] // 2)
-            v = (v[0] // 2, v[1] // 2)
-            sub = g.transform(((u[0], v[0]), (u[1], v[1])))
-            if is_well_rounded(sub):
-                counts[n - 1] += 1
-        k += 1
-    return ArithSeq(counts)
-
-
 # -- rational lattices: frame enumeration and counting ------------------------
 
 

@@ -269,8 +269,10 @@ def is_rational(g: GramForm) -> bool:
     """True iff some positive multiple of g has all-rational entries.
 
     Scaling by 1/a makes the first entry 1, so the class is rational exactly
-    when b/a and c/a are both rational.
+    when b/a and c/a are both rational; a form that is not positive definite
+    raises NotPositiveDefiniteError first.
     """
+    g.check_positive_definite()
     return (g.b / g.a).is_rational and (g.c / g.a).is_rational
 
 

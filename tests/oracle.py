@@ -7,6 +7,8 @@ runs on exact `Scalar` arithmetic and tracks the change of basis, so that a
 test can compare the package's integer loops against a computation that
 shares none of their code.
 `quadratic_forms` draws the forms such comparisons run on.
+`nonrational_census` checks `count_wr_nonrational` by building every
+candidate sublattice of the unique frame, with no window inequality.
 """
 
 from __future__ import annotations
@@ -18,7 +20,9 @@ from fractions import Fraction
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from wellround.gram import GramForm, Unimodular
+from wellround.dirichlet import ArithSeq
+from wellround.general import unique_frame
+from wellround.gram import GramForm, Unimodular, is_well_rounded
 from wellround.scalar import Scalar
 
 _SWAP = Unimodular(((0, 1), (1, 0)))
@@ -134,3 +138,39 @@ def quadratic_forms(draw):
     for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
         U = U @ Unimodular(((0, 1), (1, k)))
     return g.transform(U)
+
+
+def nonrational_census(g: GramForm, x: int) -> ArithSeq:
+    """Independent check of count_wr_nonrational by direct construction.
+
+    Builds every candidate sublattice <(kw+lz)/2, (kw-lz)/2> with k, l of
+    equal parity and tests well-roundedness by reduction, bypassing the
+    window inequalities entirely.
+    """
+    frame = unique_frame(g)
+    w, z = frame.w, frame.z
+    counts = [0] * x
+    sigma = frame.sigma
+    k = 1
+    # index is sigma*k*l/2; minimal l is 1
+    while sigma * k <= 2 * x:
+        for l in range(1, 2 * x // (sigma * k) + 1):
+            if (k - l) % 2:
+                continue
+            num = sigma * k * l
+            if num % 2:
+                continue
+            n = num // 2
+            if n > x:
+                break
+            u = ((k * w[0] + l * z[0]), (k * w[1] + l * z[1]))
+            v = ((k * w[0] - l * z[0]), (k * w[1] - l * z[1]))
+            if any(c % 2 for c in u + v):
+                continue
+            u = (u[0] // 2, u[1] // 2)
+            v = (v[0] // 2, v[1] // 2)
+            sub = g.transform(((u[0], v[0]), (u[1], v[1])))
+            if is_well_rounded(sub):
+                counts[n - 1] += 1
+        k += 1
+    return ArithSeq(counts)

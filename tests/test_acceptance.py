@@ -18,7 +18,6 @@ from wellround.general import (
     count_wr_nonrational,
     count_wr_rational,
     g_star,
-    nonrational_census,
     orthogonal_primitive,
 )
 from wellround.gram import (
@@ -33,6 +32,7 @@ from wellround.square import a_square, b_square, fukshansky_superset_member
 from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
+from oracle import nonrational_census
 
 BIG_X = 1_000_000
 CHECKPOINTS = (10_000, 100_000, 1_000_000)

@@ -465,6 +465,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
         "seen = [sorted(sys.modules.keys() & {'numpy', 'mpmath'})]\n"
         "wellround.cli.main(['classify', '--preset', 'square'])\n"
         "wellround.cli.main(['census', '--preset', 'square', '--max', '30'])\n"
+        "wellround.cli.main(['census', '--gram', '[[2,1],[1,3]]', '--max', '30'])\n"
+        "wellround.cli.main(['census', '--gram', 'diag(1,sqrt(2))', '--max', '30'])\n"
         "seen.append(sorted(sys.modules.keys() & {'numpy', 'mpmath'}))\n"
         "print(json.dumps(seen))\n"
     )

@@ -18,16 +18,23 @@ from wellround.general import (
     existence,
     g_star,
     gamma_tilde_and_csl,
-    nonrational_census,
     orthogonal_primitive,
     unique_frame,
     _window_hits,
 )
-from wellround.gram import GramForm, LatticeType, NotPositiveDefiniteError, _integer_pairs
+from wellround.gram import (
+    GramForm,
+    LatticeType,
+    NotPositiveDefiniteError,
+    _integer_pairs,
+    is_rational,
+)
 from wellround.hexagonal import a_hex
 from wellround.scalar import NotRationalError, Scalar
 from wellround.square import a_square
 from wellround.sublattices import wr_census_bruteforce
+
+from oracle import nonrational_census
 
 SQRT2 = Scalar(0, 1, 2)
 DIAG_1_SQRT2 = GramForm(Scalar(1), Scalar(0), SQRT2)
@@ -366,6 +373,15 @@ class TestFrames:
 
 
 class TestNonRationalCounting:
+    @pytest.mark.parametrize("form", [(0, 1, 0), (-1, 0, -2), (1, 2, 1)])
+    def test_rejects_forms_not_positive_definite(self, form):
+        # is_rational divides by a, so the form is tested before it
+        g = GramForm.of(*form)
+        with pytest.raises(NotPositiveDefiniteError):
+            is_rational(g)
+        with pytest.raises(NotPositiveDefiniteError):
+            count_wr_nonrational(g, 5)
+
     def test_diag_1_sqrt2_values(self):
         counts = count_wr_nonrational(DIAG_1_SQRT2, 10)
         assert counts[1] == 0

@@ -106,7 +106,7 @@ def _oracle_csv(g: GramForm, N: int) -> str:
     for n in range(1, N + 1):
         for basis in hnf_enumerate(n):
             r, _ = gauss_reduce(sublattice_gram(basis, g))
-            report.tally(n, classify_reduced(r.a, r.b, r.c))
+            report.by_type[classify_reduced(r.a, r.b, r.c)][n - 1] += 1
     return report.to_csv()
 
 
@@ -115,8 +115,21 @@ class TestIntegerCensusCore:
     @given(quadratic_forms(), st.integers(1, 30))
     @example(GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2)), 30)
     @example(GramForm.of(1, Fraction(1, 2), Fraction(1, 3)), 30)
+    # large entries (past 2^63 in the first), and b < 0 in a basis that is not reduced
+    @example(GramForm.of(10**19, 1, 10**19 + 7), 30)
+    @example(GramForm.of(1, 0, 10**12), 30)
+    @example(GramForm.of(5, -7, 11), 30)
     def test_matches_scalar_oracle(self, g, N):
         assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
+
+    @pytest.mark.parametrize(
+        "g",
+        [GramForm.of(2, 1, 3), GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))],
+        ids=["Q", "Q(sqrt2)"],
+    )
+    def test_walk_visits_each_hnf_triple_once(self, g):
+        r = wr_census_bruteforce(g, 200)
+        assert [r.total(n) for n in range(1, 201)] == [sigma_1(n) for n in range(1, 201)]
 
     def test_mixed_fields_are_refused(self):
         # b^2 = 1/2 is rational, so the form is positive definite, but its
