@@ -318,8 +318,8 @@ def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
 
 def _rational_form(g: GramForm, why: str) -> tuple[int, int, int]:
     """The integral primitive form (a, b, c) of a positive definite rational
-    lattice; any other lattice raises NotRationalError(why)."""
-    g.check_positive_definite()
+    lattice; is_rational raises NotPositiveDefiniteError on a form that is not
+    positive definite, and any other lattice raises NotRationalError(why)."""
     if not is_rational(g):
         raise NotRationalError(why)
     return _check_integral_primitive(rational_normalize(g)[0])

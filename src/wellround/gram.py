@@ -35,6 +35,11 @@ class NotPositiveDefiniteError(ValueError):
 
 
 class LatticeType(enum.Enum):
+    # members are singletons compared by identity, so the identity hash agrees
+    # with ==; it spares each dict lookup (one per census tally) the
+    # Python-level Enum.__hash__
+    __hash__ = object.__hash__
+
     GENERAL = "general"
     RECTANGULAR = "rectangular"
     CENTRED_RECTANGULAR = "centred_rectangular"

@@ -10,9 +10,10 @@ oracle against which every generating-function counter is checked.
 then k < m, so no divisor is searched for; the form is scaled once to
 integer pairs, and the reduction loop of its field is chosen before the
 walk: plain-int `_reduce_int` for a form over Q, whose type is read off
-inline into six tally columns, and the Z[sqrt(D)] pair loop `_reduce_pair`
-otherwise.  These are the loops that `gram.gauss_reduce` wraps, so the
-census and the public reduction share one reduction per field.
+inline, and the Z[sqrt(D)] pair loop `_reduce_pair` otherwise.  These are
+the loops that `gram.gauss_reduce` wraps, so the census and the public
+reduction share one reduction per field.  Each sublattice is counted by one
+`CensusReport.tally` call.
 """
 
 from __future__ import annotations
@@ -68,6 +69,9 @@ class CensusReport:
         for t in _TYPE_ORDER:
             self.by_type.setdefault(t, [0] * self.N)
 
+    def tally(self, n: int, t: LatticeType) -> None:
+        self.by_type[t][n - 1] += 1
+
     def total(self, n: int) -> int:
         return sum(self.by_type[t][n - 1] for t in _TYPE_ORDER)
 
@@ -109,52 +113,50 @@ class CensusReport:
 def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     """Classify every sublattice of index <= N; exhaustive oracle.
 
-    Walks the HNF triples by m, then l <= N // m, then 0 <= k < m, with the
-    terms of the sublattice form that do not depend on k computed once per
-    (m, l): the form of (m, k, l) is (a m^2, a m k + b m l, a k^2 + 2 b k l
-    + c l^2) on g's integer pairs, and it is tallied at column i = ml - 1.
+    Walks the HNF triples by m, then l <= N // m, then 0 <= k < m.  The form
+    of (m, k, l) is (a m^2, a m k + b m l, a k^2 + 2 b k l + c l^2) on g's
+    integer pairs; over Q its terms that do not depend on k are computed once
+    per (m, l).  Its type is tallied at index n = ml.
     """
     g.check_positive_definite()
     if N < 1:
         raise ValueError("census bound must be positive")
     D, _, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs((g.a, g.b, g.c))
     report = CensusReport(N)
+    tally = report.tally
     if D is None:
-        general, rectangular, centred, rhombic, square, hexagonal = (
-            report.by_type[t] for t in _TYPE_ORDER
-        )
+        general, rectangular, centred, rhombic, square, hexagonal = _TYPE_ORDER
         for m in range(1, N + 1):
             a, axm = ax * m * m, ax * m
             for l in range(1, N // m + 1):
-                i, b0, bl2, cl = m * l - 1, bx * m * l, 2 * bx * l, cx * l * l
+                n, b0, bl2, cl = m * l, bx * m * l, 2 * bx * l, cx * l * l
                 for k in range(m):
                     # classify_reduced, inlined: b = 0, then a = c, then a = 2b
                     ra, rb, rc = _reduce_int(a, axm * k + b0, (ax * k + bl2) * k + cl)
                     if not rb:
-                        (square if ra == rc else rectangular)[i] += 1
+                        tally(n, square if ra == rc else rectangular)
                     elif ra == rc:
-                        (hexagonal if ra == 2 * rb else rhombic)[i] += 1
+                        tally(n, hexagonal if ra == 2 * rb else rhombic)
                     else:
-                        (centred if ra == 2 * rb else general)[i] += 1
+                        tally(n, centred if ra == 2 * rb else general)
         return report
-    by_type = report.by_type
     for m in range(1, N + 1):
-        mm = m * m
-        axmm, aymm, axm, aym = ax * mm, ay * mm, ax * m, ay * m
         for l in range(1, N // m + 1):
-            i, ml, l2, ll = m * l - 1, m * l, 2 * l, l * l
-            bx0, by0, bxl2, byl2, cxl, cyl = bx * ml, by * ml, bx * l2, by * l2, cx * ll, cy * ll
+            n = m * l
             for k in range(m):
-                t = _classify_pair(
-                    *_reduce_pair(
-                        axmm,
-                        aymm,
-                        axm * k + bx0,
-                        aym * k + by0,
-                        (ax * k + bxl2) * k + cxl,
-                        (ay * k + byl2) * k + cyl,
-                        D,
-                    )
+                mm, mk, kk, kl, ll = m * m, m * k, k * k, 2 * k * l, l * l
+                tally(
+                    n,
+                    _classify_pair(
+                        *_reduce_pair(
+                            ax * mm,
+                            ay * mm,
+                            ax * mk + bx * n,
+                            ay * mk + by * n,
+                            ax * kk + bx * kl + cx * ll,
+                            ay * kk + by * kl + cy * ll,
+                            D,
+                        )
+                    ),
                 )
-                by_type[t][i] += 1
     return report
