@@ -17,11 +17,9 @@ from .general import (
     ExistenceVerdict,
     InvariantError,
     NoFrameError,
-    NotApplicableError,
     ReflectionFrame,
     brs_index,
-    count_wr_nonrational,
-    count_wr_rational,
+    count_wr,
     enumerate_frames,
     existence,
     g_star,
@@ -76,7 +74,6 @@ __all__ = [
     "LatticeType",
     "MixedRadicandError",
     "NoFrameError",
-    "NotApplicableError",
     "NotPositiveDefiniteError",
     "NotRationalError",
     "OutOfRangeError",
@@ -93,8 +90,7 @@ __all__ = [
     "classify",
     "classify_reduced",
     "convolve",
-    "count_wr_nonrational",
-    "count_wr_rational",
+    "count_wr",
     "enumerate_frames",
     "existence",
     "g_star",

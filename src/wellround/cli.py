@@ -18,15 +18,15 @@ import math
 import sys
 from typing import TYPE_CHECKING
 
-from .general import InvariantError
+from .general import InvariantError, count_wr
 from .gram import (
     HEXAGONAL_GRAM,
     SQUARE_GRAM,
     GramForm,
     NotPositiveDefiniteError,
     classify,
+    classify_reduced,
     gauss_reduce,
-    is_rational,
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
 from .sublattices import _CSV_HEADER, wr_census_bruteforce
@@ -137,7 +137,7 @@ def _float_field(value: float, abs_error: float) -> dict:
 def cmd_reduce(args) -> int:
     g = _spec_gram(args)
     reduced = gauss_reduce(g)
-    kind = classify(g).value.replace("_", " ")
+    kind = classify_reduced(reduced.a, reduced.b, reduced.c).value.replace("_", " ")
     if args.format == "json":
         print(json.dumps({"gram": reduced.to_json(), "type": kind}))
     else:
@@ -156,13 +156,6 @@ def cmd_classify(args) -> int:
 
 
 def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
-    from .dirichlet import ArithSeq
-    from .general import (
-        ExistenceVerdict,
-        count_wr_nonrational,
-        count_wr_rational,
-        existence,
-    )
     from .hexagonal import a_hex
     from .square import a_square
 
@@ -170,12 +163,7 @@ def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
         return a_square(N)
     if preset == "hexagonal":
         return a_hex(N)
-    if is_rational(g):
-        return count_wr_rational(g, N)
-    verdict = existence(g)
-    if verdict == ExistenceVerdict.NO_WELL_ROUNDED:
-        return ArithSeq([0] * N)
-    return count_wr_nonrational(g, N)
+    return count_wr(g, N)
 
 
 def cmd_census(args) -> int:

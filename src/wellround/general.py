@@ -7,7 +7,9 @@ it is well-rounded exactly when the length ratio l|z| / (k|w|) lies in
 [1/sqrt(3), sqrt(3)].  Non-rational lattices admit at most one such pair up
 to signs, rational lattices infinitely many.  Counting therefore reduces to
 enumerating orthogonal pairs and lattice points in a sqrt(3)-window, with
-all inequalities decided exactly by squaring.
+all inequalities decided exactly by squaring.  One counter, `count_wr`,
+serves every lattice: the existence verdict picks the pairs, and one loop
+tallies their window hits.
 
 For a rational lattice the pairs stream from one walk in plain integers on
 the integral primitive form (`_frames`): each pair is yielded once, at the
@@ -22,7 +24,9 @@ Boundary hits of the window are precisely the hexagonal sublattices; in a
 rational lattice each hexagonal sublattice is invariant under three
 orthogonal pairs and hence appears as a boundary hit in exactly three window
 counts, so boundary hits carry weight 1/3.  A square sublattice appears only
-through the pair aligned with its diagonals, so no adjustment is needed.
+through the pair aligned with its diagonals, so no adjustment is needed.  A
+non-rational lattice has no boundary hits: its one pair has an irrational
+kappa^2, since a rational one would make the lattice rational.
 """
 
 from __future__ import annotations
@@ -44,10 +48,6 @@ Vec = tuple[int, int]
 
 class NoFrameError(ValueError):
     """Requested the unique orthogonal pair of a lattice that has none or many."""
-
-
-class NotApplicableError(ValueError):
-    """Counting routine called outside its rationality class."""
 
 
 class NotPrimitiveVectorError(ValueError):
@@ -297,31 +297,15 @@ def _frame_hits(kappa: tuple, sigma: int, x: int):
         yield from _window_hits(kappa, sigma // 2, x, odd=True)
 
 
-def count_wr_nonrational(g: GramForm, x: int) -> ArithSeq:
-    """Well-rounded sublattice counts by index for a non-rational lattice."""
-    from .dirichlet import ArithSeq
-
-    if is_rational(g):
-        raise NotApplicableError("lattice is rational; use count_wr_rational")
-    frame = unique_frame(g)
-    D, L, ((u, v),) = _integer_pairs((frame.kappa_sq,))
-    counts = [0] * x
-    for n, boundary in _frame_hits((u, v, L, D), frame.sigma, x):
-        if boundary:  # a hexagonal sublattice forces a rational similarity class
-            raise InvariantError(f"window boundary hit at index {n} of a non-rational lattice")
-        counts[n - 1] += 1
-    return ArithSeq(counts)
+# -- rational lattices: frame enumeration -------------------------------------
 
 
-# -- rational lattices: frame enumeration and counting ------------------------
-
-
-def _rational_form(g: GramForm, why: str) -> tuple[int, int, int]:
+def _rational_form(g: GramForm) -> tuple[int, int, int]:
     """The integral primitive form (a, b, c) of a positive definite rational
     lattice; is_rational raises NotPositiveDefiniteError on a form that is not
-    positive definite, and any other lattice raises NotRationalError(why)."""
+    positive definite, and any other lattice raises NotRationalError."""
     if not is_rational(g):
-        raise NotRationalError(why)
+        raise NotRationalError("frame enumeration needs a rational lattice")
     return _check_integral_primitive(rational_normalize(g)[0])
 
 
@@ -379,7 +363,7 @@ def _frames(ws, form: tuple[int, int, int], sigma_cap: int | None, walked):
 def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
     """Every orthogonal pair with a member whose coordinates are at most H in
     absolute value; its other member may lie outside that box."""
-    form = _rational_form(g, "frame enumeration needs a rational lattice")
+    form = _rational_form(g)
     ws = (
         (m, n)
         for n in range(0, H + 1)
@@ -393,28 +377,46 @@ def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
     )
 
 
-def count_wr_rational(g: GramForm, x: int) -> ArithSeq:
-    """Well-rounded sublattice counts by index for a rational lattice.
+# -- counting -----------------------------------------------------------------
 
-    Sums window counts over all contributing orthogonal pairs; window
-    boundary hits are hexagonal sublattices shared by three pairs and enter
-    with weight 1/3, so the tally is kept in thirds.  A frame's smallest
-    index is at least sigma/2, and sigma >= Q(v)/d for both members v, so
-    every frame of index sigma <= 2x has both members in Q <= 2xd.
+
+def count_wr(g: GramForm, x: int) -> ArithSeq:
+    """Well-rounded sublattice counts by index 1..x of any planar lattice.
+
+    The existence verdict picks the frames whose window counts are summed:
+    for a rational lattice every frame of index sigma <= 2x, streamed by
+    `_frames` (a frame's smallest index is at least sigma/2, and
+    sigma >= Q(v)/d for both members v, so both lie in Q <= 2xd); for a
+    non-rational one its unique frame; none when the lattice has no
+    well-rounded sublattice.  The tally is kept in thirds: a boundary hit
+    counts 1, any other hit 3.
     """
     from .dirichlet import ArithSeq
 
-    a, b, c = form = _rational_form(g, "use count_wr_nonrational for this lattice")
-    cap = 2 * x * (a * c - b * b)
-    ws = _primitive_vectors_up_to_norm(form, cap)
+    if x < 1:
+        raise ValueError("count bound must be positive")
+    verdict = existence(g)
+    if verdict is ExistenceVerdict.RATIONAL_LATTICE:
+        a, b, c = form = _rational_form(g)
+        cap = 2 * x * (a * c - b * b)
+        ws = _primitive_vectors_up_to_norm(form, cap)
+        frames = (
+            (sigma, (qw, 0, qz, None))
+            for _, _, sigma, qw, qz in _frames(ws, form, 2 * x, lambda z, qz: qz <= cap)
+        )
+    elif verdict is ExistenceVerdict.NO_WELL_ROUNDED:
+        frames = ()
+    else:
+        frame = unique_frame(g)
+        D, L, ((u, v),) = _integer_pairs((frame.kappa_sq,))
+        if v == 0:
+            raise InvariantError(f"rational kappa^2 = {frame.kappa_sq} in a non-rational lattice")
+        frames = ((frame.sigma, (u, v, L, D)),)
     thirds = [0] * x
-    for _, _, sigma, qw, qz in _frames(ws, form, 2 * x, lambda z, qz: qz <= cap):
-        for n, boundary in _frame_hits((qw, 0, qz, None), sigma, x):
+    for sigma, kappa in frames:
+        for n, boundary in _frame_hits(kappa, sigma, x):
             thirds[n - 1] += 1 if boundary else 3
-    out = []
-    for n, t in enumerate(thirds, 1):
-        q, r = divmod(t, 3)
-        if r:
-            raise InvariantError(f"non-integral count {t}/3 at index {n}; frame set inconsistent")
-        out.append(q)
-    return ArithSeq(out)
+    if any([t % 3 for t in thirds]):
+        n, t = next((n, t) for n, t in enumerate(thirds, 1) if t % 3)
+        raise InvariantError(f"non-integral count {t}/3 at index {n}; frame set inconsistent")
+    return ArithSeq([t // 3 for t in thirds])

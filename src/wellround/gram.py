@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalar import MixedRadicandError, Rat, Scalar
+from .scalar import MixedRadicandError, Rat, Scalar, _sign_pair
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -174,17 +174,6 @@ def _integer_pairs(
     L = math.lcm(*(part.denominator for e in entries for part in (e.rat, e.irr)))
     pairs = tuple((int(e.rat * L), int(e.irr * L)) for e in entries)
     return (roots[0] if roots else None), L, pairs
-
-
-def _sign_pair(x: int, y: int, D: int) -> int:
-    """Exact sign of x + y sqrt(D), by integer squaring as in Scalar.sign."""
-    if x >= 0 and y >= 0:
-        return 1 if x or y else 0
-    if x <= 0 and y <= 0:
-        return -1
-    # opposite signs; x^2 = y^2 D is impossible for squarefree D > 1, y != 0
-    d = x * x - y * y * D
-    return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
 
 
 def _floor_pair(p: int, q: int, w: int, D: int | None) -> int:

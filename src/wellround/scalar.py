@@ -35,6 +35,17 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _sign_pair(x: int, y: int, D: int) -> int:
+    """Exact sign of x + y sqrt(D) for integers x, y, by integer squaring."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    # opposite signs; x^2 = y^2 D is impossible for squarefree D > 1, y != 0
+    d = x * x - y * y * D
+    return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
+
+
 class Scalar:
     """Immutable exact number r + i*sqrt(D), with r, i rational.
 
@@ -132,22 +143,12 @@ class Scalar:
     # -- exact ordering -------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}."""
+        """Exact sign in {-1, 0, 1}: that of the value times the positive
+        r.den * i.den, an integer pair for `_sign_pair`."""
         r, i = self.rat, self.irr
         if i == 0:
             return (r > 0) - (r < 0)
-        if r == 0:
-            return 1 if i > 0 else -1
-        D = self.root
-        if r > 0 and i > 0:
-            return 1
-        if r < 0 and i < 0:
-            return -1
-        # opposite signs: compare r^2 against i^2 D
-        lhs, rhs = r * r, i * i * D
-        if r > 0:  # i < 0
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return 1 if rhs > lhs else (-1 if rhs < lhs else 0)
+        return _sign_pair(r.numerator * i.denominator, i.numerator * r.denominator, self.root)
 
     def _cmp(self, other) -> int:
         return (self - Scalar.of(other)).sign()

@@ -7,8 +7,8 @@ runs on exact `Scalar` arithmetic and tracks the change of basis, so that a
 test can compare the package's integer loops against a computation that
 shares none of their code.
 `quadratic_forms` draws the forms such comparisons run on.
-`nonrational_census` checks `count_wr_nonrational` by building every
-candidate sublattice of the unique frame, with no window inequality.
+`nonrational_census` checks `count_wr` on non-rational lattices by building
+every candidate sublattice of the unique frame, with no window inequality.
 """
 
 from __future__ import annotations
@@ -141,7 +141,7 @@ def quadratic_forms(draw):
 
 
 def nonrational_census(g: GramForm, x: int) -> ArithSeq:
-    """Independent check of count_wr_nonrational by direct construction.
+    """Independent check of count_wr on a non-rational lattice by direct construction.
 
     Builds every candidate sublattice <(kw+lz)/2, (kw-lz)/2> with k, l of
     equal parity and tests well-roundedness by reduction, bypassing the

@@ -15,8 +15,7 @@ import pytest
 from wellround import asympt
 from wellround.general import (
     brs_index,
-    count_wr_nonrational,
-    count_wr_rational,
+    count_wr,
     g_star,
     orthogonal_primitive,
 )
@@ -162,11 +161,11 @@ def test_criterion_06_similar_sublattice_asymptotics():
 def test_criterion_07_nonrational_law():
     g = GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))
     census = wr_census_bruteforce(g, 200)
-    counts_small = count_wr_nonrational(g, 200)
+    counts_small = count_wr(g, 200)
     exact_ok = list(counts_small) == census.well_rounded_list()
     independent_ok = list(counts_small) == list(nonrational_census(g, 200))
     x = 10_000
-    A = count_wr_nonrational(g, x).summatory(x)
+    A = count_wr(g, x).summatory(x)
     target = math.log(3) / 4 * x
     band_ok = abs(A - target) <= NONRATIONAL_BAND * math.sqrt(x)
     ok = exact_ok and independent_ok and band_ok
@@ -180,11 +179,11 @@ def test_criterion_07_nonrational_law():
 
 def test_criterion_08_rational_general_consistency():
     N = 100
-    ok = list(count_wr_rational(GramForm.of(1, 0, 1), N)) == list(a_square(N))
-    ok = ok and list(count_wr_rational(GramForm.of(2, 1, 2), N)) == list(a_hex(N))
+    ok = list(count_wr(GramForm.of(1, 0, 1), N)) == list(a_square(N))
+    ok = ok and list(count_wr(GramForm.of(2, 1, 2), N)) == list(a_hex(N))
     for g in (GramForm.of(1, 0, 2), GramForm.of(2, 1, 3)):
         census = wr_census_bruteforce(g, N)
-        ok = ok and list(count_wr_rational(g, N)) == census.well_rounded_list()
+        ok = ok and list(count_wr(g, N)) == census.well_rounded_list()
     _report("criterion 8: rational assembly matches both pipelines and censuses", ok)
     assert ok
 

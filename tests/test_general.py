@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import wellround.general as general
 from wellround.general import (
     ExistenceVerdict,
+    InvariantError,
     NoFrameError,
     NotIntegralFormError,
     NotPrimitiveVectorError,
     brs_index,
-    count_wr_nonrational,
-    count_wr_rational,
+    count_wr,
     enumerate_frames,
     existence,
     g_star,
@@ -369,7 +371,7 @@ class TestFrames:
         with pytest.raises(NotPositiveDefiniteError):
             enumerate_frames(g, 2)
         with pytest.raises(NotPositiveDefiniteError):
-            count_wr_rational(g, 5)
+            count_wr(g, 5)
 
 
 class TestNonRationalCounting:
@@ -380,21 +382,21 @@ class TestNonRationalCounting:
         with pytest.raises(NotPositiveDefiniteError):
             is_rational(g)
         with pytest.raises(NotPositiveDefiniteError):
-            count_wr_nonrational(g, 5)
+            count_wr(g, 5)
 
     def test_diag_1_sqrt2_values(self):
-        counts = count_wr_nonrational(DIAG_1_SQRT2, 10)
+        counts = count_wr(DIAG_1_SQRT2, 10)
         assert counts[1] == 0
         assert counts[2] == 1
 
     def test_matches_census(self):
         N = 60
         census = wr_census_bruteforce(DIAG_1_SQRT2, N)
-        assert list(count_wr_nonrational(DIAG_1_SQRT2, N)) == census.well_rounded_list()
+        assert list(count_wr(DIAG_1_SQRT2, N)) == census.well_rounded_list()
 
     def test_matches_independent_window_census(self):
         N = 120
-        assert list(count_wr_nonrational(DIAG_1_SQRT2, N)) == list(
+        assert list(count_wr(DIAG_1_SQRT2, N)) == list(
             nonrational_census(DIAG_1_SQRT2, N)
         )
 
@@ -403,7 +405,7 @@ class TestNonRationalCounting:
         if existence(g) != ExistenceVerdict.NO_WELL_ROUNDED:
             N = 40
             census = wr_census_bruteforce(g, N)
-            assert list(count_wr_nonrational(g, N)) == census.well_rounded_list()
+            assert list(count_wr(g, N)) == census.well_rounded_list()
 
 
     @pytest.mark.parametrize("g", NORM_CONDITION_LATTICES, ids=["t=sqrt2,n=4", "t=sqrt5,n=3+sqrt5"])
@@ -411,36 +413,41 @@ class TestNonRationalCounting:
         assert existence(g) == ExistenceVerdict.NORM_CONDITION_HOLDS
         N = 36
         census = wr_census_bruteforce(g, N)
-        assert list(count_wr_nonrational(g, N)) == census.well_rounded_list()
+        assert list(count_wr(g, N)) == census.well_rounded_list()
 
 
 class TestPipelinesPerVerdict:
-    """Every non-rational pipeline against the census, on random lattices
-    drawn per existence verdict."""
+    """The counter, and the independent construction of non-rational counts,
+    against the census on random lattices drawn per existence verdict."""
 
-    @pytest.mark.parametrize(
-        "verdict",
-        [ExistenceVerdict.TRACE_RATIONAL_ONLY, ExistenceVerdict.NORM_CONDITION_HOLDS],
-        ids=lambda v: v.value,
-    )
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize("verdict", list(ExistenceVerdict), ids=lambda v: v.value)
+    @settings(max_examples=25, deadline=None)
     @given(data=st.data(), N=st.integers(1, 60))
     def test_counters_match_census(self, verdict, data, N):
-        g = data.draw(shape_lattices(verdict))
+        if verdict is ExistenceVerdict.RATIONAL_LATTICE:
+            g = data.draw(reduced_primitive_forms())
+        else:
+            g = data.draw(shape_lattices(verdict))
         assert existence(g) == verdict
         census = wr_census_bruteforce(g, N).well_rounded_list()
-        assert list(count_wr_nonrational(g, N)) == census
-        assert list(nonrational_census(g, N)) == census
+        assert list(count_wr(g, N)) == census
+        if verdict is ExistenceVerdict.NO_WELL_ROUNDED:
+            assert census == [0] * N
+            with pytest.raises(NoFrameError):
+                nonrational_census(g, N)
+        elif verdict is not ExistenceVerdict.RATIONAL_LATTICE:
+            assert list(nonrational_census(g, N)) == census
 
-    @settings(max_examples=20, deadline=None)
-    @given(shape_lattices(ExistenceVerdict.NO_WELL_ROUNDED), st.integers(1, 60))
-    def test_no_well_rounded_census_is_zero(self, g, N):
-        assert existence(g) == ExistenceVerdict.NO_WELL_ROUNDED
-        assert wr_census_bruteforce(g, N).well_rounded_list() == [0] * N
-        with pytest.raises(NoFrameError):
-            count_wr_nonrational(g, N)
-        with pytest.raises(NoFrameError):
-            nonrational_census(g, N)
+    def test_rational_kappa_sq_of_a_nonrational_frame_is_refused(self, monkeypatch):
+        frame = replace(unique_frame(DIAG_1_SQRT2), kappa_sq=Scalar(3))
+        monkeypatch.setattr(general, "unique_frame", lambda g: frame)
+        with pytest.raises(InvariantError, match="rational kappa"):
+            count_wr(DIAG_1_SQRT2, 10)
+
+    @pytest.mark.parametrize("x", [0, -1])
+    def test_refuses_a_bound_below_one(self, x):
+        with pytest.raises(ValueError, match="count bound must be positive"):
+            count_wr(GramForm.of(2, 1, 3), x)
 
 
 class TestWindow:
@@ -472,23 +479,17 @@ class TestWindow:
 
 
 class TestRationalCounting:
-    @settings(max_examples=25, deadline=None)
-    @given(reduced_primitive_forms(), st.integers(1, 60))
-    def test_matches_census_on_random_forms(self, g, N):
-        census = wr_census_bruteforce(g, N)
-        assert list(count_wr_rational(g, N)) == census.well_rounded_list()
-
     def test_reproduces_square_pipeline(self):
         N = 40
-        assert list(count_wr_rational(GramForm.of(1, 0, 1), N)) == list(a_square(N))
+        assert list(count_wr(GramForm.of(1, 0, 1), N)) == list(a_square(N))
 
     def test_reproduces_hex_pipeline(self):
         N = 40
-        assert list(count_wr_rational(GramForm.of(2, 1, 2), N)) == list(a_hex(N))
+        assert list(count_wr(GramForm.of(2, 1, 2), N)) == list(a_hex(N))
 
     def test_diag_1_2(self):
         N = 40
-        counts = count_wr_rational(GramForm.of(1, 0, 2), N)
+        counts = count_wr(GramForm.of(1, 0, 2), N)
         assert counts[2] == 1
         census = wr_census_bruteforce(GramForm.of(1, 0, 2), N)
         assert list(counts) == census.well_rounded_list()
@@ -497,13 +498,13 @@ class TestRationalCounting:
         N = 40
         g = GramForm.of(2, 1, 3)
         census = wr_census_bruteforce(g, N)
-        assert list(count_wr_rational(g, N)) == census.well_rounded_list()
+        assert list(count_wr(g, N)) == census.well_rounded_list()
 
     def test_diag_1_3(self):
         N = 40
         g = GramForm.of(1, 0, 3)
         census = wr_census_bruteforce(g, N)
-        assert list(count_wr_rational(g, N)) == census.well_rounded_list()
+        assert list(count_wr(g, N)) == census.well_rounded_list()
 
 
 def _has_hexagonal_sublattice(g: GramForm, N: int) -> bool:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from math import isqrt
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,14 +16,13 @@ from wellround.gram import (
     _integer_pairs,
     _reduce_pair,
     _round_half_pair,
-    _sign_pair,
     classify,
     gauss_reduce,
     is_rational,
     is_well_rounded,
     rational_normalize,
 )
-from wellround.scalar import Scalar
+from wellround.scalar import Scalar, _sign_pair
 
 from oracle import floor as oracle_floor
 from oracle import gauss_reduce as oracle_reduce
@@ -183,7 +183,10 @@ class TestIntegerPairs:
     @example(-7, 5, 2)  # 49 < 50: -7 + 5 sqrt(2) > 0
     @example(7, -5, 2)
     def test_sign_matches_scalar(self, x, y, D):
-        assert _sign_pair(x, y, D) == Scalar(x, y, D).sign()
+        # Scalar.sign itself calls _sign_pair, so mpmath is the reference
+        with mpmath.workdps(40):
+            expected = int(mpmath.sign(x + y * mpmath.sqrt(D)))
+        assert _sign_pair(x, y, D) == Scalar(x, y, D).sign() == expected
 
     @given(_PAIR_ENTRIES, _PAIR_ENTRIES, _PAIR_ENTRIES, _PAIR_ENTRIES, _RADICANDS)
     @example(3, 0, 2, 0, 2)  # b/a = 3/2 exactly rounds up
