@@ -34,9 +34,7 @@ from .gram import (
     classify,
     classify_reduced,
     gauss_reduce,
-    is_rational,
     is_well_rounded,
-    rational_normalize,
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
 from .sublattices import CensusReport, wr_census_bruteforce
@@ -97,9 +95,7 @@ __all__ = [
     "gamma_tilde_and_csl",
     "gauss_reduce",
     "is_admissible_index_square",
-    "is_rational",
     "is_well_rounded",
-    "rational_normalize",
     "unique_frame",
     "wr_census_bruteforce",
 ]

@@ -350,18 +350,17 @@ def _checkpoint_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=["csv", "json"],
-        default="csv",
-        help="output format (default csv)",
-    )
     parser = argparse.ArgumentParser(
         prog="wellround",
         description="Count and model well-rounded sublattices of planar lattices.",
-        parents=[common],
     )
+    common = argparse.ArgumentParser(add_help=False)
+    # the top-level --format defaults to csv; a subcommand's has no default,
+    # so that it replaces the top-level value only when given
+    for p, default in ((parser, "csv"), (common, argparse.SUPPRESS)):
+        p.add_argument(
+            "--format", choices=["csv", "json"], default=default, help="output format (default csv)"
+        )
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("reduce", "classify", "exists"):

@@ -11,6 +11,13 @@ all inequalities decided exactly by squaring.  One counter, `count_wr`,
 serves every lattice: the existence verdict picks the pairs, and one loop
 tallies their window hits.
 
+The verdict is decided once per call, on the entries as integer pairs
+x + y sqrt(D) (`_lattice_class`): a quotient of two pairs is rational exactly
+when their cross product vanishes, so the verdict, the integral primitive
+form of a rational lattice (`_primitive_form`) and the unique pair of a
+non-rational one (`_unique_frame`, with kappa^2 as integers) come from cross
+products and one integer square root, with no Scalar division.
+
 For a rational lattice the pairs stream from one walk in plain integers on
 the integral primitive form (`_frames`): each pair is yielded once, at the
 first of its members that the walk reaches, with kappa^2 kept as the integer
@@ -37,8 +44,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import TYPE_CHECKING
 
-from .gram import GramForm, _floor_pair, _integer_pairs, is_rational, rational_normalize
-from .scalar import NotRationalError, Scalar
+from .gram import GramForm, _floor_pair, _integer_pairs
+from .scalar import NotRationalError, Scalar, _sign_pair
 
 if TYPE_CHECKING:
     from .dirichlet import ArithSeq
@@ -118,21 +125,6 @@ def is_primitive(v: Vec) -> bool:
     return gcd(abs(v[0]), abs(v[1])) == 1
 
 
-def orthogonal_primitive(w: Vec, g: GramForm) -> Vec | None:
-    """Primitive lattice vector orthogonal to w under g, if one exists."""
-    # row w^T G = (alpha, beta); z = (x, y) needs alpha x + beta y = 0
-    alpha = g.a * w[0] + g.b * w[1]
-    beta = g.b * w[0] + g.c * w[1]
-    if beta.sign() == 0:
-        return (0, 1)
-    ratio = alpha / beta
-    if not ratio.is_rational:
-        return None
-    frac = ratio.as_fraction()
-    # alpha x + beta y = 0 with alpha/beta = p/q is solved by (q, -p)
-    return _primitive((frac.denominator, -frac.numerator))
-
-
 def _check_integral_primitive(g: GramForm) -> tuple[int, int, int]:
     if not g.is_integral():
         raise NotIntegralFormError(f"integral Gram form required, got {g}")
@@ -169,35 +161,42 @@ def brs_index(w: Vec, g: GramForm) -> int:
     return q
 
 
-def existence(g: GramForm) -> ExistenceVerdict:
-    """Decide whether g has any well-rounded sublattice, by case analysis
-    on the rationality of the normalized trace t = 2b/a and norm n = c/a."""
+def _cross(p: Vec, q: Vec) -> int:
+    return p[0] * q[1] - p[1] * q[0]
+
+
+def _lattice_class(g: GramForm) -> tuple[ExistenceVerdict, int | None, tuple[Vec, Vec, Vec]]:
+    """(verdict, D, (a, b, c)): the existence verdict of g, and its entries as
+    the integer pairs of `_integer_pairs`, x + y sqrt(D) as (x, y).
+
+    The verdict is a case analysis on the normalized trace t = 2b/a and norm
+    n = c/a.  A quotient p/q of pairs is rational exactly when
+    cross(p, q) = 0, so t is rational when cross(a, b) = 0, and n too when
+    cross(a, c) = 0.  For irrational t, n = q + r t means c = q a + 2r b, so
+    q = cross(c, b)/cross(a, b) and 2r = cross(a, c)/cross(a, b); then
+    q + r^2 = disc / (2 cross(a, b))^2 with
+    disc = 4 cross(c, b) cross(a, b) + cross(a, c)^2, a rational square
+    exactly when disc is a square integer.
+    """
     g.check_positive_definite()
-    t = g.b / g.a * 2
-    n = g.c / g.a
-    if t.is_rational and n.is_rational:
-        return ExistenceVerdict.RATIONAL_LATTICE
-    if t.is_rational:
-        return ExistenceVerdict.TRACE_RATIONAL_ONLY
-    # t irrational: need rational q, r with n = q + r t and q + r^2 a square
-    q, r = _norm_decomposition(t, n)
-    if q is None:
-        return ExistenceVerdict.NO_WELL_ROUNDED
-    disc = Scalar.of(q) + Scalar.of(r * r)
-    if disc.sign() >= 0 and disc.is_square_rational():
-        return ExistenceVerdict.NORM_CONDITION_HOLDS
-    return ExistenceVerdict.NO_WELL_ROUNDED
+    D, _, pairs = _integer_pairs((g.a, g.b, g.c))
+    a, b, c = pairs
+    ab, ac = _cross(a, b), _cross(a, c)
+    if ab == 0:
+        verdict = ExistenceVerdict.TRACE_RATIONAL_ONLY if ac else ExistenceVerdict.RATIONAL_LATTICE
+    else:
+        disc = 4 * _cross(c, b) * ab + ac * ac
+        verdict = (
+            ExistenceVerdict.NORM_CONDITION_HOLDS
+            if disc >= 0 and isqrt(disc) ** 2 == disc
+            else ExistenceVerdict.NO_WELL_ROUNDED
+        )
+    return verdict, D, pairs
 
 
-def _norm_decomposition(t: Scalar, n: Scalar) -> tuple[Fraction | None, Fraction | None]:
-    """Rational (q, r) with n = q + r t, if they exist; t irrational."""
-    if n.is_rational:
-        return n.as_fraction(), Fraction(0)
-    if t.root != n.root:
-        return None, None
-    r = n.irr / t.irr
-    q = n.rat - r * t.rat
-    return q, r
+def existence(g: GramForm) -> ExistenceVerdict:
+    """Decide whether g has any well-rounded sublattice (`_lattice_class`)."""
+    return _lattice_class(g)[0]
 
 
 def _frame(w: Vec, z: Vec, sigma: int, kappa_sq: Scalar) -> ReflectionFrame:
@@ -211,29 +210,56 @@ def _frame(w: Vec, z: Vec, sigma: int, kappa_sq: Scalar) -> ReflectionFrame:
     )
 
 
-def unique_frame(g: GramForm) -> ReflectionFrame:
-    """The single orthogonal pair of a non-rational lattice that has one."""
-    verdict = existence(g)
+def _norm_pair(pairs: tuple[Vec, Vec, Vec], v: Vec) -> Vec:
+    """Q(v) = a m^2 + 2b mn + c n^2 as an integer pair, for integer pairs a, b, c."""
+    (a, b, c), (m, n) = pairs, v
+    return tuple(a[i] * m * m + 2 * b[i] * m * n + c[i] * n * n for i in (0, 1))
+
+
+def _unique_frame(
+    verdict: ExistenceVerdict, D: int | None, pairs: tuple[Vec, Vec, Vec]
+) -> tuple[Vec, Vec, int, tuple]:
+    """(w, z, sigma, kappa) for the single orthogonal pair of a non-rational
+    lattice, from its `_lattice_class`: Q(w) >= Q(z), sigma = |det(w, z)|,
+    and kappa^2 = Q(w)/Q(z) as the integers (u, v, L, D) of `_window_hits`.
+
+    A trace-rational lattice has w = (1, 0).  Otherwise the two members are
+    (1, beta) for the roots of q beta^2 - 2r beta - 1 = 0, orthogonal since
+    c = q a + 2r b; scaled by 2 cross(c, b) they are
+    (2 cross(c, b), cross(a, c) +- isqrt(disc)), and the sign that cannot
+    give zero is taken.  The row (alpha, beta) = w^T G has proportional
+    pairs, so z = (beta, -alpha)/gcd on a component where it is nonzero.
+    """
     if verdict is ExistenceVerdict.RATIONAL_LATTICE:
         raise NoFrameError("rational lattices have infinitely many orthogonal pairs")
     if verdict is ExistenceVerdict.NO_WELL_ROUNDED:
         raise NoFrameError("lattice has no orthogonal pair of lattice vectors")
-    t = g.b / g.a * 2
-    n = g.c / g.a
+    a, b, c = pairs
     if verdict is ExistenceVerdict.TRACE_RATIONAL_ONLY:
         w: Vec = (1, 0)
     else:
-        q, r = _norm_decomposition(t, n)
-        root = (Scalar.of(q) + Scalar.of(r * r)).sqrt_rational()
-        beta = -1 / (2 * r) if q == 0 else (r + root) / q
-        w = _primitive((beta.denominator, beta.numerator))
-    z = orthogonal_primitive(w, g)
-    if z is None:
+        cb, ac = _cross(c, b), _cross(a, c)
+        s = isqrt(4 * cb * _cross(a, b) + ac * ac)
+        w = _primitive((2 * cb, ac + s if ac >= 0 else ac - s))
+    alpha = (a[0] * w[0] + b[0] * w[1], a[1] * w[0] + b[1] * w[1])
+    beta = (b[0] * w[0] + c[0] * w[1], b[1] * w[0] + c[1] * w[1])
+    if _cross(alpha, beta):
         raise InvariantError(f"{verdict.value} lattice has no vector orthogonal to {w}")
-    kappa_sq = g.value(*w) / g.value(*z)
-    if kappa_sq < 1:
-        w, z, kappa_sq = z, w, 1 / kappa_sq
-    return _frame(w, z, abs(w[0] * z[1] - w[1] * z[0]), kappa_sq)
+    i = 0 if alpha[0] or beta[0] else 1
+    z = _primitive((beta[i], -alpha[i]))
+    (wx, wy), (zx, zy) = _norm_pair(pairs, w), _norm_pair(pairs, z)
+    if _sign_pair(wx - zx, wy - zy, D) < 0:
+        w, z, wx, wy, zx, zy = z, w, zx, zy, wx, wy
+    # Q(w)/Q(z): both times the conjugate of Q(z), over its norm
+    u, v, L = wx * zx - wy * zy * D, wy * zx - wx * zy, zx * zx - zy * zy * D
+    d = gcd(u, v, L) if L > 0 else -gcd(u, v, L)
+    return w, z, abs(_cross(w, z)), (u // d, v // d, L // d, D)
+
+
+def unique_frame(g: GramForm) -> ReflectionFrame:
+    """The single orthogonal pair of a non-rational lattice that has one."""
+    w, z, sigma, (u, v, L, D) = _unique_frame(*_lattice_class(g))
+    return _frame(w, z, sigma, Scalar(Fraction(u, L), Fraction(v, L), D))
 
 
 def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
@@ -300,13 +326,15 @@ def _frame_hits(kappa: tuple, sigma: int, x: int):
 # -- rational lattices: frame enumeration -------------------------------------
 
 
-def _rational_form(g: GramForm) -> tuple[int, int, int]:
-    """The integral primitive form (a, b, c) of a positive definite rational
-    lattice; is_rational raises NotPositiveDefiniteError on a form that is not
-    positive definite, and any other lattice raises NotRationalError."""
-    if not is_rational(g):
-        raise NotRationalError("frame enumeration needs a rational lattice")
-    return _check_integral_primitive(rational_normalize(g)[0])
+def _primitive_form(pairs: tuple[Vec, Vec, Vec]) -> tuple[int, int, int]:
+    """The integral primitive form (a, b, c) of a rational lattice, from the
+    integer pairs of its entries: they are proportional, so a component in
+    which a is nonzero holds the form up to a factor, which the gcd and the
+    sign of a remove."""
+    i = 0 if pairs[0][0] else 1
+    a, b, c = (p[i] for p in pairs)
+    d = gcd(a, b, c) if a > 0 else -gcd(a, b, c)
+    return a // d, b // d, c // d
 
 
 def _primitive_vectors_up_to_norm(form: tuple[int, int, int], norm_cap: int):
@@ -363,7 +391,10 @@ def _frames(ws, form: tuple[int, int, int], sigma_cap: int | None, walked):
 def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
     """Every orthogonal pair with a member whose coordinates are at most H in
     absolute value; its other member may lie outside that box."""
-    form = _rational_form(g)
+    verdict, _, pairs = _lattice_class(g)
+    if verdict is not ExistenceVerdict.RATIONAL_LATTICE:
+        raise NotRationalError("frame enumeration needs a rational lattice")
+    form = _primitive_form(pairs)
     ws = (
         (m, n)
         for n in range(0, H + 1)
@@ -395,9 +426,9 @@ def count_wr(g: GramForm, x: int) -> ArithSeq:
 
     if x < 1:
         raise ValueError("count bound must be positive")
-    verdict = existence(g)
+    verdict, D, pairs = _lattice_class(g)
     if verdict is ExistenceVerdict.RATIONAL_LATTICE:
-        a, b, c = form = _rational_form(g)
+        a, b, c = form = _primitive_form(pairs)
         cap = 2 * x * (a * c - b * b)
         ws = _primitive_vectors_up_to_norm(form, cap)
         frames = (
@@ -407,11 +438,11 @@ def count_wr(g: GramForm, x: int) -> ArithSeq:
     elif verdict is ExistenceVerdict.NO_WELL_ROUNDED:
         frames = ()
     else:
-        frame = unique_frame(g)
-        D, L, ((u, v),) = _integer_pairs((frame.kappa_sq,))
+        _, _, sigma, kappa = _unique_frame(verdict, D, pairs)
+        u, v, L, _ = kappa
         if v == 0:
-            raise InvariantError(f"rational kappa^2 = {frame.kappa_sq} in a non-rational lattice")
-        frames = ((frame.sigma, (u, v, L, D)),)
+            raise InvariantError(f"rational kappa^2 = {Fraction(u, L)} in a non-rational lattice")
+        frames = ((sigma, kappa),)
     thirds = [0] * x
     for sigma, kappa in frames:
         for n, boundary in _frame_hits(kappa, sigma, x):

@@ -17,7 +17,8 @@ exact floor of (p + q sqrt(D)) / w; the window rows of `general` use it too.
 Since sqrt(D) is irrational, two pairs are equal exactly when their
 components are, so `_classify_pair` reads the type off component-wise.  The
 census calls the loops directly; `gauss_reduce` is their Scalar-facing
-wrapper, which divides the reduced entries by L again.
+wrapper, which divides the reduced entries by L again.  `general` decides
+the lattice's rationality class on the same pairs.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class GramForm:
 
     def is_integral(self) -> bool:
         return all(
-            e.is_rational and e.rat.denominator == 1 for e in (self.a, self.b, self.c)
+            e.irr == 0 and e.rat.denominator == 1 for e in (self.a, self.b, self.c)
         )
 
     def to_json(self) -> dict:
@@ -257,36 +258,6 @@ def classify(g: GramForm) -> LatticeType:
 
 def is_well_rounded(g: GramForm) -> bool:
     return classify(g) in WELL_ROUNDED_TYPES
-
-
-def is_rational(g: GramForm) -> bool:
-    """True iff some positive multiple of g has all-rational entries.
-
-    Scaling by 1/a makes the first entry 1, so the class is rational exactly
-    when b/a and c/a are both rational; a form that is not positive definite
-    raises NotPositiveDefiniteError first.
-    """
-    g.check_positive_definite()
-    return (g.b / g.a).is_rational and (g.c / g.a).is_rational
-
-
-def rational_normalize(g: GramForm) -> tuple[GramForm, Fraction]:
-    """Scale a rational-class form to integral entries with gcd 1.
-
-    Returns (integral primitive form, applied scale factor as a Fraction of
-    the normalized-by-a form); raises NotRationalError via as_fraction if the
-    class is not rational.
-    """
-    from math import gcd
-
-    ba = (g.b / g.a).as_fraction()
-    ca = (g.c / g.a).as_fraction()
-    lcm = ba.denominator * ca.denominator // gcd(ba.denominator, ca.denominator)
-    a, b, c = lcm, ba * lcm, ca * lcm
-    ints = [int(a), int(b), int(c)]
-    d = gcd(gcd(abs(ints[0]), abs(ints[1])), abs(ints[2]))
-    ints = [v // d for v in ints]
-    return GramForm.of(*ints), Fraction(lcm, d)
 
 
 SQUARE_GRAM = GramForm.of(1, 0, 1)

@@ -2,9 +2,9 @@
 
 All lattice data in this package (Gram entries, squared lengths, window
 bounds) lives in a single real quadratic extension Q(sqrt(D)) with D a fixed
-squarefree positive integer, or in Q itself.  Every comparison is decided
-exactly by case analysis and integer squaring; no floating point enters any
-counting path.
+squarefree integer, 1 < D <= MAX_RADICAND, or in Q itself.  Every comparison
+is decided exactly by case analysis and integer squaring; no floating point
+enters any counting path.
 """
 
 from __future__ import annotations
@@ -14,6 +14,10 @@ from fractions import Fraction
 from typing import Union
 
 Rat = Union[int, Fraction]
+
+# the largest radicand D accepted; the squarefree test runs on every Scalar
+# construction and takes about sqrt(D) trial divisions, a few ms at 10^9
+MAX_RADICAND = 10**9
 
 
 class MixedRadicandError(ValueError):
@@ -62,6 +66,8 @@ class Scalar:
             root = None
         elif root is None:
             raise ValueError("irrational part requires a radicand D")
+        elif root > MAX_RADICAND:
+            raise ValueError(f"radicand must be at most {MAX_RADICAND}, got {root}")
         elif not _is_squarefree(root) or root == 1:
             raise ValueError(f"radicand must be squarefree and > 1, got {root}")
         object.__setattr__(self, "rat", rat)
@@ -79,14 +85,10 @@ class Scalar:
             return x
         return Scalar(Fraction(x))
 
-    # -- predicates -----------------------------------------------------------
-
-    @property
-    def is_rational(self) -> bool:
-        return self.irr == 0
+    # -- rational value -------------------------------------------------------
 
     def as_fraction(self) -> Fraction:
-        if not self.is_rational:
+        if self.irr != 0:
             raise NotRationalError(f"{self} is irrational")
         return self.rat
 
@@ -176,25 +178,13 @@ class Scalar:
             return hash(self.rat)
         return hash((self.rat, self.irr, self.root))
 
-    # -- float value and rational squares --------------------------------------
+    # -- float value ----------------------------------------------------------
 
     def __float__(self) -> float:
         v = float(self.rat)
         if self.irr != 0:
             v += float(self.irr) * math.sqrt(self.root)
         return v
-
-    def is_square_rational(self) -> bool:
-        """True iff the value is the square of a rational."""
-        if not self.is_rational or self.rat < 0:
-            return False
-        p, q = self.rat.numerator, self.rat.denominator
-        return math.isqrt(p) ** 2 == p and math.isqrt(q) ** 2 == q
-
-    def sqrt_rational(self) -> Fraction:
-        """Exact rational square root; caller must check is_square_rational."""
-        p, q = self.rat.numerator, self.rat.denominator
-        return Fraction(math.isqrt(p), math.isqrt(q))
 
     # -- formatting / serialization ------------------------------------------
 

@@ -7,6 +7,10 @@ runs on exact `Scalar` arithmetic and tracks the change of basis, so that a
 test can compare the package's integer loops against a computation that
 shares none of their code.
 `quadratic_forms` draws the forms such comparisons run on.
+`existence`, `unique_frame` and `primitive_form` decide the lattice class and
+find the unique frame by Scalar divisions, a reference for the integer-pair
+decision of `wellround.general`; `orthogonal_primitive` is the Scalar
+reference of the frame walk.
 `nonrational_census` checks `count_wr` on non-rational lattices by building
 every candidate sublattice of the unique frame, with no window inequality.
 """
@@ -21,7 +25,12 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from wellround.dirichlet import ArithSeq
-from wellround.general import unique_frame
+from wellround.general import (
+    ExistenceVerdict,
+    InvariantError,
+    NoFrameError,
+    ReflectionFrame,
+)
 from wellround.gram import GramForm, Unimodular, is_well_rounded
 from wellround.scalar import Scalar
 
@@ -138,6 +147,99 @@ def quadratic_forms(draw):
     for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
         U = U @ Unimodular(((0, 1), (1, k)))
     return g.transform(U)
+
+
+def _primitive(x: int, y: int) -> tuple[int, int]:
+    d = math.gcd(x, y)
+    return (x // d, y // d)
+
+
+def orthogonal_primitive(w: tuple[int, int], g: GramForm) -> tuple[int, int] | None:
+    """Primitive lattice vector orthogonal to w under g, if one exists."""
+    # row w^T G = (alpha, beta); z = (x, y) needs alpha x + beta y = 0
+    alpha = g.a * w[0] + g.b * w[1]
+    beta = g.b * w[0] + g.c * w[1]
+    if beta.sign() == 0:
+        return (0, 1)
+    ratio = alpha / beta
+    if ratio.irr != 0:
+        return None
+    # alpha x + beta y = 0 with alpha/beta = p/q is solved by (q, -p)
+    return _primitive(ratio.rat.denominator, -ratio.rat.numerator)
+
+
+def _rational_sqrt(x: Fraction) -> Fraction | None:
+    """The rational square root of x, if x is the square of a rational."""
+    if x < 0:
+        return None
+    p, q = math.isqrt(x.numerator), math.isqrt(x.denominator)
+    return Fraction(p, q) if p * p == x.numerator and q * q == x.denominator else None
+
+
+def _decompose_norm(t: Scalar, n: Scalar) -> tuple[Fraction | None, Fraction | None]:
+    """Rational (q, r) with n = q + r t, if they exist; t irrational."""
+    if n.irr == 0:
+        return n.rat, Fraction(0)
+    if t.root != n.root:
+        return None, None
+    r = n.irr / t.irr
+    return n.rat - r * t.rat, r
+
+
+def existence(g: GramForm) -> ExistenceVerdict:
+    """Decide whether g has any well-rounded sublattice, by case analysis
+    on the rationality of the normalized trace t = 2b/a and norm n = c/a:
+    for irrational t, one exists when n = q + r t with rational q, r and
+    q + r^2 a rational square."""
+    g.check_positive_definite()
+    t = g.b / g.a * 2
+    n = g.c / g.a
+    if t.irr == 0:
+        if n.irr == 0:
+            return ExistenceVerdict.RATIONAL_LATTICE
+        return ExistenceVerdict.TRACE_RATIONAL_ONLY
+    q, r = _decompose_norm(t, n)
+    if q is None or _rational_sqrt(q + r * r) is None:
+        return ExistenceVerdict.NO_WELL_ROUNDED
+    return ExistenceVerdict.NORM_CONDITION_HOLDS
+
+
+def primitive_form(g: GramForm) -> tuple[int, int, int]:
+    """The integral primitive form (a, b, c) of a rational lattice: g scaled
+    by 1/a, then by the lcm of the denominators of b/a and c/a, then divided
+    by the gcd."""
+    ba, ca = (g.b / g.a).as_fraction(), (g.c / g.a).as_fraction()
+    lcm = math.lcm(ba.denominator, ca.denominator)
+    a, b, c = lcm, int(ba * lcm), int(ca * lcm)
+    d = math.gcd(a, b, c)
+    return a // d, b // d, c // d
+
+
+def unique_frame(g: GramForm) -> ReflectionFrame:
+    """The single orthogonal pair of a non-rational lattice that has one:
+    w = (1, 0) when only the trace is rational, else w = (1, beta) for the
+    root beta = (r + sqrt(q + r^2))/q of q beta^2 - 2r beta - 1 = 0
+    (beta = -1/(2r) when q = 0); z from `orthogonal_primitive`."""
+    verdict = existence(g)
+    if verdict is ExistenceVerdict.RATIONAL_LATTICE:
+        raise NoFrameError("rational lattices have infinitely many orthogonal pairs")
+    if verdict is ExistenceVerdict.NO_WELL_ROUNDED:
+        raise NoFrameError("lattice has no orthogonal pair of lattice vectors")
+    if verdict is ExistenceVerdict.TRACE_RATIONAL_ONLY:
+        w = (1, 0)
+    else:
+        q, r = _decompose_norm(g.b / g.a * 2, g.c / g.a)
+        beta = -1 / (2 * r) if q == 0 else (r + _rational_sqrt(q + r * r)) / q
+        w = _primitive(beta.denominator, beta.numerator)
+    z = orthogonal_primitive(w, g)
+    if z is None:
+        raise InvariantError(f"{verdict.value} lattice has no vector orthogonal to {w}")
+    kappa_sq = g.value(*w) / g.value(*z)
+    if kappa_sq < 1:
+        w, z, kappa_sq = z, w, 1 / kappa_sq
+    w, z = max(w, (-w[0], -w[1])), max(z, (-z[0], -z[1]))
+    sigma = abs(w[0] * z[1] - w[1] * z[0])
+    return ReflectionFrame(w, z, sigma, kappa_sq, "even" if sigma % 2 == 0 else "odd")
 
 
 def nonrational_census(g: GramForm, x: int) -> ArithSeq:

@@ -17,7 +17,6 @@ from wellround.general import (
     brs_index,
     count_wr,
     g_star,
-    orthogonal_primitive,
 )
 from wellround.gram import (
     GramForm,
@@ -31,7 +30,7 @@ from wellround.square import a_square, b_square, fukshansky_superset_member
 from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
-from oracle import nonrational_census
+from oracle import nonrational_census, orthogonal_primitive
 
 BIG_X = 1_000_000
 CHECKPOINTS = (10_000, 100_000, 1_000_000)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -124,11 +125,47 @@ def test_reduce_classify_golden_output(capsys, lattice, expected):
     assert got == [(0, out, "") for out in expected]
 
 
-@pytest.mark.parametrize("command", ["reduce", "classify"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "reduce",
+        "classify",
+        "exists",
+        "census",
+        "census --mode formula",
+        "census --mode both",
+        "asympt --lattice custom",
+        "frames",
+    ],
+)
 def test_mixed_fields_exit_2(capsys, command):
+    # entries from two fields lie outside the package's domain Q(sqrt D);
     # the roots are named in entry order, as the census names them
     gram = '[[1,"sqrt(2)/2"],["sqrt(2)/2","sqrt(3)"]]'
-    assert run(capsys, command, "--gram", gram) == (2, "", "error: cannot mix sqrt(2) and sqrt(3)\n")
+    assert run(capsys, *command.split(), "--gram", gram) == (2, "", "error: cannot mix sqrt(2) and sqrt(3)\n")
+
+
+@pytest.mark.parametrize("preset", ["square", "hexagonal"])
+def test_format_before_the_subcommand_is_honoured(capsys, preset):
+    before = run(capsys, "--format", "json", "reduce", "--preset", preset)
+    after = run(capsys, "reduce", "--format", "json", "--preset", preset)
+    assert before == after
+    assert before[0] == 0 and json.loads(before[1])["gram"]
+    # given in both places, the subcommand's wins
+    assert run(capsys, "--format", "json", "reduce", "--format", "csv", "--preset", preset) == run(
+        capsys, "reduce", "--preset", preset
+    )
+
+
+def test_oversized_radicand_is_refused_at_once():
+    # the squarefree test of a radicand of 21 digits would take hours
+    argv = [sys.executable, "-m", "wellround.cli", "exists", "--gram", "diag(1,sqrt(100000000000000000039))"]
+    start = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=30)
+    elapsed = time.perf_counter() - start
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "radicand must be at most 1000000000" in proc.stderr
+    assert elapsed < 1.0
 
 
 class TestCensus:

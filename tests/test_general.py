@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -20,23 +19,25 @@ from wellround.general import (
     existence,
     g_star,
     gamma_tilde_and_csl,
-    orthogonal_primitive,
     unique_frame,
+    _lattice_class,
+    _primitive_form,
     _window_hits,
 )
 from wellround.gram import (
     GramForm,
     LatticeType,
     NotPositiveDefiniteError,
+    Unimodular,
     _integer_pairs,
-    is_rational,
 )
 from wellround.hexagonal import a_hex
-from wellround.scalar import NotRationalError, Scalar
+from wellround.scalar import MixedRadicandError, NotRationalError, Scalar
 from wellround.square import a_square
 from wellround.sublattices import wr_census_bruteforce
 
-from oracle import nonrational_census
+import oracle
+from oracle import nonrational_census, orthogonal_primitive, quadratic_forms
 
 SQRT2 = Scalar(0, 1, 2)
 DIAG_1_SQRT2 = GramForm(Scalar(1), Scalar(0), SQRT2)
@@ -113,6 +114,30 @@ def shape_lattices(draw, verdict):
     return g
 
 
+@st.composite
+def verdict_lattices(draw, verdict):
+    """A lattice with the given verdict: a reduced primitive integral form
+    for a rational lattice, else a `shape_lattices` lattice."""
+    if verdict is ExistenceVerdict.RATIONAL_LATTICE:
+        return draw(reduced_primitive_forms())
+    return draw(shape_lattices(verdict))
+
+
+@st.composite
+def scaled_lattices(draw):
+    """A lattice of any verdict scaled by a positive element of its field
+    Q(sqrt D) (any of Q(sqrt 2), Q(sqrt 3), Q(sqrt 5) for a form over Q) and
+    written in a random unimodular basis."""
+    g = draw(verdict_lattices(draw(st.sampled_from(list(ExistenceVerdict)))))
+    D = g.b.root or g.c.root or draw(st.sampled_from([2, 3, 5]))
+    s = Scalar(draw(_NONZERO_QUARTERS), draw(_QUARTERS), D)
+    assume(s.sign() != 0)
+    U = Unimodular.identity()
+    for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
+        U = U @ Unimodular(((0, 1), (1, k)))
+    return g.scale(s if s.sign() > 0 else -s).transform(U)
+
+
 def _kappa(kappa_sq):
     """kappa^2 as the integers (u, v, L, D) that `_window_hits` takes."""
     D, L, ((u, v),) = _integer_pairs((kappa_sq,))
@@ -175,13 +200,55 @@ class TestExistence:
         assert existence(g) == ExistenceVerdict.NORM_CONDITION_HOLDS
 
     def test_mixed_radicands_are_independent(self):
+        # entries from two fields lie outside the package's domain Q(sqrt D)
         g = GramForm(Scalar(1), SQRT2 / Scalar(2), Scalar(0, 1, 3))
-        assert existence(g) == ExistenceVerdict.NO_WELL_ROUNDED
+        with pytest.raises(MixedRadicandError, match=r"cannot mix sqrt\(2\) and sqrt\(3\)"):
+            existence(g)
 
     def test_no_well_rounded_census_is_zero(self):
         g = GramForm(Scalar(1), SQRT2 / Scalar(2), Scalar(3))
         census = wr_census_bruteforce(g, 200)
         assert census.well_rounded_list() == [0] * 200
+
+
+class TestClassAgainstScalarOracle:
+    """The verdict, the integral primitive form and the unique frame, decided
+    on integer pairs, against the Scalar route of `oracle`."""
+
+    @staticmethod
+    def check(g):
+        verdict = existence(g)
+        assert verdict == oracle.existence(g)
+        if verdict is ExistenceVerdict.RATIONAL_LATTICE:
+            assert _primitive_form(_lattice_class(g)[2]) == oracle.primitive_form(g)
+        if verdict in (ExistenceVerdict.RATIONAL_LATTICE, ExistenceVerdict.NO_WELL_ROUNDED):
+            with pytest.raises(NoFrameError):
+                unique_frame(g)
+        else:
+            frame, reference = unique_frame(g), oracle.unique_frame(g)
+            assert frame == reference
+            assert str(frame.kappa_sq) == str(reference.kappa_sq)
+            # the integers that count_wr hands to the window rows: L > 0 and
+            # gcd(u, v, L) = 1, as the Scalar kappa^2 gives them
+            assert general._unique_frame(*_lattice_class(g))[3] == _kappa(reference.kappa_sq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(quadratic_forms())
+    def test_quadratic_forms(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("verdict", list(ExistenceVerdict), ids=lambda v: v.value)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_lattices_of_each_verdict(self, verdict, data):
+        g = data.draw(verdict_lattices(verdict))
+        assert existence(g) == verdict
+        self.check(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scaled_lattices())
+    def test_scaled_and_transformed(self, g):
+        self.check(g)
 
 
 class TestUniqueFrame:
@@ -377,10 +444,10 @@ class TestFrames:
 class TestNonRationalCounting:
     @pytest.mark.parametrize("form", [(0, 1, 0), (-1, 0, -2), (1, 2, 1)])
     def test_rejects_forms_not_positive_definite(self, form):
-        # is_rational divides by a, so the form is tested before it
+        # the class is decided on a positive definite form only
         g = GramForm.of(*form)
         with pytest.raises(NotPositiveDefiniteError):
-            is_rational(g)
+            existence(g)
         with pytest.raises(NotPositiveDefiniteError):
             count_wr(g, 5)
 
@@ -424,10 +491,7 @@ class TestPipelinesPerVerdict:
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), N=st.integers(1, 60))
     def test_counters_match_census(self, verdict, data, N):
-        if verdict is ExistenceVerdict.RATIONAL_LATTICE:
-            g = data.draw(reduced_primitive_forms())
-        else:
-            g = data.draw(shape_lattices(verdict))
+        g = data.draw(verdict_lattices(verdict))
         assert existence(g) == verdict
         census = wr_census_bruteforce(g, N).well_rounded_list()
         assert list(count_wr(g, N)) == census
@@ -438,9 +502,15 @@ class TestPipelinesPerVerdict:
         elif verdict is not ExistenceVerdict.RATIONAL_LATTICE:
             assert list(nonrational_census(g, N)) == census
 
+    @settings(max_examples=40, deadline=None)
+    @given(g=scaled_lattices(), N=st.integers(1, 40))
+    def test_counter_matches_census_on_scaled_lattices(self, g, N):
+        # lattices of every verdict with no entry normalized to 1, in any basis
+        assert list(count_wr(g, N)) == wr_census_bruteforce(g, N).well_rounded_list()
+
     def test_rational_kappa_sq_of_a_nonrational_frame_is_refused(self, monkeypatch):
-        frame = replace(unique_frame(DIAG_1_SQRT2), kappa_sq=Scalar(3))
-        monkeypatch.setattr(general, "unique_frame", lambda g: frame)
+        w, z, sigma, (_, _, _, D) = general._unique_frame(*_lattice_class(DIAG_1_SQRT2))
+        monkeypatch.setattr(general, "_unique_frame", lambda *_: (w, z, sigma, (3, 0, 1, D)))
         with pytest.raises(InvariantError, match="rational kappa"):
             count_wr(DIAG_1_SQRT2, 10)
 

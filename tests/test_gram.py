@@ -18,9 +18,15 @@ from wellround.gram import (
     _round_half_pair,
     classify,
     gauss_reduce,
-    is_rational,
     is_well_rounded,
-    rational_normalize,
+)
+from wellround.general import (
+    ExistenceVerdict,
+    count_wr,
+    enumerate_frames,
+    existence,
+    _lattice_class,
+    _primitive_form,
 )
 from wellround.scalar import Scalar, _sign_pair
 
@@ -154,21 +160,22 @@ class TestClassification:
 class TestRationality:
     def test_irrational_diag(self):
         g = GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))
-        assert not is_rational(g)
+        assert existence(g) == ExistenceVerdict.TRACE_RATIONAL_ONLY
         assert g.discriminant() == Scalar(0, 1, 2)
 
-    def test_scaled_irrational_is_rational(self):
+    def test_scaled_irrational_form_is_a_rational_lattice(self):
         s = Scalar(0, 1, 2)
         g = GramForm(s, Scalar(0), s * 3)
-        assert is_rational(g)
+        assert existence(g) == ExistenceVerdict.RATIONAL_LATTICE
+        assert _primitive_form(_lattice_class(g)[2]) == (1, 0, 3)
 
-    def test_rational_normalize(self):
+    def test_scaled_form_counts_as_its_primitive_form(self):
         g = GramForm.of(Fraction(1, 2), Fraction(1, 4), Fraction(3, 2))
-        gi, scale = rational_normalize(g)
-        assert gi.is_integral()
-        # gi is the unit-leading-entry rescaling of g times the scale factor
-        assert gi.scale((g.a / gi.a.as_fraction()).as_fraction()) == g
-        assert (gi.a / scale) == (g.a / g.a)
+        primitive = GramForm.of(2, 1, 6)
+        assert existence(g) == ExistenceVerdict.RATIONAL_LATTICE
+        assert _primitive_form(_lattice_class(g)[2]) == (2, 1, 6)
+        assert enumerate_frames(g, 3) == enumerate_frames(primitive, 3)
+        assert list(count_wr(g, 60)) == list(count_wr(primitive, 60))
 
 
 _PAIR_ENTRIES = st.integers(-10**6, 10**6)

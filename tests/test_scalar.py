@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from wellround.gram import _floor_pair, _integer_pairs
-from wellround.scalar import MixedRadicandError, NotRationalError, Scalar
+from wellround.scalar import MAX_RADICAND, MixedRadicandError, NotRationalError, Scalar
 
 from oracle import floor, round_half
 
@@ -23,12 +23,18 @@ def scalars(root):
 class TestArithmetic:
     def test_rational_round_trip(self):
         x = Scalar(Fraction(3, 2))
-        assert x.is_rational
+        assert x.irr == 0
         assert x.as_fraction() == Fraction(3, 2)
 
     def test_mixed_radicands_rejected(self):
         with pytest.raises(MixedRadicandError):
             Scalar(0, 1, 2) + Scalar(0, 1, 3)
+
+    def test_radicand_above_the_bound_rejected(self):
+        # 999999937 is the largest prime below 10^9
+        assert Scalar(0, 1, 999999937).root == 999999937
+        with pytest.raises(ValueError, match="radicand must be at most"):
+            Scalar(0, 1, MAX_RADICAND + 1)
 
     def test_as_fraction_requires_rational(self):
         with pytest.raises(NotRationalError):
@@ -113,14 +119,6 @@ class TestIsqrt:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             _isqrt(Scalar(1, -1, 2))
-
-
-class TestSquareDetection:
-    def test_square_rational(self):
-        assert Scalar(Fraction(9, 4)).is_square_rational()
-        assert Scalar(Fraction(9, 4)).sqrt_rational() == Fraction(3, 2)
-        assert not Scalar(Fraction(2)).is_square_rational()
-        assert not Scalar(0, 1, 2).is_square_rational()
 
 
 class TestSerialization:
