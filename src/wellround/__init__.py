@@ -3,11 +3,12 @@
 Exact layers: scalar arithmetic in a real quadratic field, Gram form
 reduction and classification, Hermite-normal-form sublattice censuses,
 Dirichlet coefficient streams for the square and hexagonal lattices, and
-the general rational / non-rational counting theory.  The asympt module is
-the single float-bearing layer (constants, growth models, Epstein sums).
+the general rational / non-rational counting theory.  The floats live in
+asympt (constants, Epstein sums) and growth (the fitted growth model).
 
 The numpy-backed names (the Dirichlet streams and the square and hexagonal
-counters) load on first use, so that the exact layers run without numpy.
+counters) load on first use, so that the exact layers, `count_wr` and the
+fitted growth model run without numpy.
 """
 
 import importlib

@@ -1,11 +1,12 @@
-"""Numeric layer: constants, growth models, tail bounds, Epstein zeta sums.
+"""Numeric layer: constants, tail bounds, Epstein zeta sums, and the
+closed-form growth models of the square and hexagonal lattices.
 
-This is the only module that touches floating point.  Everything exact
-(coefficient streams, censuses, window counts) lives elsewhere; here those
-streams are compared against the closed-form constants and the truncated
-analytic objects that describe their growth, or fitted by least squares
-(`fit_model`).  Each float the CLI prints with an error comes from one call
-here, as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
+Everything exact (coefficient streams, censuses, window counts) lives
+elsewhere; here those streams are compared against the closed-form
+constants and the truncated analytic objects that describe their growth.
+The fitted model of any other lattice lives in `growth`, which needs no
+numpy.  Each float the CLI prints with an error comes from one call here,
+as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
 `epstein_residue_estimate`.  Both lattice constants rest on one band-gap
 sum, `_band_gap_sum(P, r, odd)`, over the band that `dirichlet.pair_band`
 counts: r = 3 for the square lattice, r = 9 for the hexagonal one.
@@ -14,20 +15,13 @@ counts: r = 3 for the square lattice, r = 9 for the hexagonal one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, log, pi, sqrt
 
 import numpy as np
 
-from .dirichlet import (
-    CHI_MINUS3,
-    CHI_MINUS4,
-    ArithSeq,
-    OutOfRangeError,
-    evaluate,
-    moebius_seq,
-)
+from .dirichlet import CHI_MINUS3, CHI_MINUS4, evaluate, moebius_seq
+from .growth import AsymptoticModel
 
 
 class UnsupportedDiscriminantError(ValueError):
@@ -179,19 +173,6 @@ def c_triangle_eval() -> tuple[float, float]:
 # -- growth models ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    c1: float
-    c2: float
-
-    def __post_init__(self):
-        if self.c1 < 0:
-            raise ValueError("x log x coefficient must be nonnegative")
-
-    def __call__(self, x: float) -> float:
-        return self.c1 * x * log(x) + self.c2 * x
-
-
 def square_model() -> AsymptoticModel:
     c1 = LOG3 / (2.0 * pi)
     return AsymptoticModel(c1, c_square_eval()[0] - c1)
@@ -200,42 +181,6 @@ def square_model() -> AsymptoticModel:
 def hexagonal_model() -> AsymptoticModel:
     c1 = 3.0 * sqrt(3.0) * LOG3 / (8.0 * pi)
     return AsymptoticModel(c1, c_triangle_eval()[0] - c1)
-
-
-def fit_model(counts: ArithSeq, checkpoints) -> AsymptoticModel:
-    """Least-squares fit of c1 x log x + c2 x through the checkpoints;
-    purely empirical, no claim about the true growth law."""
-    prefix = counts.summatory_all()
-    xs = np.array([float(x) for x in checkpoints])
-    ys = np.array([float(prefix[x - 1]) for x in checkpoints])
-    design = np.column_stack([xs * np.log(xs), xs])
-    (c1, c2), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    return AsymptoticModel(max(c1, 0.0), c2)
-
-
-def model_report(counts: ArithSeq, model: AsymptoticModel, checkpoints) -> list[dict]:
-    """Residual table of the summatory counts against c1 x log x + c2 x."""
-    rows = []
-    prefix = counts.summatory_all()
-    for x in checkpoints:
-        if x < 2:
-            raise ValueError(f"checkpoint {x} is below 2; the residual divides by log x")
-        if x > counts.N:
-            raise OutOfRangeError(f"checkpoint {x} beyond bound {counts.N}")
-        A = prefix[x - 1]
-        m = model(x)
-        resid = A - m
-        rows.append(
-            {
-                "x": x,
-                "A": A,
-                "model": m,
-                "residual": resid,
-                "residual_over_x_power": resid / (x**0.75 * log(x)),
-                "residual_over_sqrt_x": resid / sqrt(x),
-            }
-        )
-    return rows
 
 
 def constants_table() -> dict[str, tuple[float, float]]:

@@ -16,7 +16,7 @@ import io
 import json
 import math
 import sys
-from typing import TYPE_CHECKING
+from itertools import islice
 
 from .general import InvariantError, count_wr
 from .gram import (
@@ -30,9 +30,6 @@ from .gram import (
 )
 from .scalar import MixedRadicandError, NotRationalError, Scalar
 from .sublattices import _CSV_HEADER, wr_census_bruteforce
-
-if TYPE_CHECKING:
-    from .dirichlet import ArithSeq
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -155,14 +152,16 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _formula_counts(g: GramForm, N: int, preset: str | None) -> ArithSeq:
-    from .hexagonal import a_hex
-    from .square import a_square
-
+def _formula_counts(g: GramForm, N: int, preset: str | None) -> list[int]:
+    """Well-rounded counts by index 1..N; a(n) is at position n - 1."""
     if preset == "square":
-        return a_square(N)
+        from .square import a_square
+
+        return list(a_square(N))
     if preset == "hexagonal":
-        return a_hex(N)
+        from .hexagonal import a_hex
+
+        return list(a_hex(N))
     return count_wr(g, N)
 
 
@@ -174,7 +173,7 @@ def cmd_census(args) -> int:
         _emit_rows(
             args,
             ["n", "well_rounded"],
-            [[n, counts[n]] for n in range(1, N + 1)],
+            [[n, counts[n - 1]] for n in range(1, N + 1)],
         )
         return EXIT_OK
     report = wr_census_bruteforce(g, N)
@@ -188,14 +187,14 @@ def cmd_census(args) -> int:
     counts = _formula_counts(g, N, args.preset)
     header = _CSV_HEADER + ["formula", "diff"]
     rows = [
-        report.row(n) + [counts[n], counts[n] - report.well_rounded(n)]
+        report.row(n) + [counts[n - 1], counts[n - 1] - report.well_rounded(n)]
         for n in range(1, N + 1)
     ]
     _emit_rows(args, header, rows)
     n = next((row[0] for row in rows if row[-1]), None)
     if n is not None:
         print(
-            f"census mismatch at n={n}: census {report.well_rounded(n)}, formula {counts[n]}",
+            f"census mismatch at n={n}: census {report.well_rounded(n)}, formula {counts[n - 1]}",
             file=sys.stderr,
         )
         return EXIT_INVARIANT
@@ -231,8 +230,17 @@ def cmd_series(args) -> int:
     return EXIT_OK
 
 
+def _summatory_points(counts: list[int], checkpoints) -> list[tuple[int, int]]:
+    """(x, A(x)) for each checkpoint, in one pass over the counts."""
+    it, done, total, at = iter(counts), 0, 0, {}
+    for x in sorted(set(checkpoints)):
+        total += sum(islice(it, x - done))
+        done, at[x] = x, total
+    return [(x, at[x]) for x in checkpoints]
+
+
 def cmd_asympt(args) -> int:
-    from . import asympt
+    from .growth import fit_model, model_report
 
     if args.gram and args.lattice != "custom":
         raise CliError(f"--gram needs --lattice custom, not {args.lattice}", EXIT_BAD_INPUT)
@@ -242,20 +250,21 @@ def cmd_asympt(args) -> int:
     N = max(checkpoints)
     if N > MAX_INDEX:
         raise CliError(f"--checkpoints entries must be at most {MAX_INDEX}", EXIT_BAD_INPUT)
-    if args.lattice == "square":
-        from .square import a_square
-
-        counts, model = a_square(N), asympt.square_model()
-    elif args.lattice == "hex":
-        from .hexagonal import a_hex
-
-        counts, model = a_hex(N), asympt.hexagonal_model()
-    else:
+    if args.lattice == "custom":
         if not args.gram:
             raise CliError("--lattice custom needs --gram", EXIT_BAD_INPUT)
-        counts = _formula_counts(_parse_gram(args.gram), N, None)
-        model = asympt.fit_model(counts, checkpoints)
-    rows = asympt.model_report(counts, model, checkpoints)
+        points = _summatory_points(count_wr(_parse_gram(args.gram), N), checkpoints)
+        model = fit_model(points)
+    else:
+        from . import asympt, hexagonal, square
+
+        if args.lattice == "square":
+            seq, model = square.a_square(N), asympt.square_model()
+        else:
+            seq, model = hexagonal.a_hex(N), asympt.hexagonal_model()
+        prefix = seq.summatory_all()
+        points = [(x, prefix[x - 1]) for x in checkpoints]
+    rows = model_report(points, model)
     _emit_rows(
         args,
         list(rows[0].keys()),

@@ -42,13 +42,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import TYPE_CHECKING
 
 from .gram import GramForm, _floor_pair, _integer_pairs
 from .scalar import NotRationalError, Scalar, _sign_pair
-
-if TYPE_CHECKING:
-    from .dirichlet import ArithSeq
 
 Vec = tuple[int, int]
 
@@ -411,7 +407,7 @@ def enumerate_frames(g: GramForm, H: int) -> list[ReflectionFrame]:
 # -- counting -----------------------------------------------------------------
 
 
-def count_wr(g: GramForm, x: int) -> ArithSeq:
+def count_wr(g: GramForm, x: int) -> list[int]:
     """Well-rounded sublattice counts by index 1..x of any planar lattice.
 
     The existence verdict picks the frames whose window counts are summed:
@@ -420,10 +416,8 @@ def count_wr(g: GramForm, x: int) -> ArithSeq:
     sigma >= Q(v)/d for both members v, so both lie in Q <= 2xd); for a
     non-rational one its unique frame; none when the lattice has no
     well-rounded sublattice.  The tally is kept in thirds: a boundary hit
-    counts 1, any other hit 3.
+    counts 1, any other hit 3.  The count of index n is at position n - 1.
     """
-    from .dirichlet import ArithSeq
-
     if x < 1:
         raise ValueError("count bound must be positive")
     verdict, D, pairs = _lattice_class(g)
@@ -450,4 +444,4 @@ def count_wr(g: GramForm, x: int) -> ArithSeq:
     if any([t % 3 for t in thirds]):
         n, t = next((n, t) for n, t in enumerate(thirds, 1) if t % 3)
         raise InvariantError(f"non-integral count {t}/3 at index {n}; frame set inconsistent")
-    return ArithSeq([t // 3 for t in thirds])
+    return [t // 3 for t in thirds]

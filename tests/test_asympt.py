@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellround import asympt
+from wellround import asympt, growth
 from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4
 
 
@@ -129,23 +129,24 @@ class TestModels:
     def test_model_report_rows(self):
         from wellround.square import a_square
 
-        rows = asympt.model_report(a_square(1000), asympt.square_model(), [100, 1000])
-        assert [r["x"] for r in rows] == [100, 1000]
+        points = [(x, a_square(1000).summatory(x)) for x in (100, 1000)]
+        rows = growth.model_report(points, asympt.square_model())
+        assert [(r["x"], r["A"]) for r in rows] == points
         for r in rows:
             assert r["A"] >= 0 and "residual_over_sqrt_x" in r
 
     def test_model_report_rejects_checkpoint_below_two(self):
-        from wellround.dirichlet import ArithSeq
-
         with pytest.raises(ValueError, match="checkpoint 1"):
-            asympt.model_report(ArithSeq([1, 1, 1]), asympt.AsymptoticModel(0.1, 0.2), [1])
+            growth.model_report([(1, 1)], growth.AsymptoticModel(0.1, 0.2))
 
     def test_model_report_out_of_range(self):
+        # model_report reads no stream: the pair of a checkpoint beyond the
+        # stream's bound cannot be built
         from wellround.dirichlet import OutOfRangeError
         from wellround.square import a_square
 
         with pytest.raises(OutOfRangeError):
-            asympt.model_report(a_square(100), asympt.square_model(), [1000])
+            growth.model_report([(1000, a_square(100).summatory(1000))], asympt.square_model())
 
 
 class TestSandwich:

@@ -232,12 +232,9 @@ class TestCensus:
 
     def test_mismatch_exits_3(self, capsys, monkeypatch):
         from wellround import cli
-        from wellround.dirichlet import ArithSeq
 
         # the square census is 1, 1, 0, 1, 2; the formula is wrong from n = 4 on
-        monkeypatch.setattr(
-            cli, "_formula_counts", lambda g, N, preset: ArithSeq([1, 1, 0, 99, 7])
-        )
+        monkeypatch.setattr(cli, "_formula_counts", lambda g, N, preset: [1, 1, 0, 99, 7])
         code, _, err = run(
             capsys, "census", "--preset", "square", "--max", "5", "--mode", "both"
         )
@@ -496,20 +493,32 @@ def _child_env(**extra: str) -> dict[str, str]:
 
 
 def test_exact_commands_load_neither_numpy_nor_mpmath():
+    # the counting formulas too: census in every mode on a rational and a
+    # non-rational lattice, and the fitted growth model on each verdict
+    calls = [
+        ["classify", "--preset", "square"],
+        ["census", "--preset", "square", "--max", "30"],
+        *(
+            ["census", "--gram", gram, "--max", "30", "--mode", mode]
+            for gram in ["[[2,1],[1,3]]", "diag(1,sqrt(2))"]
+            for mode in ["bruteforce", "formula", "both"]
+        ),
+        *(
+            ["asympt", "--lattice", "custom", "--gram", gram, "--checkpoints", "30,100"]
+            for gram in ["[[2,1],[1,3]]", "diag(1,sqrt(2))", '{"t":"sqrt(2)","n":"4"}', '{"t":"sqrt(2)","n":"3"}']
+        ),
+    ]
     script = (
         "import json, sys\n"
         "import wellround.cli\n"
         "seen = [sorted(sys.modules.keys() & {'numpy', 'mpmath'})]\n"
-        "wellround.cli.main(['classify', '--preset', 'square'])\n"
-        "wellround.cli.main(['census', '--preset', 'square', '--max', '30'])\n"
-        "wellround.cli.main(['census', '--gram', '[[2,1],[1,3]]', '--max', '30'])\n"
-        "wellround.cli.main(['census', '--gram', 'diag(1,sqrt(2))', '--max', '30'])\n"
+        f"codes = [wellround.cli.main(argv) for argv in {calls!r}]\n"
         "seen.append(sorted(sys.modules.keys() & {'numpy', 'mpmath'}))\n"
-        "print(json.dumps(seen))\n"
+        "print(json.dumps([codes, seen]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(calls), [[], []]]
 
 
 def test_environment_sets_no_defaults():

@@ -453,8 +453,8 @@ class TestNonRationalCounting:
 
     def test_diag_1_sqrt2_values(self):
         counts = count_wr(DIAG_1_SQRT2, 10)
-        assert counts[1] == 0
-        assert counts[2] == 1
+        assert counts[0] == 0
+        assert counts[1] == 1
 
     def test_matches_census(self):
         N = 60
@@ -560,7 +560,7 @@ class TestRationalCounting:
     def test_diag_1_2(self):
         N = 40
         counts = count_wr(GramForm.of(1, 0, 2), N)
-        assert counts[2] == 1
+        assert counts[1] == 1
         census = wr_census_bruteforce(GramForm.of(1, 0, 2), N)
         assert list(counts) == census.well_rounded_list()
 
