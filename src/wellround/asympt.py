@@ -8,8 +8,10 @@ The fitted model of any other lattice lives in `growth`, which needs no
 numpy.  Each float the CLI prints with an error comes from one call here,
 as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
 `epstein_residue_estimate`.  Both lattice constants rest on one band-gap
-sum, `_band_gap_sum(P, r, odd)`, over the band that `dirichlet.pair_band`
-counts: r = 3 for the square lattice, r = 9 for the hexagonal one.
+sum, the terms of `_band_gap_terms(P, r, odd)`, over the band that
+`dirichlet.pair_band` counts: r = 3 for the square lattice, r = 9 for the
+hexagonal one.  Every Epstein sum comes from one kernel, `_power_sums`,
+over half the disk.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from math import isqrt, log, pi, sqrt
 
 import numpy as np
 
-from .dirichlet import CHI_MINUS3, CHI_MINUS4, evaluate, moebius_seq
+from .dirichlet import CHI_MINUS3, CHI_MINUS4, evaluate
 from .growth import AsymptoticModel
 
 
@@ -108,10 +110,11 @@ def _band_top(p: np.ndarray, r: int) -> np.ndarray:
     return np.floor(np.sqrt((r * p * p - 1).astype(np.float64))).astype(np.int64)
 
 
-def _band_gap_sum(P: int, r: int, odd: bool) -> float:
-    """sum_p (1/p)(log(r)/(2 step) - sum_q 1/q) over the band of
-    `dirichlet.pair_band(N, r, odd)`: the first P values of p, odd only when
-    `odd`, and for each p the q = p (mod step) with p < q and q^2 < r p^2."""
+def _band_gap_terms(P: int, r: int, odd: bool) -> np.ndarray:
+    """The terms (1/p)(log(r)/(2 step) - sum_q 1/q) of the band-gap sum over
+    the band of `dirichlet.pair_band(N, r, odd)`: the first P values of p, odd
+    only when `odd`, and for each p the q = p (mod step) with p < q and
+    q^2 < r p^2."""
     step = 2 if odd else 1
     p = np.arange(1, step * P + 1, step, dtype=np.int64)
     top = _band_top(p, r)
@@ -126,15 +129,18 @@ def _band_gap_sum(P: int, r: int, odd: bool) -> float:
     gap -= prefix[:P]
     np.subtract(log(r) / (2 * step), gap, out=gap)
     gap /= p
-    return float(np.sum(gap))
+    return gap
 
 
 def _richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
     """The limit of the band-gap sums over P terms, and its change from P/2."""
+    # the sums over P/2, P and 2P terms are prefixes of one array of terms:
+    # cumsum runs in order, so each prefix sum equals that of its own array
+    gap = _band_gap_terms(2 * P, r, odd)
+    half, mid, full = (float(np.sum(gap[:k])) for k in (P // 2, P, 2 * P))
     # partial sums approach the limit like A/P; eliminate the leading tail
-    mid = _band_gap_sum(P, r, odd)
-    value = 2.0 * _band_gap_sum(2 * P, r, odd) - mid
-    return value, abs(2.0 * mid - _band_gap_sum(P // 2, r, odd) - value)
+    value = 2.0 * full - mid
+    return value, abs(2.0 * mid - half - value)
 
 
 def c_square_eval() -> tuple[float, float]:
@@ -312,8 +318,14 @@ def sandwich_check_hex(s: float) -> bool:
 
 # -- Epstein zeta sums --------------------------------------------------------
 
-# 320 MB of float64 values: ten times the grid of `1,0,1` at the CLI's default radius
+# the work bound of one Epstein sum: the points of the square |m|, |n| <= B,
+# ten times that square for `1,0,1` at the CLI's default radius; memory does
+# not grow with it, since `_power_sums` evaluates the grid in blocks
 MAX_GRID_POINTS = 40_000_000
+# grid points evaluated at once by `_power_sums`
+BLOCK_POINTS = 1 << 17
+# the Richardson ladder of `epstein_residue_estimate`: s_j = 1 + 2^-j, j = 1..7
+LADDER = tuple(1.0 + 2.0**-j for j in range(1, 8))
 
 
 def _form_floats(Q) -> tuple[float, float, float]:
@@ -332,32 +344,47 @@ def _bound_for_radius(Q, R: float) -> int:
     return isqrt(int(R / lam_min)) + 2
 
 
-def _disk_values(Q, R: float, keep=None) -> np.ndarray:
-    """Q(m, n) at the points with 0 < Q <= R and keep(m, n), in row-major
-    (m, n) order; m is an integer column broadcast against a row n."""
+def _power_sums(Q, R: float, exponents) -> tuple[list[float], list[float]]:
+    """For each s in `exponents`, the sums of Q(m, n)^(-s) over 0 < Q <= R
+    and over 0 < Q <= R/4.
+
+    Q(-m, -n) = Q(m, n) holds bit for bit in floats, so only the rows n >= 0
+    are evaluated, with m > 0 on the row n = 0, and the sums doubled.  The
+    rows go in blocks of about BLOCK_POINTS points, and each block takes one
+    power array per s, which both radii sum.
+    """
     bound = _bound_for_radius(Q, R)
     a, b, c = _form_floats(Q)
     m = np.arange(-bound, bound + 1)
-    M, N = m[:, None], m[None, :]
-    vals = a * M * M + 2.0 * b * M * N + c * N * N
-    mask = (vals > 0) & (vals <= R)
-    if keep is not None:
-        mask &= keep(M, N)
-    return vals[mask]
+    rows = max(1, BLOCK_POINTS // m.size)
+    full = [0.0] * len(exponents)
+    quarter = [0.0] * len(exponents)
+    for first in range(0, bound + 1, rows):
+        n = np.arange(first, min(first + rows, bound + 1))[:, None]
+        # the whole-disk builder's operations in its order, so that the
+        # same points pass the mask, bit for bit
+        vals = a * m * m + 2.0 * b * m * n + c * n * n
+        mask = (vals > 0) & (vals <= R)
+        if first == 0:
+            mask[0, : bound + 1] = False
+        v = vals[mask]
+        inner = v <= R / 4
+        for i, s in enumerate(exponents):
+            power = v ** (-s)
+            full[i] += float(np.sum(power))
+            quarter[i] += float(np.sum(power[inner]))
+    return [2.0 * x for x in full], [2.0 * x for x in quarter]
 
 
-def _disk_sum(v: np.ndarray, Q, s: float, R: float, tail: bool = True) -> float:
-    """Sum of v^(-s) over a disk's values, plus the integral tail beyond R."""
-    total = float(np.sum(v ** (-s)))
-    if tail:
-        a, b, c = _form_floats(Q)
-        total += pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
-    return total
+def _with_tail(Q, total: float, s: float, R: float) -> float:
+    """A disk sum plus the integral of Q^(-s) beyond R."""
+    a, b, c = _form_floats(Q)
+    return total + pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
 
 
-def _ladder_extrapolants(v: np.ndarray, Q, R: float) -> tuple[float, float]:
-    ladder = (1.0 + 2.0**-j for j in range(1, 8))
-    values = [(s - 1.0) * _disk_sum(v, Q, s, R) for s in ladder]
+def _extrapolants(Q, sums, R: float) -> tuple[float, float]:
+    """e_7 and e_6 from the disk sums of R at the ladder exponents."""
+    values = [(s - 1.0) * _with_tail(Q, total, s, R) for s, total in zip(LADDER, sums)]
     return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
@@ -366,10 +393,9 @@ def epstein_truncated(Q, s: float, R: float) -> tuple[float, float]:
     its change from the same sum at R/4."""
     if not s > 1:
         raise DomainError(f"--s must be above 1, not {s:g}")
-    disk = _disk_values(Q, R)
-    value = _disk_sum(disk, Q, s, R)
-    # the values <= R/4 of the disk of R are the disk of R/4, in order
-    return value, abs(value - _disk_sum(disk[disk <= R / 4], Q, s, R / 4))
+    (full,), (quarter,) = _power_sums(Q, R, [s])
+    value = _with_tail(Q, full, s, R)
+    return value, abs(value - _with_tail(Q, quarter, s, R / 4))
 
 
 def epstein_residue_estimate(Q, R: float) -> tuple[float, float]:
@@ -381,45 +407,7 @@ def epstein_residue_estimate(Q, R: float) -> tuple[float, float]:
     error adds the truncation error |e_7(R) - e_7(R/4)| and what the last
     step leaves, |e_7 - e_6|.
     """
-    disk = _disk_values(Q, R)
-    value, previous = _ladder_extrapolants(disk, Q, R)
-    rough, _ = _ladder_extrapolants(disk[disk <= R / 4], Q, R / 4)
+    full, quarter = _power_sums(Q, R, LADDER)
+    value, previous = _extrapolants(Q, full, R)
+    rough, _ = _extrapolants(Q, quarter, R / 4)
     return value, abs(value - rough) + abs(value - previous)
-
-
-def epstein_primitive_truncated(Q, s: float, R: float) -> float:
-    """Sum over coprime (m, n) with 0 < Q <= R (no tail term)."""
-    v = _disk_values(Q, R, lambda m, n: np.gcd(m, n) == 1)
-    return _disk_sum(v, Q, s, R, tail=False)
-
-
-def epstein_restricted(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
-    """Direct sum over coprime (m, n) with gcd(m, D) = k and gcd(n, C) = l,
-    truncated at Q(m, n) <= R."""
-    def keep(m, n):
-        return (np.gcd(m, n) == 1) & (np.gcd(m, D) == k) & (np.gcd(n, C) == l)
-
-    return _disk_sum(_disk_values(Q, R, keep), Q, s, R, tail=False)
-
-
-def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
-    """Sum over coprime (m, n), gcd(n, a_cond) = 1, of Q(k m, l n)^(-s),
-    truncated at Q(k m, l n) <= R."""
-    qa, qb, qc = _form_floats(Q)
-    scaled = (qa * k * k, qb * k * l, qc * l * l)
-    v = _disk_values(scaled, R, lambda m, n: (np.gcd(m, n) == 1) & (np.gcd(n, a_cond) == 1))
-    return _disk_sum(v, scaled, s, R, tail=False)
-
-
-def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
-    """The same restricted sum assembled from unrestricted pieces by Moebius
-    inversion over the divisors of l D / k; must agree with the direct sum."""
-    if D % k or C % l or (l * D) % k:
-        raise DomainError("need k | D and l | C")
-    n = l * D // k
-    mu = moebius_seq(n)
-    total = 0.0
-    for c in range(1, n + 1):
-        if n % c == 0 and mu[c]:
-            total += mu[c] * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
-    return total

@@ -15,6 +15,7 @@ import importlib
 import io
 import json
 import math
+import os
 import sys
 from itertools import islice
 
@@ -418,6 +419,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    # no wellround code calls BLAS, so the OpenBLAS worker pool that numpy's
+    # import starts would only cost start-up time; set here, not at import,
+    # so that a library user's numpy keeps its threads, and a value the user
+    # gave is kept
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -195,7 +195,7 @@ def shift_support(f: ArithSeq, m: int) -> ArithSeq:
 def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     """w(n) = number of factorizations n = p*q with p < q and q^2 < r p^2.
 
-    With `odd`, p and q are both odd.  `asympt._band_gap_sum(P, r, odd)`
+    With `odd`, p and q are both odd.  `asympt._band_gap_terms(P, r, odd)`
     sums over the same band.  The odd loop may start at p = 1: no odd q
     lies in (1, sqrt(r)) for r <= 9.
     """

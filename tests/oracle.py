@@ -13,6 +13,11 @@ decision of `wellround.general`; `orthogonal_primitive` is the Scalar
 reference of the frame walk.
 `nonrational_census` checks `count_wr` on non-rational lattices by building
 every candidate sublattice of the unique frame, with no window inequality.
+`disk_values` builds the whole Epstein disk of a form, with an optional
+(m, n) mask; the restricted Epstein sums and their Moebius assembly, whose
+congruence masks are not symmetric under (m, n) -> (-m, -n), are built on
+it.  `richardson` takes the three band-gap sums of `asympt._richardson` from
+three arrays of terms, the reference for its one-array form.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from wellround.dirichlet import ArithSeq
+from wellround.asympt import DomainError, _band_gap_terms, _bound_for_radius, _form_floats
+from wellround.dirichlet import ArithSeq, moebius_seq
 from wellround.general import (
     ExistenceVerdict,
     InvariantError,
@@ -276,3 +283,71 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
                 counts[n - 1] += 1
         k += 1
     return ArithSeq(counts)
+
+
+def richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
+    """`asympt._richardson` with each band-gap sum from its own array."""
+
+    def band_gap_sum(k: int) -> float:
+        return float(np.sum(_band_gap_terms(k, r, odd)))
+
+    mid = band_gap_sum(P)
+    value = 2.0 * band_gap_sum(2 * P) - mid
+    return value, abs(2.0 * mid - band_gap_sum(P // 2) - value)
+
+
+def disk_values(Q, R: float, keep=None) -> np.ndarray:
+    """Q(m, n) at the points with 0 < Q <= R and keep(m, n), in row-major
+    (m, n) order over the whole square |m|, |n| <= B; m is an integer column
+    broadcast against a row n."""
+    bound = _bound_for_radius(Q, R)
+    a, b, c = _form_floats(Q)
+    m = np.arange(-bound, bound + 1)
+    M, N = m[:, None], m[None, :]
+    vals = a * M * M + 2.0 * b * M * N + c * N * N
+    mask = (vals > 0) & (vals <= R)
+    if keep is not None:
+        mask &= keep(M, N)
+    return vals[mask]
+
+
+def disk_sum(v: np.ndarray, s: float) -> float:
+    """Sum of v^(-s) over a disk's values, with no tail."""
+    return float(np.sum(v ** (-s)))
+
+
+def epstein_primitive_truncated(Q, s: float, R: float) -> float:
+    """Sum over coprime (m, n) with 0 < Q <= R (no tail term)."""
+    return disk_sum(disk_values(Q, R, lambda m, n: np.gcd(m, n) == 1), s)
+
+
+def epstein_restricted(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
+    """Direct sum over coprime (m, n) with gcd(m, D) = k and gcd(n, C) = l,
+    truncated at Q(m, n) <= R."""
+    def keep(m, n):
+        return (np.gcd(m, n) == 1) & (np.gcd(m, D) == k) & (np.gcd(n, C) == l)
+
+    return disk_sum(disk_values(Q, R, keep), s)
+
+
+def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
+    """Sum over coprime (m, n), gcd(n, a_cond) = 1, of Q(k m, l n)^(-s),
+    truncated at Q(k m, l n) <= R."""
+    qa, qb, qc = _form_floats(Q)
+    scaled = (qa * k * k, qb * k * l, qc * l * l)
+    v = disk_values(scaled, R, lambda m, n: (np.gcd(m, n) == 1) & (np.gcd(n, a_cond) == 1))
+    return disk_sum(v, s)
+
+
+def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: float) -> float:
+    """The same restricted sum assembled from unrestricted pieces by Moebius
+    inversion over the divisors of l D / k; must agree with the direct sum."""
+    if D % k or C % l or (l * D) % k:
+        raise DomainError("need k | D and l | C")
+    n = l * D // k
+    mu = moebius_seq(n)
+    total = 0.0
+    for c in range(1, n + 1):
+        if n % c == 0 and mu[c]:
+            total += mu[c] * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
+    return total

