@@ -11,7 +11,8 @@ as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
 sum, the terms of `_band_gap_terms(P, r, odd)`, over the band that
 `dirichlet.pair_band` counts: r = 3 for the square lattice, r = 9 for the
 hexagonal one.  Every Epstein sum comes from one kernel, `_power_sums`,
-over half the disk.
+over half the disk.  `dirichlet` and `growth` are imported inside the
+functions that use them, so an Epstein call loads neither.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from fractions import Fraction
 from math import isqrt, log, pi, sqrt
 
 import numpy as np
-
-from .dirichlet import CHI_MINUS3, CHI_MINUS4, evaluate
-from .growth import AsymptoticModel
 
 
 class UnsupportedDiscriminantError(ValueError):
@@ -67,6 +65,8 @@ def zeta_prime_2_over_zeta_2() -> float:
 
 def L_at_one(D: int) -> float:
     """L(1, chi_D) from the finite character sum."""
+    from .dirichlet import CHI_MINUS3, CHI_MINUS4
+
     chi = {-4: CHI_MINUS4, -3: CHI_MINUS3}.get(D)
     if chi is None:
         raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
@@ -180,11 +180,15 @@ def c_triangle_eval() -> tuple[float, float]:
 
 
 def square_model() -> AsymptoticModel:
+    from .growth import AsymptoticModel
+
     c1 = LOG3 / (2.0 * pi)
     return AsymptoticModel(c1, c_square_eval()[0] - c1)
 
 
 def hexagonal_model() -> AsymptoticModel:
+    from .growth import AsymptoticModel
+
     c1 = 3.0 * sqrt(3.0) * LOG3 / (8.0 * pi)
     return AsymptoticModel(c1, c_triangle_eval()[0] - c1)
 
@@ -285,6 +289,8 @@ def E_hex(s: float) -> float:
 
 
 def _truncated_with_error(series_fn, s: float, N: int) -> tuple[float, float]:
+    from .dirichlet import evaluate
+
     full = evaluate(series_fn(N), s)
     half = evaluate(series_fn(N // 2), s)
     return full, 2.0 * abs(full - half) + 1e-12

@@ -4,7 +4,9 @@ Subcommands: reduce, classify, census, series, asympt, constants, exists,
 frames, epstein.  Output is CSV (RFC 4180) or JSON via --format.  Exit
 codes: 0 ok, 2 bad input, 3 invariant breach, 4 unsupported domain.
 Flags not given take the documented defaults (max index 1000, checkpoints
-1000/10000/100000).
+1000/10000/100000).  Each subcommand imports the layers it runs inside its
+own function, so a call loads only those: a brute-force census, for one,
+loads neither `general` nor numpy.
 """
 
 from __future__ import annotations
@@ -19,18 +21,7 @@ import os
 import sys
 from itertools import islice
 
-from .general import InvariantError, count_wr
-from .gram import (
-    HEXAGONAL_GRAM,
-    SQUARE_GRAM,
-    GramForm,
-    NotPositiveDefiniteError,
-    classify,
-    classify_reduced,
-    gauss_reduce,
-)
-from .scalar import MixedRadicandError, NotRationalError, Scalar
-from .sublattices import _CSV_HEADER, wr_census_bruteforce
+from .scalar import InvariantError, MixedRadicandError, NotRationalError, Scalar
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -58,6 +49,8 @@ def _parse_gram(text: str) -> GramForm:
     """Accept a JSON matrix, an {a,b,c} object, a {t,n} shape descriptor,
     or the diag(x,y) shorthand; entries may be exact scalar strings.  The
     form must be positive definite."""
+    from .gram import GramForm
+
     text = text.strip().replace("√", "sqrt")
     try:
         if text.startswith("diag(") and text.endswith(")"):
@@ -95,6 +88,8 @@ def _scalar(v) -> Scalar:
 
 
 def _spec_gram(args) -> GramForm:
+    from .gram import HEXAGONAL_GRAM, SQUARE_GRAM
+
     if args.preset and args.gram:
         raise CliError("give either --preset or --gram, not both", EXIT_BAD_INPUT)
     if args.preset == "square":
@@ -133,6 +128,8 @@ def _float_field(value: float, abs_error: float) -> dict:
 
 
 def cmd_reduce(args) -> int:
+    from .gram import classify_reduced, gauss_reduce
+
     g = _spec_gram(args)
     reduced = gauss_reduce(g)
     kind = classify_reduced(reduced.a, reduced.b, reduced.c).value.replace("_", " ")
@@ -144,6 +141,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .gram import classify
+
     g = _spec_gram(args)
     kind = classify(g).value
     if args.format == "json":
@@ -163,6 +162,8 @@ def _formula_counts(g: GramForm, N: int, preset: str | None) -> list[int]:
         from .hexagonal import a_hex
 
         return list(a_hex(N))
+    from .general import count_wr
+
     return count_wr(g, N)
 
 
@@ -177,6 +178,8 @@ def cmd_census(args) -> int:
             [[n, counts[n - 1]] for n in range(1, N + 1)],
         )
         return EXIT_OK
+    from .sublattices import _CSV_HEADER, wr_census_bruteforce
+
     report = wr_census_bruteforce(g, N)
     if args.mode == "bruteforce":
         if args.format == "json":
@@ -254,6 +257,8 @@ def cmd_asympt(args) -> int:
     if args.lattice == "custom":
         if not args.gram:
             raise CliError("--lattice custom needs --gram", EXIT_BAD_INPUT)
+        from .general import count_wr
+
         points = _summatory_points(count_wr(_parse_gram(args.gram), N), checkpoints)
         model = fit_model(points)
     else:
@@ -436,7 +441,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as e:
         print(f"invariant breach: {e}", file=sys.stderr)
         return EXIT_INVARIANT
-    except (NotPositiveDefiniteError, ValueError) as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -39,30 +39,18 @@ kappa^2, since a rational one would make the lattice rational.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .gram import GramForm, _floor_pair, _integer_pairs
-from .scalar import NotRationalError, Scalar, _sign_pair
+from .scalar import InvariantError, NotRationalError, Scalar, _sign_pair
 
 Vec = tuple[int, int]
 
 
 class NoFrameError(ValueError):
     """Requested the unique orthogonal pair of a lattice that has none or many."""
-
-
-class NotPrimitiveVectorError(ValueError):
-    pass
-
-
-class NotIntegralFormError(ValueError):
-    pass
-
-
-class InvariantError(ValueError):
-    """An identity of the counting theory failed; the computation is wrong."""
 
 
 class ExistenceVerdict(enum.Enum):
@@ -72,20 +60,16 @@ class ExistenceVerdict(enum.Enum):
     NO_WELL_ROUNDED = "NoWellRounded"
 
 
-@dataclass(frozen=True)
-class ReflectionFrame:
+class ReflectionFrame(namedtuple("ReflectionFrame", "w z sigma kappa_sq parity")):
     """Primitive orthogonal pair {+-w, +-z} with its derived invariants.
 
     sigma is the index of the rectangular sublattice spanned by w and z;
-    kappa_sq is the squared length ratio |w|^2 / |z|^2, canonicalized to be
-    at least 1 by swapping the roles of w and z.
+    kappa_sq is the squared length ratio |w|^2 / |z|^2 as a Scalar,
+    canonicalized to be at least 1 by swapping the roles of w and z; parity
+    is "odd" or "even", that of sigma.
     """
 
-    w: Vec
-    z: Vec
-    sigma: int
-    kappa_sq: Scalar
-    parity: str  # "odd" | "even"
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -95,14 +79,6 @@ class ReflectionFrame:
             "kappa_sq": self.kappa_sq.to_json(),
             "parity": self.parity,
         }
-
-
-@dataclass(frozen=True)
-class CslInfo:
-    """Which reflection-invariant sublattice is the coincidence lattice."""
-
-    uses_superlattice: bool  # True: the half-sum superlattice, False: <w, z>
-    Sigma: int
 
 
 def _neg(v: Vec) -> Vec:
@@ -115,46 +91,6 @@ def _primitive(v: tuple) -> Vec:
     if d == 0:
         raise ValueError("zero vector has no primitive representative")
     return (x // d, y // d)
-
-
-def is_primitive(v: Vec) -> bool:
-    return gcd(abs(v[0]), abs(v[1])) == 1
-
-
-def _check_integral_primitive(g: GramForm) -> tuple[int, int, int]:
-    if not g.is_integral():
-        raise NotIntegralFormError(f"integral Gram form required, got {g}")
-    a, b, c = int(g.a.rat), int(g.b.rat), int(g.c.rat)
-    if gcd(gcd(abs(a), abs(b)), abs(c)) != 1:
-        raise NotIntegralFormError("Gram form must have coprime entries")
-    return a, b, c
-
-
-def g_star(w: Vec, g: GramForm) -> int:
-    """Dual-lattice coefficient of a primitive vector w.
-
-    Completing w to a determinant-one basis (w, v2), this is the gcd of
-    (w, w) and (w, v2); it divides the form discriminant and gives the
-    index of the rectangular sublattice through sigma = (w, w) / g*(w).
-    Writing w = (m, n), v2 = (x, y) and (alpha, beta) = w^T G, the same row
-    as in `_frames`, it is gcd(m alpha + n beta, x alpha + y beta) =
-    gcd(alpha, beta), since det(w, v2) = 1.
-    """
-    a, b, c = _check_integral_primitive(g)
-    if not is_primitive(w):
-        raise NotPrimitiveVectorError(f"{w} is not primitive")
-    m, n = w
-    return gcd(a * m + b * n, b * m + c * n)
-
-
-def brs_index(w: Vec, g: GramForm) -> int:
-    """Index of the rectangular sublattice <w, z> with z orthogonal to w."""
-    a, b, c = _check_integral_primitive(g)
-    ww = a * w[0] * w[0] + 2 * b * w[0] * w[1] + c * w[1] * w[1]
-    q, r = divmod(ww, g_star(w, g))
-    if r:
-        raise InvariantError(f"g*({w}) does not divide Q({w}) = {ww}")
-    return q
 
 
 def _cross(p: Vec, q: Vec) -> int:
@@ -250,24 +186,6 @@ def _unique_frame(
     u, v, L = wx * zx - wy * zy * D, wy * zx - wx * zy, zx * zx - zy * zy * D
     d = gcd(u, v, L) if L > 0 else -gcd(u, v, L)
     return w, z, abs(_cross(w, z)), (u // d, v // d, L // d, D)
-
-
-def unique_frame(g: GramForm) -> ReflectionFrame:
-    """The single orthogonal pair of a non-rational lattice that has one."""
-    w, z, sigma, (u, v, L, D) = _unique_frame(*_lattice_class(g))
-    return _frame(w, z, sigma, Scalar(Fraction(u, L), Fraction(v, L), D))
-
-
-def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
-    """Coincidence site lattice of the reflection fixing the frame axis.
-
-    The half-sum superlattice <(w+z)/2, (w-z)/2> lies inside the ambient
-    lattice exactly when sigma is even, and is then the coincidence lattice
-    of index sigma/2; otherwise <w, z> itself is, of index sigma.
-    """
-    if frame.sigma % 2 == 0:
-        return CslInfo(uses_superlattice=True, Sigma=frame.sigma // 2)
-    return CslInfo(uses_superlattice=False, Sigma=frame.sigma)
 
 
 # -- window counting ----------------------------------------------------------

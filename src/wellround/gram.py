@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalar import MixedRadicandError, Rat, Scalar, _sign_pair
@@ -49,18 +49,10 @@ class LatticeType(enum.Enum):
     HEXAGONAL = "hexagonal"
 
 
-WELL_ROUNDED_TYPES = frozenset(
-    {LatticeType.RHOMBIC, LatticeType.SQUARE, LatticeType.HEXAGONAL}
-)
-
-
-@dataclass(frozen=True)
-class GramForm:
+class GramForm(namedtuple("GramForm", "a b c")):
     """Symmetric positive definite form; only the three distinct entries."""
 
-    a: Scalar
-    b: Scalar
-    c: Scalar
+    __slots__ = ()
 
     @staticmethod
     def of(a, b, c) -> "GramForm":
@@ -81,46 +73,20 @@ class GramForm:
         """Quadratic form value a x^2 + 2b xy + c y^2."""
         return self.a * x * x + self.b * (2 * x * y) + self.c * y * y
 
-    def transform(self, U: "Unimodular | tuple") -> "GramForm":
-        """Gram form of the basis with columns of U: U^T G U."""
-        m = U.m if isinstance(U, Unimodular) else U
-        (p, q), (r, s) = m
+    def transform(self, U: tuple) -> "GramForm":
+        """Gram form of the basis with columns of the 2x2 integer matrix
+        U = ((p, q), (r, s)): U^T G U."""
+        (p, q), (r, s) = U
         a = self.value(p, r)
         c = self.value(q, s)
         b = self.a * (p * q) + self.b * (p * s + q * r) + self.c * (r * s)
         return GramForm(a, b, c)
-
-    def is_integral(self) -> bool:
-        return all(
-            e.irr == 0 and e.rat.denominator == 1 for e in (self.a, self.b, self.c)
-        )
 
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.b}, {self.c}]]"
-
-
-@dataclass(frozen=True)
-class Unimodular:
-    """2x2 integer matrix with determinant +-1 (basis-change bookkeeping)."""
-
-    m: tuple[tuple[int, int], tuple[int, int]]
-
-    def __post_init__(self):
-        (p, q), (r, s) = self.m
-        if abs(p * s - q * r) != 1:
-            raise ValueError(f"not unimodular: {self.m}")
-
-    @staticmethod
-    def identity() -> "Unimodular":
-        return Unimodular(((1, 0), (0, 1)))
-
-    def __matmul__(self, other: "Unimodular") -> "Unimodular":
-        (a, b), (c, d) = self.m
-        (e, f), (g, h) = other.m
-        return Unimodular(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
 
 
 def gauss_reduce(g: GramForm) -> GramForm:
@@ -254,10 +220,6 @@ def _classify_pair(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> Latt
 def classify(g: GramForm) -> LatticeType:
     r = gauss_reduce(g)
     return classify_reduced(r.a, r.b, r.c)
-
-
-def is_well_rounded(g: GramForm) -> bool:
-    return classify(g) in WELL_ROUNDED_TYPES
 
 
 SQUARE_GRAM = GramForm.of(1, 0, 1)

@@ -8,19 +8,20 @@ integer A(x), then rounded once, so it does not depend on a LAPACK build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import log, sqrt
 
 
-@dataclass(frozen=True)
-class AsymptoticModel:
-    c1: float
-    c2: float
+class AsymptoticModel(namedtuple("AsymptoticModel", "c1 c2")):
+    """c1 x log x + c2 x, with c1 >= 0."""
 
-    def __post_init__(self):
-        if self.c1 < 0:
+    __slots__ = ()
+
+    def __new__(cls, c1: float, c2: float):
+        if c1 < 0:
             raise ValueError("x log x coefficient must be nonnegative")
+        return super().__new__(cls, c1, c2)
 
     def __call__(self, x: float) -> float:
         return self.c1 * x * log(x) + self.c2 * x

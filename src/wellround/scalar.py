@@ -10,14 +10,17 @@ enters any counting path.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
-from typing import Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 # the largest radicand D accepted; the squarefree test runs on every Scalar
 # construction and takes about sqrt(D) trial divisions, a few ms at 10^9
 MAX_RADICAND = 10**9
+# the decimal exponent of a literal such as "2.5e-3", as Fraction reads it
+_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*$"
 
 
 class MixedRadicandError(ValueError):
@@ -26,6 +29,23 @@ class MixedRadicandError(ValueError):
 
 class NotRationalError(ValueError):
     """Raised when an exact rational value is required but absent."""
+
+
+class InvariantError(ValueError):
+    """An identity of the counting theory failed; the computation is wrong."""
+
+
+def _fraction(value) -> Fraction:
+    """Fraction(value), refusing a decimal exponent above the interpreter's
+    integer string limit (4300 digits by default) before Fraction builds a
+    power of ten that large.  The pattern is compiled only for a string
+    with an e in it."""
+    m = isinstance(value, str) and "e" in value.lower() and re.search(_EXPONENT, value)
+    if m:
+        limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if abs(int(m[1])) > limit:
+            raise ValueError(f"exponent of {value!r} is above {limit}")
+    return Fraction(value)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -209,7 +229,7 @@ class Scalar:
     @staticmethod
     def from_json(obj) -> "Scalar":
         if isinstance(obj, dict):
-            return Scalar(Fraction(obj["rat"]), Fraction(obj["irr"]), int(obj["D"]))
+            return Scalar(_fraction(obj["rat"]), _fraction(obj["irr"]), int(obj["D"]))
         if isinstance(obj, str):
             return Scalar.parse(obj)
         return Scalar(Fraction(obj))
@@ -242,10 +262,10 @@ class Scalar:
             if "sqrt" in term:
                 coeff_part, _, root_part = term.partition("sqrt")
                 root_part, _, divisor = root_part.partition("/")
-                coeff = Fraction(coeff_part.rstrip("*") or 1) / Fraction(divisor or 1)
+                coeff = _fraction(coeff_part.rstrip("*") or 1) / _fraction(divisor or 1)
                 val = Scalar(0, coeff, int(root_part.strip("()")))
             else:
-                val = Scalar(Fraction(term))
+                val = Scalar(_fraction(term))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {term!r}") from None
         return -val if neg else val

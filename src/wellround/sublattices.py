@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
 
 from .gram import (
     GramForm,
@@ -55,19 +54,17 @@ _CSV_HEADER = [
 ]
 
 
-@dataclass
 class CensusReport:
     """Per-index tallies of sublattice types up to a bound N.
 
     ``by_type[t][n-1]`` counts index-n sublattices of geometric type t.
     """
 
-    N: int
-    by_type: dict[LatticeType, list[int]] = field(default_factory=dict)
+    __slots__ = ("N", "by_type")
 
-    def __post_init__(self):
-        for t in _TYPE_ORDER:
-            self.by_type.setdefault(t, [0] * self.N)
+    def __init__(self, N: int):
+        self.N = N
+        self.by_type = {t: [0] * N for t in _TYPE_ORDER}
 
     def tally(self, n: int, t: LatticeType) -> None:
         self.by_type[t][n - 1] += 1

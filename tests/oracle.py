@@ -18,6 +18,11 @@ every candidate sublattice of the unique frame, with no window inequality.
 congruence masks are not symmetric under (m, n) -> (-m, -n), are built on
 it.  `richardson` takes the three band-gap sums of `asympt._richardson` from
 three arrays of terms, the reference for its one-array form.
+The rest are the paper's statements that only the tests check, kept out of
+the package: `Unimodular` basis changes, `is_well_rounded`, the dual
+invariants `g_star` and `brs_index`, the coincidence lattice of a frame
+(`gamma_tilde_and_csl`), and `pair_frame`, the package's integer-pair frame
+of a non-rational lattice as a `ReflectionFrame`.
 """
 
 from __future__ import annotations
@@ -37,9 +42,33 @@ from wellround.general import (
     InvariantError,
     NoFrameError,
     ReflectionFrame,
+    _frame,
+    _lattice_class,
+    _unique_frame,
 )
-from wellround.gram import GramForm, Unimodular, is_well_rounded
+from wellround.gram import GramForm, LatticeType, classify
 from wellround.scalar import Scalar
+
+
+class Unimodular(tuple):
+    """2x2 integer matrix with determinant +-1, as the tuple of its rows
+    ((p, q), (r, s)), which `GramForm.transform` takes as it is."""
+
+    def __new__(cls, m):
+        (p, q), (r, s) = m
+        if abs(p * s - q * r) != 1:
+            raise ValueError(f"not unimodular: {m}")
+        return super().__new__(cls, ((p, q), (r, s)))
+
+    @staticmethod
+    def identity() -> "Unimodular":
+        return Unimodular(((1, 0), (0, 1)))
+
+    def __matmul__(self, other: "Unimodular") -> "Unimodular":
+        (a, b), (c, d) = self
+        (e, f), (g, h) = other
+        return Unimodular(((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)))
+
 
 _SWAP = Unimodular(((0, 1), (1, 0)))
 _FLIP = Unimodular(((1, 0), (0, -1)))
@@ -351,3 +380,83 @@ def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: f
         if n % c == 0 and mu[c]:
             total += mu[c] * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
     return total
+
+
+def is_well_rounded(g: GramForm) -> bool:
+    return classify(g) in (LatticeType.RHOMBIC, LatticeType.SQUARE, LatticeType.HEXAGONAL)
+
+
+class NotPrimitiveVectorError(ValueError):
+    pass
+
+
+class NotIntegralFormError(ValueError):
+    pass
+
+
+def is_primitive(v: tuple[int, int]) -> bool:
+    return math.gcd(abs(v[0]), abs(v[1])) == 1
+
+
+def _check_integral_primitive(g: GramForm) -> tuple[int, int, int]:
+    if not all(e.irr == 0 and e.rat.denominator == 1 for e in g):
+        raise NotIntegralFormError(f"integral Gram form required, got {g}")
+    a, b, c = int(g.a.rat), int(g.b.rat), int(g.c.rat)
+    if math.gcd(a, b, c) != 1:
+        raise NotIntegralFormError("Gram form must have coprime entries")
+    return a, b, c
+
+
+def g_star(w: tuple[int, int], g: GramForm) -> int:
+    """Dual-lattice coefficient of a primitive vector w.
+
+    Completing w to a determinant-one basis (w, v2), this is the gcd of
+    (w, w) and (w, v2); it divides the form discriminant and gives the
+    index of the rectangular sublattice through sigma = (w, w) / g*(w).
+    Writing w = (m, n), v2 = (x, y) and (alpha, beta) = w^T G, the same row
+    as in `general._frames`, it is gcd(m alpha + n beta, x alpha + y beta) =
+    gcd(alpha, beta), since det(w, v2) = 1.
+    """
+    a, b, c = _check_integral_primitive(g)
+    if not is_primitive(w):
+        raise NotPrimitiveVectorError(f"{w} is not primitive")
+    m, n = w
+    return math.gcd(a * m + b * n, b * m + c * n)
+
+
+def brs_index(w: tuple[int, int], g: GramForm) -> int:
+    """Index of the rectangular sublattice <w, z> with z orthogonal to w."""
+    a, b, c = _check_integral_primitive(g)
+    ww = a * w[0] * w[0] + 2 * b * w[0] * w[1] + c * w[1] * w[1]
+    q, r = divmod(ww, g_star(w, g))
+    if r:
+        raise InvariantError(f"g*({w}) does not divide Q({w}) = {ww}")
+    return q
+
+
+@dataclass(frozen=True)
+class CslInfo:
+    """Which reflection-invariant sublattice is the coincidence lattice."""
+
+    uses_superlattice: bool  # True: the half-sum superlattice, False: <w, z>
+    Sigma: int
+
+
+def gamma_tilde_and_csl(frame: ReflectionFrame) -> CslInfo:
+    """Coincidence site lattice of the reflection fixing the frame axis.
+
+    The half-sum superlattice <(w+z)/2, (w-z)/2> lies inside the ambient
+    lattice exactly when sigma is even, and is then the coincidence lattice
+    of index sigma/2; otherwise <w, z> itself is, of index sigma.
+    """
+    if frame.sigma % 2 == 0:
+        return CslInfo(uses_superlattice=True, Sigma=frame.sigma // 2)
+    return CslInfo(uses_superlattice=False, Sigma=frame.sigma)
+
+
+def pair_frame(g: GramForm) -> ReflectionFrame:
+    """The single orthogonal pair of a non-rational lattice that has one, as
+    `general.count_wr` finds it: `_unique_frame` on the integer pairs of
+    `_lattice_class`, with kappa^2 = (u + v sqrt(D))/L as a Scalar."""
+    w, z, sigma, (u, v, L, D) = _unique_frame(*_lattice_class(g))
+    return _frame(w, z, sigma, Scalar(Fraction(u, L), Fraction(v, L), D))

@@ -13,17 +13,8 @@ from math import gcd
 import pytest
 
 from wellround import asympt
-from wellround.general import (
-    brs_index,
-    count_wr,
-    g_star,
-)
-from wellround.gram import (
-    GramForm,
-    Unimodular,
-    classify,
-    gauss_reduce,
-)
+from wellround.general import count_wr
+from wellround.gram import GramForm, classify, gauss_reduce
 from wellround.hexagonal import a_hex, b_hex
 from wellround.scalar import Scalar
 from wellround.square import a_square, b_square, fukshansky_superset_member
@@ -31,8 +22,11 @@ from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
 from oracle import (
+    Unimodular,
+    brs_index,
     epstein_restricted,
     epstein_restricted_moebius,
+    g_star,
     nonrational_census,
     orthogonal_primitive,
 )

@@ -133,7 +133,7 @@ class TestIntervalSumBounds:
 class TestModels:
     def test_model_rejects_negative_leading(self):
         with pytest.raises(ValueError):
-            asympt.AsymptoticModel(-1.0, 0.0)
+            growth.AsymptoticModel(-1.0, 0.0)
 
     def test_model_report_rows(self):
         from wellround.square import a_square

@@ -168,6 +168,22 @@ def test_oversized_radicand_is_refused_at_once():
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--gram", "diag(1,1e1000000000)"],
+        ["census", "--gram", '{"a": 1, "b": 0, "c": "2e-1000000000"}', "--max", "5"],
+        ["epstein", "--form", "1,0,1e1000000000"],
+    ],
+)
+def test_huge_exponent_is_refused_at_once(argv):
+    # Fraction("1e1000000000") would build a 415 MB integer before any check
+    argv = [sys.executable, "-m", "wellround.cli", *argv]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=_child_env(), timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: cannot parse") and "is above 4300" in proc.stderr
+
+
 class TestCensus:
     def test_both_mode_square(self, capsys):
         code, out, _ = run(
@@ -519,6 +535,63 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(calls), [[], []]]
+
+
+def _modules_loaded_by(argv: list[str] | None) -> list[str]:
+    """The modules that `import wellround.cli` and `main(argv)` load in a
+    fresh interpreter; with argv None, those of a bare `import wellround`."""
+    run_main = "import wellround\n" if argv is None else (
+        f"import wellround.cli\nassert wellround.cli.main({argv!r}) == 0\n"
+    )
+    script = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        f"{run_main}"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--preset", "square"],
+        ["census", "--gram", "[[2,1],[1,3]]", "--max", "20"],
+        ["census", "--gram", "diag(1,sqrt(2))", "--max", "20"],
+    ],
+)
+def test_census_and_classify_load_no_counting_theory(argv):
+    loaded = _modules_loaded_by(argv)
+    assert "wellround.gram" in loaded
+    assert not {"wellround.general", "dataclasses"} & set(loaded)
+
+
+def test_epstein_loads_only_the_float_layer():
+    loaded = _modules_loaded_by(["epstein", "--form", "1,0,1", "--radius", "100"])
+    assert "wellround.asympt" in loaded
+    assert [m for m in loaded if m.startswith("wellround.")] == ["wellround.asympt", "wellround.cli", "wellround.scalar"]
+
+
+def test_bare_import_loads_no_submodule():
+    assert [m for m in _modules_loaded_by(None) if m.startswith("wellround")] == ["wellround"]
+    # dir() lists every public name before any of them is loaded
+    script = "import json, wellround\nprint(json.dumps(sorted(set(wellround.__all__) - set(dir(wellround)))))\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_public_name_resolves():
+    assert wellround.__all__ == sorted(set(wellround.__all__))
+    for name in wellround.__all__:
+        assert getattr(wellround, name) is getattr(sys.modules[getattr(wellround, name).__module__], name)
+    # a moved test-only name is gone, with no alias
+    for name in ("unique_frame", "g_star", "Unimodular", "is_well_rounded"):
+        assert not hasattr(wellround, name)
+    from wellround import general, scalar
+
+    assert general.InvariantError is scalar.InvariantError
 
 
 def test_environment_sets_no_defaults():

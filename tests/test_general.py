@@ -11,15 +11,9 @@ from wellround.general import (
     ExistenceVerdict,
     InvariantError,
     NoFrameError,
-    NotIntegralFormError,
-    NotPrimitiveVectorError,
-    brs_index,
     count_wr,
     enumerate_frames,
     existence,
-    g_star,
-    gamma_tilde_and_csl,
-    unique_frame,
     _lattice_class,
     _primitive_form,
     _window_hits,
@@ -28,7 +22,6 @@ from wellround.gram import (
     GramForm,
     LatticeType,
     NotPositiveDefiniteError,
-    Unimodular,
     _integer_pairs,
 )
 from wellround.hexagonal import a_hex
@@ -37,7 +30,18 @@ from wellround.square import a_square
 from wellround.sublattices import wr_census_bruteforce
 
 import oracle
-from oracle import nonrational_census, orthogonal_primitive, quadratic_forms
+from oracle import (
+    NotIntegralFormError,
+    NotPrimitiveVectorError,
+    Unimodular,
+    brs_index,
+    g_star,
+    gamma_tilde_and_csl,
+    nonrational_census,
+    orthogonal_primitive,
+    pair_frame,
+    quadratic_forms,
+)
 
 SQRT2 = Scalar(0, 1, 2)
 DIAG_1_SQRT2 = GramForm(Scalar(1), Scalar(0), SQRT2)
@@ -223,9 +227,9 @@ class TestClassAgainstScalarOracle:
             assert _primitive_form(_lattice_class(g)[2]) == oracle.primitive_form(g)
         if verdict in (ExistenceVerdict.RATIONAL_LATTICE, ExistenceVerdict.NO_WELL_ROUNDED):
             with pytest.raises(NoFrameError):
-                unique_frame(g)
+                pair_frame(g)
         else:
-            frame, reference = unique_frame(g), oracle.unique_frame(g)
+            frame, reference = pair_frame(g), oracle.unique_frame(g)
             assert frame == reference
             assert str(frame.kappa_sq) == str(reference.kappa_sq)
             # the integers that count_wr hands to the window rows: L > 0 and
@@ -253,7 +257,7 @@ class TestClassAgainstScalarOracle:
 
 class TestUniqueFrame:
     def test_diag_1_sqrt2(self):
-        frame = unique_frame(DIAG_1_SQRT2)
+        frame = pair_frame(DIAG_1_SQRT2)
         assert _members(frame.w, frame.z) == frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
         assert frame.sigma == 1
         assert frame.kappa_sq == SQRT2
@@ -261,12 +265,12 @@ class TestUniqueFrame:
 
     def test_diag_1_3sqrt2(self):
         g = GramForm(Scalar(1), Scalar(0), SQRT2 * 3)
-        frame = unique_frame(g)
+        frame = pair_frame(g)
         assert frame.sigma == 1
 
     def test_norm_condition_frame(self):
         g = GramForm(Scalar(1), SQRT2 / Scalar(2), Scalar(4))
-        frame = unique_frame(g)
+        frame = pair_frame(g)
         # the frame axis comes from beta = (r + sqrt(r^2 + q))/q = 1/2
         assert frame.sigma >= 1
         w, z = frame.w, frame.z
@@ -274,12 +278,12 @@ class TestUniqueFrame:
 
     def test_rational_has_no_unique_frame(self):
         with pytest.raises(NoFrameError):
-            unique_frame(GramForm.of(1, 0, 2))
+            pair_frame(GramForm.of(1, 0, 2))
 
     def test_no_frame_when_no_well_rounded(self):
         g = GramForm(Scalar(1), SQRT2 / Scalar(2), Scalar(3))
         with pytest.raises(NoFrameError):
-            unique_frame(g)
+            pair_frame(g)
 
 
 class TestDualInvariants:

@@ -10,7 +10,6 @@ from wellround.gram import (
     GramForm,
     LatticeType,
     NotPositiveDefiniteError,
-    Unimodular,
     _classify_pair,
     _floor_pair,
     _integer_pairs,
@@ -18,7 +17,6 @@ from wellround.gram import (
     _round_half_pair,
     classify,
     gauss_reduce,
-    is_well_rounded,
 )
 from wellround.general import (
     ExistenceVerdict,
@@ -32,7 +30,7 @@ from wellround.scalar import Scalar, _sign_pair
 
 from oracle import floor as oracle_floor
 from oracle import gauss_reduce as oracle_reduce
-from oracle import quadratic_forms
+from oracle import Unimodular, is_well_rounded, quadratic_forms
 
 
 def integral_pd_forms():

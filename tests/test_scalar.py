@@ -162,3 +162,21 @@ class TestSerialization:
     def test_parse_zero_denominator(self, text):
         with pytest.raises(ValueError):
             Scalar.parse(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1e4301", "1e-4301", "2.5E+4301", "1e1_000_000", "1+1e1000000*sqrt(2)", "sqrt(2)/1e5000"],
+    )
+    def test_parse_refuses_an_exponent_past_the_digit_limit(self, text):
+        # Fraction would build 10^e in full; at the default limit of 4300
+        # digits, 1e1000000000 would take a 415 MB integer
+        with pytest.raises(ValueError, match="exponent of .* is above 4300"):
+            Scalar.parse(text)
+
+    def test_from_json_refuses_an_exponent_past_the_digit_limit(self):
+        with pytest.raises(ValueError, match="exponent of '1e4301' is above 4300"):
+            Scalar.from_json({"rat": "1e4301", "irr": "1", "D": 2})
+
+    def test_parse_accepts_an_exponent_at_the_digit_limit(self):
+        assert Scalar.parse("1e4300") == Scalar(10**4300)
+        assert Scalar.parse("3e-4300").rat == Fraction(3, 10**4300)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from wellround.gram import (
     GramForm,
     LatticeType,
-    Unimodular,
     classify,
     classify_reduced,
 )
 from wellround.scalar import MixedRadicandError, Scalar
 from wellround.sublattices import CensusReport, wr_census_bruteforce
 
-from oracle import gauss_reduce, hnf_enumerate, quadratic_forms, sublattice_gram
+from oracle import Unimodular, gauss_reduce, hnf_enumerate, quadratic_forms, sublattice_gram
 
 
 def sigma_1(n: int) -> int:
