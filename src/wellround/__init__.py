@@ -44,7 +44,6 @@ _EXPORTS = {
     "a_square": "square",
     "b_square": "square",
     "b_square_primitive": "square",
-    "is_admissible_index_square": "square",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -29,9 +29,13 @@ EXIT_INVARIANT = 3
 EXIT_UNSUPPORTED = 4
 
 DEFAULT_MAX = 1000
-# the largest index bound accepted (--max, --checkpoints); a_square(10^7)
-# peaks at about 750 MB, and the census allocates six lists of this length
+# the largest index bound of every path that builds an array of that length
+# (--max, and --checkpoints of asympt --lattice custom): a_square(10^7) peaks
+# at about 750 MB, and the census allocates six lists of this length
 MAX_INDEX = 10**7
+# the largest --checkpoints entry of asympt --lattice square|hex, whose A(x)
+# come from tables of about x^(2/3) entries
+MAX_SUMMATORY_INDEX = 10**9
 # the largest --bound of frames; the frame list grows as its square, and at
 # 700 `frames --format json` peaks at 345 MB on the square lattice and 688 MB
 # on [[1,0],[0,1000]]
@@ -251,25 +255,28 @@ def cmd_asympt(args) -> int:
     checkpoints = args.checkpoints
     if not checkpoints or min(checkpoints) < 2:
         raise CliError("--checkpoints entries must be at least 2", EXIT_BAD_INPUT)
-    N = max(checkpoints)
-    if N > MAX_INDEX:
-        raise CliError(f"--checkpoints entries must be at most {MAX_INDEX}", EXIT_BAD_INPUT)
+    cap = MAX_INDEX if args.lattice == "custom" else MAX_SUMMATORY_INDEX
+    if max(checkpoints) > cap:
+        raise CliError(f"--checkpoints entries must be at most {cap}", EXIT_BAD_INPUT)
     if args.lattice == "custom":
         if not args.gram:
             raise CliError("--lattice custom needs --gram", EXIT_BAD_INPUT)
         from .general import count_wr
 
-        points = _summatory_points(count_wr(_parse_gram(args.gram), N), checkpoints)
+        points = _summatory_points(count_wr(_parse_gram(args.gram), max(checkpoints)), checkpoints)
         model = fit_model(points)
     else:
-        from . import asympt, hexagonal, square
+        from . import asympt
 
         if args.lattice == "square":
-            seq, model = square.a_square(N), asympt.square_model()
+            from .square import a_square_summatory as summatory
+
+            model = asympt.square_model()
         else:
-            seq, model = hexagonal.a_hex(N), asympt.hexagonal_model()
-        prefix = seq.summatory_all()
-        points = [(x, prefix[x - 1]) for x in checkpoints]
+            from .hexagonal import a_hex_summatory as summatory
+
+            model = asympt.hexagonal_model()
+        points = list(zip(checkpoints, summatory(checkpoints)))
     rows = model_report(points, model)
     _emit_rows(
         args,

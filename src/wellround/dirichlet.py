@@ -8,12 +8,21 @@ either way.  Multiplying two series is Dirichlet convolution, computed by a
 hyperbola split at sqrt(N) in about 2 sqrt(N) strided array additions.
 Truncation bounds propagate as the minimum over operands and reading past
 the bound is an error, never a silent zero.
+
+A `Summatory` gives the partial sums of a stream at every t, from a prefix
+table of its first coefficients and past the table from a function: a row
+count of the pair band (`band_count`), a divisor sum split at sqrt(t)
+(`divisor_summatory`), a sum over the support of a sparse factor such as
+1/zeta(2s) (`sparse_times`), or `hyperbola_sum` for the partial sum of a
+convolution.  With tables of about x^(2/3) coefficients
+(`summatory_length`) this reads the partial sums of the square and
+hexagonal counts up to x without an array of length x.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -163,23 +172,39 @@ def moebius_seq(N: int) -> ArithSeq:
     return ArithSeq(mu[1:])
 
 
+def squares_moebius(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support and values of 1/zeta(2s) up to N: mu(k) at k^2."""
+    k = np.arange(1, isqrt(N) + 1, dtype=np.int64)
+    mu = moebius_seq(len(k))._a
+    return (k * k)[mu != 0], mu[mu != 0]
+
+
 def inv_zeta_2s(N: int) -> ArithSeq:
     """Coefficients of 1/zeta(2s): mu(sqrt(n)) at perfect squares, else 0."""
-    r = isqrt(N)
+    n, c = squares_moebius(N)
     out = np.zeros(N, dtype=np.int64)
-    out[np.arange(1, r + 1) ** 2 - 1] = moebius_seq(r)._a
+    out[n - 1] = c
     return ArithSeq(out)
+
+
+def alt_powers(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The support and values of 1/(1 + m^{-s}) up to N: (-1)^j at m^j."""
+    if m < 2:
+        raise ValueError("base must be at least 2")
+    n, c = [], []
+    power, sign = 1, 1
+    while power <= N:
+        n.append(power)
+        c.append(sign)
+        power, sign = power * m, -sign
+    return np.array(n, dtype=np.int64), np.array(c, dtype=np.int64)
 
 
 def alt_euler_factor(m: int, N: int) -> ArithSeq:
     """Coefficients of 1/(1 + m^{-s}): (-1)^j at n = m^j."""
-    if m < 2:
-        raise ValueError("base must be at least 2")
+    n, c = alt_powers(m, N)
     out = np.zeros(N, dtype=np.int64)
-    power, sign = 1, 1
-    while power <= N:
-        out[power - 1] = sign
-        power, sign = power * m, -sign
+    out[n - 1] = c
     return ArithSeq(out)
 
 
@@ -192,6 +217,25 @@ def shift_support(f: ArithSeq, m: int) -> ArithSeq:
     return ArithSeq(out)
 
 
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """Integer square roots of int64 values below 2^62.  There the rounded
+    float root is never below the integer root k (k is a double, and no
+    rounding error reaches half its spacing) and at most k + 1, which one
+    step down corrects."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    return s
+
+
+def _band_rows(t: int, r: int, odd: bool) -> tuple[np.ndarray, np.ndarray, int]:
+    """The rows of the band up to t: each p with p^2 <= t (odd only with
+    `odd`), the largest q of its row (q^2 < r p^2 and pq <= t), and the step
+    between the q of a row, which start at p + step."""
+    step = 2 if odd else 1
+    p = np.arange(1, isqrt(t) + 1, step, dtype=np.int64)
+    return p, np.minimum(_isqrt(r * p * p - 1), t // p), step
+
+
 def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     """w(n) = number of factorizations n = p*q with p < q and q^2 < r p^2.
 
@@ -199,12 +243,96 @@ def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     sums over the same band.  The odd loop may start at p = 1: no odd q
     lies in (1, sqrt(r)) for r <= 9.
     """
-    step = 2 if odd else 1
+    rows, tops, step = _band_rows(N, r, odd)
     out = np.zeros(N + 1, dtype=np.int64)
-    for p in range(1, isqrt(N) + 1, step):
-        q_max = min(isqrt(r * p * p - 1), N // p)
-        out[p * (p + step) : p * q_max + 1 : p * step] += 1
+    for p, q in zip(rows.tolist(), tops.tolist()):
+        out[p * (p + step) : p * q + 1 : p * step] += 1
     return ArithSeq(out[1:])
+
+
+def band_count(t: int, r: int, odd: bool = False) -> int:
+    """The partial sum of `pair_band(., r, odd)` to t, one row at a time."""
+    p, q, step = _band_rows(t, r, odd)
+    return int(((q - p) // step).sum())
+
+
+class Summatory:
+    """Partial sums C(t) = c(1) + ... + c(t) of a stream at every t >= 0:
+    read from a prefix table while t <= N, and from `beyond(t)` past it."""
+
+    __slots__ = ("N", "coeffs", "table", "bound", "beyond")
+
+    def __init__(self, seq: ArithSeq, beyond: Callable[[int], int]):
+        self.N, self.coeffs, self.beyond = seq.N, seq._a, beyond
+        self.table = np.concatenate((np.zeros(1, dtype=np.int64), seq._prefix_sums()))
+        self.bound = _max_abs(self.table)
+
+    def __call__(self, t: int) -> int:
+        return int(self.table[t]) if t <= self.N else self.beyond(t)
+
+
+def _weighted_sum(y: int, n: np.ndarray, c: np.ndarray, g: Summatory) -> int:
+    """Sum of c_i G(y // n_i) over ascending n_i <= y: G from g.beyond for
+    the n_i small enough that y // n_i passes g's table, from the table for
+    the rest in one array product."""
+    k = int(np.searchsorted(n, y, side="right"))
+    far = int(np.searchsorted(n[:k], y // (g.N + 1), side="right"))
+    total = sum(
+        ci * g.beyond(y // ni) for ni, ci in zip(n[:far].tolist(), c[:far].tolist()) if ci
+    )
+    if far < k:
+        c, G = c[far:k], g.table[y // n[far:k]]
+        dtype = _dtype((k - far) * _max_abs(c) * g.bound)
+        total += int(np.sum(c.astype(dtype, copy=False) * G.astype(dtype, copy=False)))
+    return total
+
+
+def hyperbola_sum(y: int, f: Summatory, g: Summatory) -> int:
+    """Partial sum of f*g to y, the sum of f(a) g(b) over ab <= y, split at
+    s = isqrt(y): the pairs with a <= s, those with b <= s, less the s^2
+    pairs counted twice.  Both tables must reach s."""
+    s = isqrt(y)
+    if s > min(f.N, g.N):
+        raise OutOfRangeError(f"split point {s} beyond the tables [1, {min(f.N, g.N)}]")
+    n = np.arange(1, s + 1, dtype=np.int64)
+    return _weighted_sum(y, n, f.coeffs[:s], g) + _weighted_sum(y, n, g.coeffs[:s], f) - f(s) * g(s)
+
+
+def summatory_length(x: int) -> int:
+    """The table length, about x^(2/3), at which the partial sums to x cost
+    about as much past the tables as the tables themselves."""
+    return round(x ** (2 / 3)) + 1
+
+
+def divisor_summatory(chi: DirichletCharacter, b: ArithSeq) -> Summatory:
+    """Partial sums of b = 1 * chi, with b's first coefficients as `b`; past
+    them, the sum of chi(d) over de <= t splits at s = isqrt(t) into
+    sum_{d <= s} chi(d) (t // d) + sum_{e <= s} X(t // e) - s X(s), where X,
+    the partial sum of chi, has period chi.modulus and sums to 0 over one."""
+    m = chi.modulus
+    values = np.array(chi.table, dtype=np.int64)
+    X = np.concatenate(([0], np.cumsum(np.roll(values, -1))))
+    if X[m]:
+        raise ValueError("the character must sum to 0 over one period")
+
+    def beyond(t: int) -> int:
+        s = isqrt(t)
+        d = np.arange(1, s + 1, dtype=np.int64)
+        q = t // d
+        return int(values[d % m] @ q + X[q % m].sum()) - s * int(X[s % m])
+
+    return Summatory(b, beyond)
+
+
+def sparse_times(n: np.ndarray, c: np.ndarray, g: Summatory, table: ArithSeq) -> Summatory:
+    """Partial sums of h * g's stream, where h(n_i) = c_i (n_i ascending) and
+    h is 0 elsewhere; `table` holds the product's first coefficients."""
+    return Summatory(table, lambda t: _weighted_sum(t, n, c, g))
+
+
+def band_summatory(N: int, r: int, odd: bool = False) -> Summatory:
+    """Partial sums of the band, from `pair_band(N, r, odd)` and `band_count`."""
+    return Summatory(pair_band(N, r, odd), lambda t: band_count(t, r, odd))
 
 
 def evaluate(f: ArithSeq, s: float) -> float:

@@ -22,7 +22,10 @@ The rest are the paper's statements that only the tests check, kept out of
 the package: `Unimodular` basis changes, `is_well_rounded`, the dual
 invariants `g_star` and `brs_index`, the coincidence lattice of a frame
 (`gamma_tilde_and_csl`), and `pair_frame`, the package's integer-pair frame
-of a non-rational lattice as a `ReflectionFrame`.
+of a non-rational lattice as a `ReflectionFrame`.  For the square lattice:
+the type series `rhombic_square_series` and `primitive_type_series`, the
+admissible indices (`is_admissible_index_square`) and the larger candidate
+set of Fukshansky's (`fukshansky_superset_member`).
 """
 
 from __future__ import annotations
@@ -36,7 +39,16 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from wellround.asympt import DomainError, _band_gap_terms, _bound_for_radius, _form_floats
-from wellround.dirichlet import ArithSeq, moebius_seq
+from wellround.dirichlet import (
+    ArithSeq,
+    alt_euler_factor,
+    convolve,
+    delta_seq,
+    inv_zeta_2s,
+    moebius_seq,
+    ones_seq,
+    shift_support,
+)
 from wellround.general import (
     ExistenceVerdict,
     InvariantError,
@@ -48,6 +60,7 @@ from wellround.general import (
 )
 from wellround.gram import GramForm, LatticeType, classify
 from wellround.scalar import Scalar
+from wellround.square import b_square_primitive
 
 
 class Unimodular(tuple):
@@ -460,3 +473,78 @@ def pair_frame(g: GramForm) -> ReflectionFrame:
     `_lattice_class`, with kappa^2 = (u + v sqrt(D))/L as a Scalar."""
     w, z, sigma, (u, v, L, D) = _unique_frame(*_lattice_class(g))
     return _frame(w, z, sigma, Scalar(Fraction(u, L), Fraction(v, L), D))
+
+
+def rhombic_square_series(N: int) -> dict[str, ArithSeq]:
+    """Counts of rhombic, centred rectangular and square sublattices combined.
+
+    Returns the even-index stream, the odd-index stream, their sum, and the
+    primitive-only variant of the sum.
+    """
+    bpr = b_square_primitive(N)
+    zeta2 = convolve(ones_seq(N), ones_seq(N))
+    base = convolve(zeta2, bpr)
+    even = shift_support(base, 2)
+    # odd indices: both generators odd, primitive part restricted to odd norm
+    odd_zeta = ArithSeq(np.arange(1, N + 1) % 2)
+    odd = convolve(
+        convolve(odd_zeta, odd_zeta), convolve(alt_euler_factor(2, N), bpr)
+    )
+    total = even + odd
+    primitive = convolve(inv_zeta_2s(N), total)
+    return {"even": even, "odd": odd, "all": total, "primitive": primitive}
+
+
+def primitive_type_series(N: int) -> dict[str, ArithSeq]:
+    """Primitive square, rhombic-or-centred-rectangular and rectangular counts."""
+    bpr = b_square_primitive(N)
+    zeta2_over_zeta2s = convolve(convolve(ones_seq(N), ones_seq(N)), inv_zeta_2s(N))
+    rect_factor = zeta2_over_zeta2s - delta_seq(N)
+    rectangular = convolve(rect_factor, bpr)
+    rhombic = rhombic_square_series(N)["primitive"] - bpr
+    return {"square": bpr, "rhombic_cr": rhombic, "rectangular": rectangular}
+
+
+def fukshansky_superset_member(n: int) -> bool:
+    """Membership in the larger candidate index set {pq|z|^2 : q <= p <= sqrt(3) q}."""
+    return _in_index_family(n, require_odd=False)
+
+
+def is_admissible_index_square(n: int) -> bool:
+    """True iff some well-rounded sublattice of the square lattice has index n."""
+    if n % 2 == 0:
+        return _in_index_family(n // 2, require_odd=False)
+    return _in_index_family(n, require_odd=True)
+
+
+def _sum_of_two_squares(n: int) -> bool:
+    # n = |z|^2 solvable iff every prime 3 mod 4 divides n evenly
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            if p % 4 == 3 and e % 2:
+                return False
+        p += 1
+    return not (n % 4 == 3)
+
+
+def _in_index_family(n: int, require_odd: bool) -> bool:
+    """n = p*q*m with q <= p <= sqrt(3) q (p^2 <= 3 q^2) and m a norm |z|^2."""
+    if require_odd and n % 2 == 0:
+        return False
+    for m in range(1, n + 1):
+        if n % m or not _sum_of_two_squares(m):
+            continue
+        r = n // m
+        q = 1
+        while q * q <= r:
+            if r % q == 0:
+                p = r // q
+                if p * p <= 3 * q * q:
+                    return True
+            q += 1
+    return False

@@ -17,7 +17,7 @@ from wellround.general import count_wr
 from wellround.gram import GramForm, classify, gauss_reduce
 from wellround.hexagonal import a_hex, b_hex
 from wellround.scalar import Scalar
-from wellround.square import a_square, b_square, fukshansky_superset_member
+from wellround.square import a_square, b_square
 from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
@@ -26,6 +26,7 @@ from oracle import (
     brs_index,
     epstein_restricted,
     epstein_restricted_moebius,
+    fukshansky_superset_member,
     g_star,
     nonrational_census,
     orthogonal_primitive,

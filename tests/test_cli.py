@@ -281,13 +281,16 @@ class TestCensus:
         # index bounds past cli.MAX_INDEX are refused before any array is built
         (["series", "--name", "a_square", "--max", "10000001"], "--max"),
         (["census", "--preset", "square", "--mode", "formula", "--max", "10000001"], "--max"),
-        (["asympt", "--checkpoints", "1000,10000001"], "--checkpoints"),
+        (["asympt", "--lattice", "custom", "--gram", "[[2,1],[1,3]]", "--checkpoints", "1000,10000001"], "--checkpoints"),
         (["epstein", "--form", "1,0,1", "--s", "nan"], "--s"),
         (["epstein", "--form", "1,0,1", "--s", "1"], "--s"),
         # a --gram that asympt would otherwise ignore
         (["asympt", "--lattice", "square", "--gram", "[[1,0],[0,2]]"], "--gram"),
         (["asympt", "--lattice", "hex", "--gram", "[[1,0],[0,2]]"], "--gram"),
         (["classify", "--gram", "not json"], "--gram"),
+        # the summatory path of the two presets stops at cli.MAX_SUMMATORY_INDEX
+        (["asympt", "--checkpoints", "1000,1000000001"], "--checkpoints"),
+        (["asympt", "--lattice", "hex", "--checkpoints", "1000000001"], "--checkpoints"),
     ],
 )
 def test_bad_flag_value_exits_2(capsys, argv, flag):
@@ -340,6 +343,14 @@ def test_asympt_has_no_preset_flag(capsys):
     assert main(["asympt", "--lattice", "custom"]) == 2
     err = capsys.readouterr().err
     assert "--gram" in err and "--preset" not in err
+
+
+def test_asympt_presets_read_past_the_array_cap(capsys):
+    # A(10^7) of the square lattice, the value a_square(10^7) gives, from
+    # tables of about 10^(14/3) entries
+    code, out, _ = run(capsys, "asympt", "--checkpoints", "1000,10000000", "--format", "json")
+    assert code == 0
+    assert [row[:2] for row in json.loads(out)["rows"]] == [[1000, 1663], [10**7, 32_706_462]]
 
 
 @pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc"])
@@ -568,6 +579,16 @@ def test_census_and_classify_load_no_counting_theory(argv):
     assert not {"wellround.general", "dataclasses"} & set(loaded)
 
 
+@pytest.mark.parametrize(
+    "lattice, module, other",
+    [("square", "wellround.square", "wellround.hexagonal"), ("hex", "wellround.hexagonal", "wellround.square")],
+)
+def test_asympt_preset_loads_its_own_lattice(lattice, module, other):
+    loaded = _modules_loaded_by(["asympt", "--lattice", lattice, "--checkpoints", "30,100"])
+    assert module in loaded
+    assert not {other, "wellround.general", "wellround.gram"} & set(loaded)
+
+
 def test_epstein_loads_only_the_float_layer():
     loaded = _modules_loaded_by(["epstein", "--form", "1,0,1", "--radius", "100"])
     assert "wellround.asympt" in loaded
@@ -587,7 +608,7 @@ def test_every_public_name_resolves():
     for name in wellround.__all__:
         assert getattr(wellround, name) is getattr(sys.modules[getattr(wellround, name).__module__], name)
     # a moved test-only name is gone, with no alias
-    for name in ("unique_frame", "g_star", "Unimodular", "is_well_rounded"):
+    for name in ("unique_frame", "g_star", "Unimodular", "is_well_rounded", "is_admissible_index_square"):
         assert not hasattr(wellround, name)
     from wellround import general, scalar
 

@@ -4,20 +4,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from wellround.dirichlet import (
     CHI_MINUS3,
     CHI_MINUS4,
     ArithSeq,
+    DirichletCharacter,
     OutOfRangeError,
+    Summatory,
+    _isqrt,
     alt_euler_factor,
+    alt_powers,
+    band_count,
     character_seq,
     convolve,
     delta_seq,
+    divisor_summatory,
+    hyperbola_sum,
     inv_zeta_2s,
     moebius_seq,
     ones_seq,
     pair_band,
     shift_support,
+    sparse_times,
+    squares_moebius,
+    summatory_length,
 )
 
 small_seqs = st.builds(
@@ -151,6 +163,71 @@ class TestPairBand:
                     if q * q < r * p * p and (not odd or (p % 2 and q % 2 and p >= 3)):
                         expected[p * q] += 1
             assert list(pair_band(N, r, odd)) == expected[1:]
+
+
+def short_table(seq: ArithSeq, N: int) -> Summatory:
+    """The partial sums of `seq` from a table of its first N coefficients,
+    and from its whole prefix past them."""
+    prefix = [0] + seq.summatory_all()
+    return Summatory(ArithSeq(list(seq)[:N]), lambda t: prefix[t])
+
+
+class TestSummatoryPath:
+    def test_isqrt_is_exact_near_squares(self):
+        roots = np.array([1, 2, 3, 10**4, 2**26, 3 * 10**8, 2**31 - 1], dtype=np.int64)
+        n = np.concatenate([roots * roots + d for d in (-1, 0, 1)])
+        assert _isqrt(n).tolist() == [math.isqrt(int(v)) for v in n]
+
+    @pytest.mark.parametrize("r", [3, 9])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_band_count_is_the_band_prefix(self, r, odd):
+        prefix = [0] + pair_band(600, r, odd).summatory_all()
+        assert [band_count(t, r, odd) for t in range(601)] == prefix
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.lists(st.integers(-9, 9), min_size=300, max_size=300),
+        st.lists(st.integers(-9, 9), min_size=300, max_size=300),
+        st.integers(18, 300),
+    )
+    def test_hyperbola_sum_is_the_convolution_prefix(self, f, g, N):
+        # tables of N >= isqrt(300) coefficients: the far terms read `beyond`
+        f, g = ArithSeq(f), ArithSeq(g)
+        expected = [0] + convolve(f, g).summatory_all()
+        F, G = short_table(f, N), short_table(g, N)
+        assert [hyperbola_sum(y, F, G) for y in range(301)] == expected
+
+    def test_hyperbola_sum_needs_tables_to_the_split(self):
+        with pytest.raises(OutOfRangeError):
+            hyperbola_sum(100, short_table(ones_seq(100), 9), short_table(ones_seq(100), 10))
+
+    @pytest.mark.parametrize("chi", [CHI_MINUS4, CHI_MINUS3])
+    def test_divisor_summatory_past_its_table(self, chi):
+        N = 2000
+        b = convolve(ones_seq(N), character_seq(chi, N))
+        B = divisor_summatory(chi, ArithSeq(list(b)[:50]))
+        assert [B(t) for t in range(N + 1)] == [0] + b.summatory_all()
+
+    def test_divisor_summatory_refuses_a_principal_character(self):
+        with pytest.raises(ValueError):
+            divisor_summatory(DirichletCharacter(1, (1,)), ones_seq(10))
+
+    def test_sparse_factors(self):
+        N = 3000
+        b = convolve(ones_seq(N), character_seq(CHI_MINUS4, N))
+        B = short_table(b, 60)
+        primitive = convolve(inv_zeta_2s(N), b)
+        P = sparse_times(*squares_moebius(N), B, ArithSeq(list(primitive)[:60]))
+        assert [P(t) for t in range(N + 1)] == [0] + primitive.summatory_all()
+        off_three = convolve(alt_euler_factor(3, N), primitive)
+        A = sparse_times(*alt_powers(3, N), P, ArithSeq(list(off_three)[:60]))
+        assert [A(t) for t in range(N + 1)] == [0] + off_three.summatory_all()
+
+    def test_summatory_length(self):
+        assert summatory_length(10**6) == 10**4 + 1
+        assert summatory_length(10**9) == 10**6 + 1
+        for x in (1, 2, 3, 8, 1000):
+            assert math.isqrt(x) < summatory_length(x) <= x + 1
 
 
 class TestSummatoryAsymptotics:

@@ -1,10 +1,12 @@
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wellround import dirichlet
 from wellround.dirichlet import pair_band
 from wellround.gram import GramForm, LatticeType
-from wellround.hexagonal import (
-    a_hex,
-    b_hex,
-    b_hex_primitive,
-)
+from wellround.hexagonal import a_hex, a_hex_summatory, b_hex, b_hex_primitive
 from wellround.sublattices import wr_census_bruteforce
 
 
@@ -64,3 +66,42 @@ class TestWellRounded:
     def test_similar_are_hexagonal_type(self):
         census = wr_census_bruteforce(GramForm.of(2, 1, 2), 40)
         assert census.by_type[LatticeType.HEXAGONAL] == list(b_hex(40))
+
+
+@cache
+def _prefix(N: int) -> list[int]:
+    """A(1), ..., A(N) from the array of `a_hex`, built once per N."""
+    return a_hex(N).summatory_all()
+
+
+class TestSummatory:
+    def test_every_x_to_3000(self):
+        # tables of about 3000^(2/3) entries: most x read past them
+        assert a_hex_summatory(range(1, 3001)) == _prefix(3000)
+
+    def test_each_x_alone_to_400(self):
+        # each x on its own tables, so that small x read them alone
+        assert [a_hex_summatory([x])[0] for x in range(1, 401)] == _prefix(3000)[:400]
+
+    def test_benchmark_checkpoints(self):
+        checkpoints = (600, 10000, 100000, 500000)
+        prefix = _prefix(max(checkpoints))
+        assert a_hex_summatory(checkpoints) == [prefix[x - 1] for x in checkpoints]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 200_000), min_size=1, max_size=4))
+    def test_drawn_x(self, xs):
+        prefix = _prefix(200_000)
+        assert a_hex_summatory(xs) == [prefix[x - 1] for x in xs]
+
+    def test_builds_no_array_near_x(self, monkeypatch):
+        lengths = []
+        init = dirichlet.ArithSeq.__init__
+
+        def record(self, values):
+            init(self, values)
+            lengths.append(self.N)
+
+        monkeypatch.setattr(dirichlet.ArithSeq, "__init__", record)
+        a_hex_summatory([10**6])
+        assert 0 < max(lengths) <= dirichlet.summatory_length(10**6)

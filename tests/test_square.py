@@ -1,15 +1,20 @@
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wellround import dirichlet
 from wellround.dirichlet import pair_band
 from wellround.gram import GramForm
-from wellround.square import (
-    a_square,
-    b_square,
-    b_square_primitive,
+from wellround.square import a_square, a_square_summatory, b_square, b_square_primitive
+from wellround.sublattices import wr_census_bruteforce
+
+from oracle import (
     fukshansky_superset_member,
     is_admissible_index_square,
     primitive_type_series,
     rhombic_square_series,
 )
-from wellround.sublattices import wr_census_bruteforce
 
 
 class TestSimilarCounts:
@@ -87,3 +92,46 @@ class TestAdmissibleIndices:
         a = a_square(200)
         for n in range(1, 201):
             assert is_admissible_index_square(n) == (a[n] > 0)
+
+
+@cache
+def _prefix(N: int) -> list[int]:
+    """A(1), ..., A(N) from the array of `a_square`, built once per N."""
+    return a_square(N).summatory_all()
+
+
+class TestSummatory:
+    def test_every_x_to_3000(self):
+        # tables of about 3000^(2/3) entries: most x read past them
+        assert a_square_summatory(range(1, 3001)) == _prefix(3000)
+
+    def test_each_x_alone_to_400(self):
+        # each x on its own tables, so that small x read them alone
+        assert [a_square_summatory([x])[0] for x in range(1, 401)] == _prefix(3000)[:400]
+
+    def test_benchmark_checkpoints(self):
+        checkpoints = (600, 10000, 100000, 1000000)
+        prefix = _prefix(max(checkpoints))
+        assert a_square_summatory(checkpoints) == [prefix[x - 1] for x in checkpoints]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 200_000), min_size=1, max_size=4))
+    def test_drawn_x(self, xs):
+        prefix = _prefix(200_000)
+        assert a_square_summatory(xs) == [prefix[x - 1] for x in xs]
+
+    def test_builds_no_array_near_x(self, monkeypatch):
+        lengths = []
+        init = dirichlet.ArithSeq.__init__
+
+        def record(self, values):
+            init(self, values)
+            lengths.append(self.N)
+
+        monkeypatch.setattr(dirichlet.ArithSeq, "__init__", record)
+        a_square_summatory([10**6])
+        assert 0 < max(lengths) <= dirichlet.summatory_length(10**6)
+
+    def test_roadmap_value_at_ten_million(self):
+        # the value a_square(10^7) gives
+        assert a_square_summatory([10**7]) == [32_706_462]
