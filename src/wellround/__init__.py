@@ -1,9 +1,10 @@
 """Counting and asymptotics of well-rounded sublattices of planar lattices.
 
-Exact layers: scalar arithmetic in a real quadratic field, Gram form
-reduction and classification, Hermite-normal-form sublattice censuses,
-Dirichlet coefficient streams for the square and hexagonal lattices, and
-the general rational / non-rational counting theory.  The floats live in
+Exact layers: scalar values in a real quadratic field, Gram form
+reduction and classification on integer pairs, Hermite-normal-form
+sublattice censuses, Dirichlet coefficient streams for the square and
+hexagonal lattices, and the general rational / non-rational counting
+theory.  The floats live in
 asympt (constants, Epstein sums) and growth (the fitted growth model).
 
 `import wellround` loads no submodule: every public name below loads its
@@ -25,7 +26,6 @@ _EXPORTS = {
     "LatticeType": "gram",
     "NotPositiveDefiniteError": "gram",
     "classify": "gram",
-    "classify_reduced": "gram",
     "gauss_reduce": "gram",
     "CensusReport": "sublattices",
     "wr_census_bruteforce": "sublattices",

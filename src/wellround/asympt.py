@@ -1,24 +1,24 @@
-"""Numeric layer: constants, tail bounds, Epstein zeta sums, and the
-closed-form growth models of the square and hexagonal lattices.
+"""Numeric layer: constants, Epstein zeta sums, and the closed-form growth
+models of the square and hexagonal lattices.
 
 Everything exact (coefficient streams, censuses, window counts) lives
-elsewhere; here those streams are compared against the closed-form
-constants and the truncated analytic objects that describe their growth.
+elsewhere; here are the closed-form constants and the truncated analytic
+objects that describe their growth.
 The fitted model of any other lattice lives in `growth`, which needs no
 numpy.  Each float the CLI prints with an error comes from one call here,
 as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
 `epstein_residue_estimate`.  Both lattice constants rest on one band-gap
 sum, the terms of `_band_gap_terms(P, r, odd)`, over the band that
 `dirichlet.pair_band` counts: r = 3 for the square lattice, r = 9 for the
-hexagonal one.  Every Epstein sum comes from one kernel, `_power_sums`,
-over half the disk.  `dirichlet` and `growth` are imported inside the
-functions that use them, so an Epstein call loads neither.
+hexagonal one; its row tops are the integer square roots of
+`dirichlet._isqrt`.  Every Epstein sum comes from one kernel,
+`_power_sums`, over half the disk.  `dirichlet` and `growth` are imported
+inside the functions that use them, so an Epstein call loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from math import isqrt, log, pi, sqrt
 
 import numpy as np
@@ -39,10 +39,9 @@ ZETA2 = pi * pi / 6.0
 EULER_TERMS = 100_000
 ZETA_TERMS = 1_000_000
 # values of p in each band-gap sum; `_richardson` also takes twice as many,
-# so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^52
+# so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^62, where
+# `dirichlet._isqrt` is exact
 BAND_TERMS = 400_000
-# coefficients of each truncated series in the sandwich checks
-SANDWICH_TERMS = 20_000
 
 
 def euler_gamma() -> float:
@@ -92,22 +91,7 @@ def L_prime_over_L(D: int) -> float:
     raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
 
 
-def L_prime_over_L_gamma_form(D: int) -> float:
-    """Same quantity through Gamma-function identities (consistency check)."""
-    g = euler_gamma()
-    if D == -4:
-        return log(math.gamma(0.75) ** 4 * math.exp(g) / pi)
-    if D == -3:
-        return log(2.0**4 * pi**4 * math.exp(g) / (3.0**1.5 * math.gamma(1.0 / 3.0) ** 6))
-    raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-
-
 # -- the two lattice constants ------------------------------------------------
-
-
-def _band_top(p: np.ndarray, r: int) -> np.ndarray:
-    """The largest q with q^2 < r p^2; the float root is exact while r p^2 < 2^52."""
-    return np.floor(np.sqrt((r * p * p - 1).astype(np.float64))).astype(np.int64)
 
 
 def _band_gap_terms(P: int, r: int, odd: bool) -> np.ndarray:
@@ -115,9 +99,17 @@ def _band_gap_terms(P: int, r: int, odd: bool) -> np.ndarray:
     the band of `dirichlet.pair_band(N, r, odd)`: the first P values of p, odd
     only when `odd`, and for each p the q = p (mod step) with p < q and
     q^2 < r p^2."""
+    from .dirichlet import _isqrt
+
     step = 2 if odd else 1
-    p = np.arange(1, step * P + 1, step, dtype=np.int64)
-    top = _band_top(p, r)
+    # the largest q with q^2 < r p^2, the root of r p^2 - 1 built in place
+    # over the p, which the last step builds again: so no more than three
+    # arrays of this size are alive while the root is taken
+    top = np.arange(1, step * P + 1, step, dtype=np.int64)
+    top *= top
+    top *= r
+    top -= 1
+    top = _isqrt(top)
     # prefix[i] = sum of 1/q over q = 1, 1 + step, ..., 1 + i step, built in place
     prefix = np.arange(1.0, top[-1] + 1.0, step)
     np.cumsum(np.reciprocal(prefix, out=prefix), out=prefix)
@@ -128,7 +120,7 @@ def _band_gap_terms(P: int, r: int, odd: bool) -> np.ndarray:
     gap = prefix[top]
     gap -= prefix[:P]
     np.subtract(log(r) / (2 * step), gap, out=gap)
-    gap /= p
+    gap /= np.arange(1, step * P + 1, step, dtype=np.int64)
     return gap
 
 
@@ -206,120 +198,6 @@ def constants_table() -> dict[str, tuple[float, float]]:
         "c_square": c_square_eval(),
         "c_triangle": c_triangle_eval(),
     }
-
-
-# -- interval tail bounds -----------------------------------------------------
-
-
-def interval_sum_bounds(l: int, alpha: float, beta: float, gamma: float, s: float):
-    """Bounds straddling sum over l < n < alpha*l + beta of 1/(n+gamma)^s.
-
-    Returns (lower, upper, exact) with lower < exact < upper, where upper is
-    the integral of (x+gamma)^(-s) over [l, alpha*l+beta] and lower is that
-    integral minus the first summand bound.
-    """
-    if l < 1 or alpha <= 1 or beta < 0 or not 0 <= gamma < 1 or s < 0:
-        raise DomainError("parameters outside the valid range")
-    top = alpha * l + beta
-    if s == 1.0:
-        integral = log((top + gamma) / (l + gamma))
-    else:
-        integral = ((top + gamma) ** (1 - s) - (l + gamma) ** (1 - s)) / (1 - s)
-    exact = 0.0
-    n = l + 1
-    while n < top:
-        exact += (n + gamma) ** (-s)
-        n += 1
-    return integral - (l + gamma) ** (-s), integral, exact
-
-
-# -- truncated Dirichlet evaluation and sandwiches ----------------------------
-
-
-def L_chi(D: int, s: float) -> float:
-    """L(s, chi_D) through Hurwitz zeta values."""
-    import mpmath
-
-    if D == -4:
-        return float(4.0**-s * (mpmath.zeta(s, Fraction(1, 4)) - mpmath.zeta(s, Fraction(3, 4))))
-    if D == -3:
-        return float(3.0**-s * (mpmath.zeta(s, Fraction(1, 3)) - mpmath.zeta(s, Fraction(2, 3))))
-    raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-
-
-def zeta(s: float) -> float:
-    import mpmath
-
-    return float(mpmath.zeta(s))
-
-
-def D_square(s: float) -> float:
-    return (
-        (2.0 + 2.0**s)
-        / (1.0 + 2.0**s)
-        * (1.0 - sqrt(3.0) ** (1.0 - s))
-        / (s - 1.0)
-        * L_chi(-4, s)
-        / zeta(2 * s)
-        * zeta(s)
-        * zeta(2 * s - 1.0)
-    )
-
-
-def phi_square(s: float) -> float:
-    return zeta(s) * L_chi(-4, s)
-
-
-def D_hex(s: float) -> float:
-    return (
-        0.5
-        * 3.0
-        / (1.0 + 3.0**-s)
-        * (1.0 - 3.0 ** (1.0 - s))
-        / (s - 1.0)
-        * L_chi(-3, s)
-        / zeta(2 * s)
-        * zeta(s)
-        * zeta(2 * s - 1.0)
-    )
-
-
-def E_hex(s: float) -> float:
-    return 3.0 / (1.0 + 3.0**-s) * L_chi(-3, s) * zeta(s)
-
-
-def _truncated_with_error(series_fn, s: float, N: int) -> tuple[float, float]:
-    from .dirichlet import evaluate
-
-    full = evaluate(series_fn(N), s)
-    half = evaluate(series_fn(N // 2), s)
-    return full, 2.0 * abs(full - half) + 1e-12
-
-
-def sandwich_check_square(s: float) -> bool:
-    """Strict two-sided bound on the well-rounded series of the square lattice."""
-    from .square import a_square
-
-    phi_wr, err = _truncated_with_error(a_square, s, SANDWICH_TERMS)
-    lower = D_square(s) - phi_square(s)
-    upper = D_square(s) + phi_square(s)
-    return lower < phi_wr + err and phi_wr - err < upper
-
-
-def sandwich_check_hex(s: float) -> bool:
-    """Two-sided bound on the well-rounded series of the hexagonal lattice.
-
-    The interval-sum lemma bounds the rhombic contribution between
-    D - E and D, so the full series (rhombic plus similar sublattices)
-    sits strictly between phi + D - E and phi + D with phi = zeta * L.
-    """
-    from .hexagonal import a_hex
-
-    phi_wr, err = _truncated_with_error(a_hex, s, SANDWICH_TERMS)
-    phi = zeta(s) * L_chi(-3, s)
-    lower = phi + D_hex(s) - E_hex(s)
-    upper = phi + D_hex(s)
-    return lower < phi_wr + err and phi_wr - err < upper
 
 
 # -- Epstein zeta sums --------------------------------------------------------

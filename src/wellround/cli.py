@@ -52,8 +52,9 @@ class CliError(Exception):
 def _parse_gram(text: str) -> GramForm:
     """Accept a JSON matrix, an {a,b,c} object, a {t,n} shape descriptor,
     or the diag(x,y) shorthand; entries may be exact scalar strings.  The
-    form must be positive definite."""
-    from .gram import GramForm
+    form must be positive definite, with its entries in one field: it is
+    checked by `gram._checked_pairs`, as every exact computation is."""
+    from .gram import GramForm, _checked_pairs
 
     text = text.strip().replace("√", "sqrt")
     try:
@@ -65,16 +66,16 @@ def _parse_gram(text: str) -> GramForm:
             g = GramForm(_scalar(a), _scalar(b), _scalar(c))
             if _scalar(b2) != g.b:
                 raise ValueError("matrix is not symmetric")
-        elif "t" in obj or "n" in obj:
+        elif not isinstance(obj, str) and ("t" in obj or "n" in obj):
             # shape descriptor: a = 1, t = 2b/a, n = c/a
             t = _scalar(obj.get("t", "0"))
             n = _scalar(obj.get("n", "1"))
-            g = GramForm(Scalar(1), t / Scalar(2), n)
+            g = GramForm(Scalar(1), Scalar(t.rat / 2, t.irr / 2, t.root), n)
         else:
             g = GramForm(_scalar(obj["a"]), _scalar(obj["b"]), _scalar(obj["c"]))
     except (ValueError, KeyError, TypeError, json.JSONDecodeError, MixedRadicandError) as e:
         raise CliError(f"cannot parse Gram form {text!r} of --gram: {e}", EXIT_BAD_INPUT)
-    g.check_positive_definite()
+    _checked_pairs(g)
     return g
 
 
@@ -132,11 +133,11 @@ def _float_field(value: float, abs_error: float) -> dict:
 
 
 def cmd_reduce(args) -> int:
-    from .gram import classify_reduced, gauss_reduce
+    from .gram import classify, gauss_reduce
 
     g = _spec_gram(args)
     reduced = gauss_reduce(g)
-    kind = classify_reduced(reduced.a, reduced.b, reduced.c).value.replace("_", " ")
+    kind = classify(reduced).value.replace("_", " ")
     if args.format == "json":
         print(json.dumps({"gram": reduced.to_json(), "type": kind}))
     else:

@@ -127,11 +127,6 @@ def convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
     return ArithSeq(out[1:])
 
 
-def delta_seq(N: int) -> ArithSeq:
-    """Convolution identity (1, 0, 0, ...)."""
-    return ArithSeq((np.arange(N) == 0).astype(np.int64))
-
-
 def ones_seq(N: int) -> ArithSeq:
     """Coefficients of zeta(s)."""
     return ArithSeq(np.ones(N, dtype=np.int64))
@@ -334,8 +329,3 @@ def band_summatory(N: int, r: int, odd: bool = False) -> Summatory:
     """Partial sums of the band, from `pair_band(N, r, odd)` and `band_count`."""
     return Summatory(pair_band(N, r, odd), lambda t: band_count(t, r, odd))
 
-
-def evaluate(f: ArithSeq, s: float) -> float:
-    """Float value of the truncated series sum a(n) / n^s."""
-    n = np.arange(1, f.N + 1, dtype=np.float64)
-    return float(np.sum(f._a.astype(np.float64) * n ** (-s)))

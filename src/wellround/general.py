@@ -16,7 +16,7 @@ x + y sqrt(D) (`_lattice_class`): a quotient of two pairs is rational exactly
 when their cross product vanishes, so the verdict, the integral primitive
 form of a rational lattice (`_primitive_form`) and the unique pair of a
 non-rational one (`_unique_frame`, with kappa^2 as integers) come from cross
-products and one integer square root, with no Scalar division.
+products and one integer square root, with no division in the field.
 
 For a rational lattice the pairs stream from one walk in plain integers on
 the integral primitive form (`_frames`): each pair is yielded once, at the
@@ -43,8 +43,8 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .gram import GramForm, _floor_pair, _integer_pairs
-from .scalar import InvariantError, NotRationalError, Scalar, _sign_pair
+from .gram import GramForm, _checked_pairs, _floor_pair, _sign_pair
+from .scalar import InvariantError, NotRationalError, Scalar
 
 Vec = tuple[int, int]
 
@@ -99,7 +99,7 @@ def _cross(p: Vec, q: Vec) -> int:
 
 def _lattice_class(g: GramForm) -> tuple[ExistenceVerdict, int | None, tuple[Vec, Vec, Vec]]:
     """(verdict, D, (a, b, c)): the existence verdict of g, and its entries as
-    the integer pairs of `_integer_pairs`, x + y sqrt(D) as (x, y).
+    the integer pairs of `gram._checked_pairs`, x + y sqrt(D) as (x, y).
 
     The verdict is a case analysis on the normalized trace t = 2b/a and norm
     n = c/a.  A quotient p/q of pairs is rational exactly when
@@ -110,8 +110,7 @@ def _lattice_class(g: GramForm) -> tuple[ExistenceVerdict, int | None, tuple[Vec
     disc = 4 cross(c, b) cross(a, b) + cross(a, c)^2, a rational square
     exactly when disc is a square integer.
     """
-    g.check_positive_definite()
-    D, _, pairs = _integer_pairs((g.a, g.b, g.c))
+    D, _, pairs = _checked_pairs(g)
     a, b, c = pairs
     ab, ac = _cross(a, b), _cross(a, c)
     if ab == 0:

@@ -1,24 +1,26 @@
 """Planar lattices as exact 2x2 Gram forms.
 
 A lattice is represented by the Gram matrix [[a, b], [b, c]] of some basis
-(v, w), with a = |v|^2, b = (v, w), c = |w|^2 stored as exact Scalars.
+(v, w), with a = |v|^2, b = (v, w), c = |w|^2 given as Scalars.
 Lagrange (two-dimensional Gauss) reduction brings any positive definite form
 to the canonical chain 0 <= 2b <= a <= c, from which the geometric type
 (general / rectangular / centred rectangular / rhombic / square / hexagonal)
 is read off the equality pattern.  A planar lattice is well-rounded exactly
 when its reduced form has a = c.
 
-There is one reduction loop per field, on integer data (`_integer_pairs`: the
-form scaled by the common denominator L of its six rational parts, each entry
-x + y sqrt(D) with integers x, y): `_reduce_int` on plain ints for forms over
-Q, and `_reduce_pair` on integer pairs for forms over Q(sqrt(D)), which
-decides signs by integer squaring and round(b/a) by `_floor_pair`, the one
-exact floor of (p + q sqrt(D)) / w; the window rows of `general` use it too.
-Since sqrt(D) is irrational, two pairs are equal exactly when their
-components are, so `_classify_pair` reads the type off component-wise.  The
-census calls the loops directly; `gauss_reduce` is their Scalar-facing
-wrapper, which divides the reduced entries by L again.  `general` decides
-the lattice's rationality class on the same pairs.
+Every exact computation enters through `_checked_pairs`: it scales the form
+by the common denominator L of its six rational parts, writes each entry
+x + y sqrt(D) as a pair (x, y) of integers, and refuses a form that is not
+positive definite or whose entries lie in two fields.  There is one
+reduction loop per field on these pairs: `_reduce_int` on plain ints for
+forms over Q, and `_reduce_pair` on integer pairs for forms over
+Q(sqrt(D)), which decides signs by `_sign_pair` (integer squaring) and
+round(b/a) by `_floor_pair`, the one exact floor of (p + q sqrt(D)) / w; the
+window rows of `general` use it too.  Since sqrt(D) is irrational, two
+pairs are equal exactly when their components are, so `_classify_pair`
+reads the type off component-wise.  The census calls the loops directly;
+`gauss_reduce` divides the reduced pairs by L again to give Scalars.
+`general` decides the lattice's rationality class on the same pairs.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalar import MixedRadicandError, Rat, Scalar, _sign_pair
+from .scalar import MixedRadicandError, Scalar
+
+Pair = tuple[int, int]
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -58,30 +62,6 @@ class GramForm(namedtuple("GramForm", "a b c")):
     def of(a, b, c) -> "GramForm":
         return GramForm(Scalar.of(a), Scalar.of(b), Scalar.of(c))
 
-    def discriminant(self) -> Scalar:
-        return self.a * self.c - self.b * self.b
-
-    def check_positive_definite(self) -> None:
-        if self.a.sign() <= 0 or self.discriminant().sign() <= 0:
-            raise NotPositiveDefiniteError(f"not positive definite: {self}")
-
-    def scale(self, factor) -> "GramForm":
-        f = Scalar.of(factor)
-        return GramForm(self.a * f, self.b * f, self.c * f)
-
-    def value(self, x: int | Rat, y: int | Rat) -> Scalar:
-        """Quadratic form value a x^2 + 2b xy + c y^2."""
-        return self.a * x * x + self.b * (2 * x * y) + self.c * y * y
-
-    def transform(self, U: tuple) -> "GramForm":
-        """Gram form of the basis with columns of the 2x2 integer matrix
-        U = ((p, q), (r, s)): U^T G U."""
-        (p, q), (r, s) = U
-        a = self.value(p, r)
-        c = self.value(q, s)
-        b = self.a * (p * q) + self.b * (p * s + q * r) + self.c * (r * s)
-        return GramForm(a, b, c)
-
     def to_json(self) -> dict:
         return {"a": self.a.to_json(), "b": self.b.to_json(), "c": self.c.to_json()}
 
@@ -89,18 +69,72 @@ class GramForm(namedtuple("GramForm", "a b c")):
         return f"[[{self.a}, {self.b}], [{self.b}, {self.c}]]"
 
 
+def _sign_pair(x: int, y: int, D: int | None) -> int:
+    """Exact sign of x + y sqrt(D) for integers x, y, by integer squaring;
+    D may be None when y = 0."""
+    if x >= 0 and y >= 0:
+        return 1 if x or y else 0
+    if x <= 0 and y <= 0:
+        return -1
+    # opposite signs; x^2 = y^2 D is impossible for squarefree D > 1, y != 0
+    d = x * x - y * y * D
+    return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
+
+
+def _join(r: int | None, s: int | None) -> int | None:
+    """The radicand of a sum or product of values over sqrt(r) and sqrt(s),
+    None standing for Q."""
+    if r and s and r != s:
+        raise MixedRadicandError(f"cannot mix sqrt({r}) and sqrt({s})")
+    return r or s
+
+
+def _checked_pairs(g: GramForm) -> tuple[int | None, int, tuple[Pair, Pair, Pair]]:
+    """(D, L, pairs): g's entries scaled by the common denominator L of their
+    rational parts, each entry x + y sqrt(D) as a pair (x, y) of integers; D
+    is None for a form over Q (every y is then 0).
+
+    The one way into exact work.  It refuses, in this order, a <= 0, an a c
+    whose two factors lie in two fields, an a c and a b^2 that lie in two
+    fields, ac - b^2 <= 0 (NotPositiveDefiniteError; signs by `_sign_pair`
+    on the pairs times L^2), and last three entries from two fields
+    (MixedRadicandError, naming the first two radicands in entry order).
+    Scaling a form by L > 0 changes no reduction step and no equality, so
+    the pairs have the form's type.
+    """
+    a, b, c = g
+    L = math.lcm(*(part.denominator for e in g for part in (e.rat, e.irr)))
+    pairs = tuple((int(e.rat * L), int(e.irr * L)) for e in g)
+    (ax, ay), (bx, by), (cx, cy) = pairs
+    if _sign_pair(ax, ay, a.root) <= 0:
+        raise NotPositiveDefiniteError(f"not positive definite: {g}")
+    # a c and b^2, each in its own field until they are subtracted
+    D = _join(a.root, c.root)
+    acx, acy = ax * cx + ay * cy * (D or 0), ax * cy + ay * cx
+    bbx, bby = bx * bx + by * by * (b.root or 0), 2 * bx * by
+    D = _join(D if acy else None, b.root if bby else None)
+    if _sign_pair(acx - bbx, acy - bby, D) <= 0:
+        raise NotPositiveDefiniteError(f"not positive definite: {g}")
+    return _join(_join(a.root, b.root), c.root), L, pairs
+
+
+def _reduced_pairs(g: GramForm) -> tuple[int | None, int, tuple[int, ...]]:
+    """(D, L, (ax, ay, bx, by, cx, cy)): the reduced form of g's integer
+    pairs, by `_reduce_int` over Q and by `_reduce_pair` over Q(sqrt(D))."""
+    D, L, ((ax, ay), (bx, by), (cx, cy)) = _checked_pairs(g)
+    if D is None:
+        a, b, c = _reduce_int(ax, bx, cx)
+        return D, L, (a, 0, b, 0, c, 0)
+    return D, L, _reduce_pair(ax, ay, bx, by, cx, cy, D)
+
+
 def gauss_reduce(g: GramForm) -> GramForm:
     """Lagrange-reduce g: the form 0 <= 2b <= a <= c of the same lattice.
 
-    The reduction runs on g's integer pairs, by `_reduce_int` over Q and by
-    `_reduce_pair` over Q(sqrt(D)); scaling by L > 0 commutes with every
-    step, so dividing the result by L gives the reduced form of g.
+    Scaling by L > 0 commutes with every step of the reduction on g's
+    integer pairs, so dividing the result by L gives the reduced form of g.
     """
-    g.check_positive_definite()
-    D, L, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs((g.a, g.b, g.c))
-    if D is None:
-        return GramForm(*(Scalar(Fraction(x, L)) for x in _reduce_int(ax, bx, cx)))
-    r = _reduce_pair(ax, ay, bx, by, cx, cy, D)
+    D, L, r = _reduced_pairs(g)
     return GramForm(*(Scalar(Fraction(x, L), Fraction(y, L), D) for x, y in zip(r[::2], r[1::2])))
 
 
@@ -123,24 +157,6 @@ def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
             b = -b
         if a <= c and 2 * b <= a:
             return a, b, c
-
-
-def _integer_pairs(
-    entries: tuple[Scalar, ...],
-) -> tuple[int | None, int, tuple[tuple[int, int], ...]]:
-    """(D, L, pairs): the entries scaled by the common denominator L of their
-    rational parts, each entry x + y sqrt(D) as a pair (x, y) of integers.
-
-    D is None for entries in Q (every y is then 0).  Scaling a form by L > 0
-    changes no reduction step and no equality, so the scaled form has the
-    form's type.  Entries from two different fields raise MixedRadicandError.
-    """
-    roots = list(dict.fromkeys(e.root for e in entries if e.root is not None))
-    if len(roots) > 1:
-        raise MixedRadicandError(f"cannot mix sqrt({roots[0]}) and sqrt({roots[1]})")
-    L = math.lcm(*(part.denominator for e in entries for part in (e.rat, e.irr)))
-    pairs = tuple((int(e.rat * L), int(e.irr * L)) for e in entries)
-    return (roots[0] if roots else None), L, pairs
 
 
 def _floor_pair(p: int, q: int, w: int, D: int | None) -> int:
@@ -197,29 +213,21 @@ def _reduce_pair(
             return ax, ay, bx, by, cx, cy
 
 
-def _type_of(a_is_c: bool, b_is_0: bool, a_is_2b: bool) -> LatticeType:
-    """Geometric type from the equality pattern of a reduced form."""
-    if b_is_0:
+def _classify_pair(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> LatticeType:
+    """Geometric type of a reduced form of integer pairs, from the equality
+    pattern of its entries, compared component-wise."""
+    a_is_c = ax == cx and ay == cy
+    if not (bx or by):
         return LatticeType.SQUARE if a_is_c else LatticeType.RECTANGULAR
+    a_is_2b = ax == 2 * bx and ay == 2 * by
     if a_is_c:
         # |v - w|^2 = 2a - 2b equals a exactly when a = 2b
         return LatticeType.HEXAGONAL if a_is_2b else LatticeType.RHOMBIC
     return LatticeType.CENTRED_RECTANGULAR if a_is_2b else LatticeType.GENERAL
 
 
-def classify_reduced(a, b, c) -> LatticeType:
-    """Geometric type from reduced entries satisfying 0 <= 2b <= a <= c."""
-    return _type_of(a == c, b == 0, a == b * 2)
-
-
-def _classify_pair(ax: int, ay: int, bx: int, by: int, cx: int, cy: int) -> LatticeType:
-    """classify_reduced for integer-pair entries, compared component-wise."""
-    return _type_of(ax == cx and ay == cy, bx == 0 and by == 0, ax == 2 * bx and ay == 2 * by)
-
-
 def classify(g: GramForm) -> LatticeType:
-    r = gauss_reduce(g)
-    return classify_reduced(r.a, r.b, r.c)
+    return _classify_pair(*_reduced_pairs(g)[2])
 
 
 SQUARE_GRAM = GramForm.of(1, 0, 1)

@@ -1,10 +1,14 @@
-"""Exact scalars of the form r + i*sqrt(D).
+"""Exact scalars of the form r + i*sqrt(D), as they are read and printed.
 
 All lattice data in this package (Gram entries, squared lengths, window
 bounds) lives in a single real quadratic extension Q(sqrt(D)) with D a fixed
-squarefree integer, 1 < D <= MAX_RADICAND, or in Q itself.  Every comparison
-is decided exactly by case analysis and integer squaring; no floating point
-enters any counting path.
+squarefree integer, 1 < D <= MAX_RADICAND, or in Q itself.  A `Scalar` is
+one such value at the edges of a computation: parsed from the command line
+or JSON, printed, serialized, or turned into a float.  It has no arithmetic.
+Every exact decision runs on integer pairs x + y sqrt(D) over one common
+denominator, which `gram._checked_pairs` makes from a Gram form's three
+Scalars; comparisons there are decided by integer squaring, and no floating
+point enters any counting path.
 """
 
 from __future__ import annotations
@@ -38,8 +42,11 @@ class InvariantError(ValueError):
 def _fraction(value) -> Fraction:
     """Fraction(value), refusing a decimal exponent above the interpreter's
     integer string limit (4300 digits by default) before Fraction builds a
-    power of ten that large.  The pattern is compiled only for a string
-    with an e in it."""
+    power of ten that large, and an infinite float, which Fraction refuses
+    with an OverflowError.  The pattern is compiled only for a string with
+    an e in it."""
+    if isinstance(value, float) and math.isinf(value):
+        raise ValueError(f"non-finite value {value}")
     m = isinstance(value, str) and "e" in value.lower() and re.search(_EXPONENT, value)
     if m:
         limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
@@ -59,22 +66,15 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
-def _sign_pair(x: int, y: int, D: int) -> int:
-    """Exact sign of x + y sqrt(D) for integers x, y, by integer squaring."""
-    if x >= 0 and y >= 0:
-        return 1 if x or y else 0
-    if x <= 0 and y <= 0:
-        return -1
-    # opposite signs; x^2 = y^2 D is impossible for squarefree D > 1, y != 0
-    d = x * x - y * y * D
-    return (d > 0) - (d < 0) if x > 0 else (d < 0) - (d > 0)
-
-
 class Scalar:
-    """Immutable exact number r + i*sqrt(D), with r, i rational.
+    """Immutable exact number r + i*sqrt(D), with r, i rational: the value
+    of one Gram entry as it is read and printed.
 
-    ``D`` is None for pure rationals.  Arithmetic is closed within one
-    extension; mixing two distinct D values raises MixedRadicandError.
+    ``D`` is None for pure rationals.  The representation is canonical (an
+    irrational part of 0 drops the radicand), so two Scalars are equal
+    exactly when their parts are.  Exact work runs on integer pairs
+    (`gram._checked_pairs`), not on Scalars; this class parses, prints and
+    serializes one entry, and gives its float value.
     """
 
     __slots__ = ("rat", "irr", "root")
@@ -97,101 +97,16 @@ class Scalar:
     def __setattr__(self, *args):
         raise AttributeError("Scalar is immutable")
 
-    # -- construction helpers -------------------------------------------------
-
     @staticmethod
     def of(x: "Scalar | Rat") -> "Scalar":
         if isinstance(x, Scalar):
             return x
         return Scalar(Fraction(x))
 
-    # -- rational value -------------------------------------------------------
-
-    def as_fraction(self) -> Fraction:
-        if self.irr != 0:
-            raise NotRationalError(f"{self} is irrational")
-        return self.rat
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _join_root(self, other: "Scalar") -> int | None:
-        if self.root is None:
-            return other.root
-        if other.root is None or other.root == self.root:
-            return self.root
-        raise MixedRadicandError(
-            f"cannot mix sqrt({self.root}) and sqrt({other.root})"
-        )
-
-    def __add__(self, other):
-        other = Scalar.of(other)
-        root = self._join_root(other)
-        return Scalar(self.rat + other.rat, self.irr + other.irr, root)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Scalar(-self.rat, -self.irr, self.root)
-
-    def __sub__(self, other):
-        return self + (-Scalar.of(other))
-
-    def __rsub__(self, other):
-        return Scalar.of(other) - self
-
-    def __mul__(self, other):
-        other = Scalar.of(other)
-        root = self._join_root(other)
-        D = root if root is not None else 0
-        rat = self.rat * other.rat + self.irr * other.irr * D
-        irr = self.rat * other.irr + self.irr * other.rat
-        return Scalar(rat, irr, root if irr != 0 else None)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = Scalar.of(other)
-        if other.sign() == 0:
-            raise ZeroDivisionError("division by zero Scalar")
-        # multiply by the conjugate: 1/(r + i sqrt D) = (r - i sqrt D)/(r^2 - i^2 D)
-        D = other.root if other.root is not None else 0
-        norm = other.rat * other.rat - other.irr * other.irr * D
-        conj = Scalar(other.rat / norm, -other.irr / norm, other.root)
-        return self * conj
-
-    def __rtruediv__(self, other):
-        return Scalar.of(other) / self
-
-    # -- exact ordering -------------------------------------------------------
-
-    def sign(self) -> int:
-        """Exact sign in {-1, 0, 1}: that of the value times the positive
-        r.den * i.den, an integer pair for `_sign_pair`."""
-        r, i = self.rat, self.irr
-        if i == 0:
-            return (r > 0) - (r < 0)
-        return _sign_pair(r.numerator * i.denominator, i.numerator * r.denominator, self.root)
-
-    def _cmp(self, other) -> int:
-        return (self - Scalar.of(other)).sign()
-
     def __eq__(self, other):
-        try:
-            return self._cmp(other) == 0
-        except (MixedRadicandError, TypeError, ValueError):
+        if not isinstance(other, Scalar):
             return NotImplemented
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        return self.rat == other.rat and self.irr == other.irr and self.root == other.root
 
     def __hash__(self):
         if self.irr == 0:
@@ -229,7 +144,10 @@ class Scalar:
     @staticmethod
     def from_json(obj) -> "Scalar":
         if isinstance(obj, dict):
-            return Scalar(_fraction(obj["rat"]), _fraction(obj["irr"]), int(obj["D"]))
+            D = obj["D"]
+            if isinstance(D, float) and not D.is_integer():
+                raise ValueError(f"radicand must be an integer, got {D}")
+            return Scalar(_fraction(obj["rat"]), _fraction(obj["irr"]), int(D))
         if isinstance(obj, str):
             return Scalar.parse(obj)
         return Scalar(Fraction(obj))
@@ -237,11 +155,13 @@ class Scalar:
     @staticmethod
     def parse(text: str) -> "Scalar":
         """Parse "p/q", "sqrt(D)", "r/s*sqrt(D)", "c*sqrt(D)/s" and sums like
-        "1+2*sqrt(2)" or "1+sqrt(5)/2"."""
+        "1+2*sqrt(2)" or "1+sqrt(5)/2".  The terms are added in order; a
+        running sum with an irrational part takes only terms of its own
+        radicand."""
         text = text.strip().replace(" ", "")
         if not text:
             raise ValueError("empty scalar")
-        # split into at most two signed terms; a sign after e or E is an exponent's
+        # split into signed terms; a sign after e or E is an exponent's
         terms = []
         start = 0
         for pos in range(1, len(text)):
@@ -251,22 +171,22 @@ class Scalar:
         terms.append(text[start:])
         total = Scalar(0)
         for term in terms:
-            total = total + Scalar._parse_term(term)
+            t = Scalar._parse_term(term)
+            if total.root and t.root and total.root != t.root:
+                raise MixedRadicandError(f"cannot mix sqrt({total.root}) and sqrt({t.root})")
+            total = Scalar(total.rat + t.rat, total.irr + t.irr, total.root or t.root)
         return total
 
     @staticmethod
     def _parse_term(term: str) -> "Scalar":
-        neg = term.startswith("-")
+        sign = -1 if term.startswith("-") else 1
         term = term.lstrip("+-")
         try:
             if "sqrt" in term:
                 coeff_part, _, root_part = term.partition("sqrt")
                 root_part, _, divisor = root_part.partition("/")
                 coeff = _fraction(coeff_part.rstrip("*") or 1) / _fraction(divisor or 1)
-                val = Scalar(0, coeff, int(root_part.strip("()")))
-            else:
-                val = Scalar(_fraction(term))
+                return Scalar(0, sign * coeff, int(root_part.strip("()")))
+            return Scalar(sign * _fraction(term))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {term!r}") from None
-        return -val if neg else val
-

@@ -10,9 +10,10 @@ oracle against which every generating-function counter is checked.
 then k < m, so no divisor is searched for; the form is scaled once to
 integer pairs, and the reduction loop of its field is chosen before the
 walk: plain-int `_reduce_int` for a form over Q, whose type is read off
-inline, and the Z[sqrt(D)] pair loop `_reduce_pair` otherwise.  These are
-the loops that `gram.gauss_reduce` wraps, so the census and the public
-reduction share one reduction per field.  Each sublattice is counted by one
+inline, and the Z[sqrt(D)] pair loop `_reduce_pair` otherwise.  The pairs
+come from `gram._checked_pairs`, and these are the loops that
+`gram.gauss_reduce` runs, so the census and the public reduction share one
+reduction per field.  Each sublattice is counted by one
 `CensusReport.tally` call.
 """
 
@@ -22,14 +23,7 @@ import csv
 import io
 import json
 
-from .gram import (
-    GramForm,
-    LatticeType,
-    _classify_pair,
-    _integer_pairs,
-    _reduce_int,
-    _reduce_pair,
-)
+from .gram import GramForm, LatticeType, _checked_pairs, _classify_pair, _reduce_int, _reduce_pair
 
 
 _TYPE_ORDER = [
@@ -79,9 +73,6 @@ class CensusReport:
             + self.by_type[LatticeType.HEXAGONAL][n - 1]
         )
 
-    def well_rounded_list(self) -> list[int]:
-        return [self.well_rounded(n) for n in range(1, self.N + 1)]
-
     def row(self, n: int) -> list[int]:
         return (
             [n, self.total(n)]
@@ -115,10 +106,9 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     integer pairs; over Q its terms that do not depend on k are computed once
     per (m, l).  Its type is tallied at index n = ml.
     """
-    g.check_positive_definite()
+    D, _, ((ax, ay), (bx, by), (cx, cy)) = _checked_pairs(g)
     if N < 1:
         raise ValueError("census bound must be positive")
-    D, _, ((ax, ay), (bx, by), (cx, cy)) = _integer_pairs((g.a, g.b, g.c))
     report = CensusReport(N)
     tally = report.tally
     if D is None:
@@ -128,7 +118,7 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
             for l in range(1, N // m + 1):
                 n, b0, bl2, cl = m * l, bx * m * l, 2 * bx * l, cx * l * l
                 for k in range(m):
-                    # classify_reduced, inlined: b = 0, then a = c, then a = 2b
+                    # _classify_pair, inlined: b = 0, then a = c, then a = 2b
                     ra, rb, rc = _reduce_int(a, axm * k + b0, (ax * k + bl2) * k + cl)
                     if not rb:
                         tally(n, square if ra == rc else rectangular)

@@ -1,11 +1,16 @@
-"""Test-local oracle: Lagrange reduction and HNF sublattices on Scalars.
+"""Test-local oracle: exact field arithmetic, Lagrange reduction and HNF
+sublattices on Scalars, and the paper's statements that only tests check.
 
-An independent reference for the integer reduction loops of
-`wellround.gram` (`_reduce_int`, `_reduce_pair`), its exact floor
-`_floor_pair` and the HNF loop of `wellround.sublattices`.  Everything here
-runs on exact `Scalar` arithmetic and tracks the change of basis, so that a
-test can compare the package's integer loops against a computation that
-shares none of their code.
+`Scalar` extends the package's I/O-only Scalar with exact arithmetic and
+ordering over Q(sqrt D); `form` turns a Gram form's entries into such
+Scalars, and `discriminant`, `check_positive_definite`, `scale`, `value`
+and `transform` compute on them.  They are the reference for the package's
+integer pairs: `gram._checked_pairs` (the positive definiteness check, and
+the pairs, against `integer_pair` of one entry), the reduction loops
+`_reduce_int` and `_reduce_pair`, the exact floor `_floor_pair` and the HNF
+loop of `wellround.sublattices`.  The reduction here tracks the change of
+basis, so that a test can compare the package's integer loops against a
+computation that shares none of their code.
 `quadratic_forms` draws the forms such comparisons run on.
 `existence`, `unique_frame` and `primitive_form` decide the lattice class and
 find the unique frame by Scalar divisions, a reference for the integer-pair
@@ -25,7 +30,12 @@ invariants `g_star` and `brs_index`, the coincidence lattice of a frame
 of a non-rational lattice as a `ReflectionFrame`.  For the square lattice:
 the type series `rhombic_square_series` and `primitive_type_series`, the
 admissible indices (`is_admissible_index_square`) and the larger candidate
-set of Fukshansky's (`fukshansky_superset_member`).
+set of Fukshansky's (`fukshansky_superset_member`).  The census's
+`well_rounded_list`.  The float checks: the Gamma-function form of
+L'/L (`L_prime_over_L_gamma_form`), the interval-sum lemma
+(`interval_sum_bounds`), and the Dirichlet-series sandwiches of the square
+and hexagonal counts (`sandwich_check_square`, `sandwich_check_hex`), which
+evaluate truncated series (`evaluate`) against mpmath's zeta and L values.
 """
 
 from __future__ import annotations
@@ -34,16 +44,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from wellround import asympt
 from wellround.asympt import DomainError, _band_gap_terms, _bound_for_radius, _form_floats
 from wellround.dirichlet import (
     ArithSeq,
     alt_euler_factor,
     convolve,
-    delta_seq,
     inv_zeta_2s,
     moebius_seq,
     ones_seq,
@@ -58,14 +69,165 @@ from wellround.general import (
     _lattice_class,
     _unique_frame,
 )
-from wellround.gram import GramForm, LatticeType, classify
-from wellround.scalar import Scalar
-from wellround.square import b_square_primitive
+from wellround.gram import GramForm, LatticeType, NotPositiveDefiniteError, _sign_pair, classify
+from wellround.hexagonal import a_hex
+from wellround.scalar import MixedRadicandError, NotRationalError
+from wellround.scalar import Scalar as PackageScalar
+from wellround.square import a_square, b_square_primitive
+from wellround.sublattices import CensusReport
+
+
+class Scalar(PackageScalar):
+    """The package's Scalar with exact field arithmetic and ordering: the
+    reference that the integer-pair decisions of `wellround.gram` and
+    `wellround.general` are checked against.  Every result is an oracle
+    Scalar; `Scalar.of` turns a package Scalar or a rational into one, and
+    a package Scalar on either side of an operator is taken as its value.
+    Equality is by value, so Scalar(3) == 3."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(x) -> "Scalar":
+        if isinstance(x, Scalar):
+            return x
+        if isinstance(x, PackageScalar):
+            return Scalar(x.rat, x.irr, x.root)
+        return Scalar(Fraction(x))
+
+    def as_fraction(self) -> Fraction:
+        if self.irr != 0:
+            raise NotRationalError(f"{self} is irrational")
+        return self.rat
+
+    def _join_root(self, other: "Scalar") -> int | None:
+        if self.root is None:
+            return other.root
+        if other.root is None or other.root == self.root:
+            return self.root
+        raise MixedRadicandError(f"cannot mix sqrt({self.root}) and sqrt({other.root})")
+
+    def __add__(self, other):
+        other = Scalar.of(other)
+        root = self._join_root(other)
+        return Scalar(self.rat + other.rat, self.irr + other.irr, root)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Scalar(-self.rat, -self.irr, self.root)
+
+    def __sub__(self, other):
+        return self + (-Scalar.of(other))
+
+    def __rsub__(self, other):
+        return Scalar.of(other) - self
+
+    def __mul__(self, other):
+        other = Scalar.of(other)
+        root = self._join_root(other)
+        D = root if root is not None else 0
+        rat = self.rat * other.rat + self.irr * other.irr * D
+        irr = self.rat * other.irr + self.irr * other.rat
+        return Scalar(rat, irr, root if irr != 0 else None)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = Scalar.of(other)
+        if other.sign() == 0:
+            raise ZeroDivisionError("division by zero Scalar")
+        # multiply by the conjugate: 1/(r + i sqrt D) = (r - i sqrt D)/(r^2 - i^2 D)
+        D = other.root if other.root is not None else 0
+        norm = other.rat * other.rat - other.irr * other.irr * D
+        return self * Scalar(other.rat / norm, -other.irr / norm, other.root)
+
+    def __rtruediv__(self, other):
+        return Scalar.of(other) / self
+
+    def sign(self) -> int:
+        """Exact sign in {-1, 0, 1}: that of the value times the positive
+        r.den * i.den, an integer pair for `_sign_pair`."""
+        r, i = self.rat, self.irr
+        if i == 0:
+            return (r > 0) - (r < 0)
+        return _sign_pair(r.numerator * i.denominator, i.numerator * r.denominator, self.root)
+
+    def _cmp(self, other) -> int:
+        return (self - Scalar.of(other)).sign()
+
+    def __eq__(self, other):
+        try:
+            return self._cmp(other) == 0
+        except (MixedRadicandError, TypeError, ValueError):
+            return NotImplemented
+
+    __hash__ = PackageScalar.__hash__
+
+    def __lt__(self, other):
+        return self._cmp(other) < 0
+
+    def __le__(self, other):
+        return self._cmp(other) <= 0
+
+    def __gt__(self, other):
+        return self._cmp(other) > 0
+
+    def __ge__(self, other):
+        return self._cmp(other) >= 0
+
+
+def form(g: GramForm) -> GramForm:
+    """g with oracle Scalars as its entries, which have arithmetic."""
+    return GramForm(*map(Scalar.of, g))
+
+
+def discriminant(g: GramForm) -> Scalar:
+    a, b, c = form(g)
+    return a * c - b * b
+
+
+def check_positive_definite(g: GramForm) -> None:
+    """The Scalar reference of the positive definiteness test of
+    `gram._checked_pairs`: a > 0 and ac - b^2 > 0."""
+    if Scalar.of(g.a).sign() <= 0 or discriminant(g).sign() <= 0:
+        raise NotPositiveDefiniteError(f"not positive definite: {g}")
+
+
+def scale(g: GramForm, factor) -> GramForm:
+    f = Scalar.of(factor)
+    return GramForm(*(e * f for e in form(g)))
+
+
+def value(g: GramForm, x, y) -> Scalar:
+    """Quadratic form value a x^2 + 2b xy + c y^2."""
+    a, b, c = form(g)
+    return a * x * x + b * (2 * x * y) + c * y * y
+
+
+def transform(g: GramForm, U: tuple) -> GramForm:
+    """Gram form of the basis with columns of the 2x2 integer matrix
+    U = ((p, q), (r, s)): U^T G U."""
+    (p, q), (r, s) = U
+    a, b, c = form(g)
+    return GramForm(value(g, p, r), a * (p * q) + b * (p * s + q * r) + c * (r * s), value(g, q, s))
+
+
+def integer_pair(v: PackageScalar) -> tuple[int | None, int, tuple[int, int]]:
+    """(D, L, (x, y)) with v = (x + y sqrt(D)) / L and L the common
+    denominator of v's two parts."""
+    L = math.lcm(v.rat.denominator, v.irr.denominator)
+    return v.root, L, (int(v.rat * L), int(v.irr * L))
+
+
+def well_rounded_list(report: CensusReport) -> list[int]:
+    """The census's well-rounded counts by index 1..N."""
+    return [report.well_rounded(n) for n in range(1, report.N + 1)]
 
 
 class Unimodular(tuple):
     """2x2 integer matrix with determinant +-1, as the tuple of its rows
-    ((p, q), (r, s)), which `GramForm.transform` takes as it is."""
+    ((p, q), (r, s)), which `transform` takes as it is."""
 
     def __new__(cls, m):
         (p, q), (r, s) = m
@@ -112,8 +274,8 @@ def gauss_reduce(g: GramForm) -> tuple[GramForm, Unimodular]:
     it, and takes values in a discrete set, so the loop terminates with
     0 <= 2b <= a <= c.
     """
-    g.check_positive_definite()
-    a, b, c = g.a, g.b, g.c
+    check_positive_definite(g)
+    a, b, c = form(g)
     U = Unimodular.identity()
     while True:
         if (a - c).sign() > 0:
@@ -165,11 +327,7 @@ def hnf_enumerate(n: int) -> list[SublatticeBasis]:
 
 def sublattice_gram(B: SublatticeBasis, g: GramForm) -> GramForm:
     """Gram form of the sublattice basis (restriction of g)."""
-    m, k, l = B.m, B.k, B.l
-    a = g.a * (m * m)
-    b = g.a * (m * k) + g.b * (m * l)
-    c = g.a * (k * k) + g.b * (2 * k * l) + g.c * (l * l)
-    return GramForm(a, b, c)
+    return transform(g, ((B.m, B.k), (0, B.l)))
 
 
 _SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
@@ -195,7 +353,7 @@ def quadratic_forms(draw):
     U = Unimodular.identity()
     for k in draw(st.lists(st.integers(-3, 3), max_size=4)):
         U = U @ Unimodular(((0, 1), (1, k)))
-    return g.transform(U)
+    return transform(g, U)
 
 
 def _primitive(x: int, y: int) -> tuple[int, int]:
@@ -206,8 +364,9 @@ def _primitive(x: int, y: int) -> tuple[int, int]:
 def orthogonal_primitive(w: tuple[int, int], g: GramForm) -> tuple[int, int] | None:
     """Primitive lattice vector orthogonal to w under g, if one exists."""
     # row w^T G = (alpha, beta); z = (x, y) needs alpha x + beta y = 0
-    alpha = g.a * w[0] + g.b * w[1]
-    beta = g.b * w[0] + g.c * w[1]
+    a, b, c = form(g)
+    alpha = a * w[0] + b * w[1]
+    beta = b * w[0] + c * w[1]
     if beta.sign() == 0:
         return (0, 1)
     ratio = alpha / beta
@@ -240,9 +399,10 @@ def existence(g: GramForm) -> ExistenceVerdict:
     on the rationality of the normalized trace t = 2b/a and norm n = c/a:
     for irrational t, one exists when n = q + r t with rational q, r and
     q + r^2 a rational square."""
-    g.check_positive_definite()
-    t = g.b / g.a * 2
-    n = g.c / g.a
+    check_positive_definite(g)
+    a, b, c = form(g)
+    t = b / a * 2
+    n = c / a
     if t.irr == 0:
         if n.irr == 0:
             return ExistenceVerdict.RATIONAL_LATTICE
@@ -257,7 +417,8 @@ def primitive_form(g: GramForm) -> tuple[int, int, int]:
     """The integral primitive form (a, b, c) of a rational lattice: g scaled
     by 1/a, then by the lcm of the denominators of b/a and c/a, then divided
     by the gcd."""
-    ba, ca = (g.b / g.a).as_fraction(), (g.c / g.a).as_fraction()
+    a, b, c = form(g)
+    ba, ca = (b / a).as_fraction(), (c / a).as_fraction()
     lcm = math.lcm(ba.denominator, ca.denominator)
     a, b, c = lcm, int(ba * lcm), int(ca * lcm)
     d = math.gcd(a, b, c)
@@ -277,13 +438,14 @@ def unique_frame(g: GramForm) -> ReflectionFrame:
     if verdict is ExistenceVerdict.TRACE_RATIONAL_ONLY:
         w = (1, 0)
     else:
-        q, r = _decompose_norm(g.b / g.a * 2, g.c / g.a)
+        a, b, c = form(g)
+        q, r = _decompose_norm(b / a * 2, c / a)
         beta = -1 / (2 * r) if q == 0 else (r + _rational_sqrt(q + r * r)) / q
         w = _primitive(beta.denominator, beta.numerator)
     z = orthogonal_primitive(w, g)
     if z is None:
         raise InvariantError(f"{verdict.value} lattice has no vector orthogonal to {w}")
-    kappa_sq = g.value(*w) / g.value(*z)
+    kappa_sq = value(g, *w) / value(g, *z)
     if kappa_sq < 1:
         w, z, kappa_sq = z, w, 1 / kappa_sq
     w, z = max(w, (-w[0], -w[1])), max(z, (-z[0], -z[1]))
@@ -320,7 +482,7 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
                 continue
             u = (u[0] // 2, u[1] // 2)
             v = (v[0] // 2, v[1] // 2)
-            sub = g.transform(((u[0], v[0]), (u[1], v[1])))
+            sub = transform(g, ((u[0], v[0]), (u[1], v[1])))
             if is_well_rounded(sub):
                 counts[n - 1] += 1
         k += 1
@@ -548,3 +710,130 @@ def _in_index_family(n: int, require_odd: bool) -> bool:
                     return True
             q += 1
     return False
+
+
+def L_prime_over_L_gamma_form(D: int) -> float:
+    """`asympt.L_prime_over_L` through Gamma-function identities."""
+    g = asympt.euler_gamma()
+    if D == -4:
+        return math.log(math.gamma(0.75) ** 4 * math.exp(g) / math.pi)
+    if D == -3:
+        return math.log(
+            2.0**4 * math.pi**4 * math.exp(g) / (3.0**1.5 * math.gamma(1.0 / 3.0) ** 6)
+        )
+    raise asympt.UnsupportedDiscriminantError(f"discriminant {D} not supported")
+
+
+def interval_sum_bounds(l: int, alpha: float, beta: float, gamma: float, s: float):
+    """Bounds straddling sum over l < n < alpha*l + beta of 1/(n+gamma)^s.
+
+    Returns (lower, upper, exact) with lower < exact < upper, where upper is
+    the integral of (x+gamma)^(-s) over [l, alpha*l+beta] and lower is that
+    integral minus the first summand bound.
+    """
+    if l < 1 or alpha <= 1 or beta < 0 or not 0 <= gamma < 1 or s < 0:
+        raise DomainError("parameters outside the valid range")
+    top = alpha * l + beta
+    if s == 1.0:
+        integral = math.log((top + gamma) / (l + gamma))
+    else:
+        integral = ((top + gamma) ** (1 - s) - (l + gamma) ** (1 - s)) / (1 - s)
+    exact = 0.0
+    n = l + 1
+    while n < top:
+        exact += (n + gamma) ** (-s)
+        n += 1
+    return integral - (l + gamma) ** (-s), integral, exact
+
+
+# -- truncated Dirichlet series and the sandwiches of the paper --------------
+
+# coefficients of each truncated series in the sandwich checks
+SANDWICH_TERMS = 20_000
+
+
+def delta_seq(N: int) -> ArithSeq:
+    """Convolution identity (1, 0, 0, ...)."""
+    return ArithSeq((np.arange(N) == 0).astype(np.int64))
+
+
+def evaluate(f: ArithSeq, s: float) -> float:
+    """Float value of the truncated series sum a(n) / n^s."""
+    n = np.arange(1, f.N + 1, dtype=np.float64)
+    return float(np.sum(f._a.astype(np.float64) * n ** (-s)))
+
+
+def L_chi(D: int, s: float) -> float:
+    """L(s, chi_D) through Hurwitz zeta values."""
+    if D == -4:
+        return float(4.0**-s * (mpmath.zeta(s, Fraction(1, 4)) - mpmath.zeta(s, Fraction(3, 4))))
+    if D == -3:
+        return float(3.0**-s * (mpmath.zeta(s, Fraction(1, 3)) - mpmath.zeta(s, Fraction(2, 3))))
+    raise asympt.UnsupportedDiscriminantError(f"discriminant {D} not supported")
+
+
+def zeta(s: float) -> float:
+    return float(mpmath.zeta(s))
+
+
+def D_square(s: float) -> float:
+    return (
+        (2.0 + 2.0**s)
+        / (1.0 + 2.0**s)
+        * (1.0 - math.sqrt(3.0) ** (1.0 - s))
+        / (s - 1.0)
+        * L_chi(-4, s)
+        / zeta(2 * s)
+        * zeta(s)
+        * zeta(2 * s - 1.0)
+    )
+
+
+def phi_square(s: float) -> float:
+    return zeta(s) * L_chi(-4, s)
+
+
+def D_hex(s: float) -> float:
+    return (
+        0.5
+        * 3.0
+        / (1.0 + 3.0**-s)
+        * (1.0 - 3.0 ** (1.0 - s))
+        / (s - 1.0)
+        * L_chi(-3, s)
+        / zeta(2 * s)
+        * zeta(s)
+        * zeta(2 * s - 1.0)
+    )
+
+
+def E_hex(s: float) -> float:
+    return 3.0 / (1.0 + 3.0**-s) * L_chi(-3, s) * zeta(s)
+
+
+def _truncated_with_error(series_fn, s: float, N: int) -> tuple[float, float]:
+    full = evaluate(series_fn(N), s)
+    half = evaluate(series_fn(N // 2), s)
+    return full, 2.0 * abs(full - half) + 1e-12
+
+
+def sandwich_check_square(s: float) -> bool:
+    """Strict two-sided bound on the well-rounded series of the square lattice."""
+    phi_wr, err = _truncated_with_error(a_square, s, SANDWICH_TERMS)
+    lower = D_square(s) - phi_square(s)
+    upper = D_square(s) + phi_square(s)
+    return lower < phi_wr + err and phi_wr - err < upper
+
+
+def sandwich_check_hex(s: float) -> bool:
+    """Two-sided bound on the well-rounded series of the hexagonal lattice.
+
+    The interval-sum lemma bounds the rhombic contribution between
+    D - E and D, so the full series (rhombic plus similar sublattices)
+    sits strictly between phi + D - E and phi + D with phi = zeta * L.
+    """
+    phi_wr, err = _truncated_with_error(a_hex, s, SANDWICH_TERMS)
+    phi = zeta(s) * L_chi(-3, s)
+    lower = phi + D_hex(s) - E_hex(s)
+    upper = phi + D_hex(s)
+    return lower < phi_wr + err and phi_wr - err < upper

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellround import asympt, growth
-from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4
+from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4, _isqrt
 
 import oracle
 
@@ -42,7 +42,7 @@ class TestConstants:
     def test_both_closed_forms_agree(self):
         for D in (-4, -3):
             assert asympt.L_prime_over_L(D) == pytest.approx(
-                asympt.L_prime_over_L_gamma_form(D), abs=1e-12
+                oracle.L_prime_over_L_gamma_form(D), abs=1e-12
             )
 
     def test_growth_constants(self):
@@ -87,23 +87,24 @@ class TestBandGapSum:
 
     @pytest.mark.parametrize("r", [3, 9])
     def test_top_is_exact_at_largest_p(self, r):
-        # _richardson takes 2 * BAND_TERMS values of p, so odd p reaches 4 * BAND_TERMS - 1
+        # _richardson takes 2 * BAND_TERMS values of p, so odd p reaches
+        # 4 * BAND_TERMS - 1; the row tops are dirichlet._isqrt(r p^2 - 1)
         largest = 4 * asympt.BAND_TERMS - 1
         p = np.arange(largest - 2000, largest + 1, dtype=np.int64)
-        top = asympt._band_top(p, r)
+        top = _isqrt(r * p * p - 1)
         assert [int(t) for t in top] == [math.isqrt(r * int(v) * int(v) - 1) for v in p]
 
 
 class TestIntervalSumBounds:
     def test_empty_window(self):
-        lower, upper, exact = asympt.interval_sum_bounds(1, math.sqrt(3), 0.0, 0.0, 2.0)
+        lower, upper, exact = oracle.interval_sum_bounds(1, math.sqrt(3), 0.0, 0.0, 2.0)
         assert exact == 0.0
         assert lower < exact < upper
 
     def test_strict_inequalities(self):
-        lower, upper, exact = asympt.interval_sum_bounds(10, math.sqrt(3), 0.0, 0.0, 1.5)
+        lower, upper, exact = oracle.interval_sum_bounds(10, math.sqrt(3), 0.0, 0.0, 1.5)
         assert lower < exact < upper
-        lower, upper, exact = asympt.interval_sum_bounds(100, 3.0, 0.0, 0.0, 1.1)
+        lower, upper, exact = oracle.interval_sum_bounds(100, 3.0, 0.0, 0.0, 1.1)
         assert lower < exact < upper
 
     @given(
@@ -115,19 +116,19 @@ class TestIntervalSumBounds:
     )
     @settings(max_examples=200)
     def test_bounds_straddle(self, l, alpha, beta, gamma, s):
-        lower, upper, exact = asympt.interval_sum_bounds(l, alpha, beta, gamma, s)
+        lower, upper, exact = oracle.interval_sum_bounds(l, alpha, beta, gamma, s)
         assert lower < exact + 1e-12
         assert exact < upper + 1e-12
 
     def test_domain_errors(self):
         with pytest.raises(asympt.DomainError):
-            asympt.interval_sum_bounds(0, 2.0, 0.0, 0.0, 1.0)
+            oracle.interval_sum_bounds(0, 2.0, 0.0, 0.0, 1.0)
         with pytest.raises(asympt.DomainError):
-            asympt.interval_sum_bounds(1, 1.0, 0.0, 0.0, 1.0)
+            oracle.interval_sum_bounds(1, 1.0, 0.0, 0.0, 1.0)
         with pytest.raises(asympt.DomainError):
-            asympt.interval_sum_bounds(1, 2.0, 0.0, 1.0, 1.0)
+            oracle.interval_sum_bounds(1, 2.0, 0.0, 1.0, 1.0)
         with pytest.raises(asympt.DomainError):
-            asympt.interval_sum_bounds(1, 2.0, 0.0, 0.0, -0.5)
+            oracle.interval_sum_bounds(1, 2.0, 0.0, 0.0, -0.5)
 
 
 class TestModels:
@@ -161,11 +162,11 @@ class TestModels:
 class TestSandwich:
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_square(self, s):
-        assert asympt.sandwich_check_square(s)
+        assert oracle.sandwich_check_square(s)
 
     @pytest.mark.parametrize("s", [1.5, 2.0, 3.0])
     def test_hex(self, s):
-        assert asympt.sandwich_check_hex(s)
+        assert oracle.sandwich_check_hex(s)
 
 
 class TestEpstein:

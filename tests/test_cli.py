@@ -375,6 +375,51 @@ def test_inexact_gram_entry_exits_2(capsys, gram):
     assert err.startswith("error: cannot parse Gram form") and "non-exact entry 1.1" in err
 
 
+@pytest.mark.parametrize("gram", ['"tn"', '"t"', '"n"', '"abc"', "5", "null"])
+def test_gram_of_another_json_type_exits_2(capsys, gram):
+    # a JSON string holding t or n is no {t, n} descriptor
+    code, out, err = run(capsys, "classify", "--gram", gram)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse Gram form {gram!r} of --gram: ")
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ('{"rat": "0", "irr": "1", "D": 2.5}', "radicand must be an integer, got 2.5"),
+        ('{"rat": "0", "irr": "1", "D": 1e999}', "radicand must be an integer, got inf"),
+        ('{"rat": 1e999, "irr": "1", "D": 2}', "non-finite value inf"),
+    ],
+)
+def test_json_entry_with_a_non_integral_radicand_exits_2(capsys, entry, message):
+    code, out, err = run(capsys, "classify", "--gram", f"[[{entry}, 0], [0, 1]]")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot parse Gram form") and err.endswith(f": {message}\n")
+    # an integral radicand given as 2.0 is read as 2
+    assert run(capsys, "classify", "--gram", '[[{"rat": "0", "irr": "1", "D": 2.0}, 0], [0, 1]]') == (
+        0,
+        "rectangular\n",
+        "",
+    )
+
+
+@pytest.mark.parametrize("command", ["reduce", "classify", "exists", "census", "frames"])
+@pytest.mark.parametrize(
+    "gram, err",
+    [
+        # exactly singular over Q(sqrt 2)
+        ('[[1,"sqrt(2)"],["sqrt(2)",2]]', "error: not positive definite: [[1, sqrt(2)], [sqrt(2), 2]]\n"),
+        ('[["sqrt(2)",1],[1,"sqrt(2)/2"]]', "error: not positive definite: [[sqrt(2), 1], [1, 1/2*sqrt(2)]]\n"),
+        # a c mixes two fields before b is read
+        ('[["sqrt(3)","sqrt(2)"],["sqrt(2)","sqrt(5)"]]', "error: cannot mix sqrt(3) and sqrt(5)\n"),
+        # a c = 3 and b^2 = 5 are rational: not positive definite across fields
+        ('[["sqrt(3)","sqrt(5)"],["sqrt(5)","sqrt(3)"]]', "error: not positive definite: [[sqrt(3), sqrt(5)], [sqrt(5), sqrt(3)]]\n"),
+    ],
+)
+def test_singular_and_mixed_forms_exit_2(capsys, command, gram, err):
+    assert run(capsys, command, "--gram", gram) == (2, "", err)
+
+
 class TestSeries:
     def test_series_csv(self, capsys):
         code, out, _ = run(capsys, "series", "--name", "b_square", "--max", "5")
@@ -608,7 +653,9 @@ def test_every_public_name_resolves():
     for name in wellround.__all__:
         assert getattr(wellround, name) is getattr(sys.modules[getattr(wellround, name).__module__], name)
     # a moved test-only name is gone, with no alias
-    for name in ("unique_frame", "g_star", "Unimodular", "is_well_rounded", "is_admissible_index_square"):
+    for name in (
+        "unique_frame", "g_star", "Unimodular", "is_well_rounded", "is_admissible_index_square", "classify_reduced"
+    ):
         assert not hasattr(wellround, name)
     from wellround import general, scalar
 

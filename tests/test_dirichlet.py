@@ -19,7 +19,6 @@ from wellround.dirichlet import (
     band_count,
     character_seq,
     convolve,
-    delta_seq,
     divisor_summatory,
     hyperbola_sum,
     inv_zeta_2s,
@@ -31,6 +30,8 @@ from wellround.dirichlet import (
     squares_moebius,
     summatory_length,
 )
+
+from oracle import delta_seq
 
 small_seqs = st.builds(
     ArithSeq, st.lists(st.integers(-9, 9), min_size=1, max_size=40)

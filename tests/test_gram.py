@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from math import isqrt
 
@@ -10,11 +11,12 @@ from wellround.gram import (
     GramForm,
     LatticeType,
     NotPositiveDefiniteError,
+    _checked_pairs,
     _classify_pair,
     _floor_pair,
-    _integer_pairs,
     _reduce_pair,
     _round_half_pair,
+    _sign_pair,
     classify,
     gauss_reduce,
 )
@@ -26,11 +28,22 @@ from wellround.general import (
     _lattice_class,
     _primitive_form,
 )
-from wellround.scalar import Scalar, _sign_pair
+from wellround.scalar import MixedRadicandError
 
 from oracle import floor as oracle_floor
 from oracle import gauss_reduce as oracle_reduce
-from oracle import Unimodular, is_well_rounded, quadratic_forms
+from oracle import (
+    Scalar,
+    Unimodular,
+    check_positive_definite,
+    discriminant,
+    form,
+    is_well_rounded,
+    quadratic_forms,
+    scale,
+    transform,
+    value,
+)
 
 
 def integral_pd_forms():
@@ -73,7 +86,7 @@ class TestReduction:
             Scalar(5),
         )
         _, U = oracle_reduce(GramForm.of(5, 4, 5))
-        assert GramForm.of(5, 4, 5).transform(U) == reduced
+        assert transform(GramForm.of(5, 4, 5), U) == reduced
 
     def test_frozen_example_hexagonal(self):
         reduced = gauss_reduce(GramForm.of(2, -1, 2))
@@ -87,7 +100,7 @@ class TestReduction:
 
     @given(integral_pd_forms())
     def test_reduced_inequalities(self, g):
-        r = gauss_reduce(g)
+        r = form(gauss_reduce(g))
         zero = Scalar(0)
         assert zero <= r.b * 2 <= r.a <= r.c
 
@@ -95,12 +108,12 @@ class TestReduction:
     @settings(max_examples=60)
     def test_unimodular_invariance(self, g, U):
         r1 = gauss_reduce(g)
-        r2 = gauss_reduce(g.transform(U))
+        r2 = gauss_reduce(transform(g, U))
         assert r1 == r2
 
     @given(integral_pd_forms(), st.integers(1, 9))
     def test_scaling_invariance_of_type(self, g, k):
-        assert classify(g) == classify(g.scale(k))
+        assert classify(g) == classify(scale(g, k))
 
     @given(integral_pd_forms())
     @example(GramForm.of(2, 10, 51))  # minimum 1 at (-5, 1)
@@ -113,7 +126,7 @@ class TestReduction:
         a, b, c = (int(e.rat) for e in (g.a, g.b, g.c))
         y_max = isqrt(a * a // (a * c - b * b))
         values = [
-            g.value(x, y)
+            value(g, x, y)
             for y in range(-y_max, y_max + 1)
             for x in range((-a - b * y) // a - 1, (a - b * y) // a + 2)
             if (x, y) != (0, 0) and abs(a * x + b * y) <= a
@@ -128,7 +141,7 @@ class TestReduction:
     def test_reduction_preserves_discriminant(self):
         g = GramForm.of(7, 3, 11)
         r = gauss_reduce(g)
-        assert r.discriminant() == g.discriminant()
+        assert discriminant(r) == discriminant(g)
 
 
 class TestClassification:
@@ -159,7 +172,7 @@ class TestRationality:
     def test_irrational_diag(self):
         g = GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2))
         assert existence(g) == ExistenceVerdict.TRACE_RATIONAL_ONLY
-        assert g.discriminant() == Scalar(0, 1, 2)
+        assert discriminant(g) == Scalar(0, 1, 2)
 
     def test_scaled_irrational_form_is_a_rational_lattice(self):
         s = Scalar(0, 1, 2)
@@ -174,6 +187,36 @@ class TestRationality:
         assert _primitive_form(_lattice_class(g)[2]) == (2, 1, 6)
         assert enumerate_frames(g, 3) == enumerate_frames(primitive, 3)
         assert list(count_wr(g, 60)) == list(count_wr(primitive, 60))
+
+
+_SMALL_RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def forms_of_any_sign(draw):
+    """Forms over Q, Q(sqrt 2) or Q(sqrt 3) with entries of any sign, most
+    with every entry in one field, some with an entry from another."""
+    D = draw(st.sampled_from([None, 2, 3]))
+
+    def entry():
+        root = draw(st.sampled_from([D, D, D, None, 2, 3]))
+        return Scalar(draw(_SMALL_RATIONALS), draw(_SMALL_RATIONALS) if root else 0, root)
+
+    return GramForm(entry(), entry(), entry())
+
+
+def _checked_by_scalars(g):
+    """The error class and message that `_checked_pairs(g)` must raise, or
+    None: the oracle's Scalar test of a > 0 and ac - b^2 > 0, then the
+    fields of the three entries in entry order."""
+    try:
+        check_positive_definite(g)
+        roots = list(dict.fromkeys(e.root for e in g if e.root))
+        if len(roots) > 1:
+            raise MixedRadicandError(f"cannot mix sqrt({roots[0]}) and sqrt({roots[1]})")
+    except ValueError as e:
+        return type(e), str(e)
+    return None
 
 
 _PAIR_ENTRIES = st.integers(-10**6, 10**6)
@@ -219,16 +262,38 @@ class TestIntegerPairs:
         (u, v), (w, z) = data.draw(st.tuples(*[st.tuples(st.integers(-6, 6), st.integers(-6, 6))] * 2))
         assume(u * z != v * w)
         g = GramForm(p * (u * u) + q * (w * w), p * (u * v) + q * (w * z), p * (v * v) + q * (z * z))
-        (ax, ay), (bx, by), (cx, cy) = _integer_pairs((g.a, g.b, g.c))[2]
+        (ax, ay), (bx, by), (cx, cy) = _checked_pairs(g)[2]
         r, _ = oracle_reduce(g)
         reduced = _reduce_pair(ax, ay, bx, by, cx, cy, D)
         assert [Scalar(x, y, D) for x, y in zip(reduced[::2], reduced[1::2])] == [r.a, r.b, r.c]
         assert _classify_pair(*reduced) == classify(g)
 
+    @given(forms_of_any_sign())
+    # exactly singular over Q(sqrt 2): ac - b^2 = 0 with a > 0
+    @example(GramForm(Scalar(1), Scalar(0, 1, 2), Scalar(2)))
+    @example(GramForm(Scalar(0, 1, 2), Scalar(1), Scalar(0, Fraction(1, 2), 2)))
+    @example(GramForm(Scalar(1), Scalar(2), Scalar(4)))
+    @example(GramForm(Scalar(0, -1, 2), Scalar(0), Scalar(1)))
+    # a c mixes sqrt(3) and sqrt(5) before b is read
+    @example(GramForm(Scalar(0, 1, 3), Scalar(0, 1, 2), Scalar(0, 1, 5)))
+    # a c = 3 and b^2 = 5 are rational, so ac - b^2 < 0 is decided across fields
+    @example(GramForm(Scalar(0, 1, 3), Scalar(0, 1, 5), Scalar(0, 1, 3)))
+    # a c = 3 and b^2 = 2: positive definite, refused for its fields
+    @example(GramForm(Scalar(0, 1, 3), Scalar(0, 1, 2), Scalar(0, 1, 3)))
+    def test_positive_definite_check_matches_scalar_oracle(self, g):
+        try:
+            D, L, pairs = _checked_pairs(g)
+        except ValueError as e:
+            assert (type(e), str(e)) == _checked_by_scalars(g)
+            return
+        assert _checked_by_scalars(g) is None
+        assert L == math.lcm(*(part.denominator for e in g for part in (e.rat, e.irr)))
+        assert [Scalar(Fraction(x, L), Fraction(y, L), D) for x, y in pairs] == list(g)
+
     def test_scaled_to_common_denominator(self):
         g = GramForm(Scalar(Fraction(1, 2)), Scalar(0, Fraction(1, 3), 5), Scalar(2, Fraction(3, 4), 5))
-        assert _integer_pairs((g.a, g.b, g.c)) == (5, 12, ((6, 0), (0, 4), (24, 9)))
-        assert _integer_pairs((Scalar(2), Scalar(1), Scalar(3))) == (None, 1, ((2, 0), (1, 0), (3, 0)))
+        assert _checked_pairs(g) == (5, 12, ((6, 0), (0, 4), (24, 9)))
+        assert _checked_pairs(GramForm.of(2, 1, 3)) == (None, 1, ((2, 0), (1, 0), (3, 0)))
 
     @given(
         st.integers(-(10**12), 10**12),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from wellround.gram import _floor_pair, _integer_pairs
-from wellround.scalar import MAX_RADICAND, MixedRadicandError, NotRationalError, Scalar
+from wellround.gram import _floor_pair
+from wellround.scalar import MAX_RADICAND, MixedRadicandError, NotRationalError
+from wellround.scalar import Scalar as PackageScalar
 
-from oracle import floor, round_half
+from oracle import Scalar, floor, integer_pair, round_half
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=12
@@ -18,6 +19,26 @@ roots = st.sampled_from([2, 3, 5, 6, 7, 10])
 
 def scalars(root):
     return st.builds(lambda r, i: Scalar(r, i, root), fractions, fractions)
+
+
+class TestPackageScalar:
+    """The package's Scalar is a value to read, print and serialize: it has
+    no arithmetic, and its equality is that of its canonical parts."""
+
+    def test_has_no_arithmetic(self):
+        with pytest.raises(TypeError):
+            PackageScalar(1) + PackageScalar(2)
+        with pytest.raises(TypeError):
+            PackageScalar(1) < PackageScalar(2)
+
+    def test_structural_equality_is_value_equality(self):
+        assert PackageScalar(Fraction(4, 2), 0, 7) == PackageScalar(2)
+        assert PackageScalar(0, 1, 2) != PackageScalar(0, 1, 3)
+        assert PackageScalar(1, 1, 2) != PackageScalar(1, -1, 2)
+        assert hash(PackageScalar(Fraction(3, 2))) == hash(Fraction(3, 2))
+        assert len({PackageScalar(0, 1, 2), PackageScalar(0, Fraction(2, 2), 2)}) == 1
+        # a package Scalar and an oracle Scalar of one value are equal
+        assert PackageScalar(1, 2, 5) == Scalar(1, 2, 5)
 
 
 class TestArithmetic:
@@ -86,7 +107,7 @@ class TestOrdering:
 def _isqrt(v: Scalar) -> int:
     """floor(sqrt(v)) as the window rows take it: isqrt of the exact floor
     of v's integer pair (x + y sqrt(D)) / L."""
-    D, L, ((x, y),) = _integer_pairs((v,))
+    D, L, (x, y) = integer_pair(v)
     return isqrt(_floor_pair(x, y, L, D))
 
 
@@ -124,13 +145,35 @@ class TestIsqrt:
 class TestSerialization:
     @given(scalars(2))
     def test_json_round_trip(self, x):
-        assert Scalar.from_json(x.to_json()) == x
+        assert PackageScalar.from_json(x.to_json()) == x
 
     def test_parse_forms(self):
-        assert Scalar.parse("3/2") == Scalar(Fraction(3, 2))
-        assert Scalar.parse("sqrt(2)") == Scalar(0, 1, 2)
-        assert Scalar.parse("-2/3*sqrt(5)") == Scalar(0, Fraction(-2, 3), 5)
-        assert Scalar.parse("1+2*sqrt(2)") == Scalar(1, 2, 2)
+        assert PackageScalar.parse("3/2") == PackageScalar(Fraction(3, 2))
+        assert PackageScalar.parse("sqrt(2)") == PackageScalar(0, 1, 2)
+        assert PackageScalar.parse("-2/3*sqrt(5)") == PackageScalar(0, Fraction(-2, 3), 5)
+        assert PackageScalar.parse("1+2*sqrt(2)") == PackageScalar(1, 2, 2)
+
+    def test_parse_sums_its_terms_in_order(self):
+        assert PackageScalar.parse("1+2+3") == PackageScalar(6)
+        # a sum whose sqrt(2) parts cancel takes a term of another field
+        assert PackageScalar.parse("sqrt(2)-sqrt(2)+sqrt(3)") == PackageScalar(0, 1, 3)
+        with pytest.raises(MixedRadicandError, match=r"^cannot mix sqrt\(2\) and sqrt\(3\)$"):
+            PackageScalar.parse("1+sqrt(2)+sqrt(3)")
+
+    @pytest.mark.parametrize("D", [2.5, float("inf"), float("nan")])
+    def test_from_json_refuses_a_non_integral_radicand(self, D):
+        with pytest.raises(ValueError, match="radicand must be an integer"):
+            PackageScalar.from_json({"rat": "0", "irr": "1", "D": D})
+
+    def test_from_json_reads_an_integral_radicand(self):
+        for D in (2, 2.0, "2"):
+            assert PackageScalar.from_json({"rat": "0", "irr": "1", "D": D}) == PackageScalar(0, 1, 2)
+
+    @pytest.mark.parametrize("part", ["rat", "irr"])
+    def test_from_json_refuses_an_infinite_part(self, part):
+        obj = {"rat": "0", "irr": "1", "D": 2, part: float("inf")}
+        with pytest.raises(ValueError, match="non-finite value inf"):
+            PackageScalar.from_json(obj)
 
     @pytest.mark.parametrize(
         "text, exact",
@@ -142,26 +185,26 @@ class TestSerialization:
         ],
     )
     def test_parse_divisor_after_root(self, text, exact):
-        x, y = Scalar.parse(text), Scalar.parse(exact)
+        x, y = PackageScalar.parse(text), PackageScalar.parse(exact)
         assert (x.rat, x.irr, x.root) == (y.rat, y.irr, y.root)
 
     @pytest.mark.parametrize(
         "text, exact",
         [
-            ("1e-12", Scalar(Fraction(1, 10**12))),
-            ("2.5E-1", Scalar(Fraction(1, 4))),
-            ("1e-2+sqrt(2)", Scalar(Fraction(1, 100), 1, 2)),
-            ("3-sqrt(2)", Scalar(3, -1, 2)),
+            ("1e-12", PackageScalar(Fraction(1, 10**12))),
+            ("2.5E-1", PackageScalar(Fraction(1, 4))),
+            ("1e-2+sqrt(2)", PackageScalar(Fraction(1, 100), 1, 2)),
+            ("3-sqrt(2)", PackageScalar(3, -1, 2)),
         ],
     )
     def test_parse_exponent_sign_is_not_a_sum(self, text, exact):
-        x = Scalar.parse(text)
+        x = PackageScalar.parse(text)
         assert (x.rat, x.irr, x.root) == (exact.rat, exact.irr, exact.root)
 
     @pytest.mark.parametrize("text", ["1/0", "sqrt(3)/0"])
     def test_parse_zero_denominator(self, text):
         with pytest.raises(ValueError):
-            Scalar.parse(text)
+            PackageScalar.parse(text)
 
     @pytest.mark.parametrize(
         "text",
@@ -171,12 +214,12 @@ class TestSerialization:
         # Fraction would build 10^e in full; at the default limit of 4300
         # digits, 1e1000000000 would take a 415 MB integer
         with pytest.raises(ValueError, match="exponent of .* is above 4300"):
-            Scalar.parse(text)
+            PackageScalar.parse(text)
 
     def test_from_json_refuses_an_exponent_past_the_digit_limit(self):
         with pytest.raises(ValueError, match="exponent of '1e4301' is above 4300"):
-            Scalar.from_json({"rat": "1e4301", "irr": "1", "D": 2})
+            PackageScalar.from_json({"rat": "1e4301", "irr": "1", "D": 2})
 
     def test_parse_accepts_an_exponent_at_the_digit_limit(self):
-        assert Scalar.parse("1e4300") == Scalar(10**4300)
-        assert Scalar.parse("3e-4300").rat == Fraction(3, 10**4300)
+        assert PackageScalar.parse("1e4300") == PackageScalar(10**4300)
+        assert PackageScalar.parse("3e-4300").rat == Fraction(3, 10**4300)

@@ -14,6 +14,7 @@ from oracle import (
     is_admissible_index_square,
     primitive_type_series,
     rhombic_square_series,
+    well_rounded_list,
 )
 
 
@@ -58,7 +59,7 @@ class TestWellRounded:
     def test_matches_census_small(self):
         N = 60
         census = wr_census_bruteforce(GramForm.of(1, 0, 1), N)
-        assert list(a_square(N)) == census.well_rounded_list()
+        assert list(a_square(N)) == well_rounded_list(census)
 
     def test_type_split_matches_census(self):
         N = 40
