@@ -85,11 +85,7 @@ def _scalar(v) -> Scalar:
         if v.startswith("sqrt") and not v.startswith("sqrt("):
             v = f"sqrt({v[4:]})"
         return Scalar.parse(v)
-    if isinstance(v, dict):
-        return Scalar.from_json(v)
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"non-exact entry {v}; pass a string like \"3/2\" or \"sqrt(2)\"")
-    return Scalar.of(int(v) if isinstance(v, float) else v)
+    return Scalar.from_json(v)
 
 
 def _spec_gram(args) -> GramForm:

@@ -7,22 +7,25 @@ int64, otherwise in exact Python integers (dtype object), with the same code
 either way.  Multiplying two series is Dirichlet convolution, computed by a
 hyperbola split at sqrt(N) in about 2 sqrt(N) strided array additions.
 Truncation bounds propagate as the minimum over operands and reading past
-the bound is an error, never a silent zero.
+the bound is an error, never a silent zero.  A sparse factor such as
+1/zeta(2s) is its (support, values) pair, which `times_sparse` applies to a
+stream and `sparse_times` to partial sums.
 
 A `Summatory` gives the partial sums of a stream at every t, from a prefix
 table of its first coefficients and past the table from a function: a row
 count of the pair band (`band_count`), a divisor sum split at sqrt(t)
-(`divisor_summatory`), a sum over the support of a sparse factor such as
-1/zeta(2s) (`sparse_times`), or `hyperbola_sum` for the partial sum of a
-convolution.  With tables of about x^(2/3) coefficients
-(`summatory_length`) this reads the partial sums of the square and
-hexagonal counts up to x without an array of length x.
+(`divisor_summatory`), a sum over the support of a sparse factor
+(`sparse_times`), or `hyperbola_sum` for the partial sum of a convolution.
+With tables of about x^(2/3) coefficients (`summatory_length`) this reads
+the partial sums of the square and hexagonal counts up to x without an
+array of length x.  Both lattices' counts are one identity, `Preset`, on
+each lattice's data.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -72,10 +75,6 @@ class ArithSeq:
     def __repr__(self):
         head = ", ".join(str(x) for x in self._a[:8].tolist())
         return f"ArithSeq(N={self.N}: {head}{', ...' if self.N > 8 else ''})"
-
-    def scale(self, factor: int) -> "ArithSeq":
-        dtype = _dtype(_max_abs(self._a) * abs(factor))
-        return ArithSeq(self._a.astype(dtype, copy=False) * factor)
 
     def _operands(self, other: "ArithSeq") -> tuple[np.ndarray, np.ndarray]:
         n = min(self.N, other.N)
@@ -174,41 +173,28 @@ def squares_moebius(N: int) -> tuple[np.ndarray, np.ndarray]:
     return (k * k)[mu != 0], mu[mu != 0]
 
 
-def inv_zeta_2s(N: int) -> ArithSeq:
-    """Coefficients of 1/zeta(2s): mu(sqrt(n)) at perfect squares, else 0."""
-    n, c = squares_moebius(N)
-    out = np.zeros(N, dtype=np.int64)
-    out[n - 1] = c
-    return ArithSeq(out)
-
-
 def alt_powers(m: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     """The support and values of 1/(1 + m^{-s}) up to N: (-1)^j at m^j."""
     if m < 2:
         raise ValueError("base must be at least 2")
-    n, c = [], []
-    power, sign = 1, 1
+    n, power = [], 1
     while power <= N:
         n.append(power)
-        c.append(sign)
-        power, sign = power * m, -sign
-    return np.array(n, dtype=np.int64), np.array(c, dtype=np.int64)
+        power *= m
+    return np.array(n, dtype=np.int64), np.array([(-1) ** j for j in range(len(n))], dtype=np.int64)
 
 
-def alt_euler_factor(m: int, N: int) -> ArithSeq:
-    """Coefficients of 1/(1 + m^{-s}): (-1)^j at n = m^j."""
-    n, c = alt_powers(m, N)
-    out = np.zeros(N, dtype=np.int64)
-    out[n - 1] = c
-    return ArithSeq(out)
-
-
-def shift_support(f: ArithSeq, m: int) -> ArithSeq:
-    """Multiplication by m^{-s}: value f(n/m) when m | n, else 0."""
-    if m < 1:
-        raise ValueError("shift base must be positive")
-    out = np.zeros_like(f._a)
-    out[m - 1 :: m] = f._a[: f.N // m]
+def times_sparse(n: Sequence[int], c: Sequence[int], f: ArithSeq) -> ArithSeq:
+    """The product h * f, where h(n_i) = c_i and h is 0 elsewhere: one
+    strided slice of f per term n_i <= N.  A weight w is the term (1, w);
+    w m^{-s}, the shift to multiples of m, is the term (m, w)."""
+    N = f.N
+    terms = [(ni, ci) for ni, ci in zip(np.asarray(n).tolist(), np.asarray(c).tolist()) if ni <= N]
+    # every output is a sum of one product per term
+    dtype = _dtype(sum(abs(ci) for _, ci in terms) * max(_max_abs(f._a), 1))
+    a, out = f._a.astype(dtype, copy=False), np.zeros(N, dtype=dtype)
+    for ni, ci in terms:
+        out[ni - 1 :: ni] += ci * a[: N // ni]
     return ArithSeq(out)
 
 
@@ -255,10 +241,10 @@ class Summatory:
     """Partial sums C(t) = c(1) + ... + c(t) of a stream at every t >= 0:
     read from a prefix table while t <= N, and from `beyond(t)` past it."""
 
-    __slots__ = ("N", "coeffs", "table", "bound", "beyond")
+    __slots__ = ("N", "table", "bound", "beyond")
 
     def __init__(self, seq: ArithSeq, beyond: Callable[[int], int]):
-        self.N, self.coeffs, self.beyond = seq.N, seq._a, beyond
+        self.N, self.beyond = seq.N, beyond
         self.table = np.concatenate((np.zeros(1, dtype=np.int64), seq._prefix_sums()))
         self.bound = _max_abs(self.table)
 
@@ -285,12 +271,14 @@ def _weighted_sum(y: int, n: np.ndarray, c: np.ndarray, g: Summatory) -> int:
 def hyperbola_sum(y: int, f: Summatory, g: Summatory) -> int:
     """Partial sum of f*g to y, the sum of f(a) g(b) over ab <= y, split at
     s = isqrt(y): the pairs with a <= s, those with b <= s, less the s^2
-    pairs counted twice.  Both tables must reach s."""
+    pairs counted twice.  Both tables must reach s; the coefficients to s
+    are the differences of their first s + 1 entries."""
     s = isqrt(y)
     if s > min(f.N, g.N):
         raise OutOfRangeError(f"split point {s} beyond the tables [1, {min(f.N, g.N)}]")
     n = np.arange(1, s + 1, dtype=np.int64)
-    return _weighted_sum(y, n, f.coeffs[:s], g) + _weighted_sum(y, n, g.coeffs[:s], f) - f(s) * g(s)
+    fc, gc = np.diff(f.table[: s + 1]), np.diff(g.table[: s + 1])
+    return _weighted_sum(y, n, fc, g) + _weighted_sum(y, n, gc, f) - f(s) * g(s)
 
 
 def summatory_length(x: int) -> int:
@@ -319,9 +307,12 @@ def divisor_summatory(chi: DirichletCharacter, b: ArithSeq) -> Summatory:
     return Summatory(b, beyond)
 
 
-def sparse_times(n: np.ndarray, c: np.ndarray, g: Summatory, table: ArithSeq) -> Summatory:
+def sparse_times(n: np.ndarray, c: np.ndarray, g: Summatory) -> Summatory:
     """Partial sums of h * g's stream, where h(n_i) = c_i (n_i ascending) and
-    h is 0 elsewhere; `table` holds the product's first coefficients."""
+    h is 0 elsewhere: the table by `times_sparse` on the differences of g's,
+    and past it the sum over h's support.  The terms must reach the largest
+    t to be read."""
+    table = times_sparse(n, c, ArithSeq(np.diff(g.table)))
     return Summatory(table, lambda t: _weighted_sum(t, n, c, g))
 
 
@@ -329,3 +320,57 @@ def band_summatory(N: int, r: int, odd: bool = False) -> Summatory:
     """Partial sums of the band, from `pair_band(N, r, odd)` and `band_count`."""
     return Summatory(pair_band(N, r, odd), lambda t: band_count(t, r, odd))
 
+
+class Preset(NamedTuple):
+    """The Dirichlet identity of a preset lattice's well-rounded counts,
+        a = b + w m^{-s} (band_r * E b_pr) + w (band_r^odd * O b_pr),
+    and of their partial sums,
+        A(x) = B(x) + w S(x // m; E b_pr, band_r) + w S(x; O b_pr, band_r^odd).
+    Here b = 1 * chi counts the similar sublattices, b_pr = b / zeta(2s) the
+    primitive ones, band_r is `pair_band(., r)`, w is the weight of each
+    pair, m the index shift of the even part (`shift`), and S(y; f, g) is the
+    partial sum of f * g to y (`hyperbola_sum`).  E and O are the factors
+    1/(1 + k^{-s}) on the even and odd parts, given by their base k (`even`,
+    `odd`), or None for the factor 1."""
+
+    chi: DirichletCharacter
+    r: int
+    w: int
+    shift: int
+    even: int | None
+    odd: int | None
+
+    def similar(self, N: int) -> ArithSeq:
+        """b(1..N), the similar sublattices by index."""
+        return convolve(ones_seq(N), character_seq(self.chi, N))
+
+    def primitive(self, N: int) -> ArithSeq:
+        """b_pr(1..N), the primitive similar sublattices by index."""
+        return times_sparse(*squares_moebius(N), self.similar(N))
+
+    def counts(self, N: int) -> ArithSeq:
+        """a(1..N), the well-rounded sublattices by index."""
+        b = self.similar(N)
+        bpr = times_sparse(*squares_moebius(N), b)
+        # E b_pr and O b_pr, each distinct factor applied once
+        off = {k: times_sparse(*alt_powers(k, N), bpr) if k else bpr for k in {self.even, self.odd}}
+        return (
+            b
+            + times_sparse((self.shift,), (self.w,), convolve(pair_band(N, self.r), off[self.even]))
+            + times_sparse((1,), (self.w,), convolve(pair_band(N, self.r, odd=True), off[self.odd]))
+        )
+
+    def summatory(self, xs: Sequence[int]) -> list[int]:
+        """A(x) for each x in xs, exact, on tables of about max(xs)^(2/3)
+        coefficients (`summatory_length`) with no array of length x."""
+        x = max(xs)
+        N = summatory_length(x)
+        B = divisor_summatory(self.chi, self.similar(N))
+        P = sparse_times(*squares_moebius(x), B)
+        off = {k: sparse_times(*alt_powers(k, x), P) if k else P for k in {self.even, self.odd}}
+        even, odd = off[self.even], off[self.odd]
+        band, band_odd = band_summatory(N, self.r), band_summatory(N, self.r, odd=True)
+        return [
+            B(t) + self.w * (hyperbola_sum(t // self.shift, even, band) + hyperbola_sum(t, odd, band_odd))
+            for t in xs
+        ]

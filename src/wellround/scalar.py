@@ -42,10 +42,10 @@ class InvariantError(ValueError):
 def _fraction(value) -> Fraction:
     """Fraction(value), refusing a decimal exponent above the interpreter's
     integer string limit (4300 digits by default) before Fraction builds a
-    power of ten that large, and an infinite float, which Fraction refuses
-    with an OverflowError.  The pattern is compiled only for a string with
-    an e in it."""
-    if isinstance(value, float) and math.isinf(value):
+    power of ten that large, and an infinite or NaN float, which Fraction
+    refuses with an OverflowError or a ValueError of its own.  The pattern
+    is compiled only for a string with an e in it."""
+    if isinstance(value, float) and not math.isfinite(value):
         raise ValueError(f"non-finite value {value}")
     m = isinstance(value, str) and "e" in value.lower() and re.search(_EXPONENT, value)
     if m:
@@ -53,6 +53,17 @@ def _fraction(value) -> Fraction:
         if abs(int(m[1])) > limit:
             raise ValueError(f"exponent of {value!r} is above {limit}")
     return Fraction(value)
+
+
+def _json_number(value) -> Fraction:
+    """A JSON number, or a string as `_fraction` reads it, as a Fraction.  A
+    boolean is refused, and so is a float that is not an integer: JSON
+    carries it as a binary fraction, not as the decimal it was written as."""
+    if isinstance(value, bool):
+        raise ValueError(f"boolean entry {str(value).lower()}")
+    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ValueError(f'non-exact entry {value}; pass a string like "3/2" or "sqrt(2)"')
+    return _fraction(value)
 
 
 def _is_squarefree(n: int) -> bool:
@@ -143,14 +154,15 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
+        """Read `to_json`'s forms, or a bare JSON number (`_json_number`)."""
         if isinstance(obj, dict):
             D = obj["D"]
-            if isinstance(D, float) and not D.is_integer():
+            if isinstance(D, bool) or isinstance(D, float) and not D.is_integer():
                 raise ValueError(f"radicand must be an integer, got {D}")
-            return Scalar(_fraction(obj["rat"]), _fraction(obj["irr"]), int(D))
+            return Scalar(_json_number(obj["rat"]), _json_number(obj["irr"]), int(D))
         if isinstance(obj, str):
             return Scalar.parse(obj)
-        return Scalar(Fraction(obj))
+        return Scalar(_json_number(obj))
 
     @staticmethod
     def parse(text: str) -> "Scalar":

@@ -53,12 +53,12 @@ from wellround import asympt
 from wellround.asympt import DomainError, _band_gap_terms, _bound_for_radius, _form_floats
 from wellround.dirichlet import (
     ArithSeq,
-    alt_euler_factor,
+    alt_powers,
     convolve,
-    inv_zeta_2s,
     moebius_seq,
     ones_seq,
-    shift_support,
+    squares_moebius,
+    times_sparse,
 )
 from wellround.general import (
     ExistenceVerdict,
@@ -646,21 +646,19 @@ def rhombic_square_series(N: int) -> dict[str, ArithSeq]:
     bpr = b_square_primitive(N)
     zeta2 = convolve(ones_seq(N), ones_seq(N))
     base = convolve(zeta2, bpr)
-    even = shift_support(base, 2)
+    even = times_sparse((2,), (1,), base)
     # odd indices: both generators odd, primitive part restricted to odd norm
     odd_zeta = ArithSeq(np.arange(1, N + 1) % 2)
-    odd = convolve(
-        convolve(odd_zeta, odd_zeta), convolve(alt_euler_factor(2, N), bpr)
-    )
+    odd = convolve(convolve(odd_zeta, odd_zeta), times_sparse(*alt_powers(2, N), bpr))
     total = even + odd
-    primitive = convolve(inv_zeta_2s(N), total)
+    primitive = times_sparse(*squares_moebius(N), total)
     return {"even": even, "odd": odd, "all": total, "primitive": primitive}
 
 
 def primitive_type_series(N: int) -> dict[str, ArithSeq]:
     """Primitive square, rhombic-or-centred-rectangular and rectangular counts."""
     bpr = b_square_primitive(N)
-    zeta2_over_zeta2s = convolve(convolve(ones_seq(N), ones_seq(N)), inv_zeta_2s(N))
+    zeta2_over_zeta2s = times_sparse(*squares_moebius(N), convolve(ones_seq(N), ones_seq(N)))
     rect_factor = zeta2_over_zeta2s - delta_seq(N)
     rectangular = convolve(rect_factor, bpr)
     rhombic = rhombic_square_series(N)["primitive"] - bpr

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -375,6 +376,21 @@ def test_inexact_gram_entry_exits_2(capsys, gram):
     assert err.startswith("error: cannot parse Gram form") and "non-exact entry 1.1" in err
 
 
+@pytest.mark.parametrize(
+    "command, gram, entry",
+    [
+        # a float part of an exact entry is read as JSON's binary value
+        ("reduce", '[[{"rat":0.1,"irr":"0","D":2},0],[0,1]]', "non-exact entry 0.1"),
+        ("classify", '[[true,0],[0,true]]', "boolean entry true"),
+        ("classify", '{"t":true,"n":2}', "boolean entry true"),
+    ],
+)
+def test_boolean_or_inexact_json_part_exits_2(capsys, command, gram, entry):
+    code, out, err = run(capsys, command, "--gram", gram)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot parse Gram form {gram!r} of --gram: {entry}")
+
+
 @pytest.mark.parametrize("gram", ['"tn"', '"t"', '"n"', '"abc"', "5", "null"])
 def test_gram_of_another_json_type_exits_2(capsys, gram):
     # a JSON string holding t or n is no {t, n} descriptor
@@ -389,6 +405,9 @@ def test_gram_of_another_json_type_exits_2(capsys, gram):
         ('{"rat": "0", "irr": "1", "D": 2.5}', "radicand must be an integer, got 2.5"),
         ('{"rat": "0", "irr": "1", "D": 1e999}', "radicand must be an integer, got inf"),
         ('{"rat": 1e999, "irr": "1", "D": 2}', "non-finite value inf"),
+        ('{"rat": "0", "irr": NaN, "D": 2}', "non-finite value nan"),
+        ("Infinity", "non-finite value inf"),
+        ("NaN", "non-finite value nan"),
     ],
 )
 def test_json_entry_with_a_non_integral_radicand_exits_2(capsys, entry, message):
@@ -432,6 +451,23 @@ class TestSeries:
     def test_unknown_series_exits_2(self, capsys):
         code, _, _ = run(capsys, "series", "--name", "nope", "--max", "5")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("a_square", "7d4e11a1e82d2385ddccbbfa214dcac13292bd9d350d2c3241ccb1ef591a78ab"),
+            ("a_hex", "9cca98d5a12b1ab2423c89c795068aeed65e4fe6df63ecb1965a056fd652a389"),
+            ("b_square", "414b640f4cd9083d5226d4f51c718c731fbc8cebdd8495329d7df703cb9f3ead"),
+            ("b_hex", "69a023dc222e1b9f5cf19aaa8868648c9870130cd6aed3843ceabbbdaad41b66"),
+            ("b_square_primitive", "47ad9a42ead5656138cd32eb7f0e39cbb2e6b68805b82254c050cde58cf72dd6"),
+            ("b_hex_primitive", "1f5c7a335c520e8d68818e9bccc5f8959c8ca6961dfc00958d9b15a67a0b8f8e"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, name, digest):
+        # sha256 of the csv to 10^4: any change to a count or to the format shows
+        code, out, err = run(capsys, "series", "--name", name, "--max", "10000")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestOtherCommands:

@@ -14,21 +14,19 @@ from wellround.dirichlet import (
     OutOfRangeError,
     Summatory,
     _isqrt,
-    alt_euler_factor,
     alt_powers,
     band_count,
     character_seq,
     convolve,
     divisor_summatory,
     hyperbola_sum,
-    inv_zeta_2s,
     moebius_seq,
     ones_seq,
     pair_band,
-    shift_support,
     sparse_times,
     squares_moebius,
     summatory_length,
+    times_sparse,
 )
 
 from oracle import delta_seq
@@ -134,23 +132,63 @@ class TestBuildingBlocks:
                 assert chi[m * n] == chi[m] * chi[n]
 
     def test_inv_zeta_2s(self):
-        s = inv_zeta_2s(20)
+        s = dense(*squares_moebius(20), 20)
         # mu(sqrt(n)) at squares: 1, -1 at 4, -1 at 9, 0 at 16
         assert [s[n] for n in (1, 2, 4, 9, 16)] == [1, 0, -1, -1, 0]
-        squares_removed = convolve(s, convolve(ones_seq(20), inv_zeta_2s(20)))
+        zeta_over_zeta2s = times_sparse(*squares_moebius(20), ones_seq(20))
+        squares_removed = times_sparse(*squares_moebius(20), zeta_over_zeta2s)
         # 1/zeta(2s) * zeta-like products stay integral
         assert all(isinstance(v, int) for v in squares_removed)
 
     def test_alt_euler_factor(self):
-        s = alt_euler_factor(2, 20)
+        s = dense(*alt_powers(2, 20), 20)
         assert [s[n] for n in (1, 2, 4, 8, 16, 3)] == [1, -1, 1, -1, 1, 0]
         # (1 + 2^{-s}) * 1/(1 + 2^{-s}) = 1
-        two = ArithSeq([1 if n == 1 or n == 2 else 0 for n in range(1, 21)])
-        assert convolve(two, s) == delta_seq(20)
+        assert times_sparse((1, 2), (1, 1), s) == delta_seq(20)
 
     def test_shift_support(self):
         f = ArithSeq([1, 2, 3, 4])
-        assert list(shift_support(f, 2)) == [0, 1, 0, 2]
+        assert list(times_sparse((2,), (1,), f)) == [0, 1, 0, 2]
+
+
+def dense(n, c, N: int) -> ArithSeq:
+    """The first N coefficients of the series that is c_i at n_i, 0 elsewhere."""
+    out = [0] * N
+    for ni, ci in zip(n, c):
+        if ni <= N:
+            out[ni - 1] += int(ci)
+    return ArithSeq(out)
+
+
+# sparse factors: distinct ascending supports, some terms past the stream's end
+sparse_terms = st.lists(
+    st.tuples(st.integers(1, 60), st.integers(-9, 9)), min_size=1, max_size=8, unique_by=lambda t: t[0]
+).map(lambda ts: tuple(zip(*sorted(ts))))
+
+
+class TestTimesSparse:
+    @given(small_seqs, sparse_terms)
+    def test_is_the_convolution_with_the_dense_factor(self, f, terms):
+        n, c = terms
+        assert times_sparse(n, c, f) == convolve(dense(n, c, f.N), f)
+
+    def test_support_past_the_end(self):
+        f = ArithSeq([1, 2, 3])
+        assert list(times_sparse((4, 7), (5, -1), f)) == [0, 0, 0]
+        assert list(times_sparse((1, 3, 9), (2, 1, 1), f)) == [2, 4, 7]
+
+    def test_products_beyond_int64(self):
+        # 2 * 2^62 = 2^63: the exact (object) dtype must run
+        big = 1 << 62
+        f = ArithSeq([big, 1, big, 1])
+        h = times_sparse((1, 2), (2, 1), f)
+        assert h._a.dtype == object
+        assert list(h) == [2 * big, 2 + big, 2 * big, 2 + 1]
+        assert list(h) == list(convolve(dense((1, 2), (2, 1), 4), f))
+        assert max(h) >= 1 << 63 and all(type(v) is int for v in h)
+
+    def test_a_large_weight_on_a_zero_stream(self):
+        assert list(times_sparse((1,), (1 << 70,), ArithSeq([0, 0]))) == [0, 0]
 
 
 class TestPairBand:
@@ -217,11 +255,11 @@ class TestSummatoryPath:
         N = 3000
         b = convolve(ones_seq(N), character_seq(CHI_MINUS4, N))
         B = short_table(b, 60)
-        primitive = convolve(inv_zeta_2s(N), b)
-        P = sparse_times(*squares_moebius(N), B, ArithSeq(list(primitive)[:60]))
+        primitive = convolve(dense(*squares_moebius(N), N), b)
+        P = sparse_times(*squares_moebius(N), B)
         assert [P(t) for t in range(N + 1)] == [0] + primitive.summatory_all()
-        off_three = convolve(alt_euler_factor(3, N), primitive)
-        A = sparse_times(*alt_powers(3, N), P, ArithSeq(list(off_three)[:60]))
+        off_three = convolve(dense(*alt_powers(3, N), N), primitive)
+        A = sparse_times(*alt_powers(3, N), P)
         assert [A(t) for t in range(N + 1)] == [0] + off_three.summatory_all()
 
     def test_summatory_length(self):

@@ -169,6 +169,28 @@ class TestSerialization:
         for D in (2, 2.0, "2"):
             assert PackageScalar.from_json({"rat": "0", "irr": "1", "D": D}) == PackageScalar(0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "obj", [True, False, {"rat": True, "irr": "1", "D": 2}, {"rat": "0", "irr": False, "D": 2}]
+    )
+    def test_from_json_refuses_a_boolean(self, obj):
+        with pytest.raises(ValueError, match="^boolean entry (true|false)$"):
+            PackageScalar.from_json(obj)
+
+    def test_from_json_refuses_a_boolean_radicand(self):
+        with pytest.raises(ValueError, match="radicand must be an integer, got True"):
+            PackageScalar.from_json({"rat": "0", "irr": "1", "D": True})
+
+    @pytest.mark.parametrize(
+        "obj", [0.1, {"rat": 0.1, "irr": "0", "D": 2}, {"rat": "0", "irr": 2.5, "D": 2}]
+    )
+    def test_from_json_refuses_a_non_integral_float(self, obj):
+        with pytest.raises(ValueError, match="^non-exact entry (0.1|2.5); "):
+            PackageScalar.from_json(obj)
+
+    def test_from_json_reads_an_integral_float(self):
+        assert PackageScalar.from_json(3.0) == PackageScalar(3)
+        assert PackageScalar.from_json({"rat": 1.0, "irr": -2.0, "D": 2}) == PackageScalar(1, -2, 2)
+
     @pytest.mark.parametrize("part", ["rat", "irr"])
     def test_from_json_refuses_an_infinite_part(self, part):
         obj = {"rat": "0", "irr": "1", "D": 2, part: float("inf")}
