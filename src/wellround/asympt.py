@@ -7,13 +7,16 @@ objects that describe their growth.
 The fitted model of any other lattice lives in `growth`, which needs no
 numpy.  Each float the CLI prints with an error comes from one call here,
 as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
-`epstein_residue_estimate`.  Both lattice constants rest on one band-gap
-sum, the terms of `_band_gap_terms(P, r, odd)`, over the band that
-`dirichlet.pair_band` counts: r = 3 for the square lattice, r = 9 for the
-hexagonal one; its row tops are the integer square roots of
-`dirichlet._isqrt`.  Every Epstein sum comes from one kernel,
-`_power_sums`, over half the disk.  `dirichlet` and `growth` are imported
-inside the functions that use them, so an Epstein call loads neither.
+`epstein_residue_estimate`.  No array on the constants' path grows with the
+size of a sum.  gamma and zeta'(2)/zeta(2) are plain-Python sums of
+EM_TERMS terms with Euler-Maclaurin tails.  Both lattice constants rest on
+one band-gap sum over the band that `dirichlet.pair_band` counts: r = 3 for
+the square lattice, r = 9 for the hexagonal one.  `_band_gap_terms` gives a
+block of its terms, each from its row top `dirichlet._isqrt(r p^2 - 1)`
+with no prefix array, and `_band_gap_sums` adds blocks of BAND_BLOCK terms.
+Every Epstein sum comes from one kernel, `_power_sums`, over half the disk.
+`dirichlet` and `growth` are imported inside the functions that use them,
+so an Epstein call loads neither.
 """
 
 from __future__ import annotations
@@ -35,29 +38,32 @@ class DomainError(ValueError):
 LOG3 = log(3.0)
 ZETA2 = pi * pi / 6.0
 
-# terms of the sums behind euler_gamma and zeta'(2)/zeta(2)
-EULER_TERMS = 100_000
-ZETA_TERMS = 1_000_000
+# terms summed before the Euler-Maclaurin tails of euler_gamma and
+# zeta'(2)/zeta(2)
+EM_TERMS = 1_000
 # values of p in each band-gap sum; `_richardson` also takes twice as many,
 # so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^62, where
 # `dirichlet._isqrt` is exact
 BAND_TERMS = 400_000
+# values of p whose band-gap terms are evaluated at once; of the powers of 2
+# from 2^11 to 2^17, 2^13 ran the two lattice constants fastest, and from
+# 2^14 up the block raises the peak RSS (2^17: 27 -> 41 MB)
+BAND_BLOCK = 1 << 13
+# the rows p < EXACT_P of a band-gap sum add their 1/q one by one
+EXACT_P = 64
 
 
 def euler_gamma() -> float:
     """Euler-Mascheroni constant by Euler-Maclaurin corrected harmonic sum."""
-    N = EULER_TERMS
-    H = float(np.sum(1.0 / np.arange(1, N + 1, dtype=np.float64)))
-    n = float(N)
+    n = float(EM_TERMS)
+    H = math.fsum(1.0 / k for k in range(1, EM_TERMS + 1))
     return H - log(n) - 1.0 / (2 * n) + 1.0 / (12 * n * n) - 1.0 / (120 * n**4)
 
 
 def zeta_prime_2_over_zeta_2() -> float:
     """zeta'(2)/zeta(2) from the log-weighted sum with an integral tail."""
-    N = ZETA_TERMS
-    n = np.arange(1, N + 1, dtype=np.float64)
-    partial = float(np.sum(np.log(n) / (n * n)))
-    x = float(N)
+    partial = math.fsum(log(k) / (k * k) for k in range(1, EM_TERMS + 1))
+    x = float(EM_TERMS)
     tail = (log(x) + 1.0) / x - log(x) / (2 * x * x) - (1.0 - 2 * log(x)) / (12 * x**3)
     return -(partial + tail) / ZETA2
 
@@ -94,42 +100,74 @@ def L_prime_over_L(D: int) -> float:
 # -- the two lattice constants ------------------------------------------------
 
 
-def _band_gap_terms(P: int, r: int, odd: bool) -> np.ndarray:
+def _harmonic_tail(n: np.ndarray) -> np.ndarray:
+    """H(n) - log n - gamma = 1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(252n^6)
+    + 1/(240n^8) - ..."""
+    x = 1.0 / n
+    y = x * x
+    return 0.5 * x - y * (1.0 / 12 - y * (1.0 / 120 - y * (1.0 / 252 - y / 240)))
+
+
+def _half_digamma_tail(x: np.ndarray) -> np.ndarray:
+    """psi(x + 1/2) - log x = 1/(24x^2) - 7/(960x^4) + 31/(8064x^6)
+    - 127/(30720x^8) + ..."""
+    y = 1.0 / (x * x)
+    return y * (1.0 / 24 - y * (7.0 / 960 - y * (31.0 / 8064 - y * (127.0 / 30720))))
+
+
+def _band_gap_terms(start: int, stop: int, r: int, odd: bool) -> np.ndarray:
     """The terms (1/p)(log(r)/(2 step) - sum_q 1/q) of the band-gap sum over
-    the band of `dirichlet.pair_band(N, r, odd)`: the first P values of p, odd
-    only when `odd`, and for each p the q = p (mod step) with p < q and
-    q^2 < r p^2."""
+    the band of `dirichlet.pair_band(N, r, odd)`, for the values of p from
+    the start-th to before the stop-th, odd only when `odd`, and for each p
+    the q = p (mod step) with p < q and q^2 < r p^2.
+
+    Each row's sum over q is one log of a ratio plus the corrections of an
+    asymptotic expansion: H(top) - H(p) over all q, and over odd q
+    (psi(b + 1/2) - psi(a + 1/2))/2 with a = (p + 1)/2 and b = (top + 1)//2.
+    The rows p < EXACT_P, where the truncated expansion is short of double
+    precision, add their 1/q one by one.
+    """
     from .dirichlet import _isqrt
 
     step = 2 if odd else 1
-    # the largest q with q^2 < r p^2, the root of r p^2 - 1 built in place
-    # over the p, which the last step builds again: so no more than three
-    # arrays of this size are alive while the root is taken
-    top = np.arange(1, step * P + 1, step, dtype=np.int64)
-    top *= top
-    top *= r
-    top -= 1
-    top = _isqrt(top)
-    # prefix[i] = sum of 1/q over q = 1, 1 + step, ..., 1 + i step, built in place
-    prefix = np.arange(1.0, top[-1] + 1.0, step)
-    np.cumsum(np.reciprocal(prefix, out=prefix), out=prefix)
-    # p = 1 + i step, so its q add up to prefix[(top - 1) // step] - prefix[i];
-    # updating in place keeps at most four arrays of this size alive at once
-    top -= 1
-    top //= step
-    gap = prefix[top]
-    gap -= prefix[:P]
-    np.subtract(log(r) / (2 * step), gap, out=gap)
-    gap /= np.arange(1, step * P + 1, step, dtype=np.int64)
+    p = np.arange(1 + step * start, 1 + step * stop, step, dtype=np.int64)
+    top = _isqrt(r * p * p - 1)
+    if odd:
+        lo, hi, tail = (p + 1) // 2, (top + 1) // 2, _half_digamma_tail
+    else:
+        lo, hi, tail = p, top, _harmonic_tail
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+    gap_log = log(r) / (2 * step)
+    # over odd q the expansion carries the factor 1/2 = 1/step
+    gap = (gap_log - (np.log(hi / lo) + tail(hi) - tail(lo)) / step) / p
+    for i in range(int(np.count_nonzero(p < EXACT_P))):
+        row, last = int(p[i]), int(top[i])
+        gap[i] = (gap_log - math.fsum(1.0 / q for q in range(row + step, last + 1, step))) / row
     return gap
+
+
+def _band_gap_sums(cuts, r: int, odd: bool) -> list[float]:
+    """The band-gap sums over the first k terms, for each k of the ascending
+    `cuts`, in one pass over blocks of BAND_BLOCK terms.
+
+    The sum to k adds the sums of the blocks before k's block and of that
+    block up to k, so it equals the sum of a pass to k alone: it does not
+    depend on the other cuts.
+    """
+    prefix = dict.fromkeys(cuts, 0.0)
+    total = 0.0
+    for start in range(0, cuts[-1], BAND_BLOCK):
+        gap = _band_gap_terms(start, min(start + BAND_BLOCK, cuts[-1]), r, odd)
+        for k in cuts:
+            if start < k <= start + gap.size:
+                prefix[k] = total + float(np.sum(gap[: k - start]))
+        total += float(np.sum(gap))
+    return [prefix[k] for k in cuts]
 
 
 def _richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
     """The limit of the band-gap sums over P terms, and its change from P/2."""
-    # the sums over P/2, P and 2P terms are prefixes of one array of terms:
-    # cumsum runs in order, so each prefix sum equals that of its own array
-    gap = _band_gap_terms(2 * P, r, odd)
-    half, mid, full = (float(np.sum(gap[:k])) for k in (P // 2, P, 2 * P))
+    half, mid, full = _band_gap_sums((P // 2, P, 2 * P), r, odd)
     # partial sums approach the limit like A/P; eliminate the leading tail
     value = 2.0 * full - mid
     return value, abs(2.0 * mid - half - value)
@@ -274,9 +312,7 @@ def _extrapolants(Q, sums, R: float) -> tuple[float, float]:
 
 def epstein_truncated(Q, s: float, R: float) -> tuple[float, float]:
     """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R plus an integral tail, and
-    its change from the same sum at R/4."""
-    if not s > 1:
-        raise DomainError(f"--s must be above 1, not {s:g}")
+    its change from the same sum at R/4; s must be above 1."""
     (full,), (quarter,) = _power_sums(Q, R, [s])
     value = _with_tail(Q, full, s, R)
     return value, abs(value - _with_tail(Q, quarter, s, R / 4))

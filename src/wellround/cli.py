@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from fractions import Fraction
 from itertools import islice
 
 from .scalar import InvariantError, MixedRadicandError, NotRationalError, Scalar
@@ -326,18 +327,84 @@ def cmd_frames(args) -> int:
     return EXIT_OK
 
 
+def _radicals(x: Scalar) -> dict[int, Fraction]:
+    """x as {m: c}, the sum of c sqrt(m) over squarefree m, m = 1 for Q."""
+    return {1: x.rat, x.root: x.irr} if x.root else {1: x.rat}
+
+
+def _radical_product(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
+    """u v, by sqrt(m) sqrt(n) = g sqrt(mn/g^2) with g = gcd(m, n), which
+    keeps every radicand squarefree."""
+    out: dict[int, Fraction] = {}
+    for m, s in u.items():
+        for n, t in v.items():
+            g = math.gcd(m, n)
+            key = m * n // (g * g)
+            out[key] = out.get(key, 0) + g * s * t
+    return out
+
+
+def _radical_sign(x: dict[int, Fraction]) -> int:
+    """Exact sign of the sum of c sqrt(m) over distinct squarefree m, which
+    is 0 only when every c is, since the square roots of distinct squarefree
+    integers are linearly independent over Q.  Otherwise the bounds
+    isqrt(m s^2)/s <= sqrt(m) < (isqrt(m s^2) + 1)/s narrow, s squaring,
+    until their sum leaves out 0."""
+    terms = [(c, m) for m, c in x.items() if c]
+    if not terms:
+        return 0
+    s = 1 << 64
+    while True:
+        low = high = Fraction(0)
+        for c, m in terms:
+            root = math.isqrt(m * s * s)
+            low += c * Fraction(root + (c < 0), s)
+            high += c * Fraction(root + (c > 0), s)
+        if low > 0 or high < 0:
+            return 1 if low > 0 else -1
+        s *= s
+
+
+def _epstein_form(text: str, entries: list[Scalar]) -> tuple[float, float, float]:
+    """The floats of an `epstein` form: positive definiteness is decided on
+    the exact entries, which may lie in different fields, and the floats
+    must keep it: a, b, c and a c - b^2 finite, and a c - b^2 above 0 (so
+    that a and c are too)."""
+    a, b, c = (_radicals(e) for e in entries)
+    det = _radical_product(a, c)
+    for m, t in _radical_product(b, b).items():
+        det[m] = det.get(m, 0) - t
+    if _radical_sign(a) <= 0 or _radical_sign(det) <= 0:
+        raise CliError("form must be positive definite", EXIT_BAD_INPUT)
+    try:
+        fa, fb, fc = (float(e) for e in entries)
+        fdet = fa * fc - fb * fb
+    except OverflowError:
+        fa = fb = fc = fdet = math.inf
+    if not (math.isfinite(fa + fb + fc + fdet) and fdet > 0):
+        raise CliError(
+            f"form {text!r} is outside the float range: a, b, c and a*c - b^2 must be "
+            "finite as floats, and a*c - b^2 above 0",
+            EXIT_BAD_INPUT,
+        )
+    return fa, fb, fc
+
+
 def cmd_epstein(args) -> int:
     from .asympt import epstein_residue_estimate, epstein_truncated
 
     try:
-        form = tuple(float(Scalar.parse(v)) for v in args.form.split(","))
+        entries = [Scalar.parse(v) for v in args.form.split(",")]
     except (ValueError, AttributeError) as e:
         raise CliError(f"cannot parse form {args.form!r}: {e}", EXIT_BAD_INPUT)
-    if len(form) != 3:
+    if len(entries) != 3:
         raise CliError("--form needs three entries a,b,c", EXIT_BAD_INPUT)
     if not args.radius > 0:
         raise CliError("--radius must be positive", EXIT_BAD_INPUT)
-    # a DomainError (a ValueError) exits 2 through main
+    if not (args.residue or args.s > 1):
+        raise CliError(f"--s must be above 1, not {args.s:g}", EXIT_BAD_INPUT)
+    form = _epstein_form(args.form, entries)
+    # a DomainError (a ValueError) of a radius too large for the form exits 2 through main
     if args.residue:
         payload = {"residue": _float_field(*epstein_residue_estimate(form, args.radius))}
     else:

@@ -220,9 +220,9 @@ def _band_rows(t: int, r: int, odd: bool) -> tuple[np.ndarray, np.ndarray, int]:
 def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     """w(n) = number of factorizations n = p*q with p < q and q^2 < r p^2.
 
-    With `odd`, p and q are both odd.  `asympt._band_gap_terms(P, r, odd)`
-    sums over the same band.  The odd loop may start at p = 1: no odd q
-    lies in (1, sqrt(r)) for r <= 9.
+    With `odd`, p and q are both odd.  The band-gap sums of the lattice
+    constants (`asympt._band_gap_terms`) run over the same band.  The odd
+    loop may start at p = 1: no odd q lies in (1, sqrt(r)) for r <= 9.
     """
     rows, tops, step = _band_rows(N, r, odd)
     out = np.zeros(N + 1, dtype=np.int64)

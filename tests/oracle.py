@@ -22,7 +22,7 @@ every candidate sublattice of the unique frame, with no window inequality.
 (m, n) mask; the restricted Epstein sums and their Moebius assembly, whose
 congruence masks are not symmetric under (m, n) -> (-m, -n), are built on
 it.  `richardson` takes the three band-gap sums of `asympt._richardson` from
-three arrays of terms, the reference for its one-array form.
+three passes of `asympt._band_gap_sums`, the reference for its one pass.
 The rest are the paper's statements that only the tests check, kept out of
 the package: `Unimodular` basis changes, `is_well_rounded`, the dual
 invariants `g_star` and `brs_index`, the coincidence lattice of a frame
@@ -50,7 +50,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from wellround import asympt
-from wellround.asympt import DomainError, _band_gap_terms, _bound_for_radius, _form_floats
+from wellround.asympt import DomainError, _band_gap_sums, _bound_for_radius, _form_floats
 from wellround.dirichlet import (
     ArithSeq,
     alt_powers,
@@ -490,10 +490,10 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
 
 
 def richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
-    """`asympt._richardson` with each band-gap sum from its own array."""
+    """`asympt._richardson` with each band-gap sum from its own pass."""
 
     def band_gap_sum(k: int) -> float:
-        return float(np.sum(_band_gap_terms(k, r, odd)))
+        return _band_gap_sums((k,), r, odd)[0]
 
     mid = band_gap_sum(P)
     value = 2.0 * band_gap_sum(2 * P) - mid

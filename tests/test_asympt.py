@@ -51,6 +51,46 @@ class TestConstants:
         assert c_sq == pytest.approx(0.6272237, abs=1e-5)
         assert c_tr == pytest.approx(0.4915036, abs=1e-5)
         assert 0 < err_sq < 1e-5 and 0 < err_tr < 1e-5
+        # the values of the prefix-array kernel, which summed the same terms
+        # in another way
+        assert c_sq == pytest.approx(0.6272237302455415, rel=0, abs=5e-12)
+        assert c_tr == pytest.approx(0.49150356259687056, rel=0, abs=5e-12)
+
+    def test_euler_maclaurin_sums_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            gamma = mpmath.euler
+            ratio = mpmath.zeta(2, derivative=1) / mpmath.zeta(2)
+            assert abs(asympt.euler_gamma() - gamma) <= 1e-15
+            assert abs(asympt.zeta_prime_2_over_zeta_2() - ratio) <= 1e-15
+
+    def test_lattice_constants_within_stated_error_of_long_sums(self, monkeypatch):
+        # the four band-gap limits at ten times BAND_TERMS values of p
+        shipped = asympt.c_square_eval(), asympt.c_triangle_eval()
+        monkeypatch.setattr(asympt, "BAND_TERMS", 10 * asympt.BAND_TERMS)
+        long = asympt.c_square_eval()[0], asympt.c_triangle_eval()[0]
+        for (value, error), reference in zip(shipped, long):
+            assert abs(value - reference) <= error
+            # the Richardson estimate alone, without the 1e-9 floor, also holds
+            assert abs(value - reference) <= error - 1e-9
+
+    def test_constants_trace_little_memory(self):
+        # every sum runs in blocks of at most BAND_BLOCK values: the traced
+        # peak of the prefix-array kernel was about 40 MB
+        import tracemalloc
+
+        import wellround.dirichlet  # noqa: F401  (imports are not measured)
+        import wellround.growth  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            asympt.constants_table()
+            asympt.square_model()
+            asympt.hexagonal_model()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_constants_table_pairs(self):
         table = asympt.constants_table()
@@ -74,23 +114,47 @@ class TestBandGapSum:
     @pytest.mark.parametrize("r", [3, 9])
     @pytest.mark.parametrize("P", [1, 2, 2000])
     def test_matches_plain_reference(self, P, r, odd):
-        assert float(np.sum(asympt._band_gap_terms(P, r, odd))) == pytest.approx(
-            _band_gap_reference(P, r, odd), rel=0, abs=1e-12
-        )
+        assert asympt._band_gap_sums((P,), r, odd) == [
+            pytest.approx(_band_gap_reference(P, r, odd), rel=0, abs=1e-12)
+        ]
 
     @pytest.mark.parametrize("odd", [False, True])
     @pytest.mark.parametrize("r", [3, 9])
-    def test_richardson_equals_three_arrays(self, r, odd):
-        # the sums over P/2, P and 2P terms are prefixes of the 2P array
-        for P in (3, 2000, asympt.BAND_TERMS):
+    def test_richardson_equals_three_sums(self, r, odd, monkeypatch):
+        # the sums over P/2, P and 2P terms come from one pass; with blocks of
+        # 7 terms the cuts also fall inside blocks and on block ends
+        for P in (1, 3, 2000, asympt.BAND_TERMS):
+            assert asympt._richardson(P, r, odd) == oracle.richardson(P, r, odd)
+        monkeypatch.setattr(asympt, "BAND_BLOCK", 7)
+        for P in (1, 3, 7, 14, 2000):
             assert asympt._richardson(P, r, odd) == oracle.richardson(P, r, odd)
 
+    @pytest.mark.parametrize("odd", [False, True])
     @pytest.mark.parametrize("r", [3, 9])
-    def test_top_is_exact_at_largest_p(self, r):
+    def test_terms_do_not_depend_on_the_block(self, r, odd):
+        whole = asympt._band_gap_terms(0, 300, r, odd)
+        parts = [asympt._band_gap_terms(k, min(k + 7, 300), r, odd) for k in range(0, 300, 7)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_expansion_meets_the_exact_rows(self, r, odd, monkeypatch):
+        # the rows past EXACT_P by the expansion, against their exact sums:
+        # each row's sum over q within 1e-15
+        p = np.arange(1, 800, 2 if odd else 1)[:400]
+        past = p >= asympt.EXACT_P
+        expanded = asympt._band_gap_terms(0, 400, r, odd)
+        monkeypatch.setattr(asympt, "EXACT_P", 800)
+        exact = asympt._band_gap_terms(0, 400, r, odd)
+        assert np.max(np.abs(expanded - exact)[past] * p[past]) <= 1e-15
+
+    @pytest.mark.parametrize("largest_p", [4 * asympt.BAND_TERMS - 1, 40 * asympt.BAND_TERMS - 1])
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_top_is_exact_at_largest_p(self, r, largest_p):
         # _richardson takes 2 * BAND_TERMS values of p, so odd p reaches
-        # 4 * BAND_TERMS - 1; the row tops are dirichlet._isqrt(r p^2 - 1)
-        largest = 4 * asympt.BAND_TERMS - 1
-        p = np.arange(largest - 2000, largest + 1, dtype=np.int64)
+        # 4 * BAND_TERMS - 1, and 40 * BAND_TERMS - 1 in the long sums of
+        # the error test; the row tops are dirichlet._isqrt(r p^2 - 1)
+        p = np.arange(largest_p - 2000, largest_p + 1, dtype=np.int64)
         top = _isqrt(r * p * p - 1)
         assert [int(t) for t in top] == [math.isqrt(r * int(v) * int(v) - 1) for v in p]
 

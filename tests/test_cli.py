@@ -391,6 +391,50 @@ def test_boolean_or_inexact_json_part_exits_2(capsys, command, gram, entry):
     assert err.startswith(f"error: cannot parse Gram form {gram!r} of --gram: {entry}")
 
 
+_FLOAT_RANGE = (
+    "is outside the float range: a, b, c and a*c - b^2 must be finite as floats, "
+    "and a*c - b^2 above 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "form, args",
+    [
+        # float(1e400) overflows; 1e-400 rounds to 0; a*c = 1e600 overflows
+        ("1e400,0,1", ["--s", "2"]),
+        ("1e-400,0,1", ["--s", "2"]),
+        ("1e300,0,1e300", ["--residue"]),
+    ],
+)
+def test_epstein_form_outside_the_float_range_exits_2(capsys, form, args):
+    # each form is positive definite; its floats are not
+    assert run(capsys, "epstein", "--form", form, *args) == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+
+
+@pytest.mark.parametrize(
+    "form",
+    [
+        "1,1,1",
+        "1/3,1/3,1/3",
+        "0,0,1",
+        "2,3,4",
+        # a c = 7 = b^2 exactly, over two fields
+        "3+sqrt(2),sqrt(7),3-sqrt(2)",
+        "1e-400,1e-400,1e-400",
+    ],
+)
+def test_epstein_positive_definiteness_is_exact(capsys, form):
+    assert run(capsys, "epstein", "--form", form) == (2, "", "error: form must be positive definite\n")
+
+
+def test_epstein_form_over_two_fields(capsys):
+    # a c - b^2 = 7 - (sqrt(7) - 10^-25)^2 > 0 is decided exactly; in floats
+    # it is -1.8e-15, so the form is refused as outside the float range
+    form = "3+sqrt(2),sqrt(7)-1/10000000000000000000000000,3-sqrt(2)"
+    assert run(capsys, "epstein", "--form", form) == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+    assert run(capsys, "epstein", "--form", "1,sqrt(2)/2,sqrt(3)", "--radius", "1e4")[0] == 0
+
+
 @pytest.mark.parametrize("gram", ['"tn"', '"t"', '"n"', '"abc"', "5", "null"])
 def test_gram_of_another_json_type_exits_2(capsys, gram):
     # a JSON string holding t or n is no {t, n} descriptor
