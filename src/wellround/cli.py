@@ -327,11 +327,6 @@ def cmd_frames(args) -> int:
     return EXIT_OK
 
 
-def _radicals(x: Scalar) -> dict[int, Fraction]:
-    """x as {m: c}, the sum of c sqrt(m) over squarefree m, m = 1 for Q."""
-    return {1: x.rat, x.root: x.irr} if x.root else {1: x.rat}
-
-
 def _radical_product(u: dict[int, Fraction], v: dict[int, Fraction]) -> dict[int, Fraction]:
     """u v, by sqrt(m) sqrt(n) = g sqrt(mn/g^2) with g = gcd(m, n), which
     keeps every radicand squarefree."""
@@ -370,7 +365,8 @@ def _epstein_form(text: str, entries: list[Scalar]) -> tuple[float, float, float
     the exact entries, which may lie in different fields, and the floats
     must keep it: a, b, c and a c - b^2 finite, and a c - b^2 above 0 (so
     that a and c are too)."""
-    a, b, c = (_radicals(e) for e in entries)
+    # each entry as {m: c}, the sum of c sqrt(m) over squarefree m, m = 1 for Q
+    a, b, c = ({1: e.rat, e.root: e.irr} if e.root else {1: e.rat} for e in entries)
     det = _radical_product(a, c)
     for m, t in _radical_product(b, b).items():
         det[m] = det.get(m, 0) - t
