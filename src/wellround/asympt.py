@@ -37,6 +37,10 @@ class DomainError(ValueError):
 
 LOG3 = log(3.0)
 ZETA2 = pi * pi / 6.0
+# one ulp of 1.0: each float operation and libm call here is taken to land
+# within EPS, relative, of its exact result; every abs_error adds these
+# roundings up, carried through the operations that follow them
+EPS = 2.0**-52
 
 # terms summed before the Euler-Maclaurin tails of euler_gamma and
 # zeta'(2)/zeta(2)
@@ -53,23 +57,36 @@ BAND_BLOCK = 1 << 13
 EXACT_P = 64
 
 
-def euler_gamma() -> float:
-    """Euler-Mascheroni constant by Euler-Maclaurin corrected harmonic sum."""
+def euler_gamma() -> tuple[float, float]:
+    """Euler-Mascheroni constant by Euler-Maclaurin corrected harmonic sum,
+    and its error: the EM_TERMS reciprocals and the fsum of H, log n, and
+    four additions of results near gamma, each within EPS; plus the next
+    Euler-Maclaurin term 1/(252 n^6)."""
     n = float(EM_TERMS)
     H = math.fsum(1.0 / k for k in range(1, EM_TERMS + 1))
-    return H - log(n) - 1.0 / (2 * n) + 1.0 / (12 * n * n) - 1.0 / (120 * n**4)
+    g = H - log(n) - 1.0 / (2 * n) + 1.0 / (12 * n * n) - 1.0 / (120 * n**4)
+    return g, EPS * (2.0 * H + log(n) + 4.0 * (g + 1.0 / n)) + 1.0 / (252 * n**6)
 
 
-def zeta_prime_2_over_zeta_2() -> float:
-    """zeta'(2)/zeta(2) from the log-weighted sum with an integral tail."""
+def zeta_prime_2_over_zeta_2() -> tuple[float, float]:
+    """zeta'(2)/zeta(2) from the log-weighted sum with an integral tail, and
+    its error: each term of the sum rounds a log and a quotient, and fsum
+    the total; the tail's twelve operations stay below its first term; then
+    the sum, ZETA2 (four roundings) and the quotient; plus the next
+    Euler-Maclaurin term f'''(x)/720 = (26 - 24 log x)/(720 x^5) of
+    f(t) = log t / t^2."""
     partial = math.fsum(log(k) / (k * k) for k in range(1, EM_TERMS + 1))
     x = float(EM_TERMS)
     tail = (log(x) + 1.0) / x - log(x) / (2 * x * x) - (1.0 - 2 * log(x)) / (12 * x**3)
-    return -(partial + tail) / ZETA2
+    ratio = -(partial + tail) / ZETA2
+    rounding = EPS * (3.0 * partial + 12.0 * (log(x) + 1.0) / x + abs(partial + tail)) / ZETA2
+    next_term = abs(26.0 - 24.0 * log(x)) / (720 * x**5 * ZETA2)
+    return ratio, rounding + 5.0 * EPS * abs(ratio) + next_term
 
 
-def L_at_one(D: int) -> float:
-    """L(1, chi_D) from the finite character sum."""
+def L_at_one(D: int) -> tuple[float, float]:
+    """L(1, chi_D) from the finite character sum, and its error: pi, the
+    power, the quotient and the product, each within EPS."""
     from .dirichlet import CHI_MINUS3, CHI_MINUS4
 
     chi = {-4: CHI_MINUS4, -3: CHI_MINUS3}.get(D)
@@ -77,24 +94,42 @@ def L_at_one(D: int) -> float:
         raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
     q = chi.modulus
     total = sum(n * chi(n) for n in range(1, q))
-    return -pi / q ** 1.5 * total
+    value = -pi / q ** 1.5 * total
+    return value, 4.0 * EPS * abs(value)
 
 
-def _agm(x: float, y: float) -> float:
+def _agm(x: float, y: float) -> tuple[float, float]:
+    """The arithmetic-geometric mean of x and y, and the relative error of
+    its own roundings: each step rounds a sum, and a product under a square
+    root, at most 2 EPS in all, since the mean moves no more than its
+    arguments do; the last mean adds one EPS, and the exact mean lies
+    between the last x and y."""
+    steps = 0
     while abs(x - y) > 1e-16 * abs(x):
         x, y = (x + y) / 2.0, sqrt(x * y)
-    return (x + y) / 2.0
+        steps += 1
+    return (x + y) / 2.0, (2 * steps + 1) * EPS + abs(x - y) / (2.0 * min(x, y))
 
 
-def L_prime_over_L(D: int) -> float:
-    """Logarithmic derivative L'(1, chi_D)/L(1, chi_D), AGM closed form."""
-    g = euler_gamma()
+def L_prime_over_L(D: int) -> tuple[float, float]:
+    """Logarithmic derivative L'(1, chi_D)/L(1, chi_D), AGM closed form, and
+    its error: the log of a product, whose relative error adds twice the
+    AGM's, gamma's error, and one EPS per other rounding, counted twice for
+    the AGM's argument, which enters squared; plus the log's rounding."""
+    g, g_error = euler_gamma()
     if D == -4:
-        return log(_agm(1.0, sqrt(2.0)) ** 2 * math.exp(g) / 2.0)
-    if D == -3:
+        M, M_error = _agm(1.0, sqrt(2.0))
+        # sqrt 2 twice; the square, exp, the product and the quotient
+        value, roundings = log(M**2 * math.exp(g) / 2.0), 6
+    elif D == -3:
         # exponent 4/3: agm(1, cos(pi/12)) = 2^{4/3} pi^2 / (3^{1/4} Gamma(1/3)^3)
-        return log(2.0 ** (4.0 / 3.0) * _agm(1.0, math.cos(pi / 12.0)) ** 2 * math.exp(g) / 3.0)
-    raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
+        M, M_error = _agm(1.0, math.cos(pi / 12.0))
+        # pi, pi/12 and the cosine twice each; 4/3, the power, the square,
+        # exp, two products and the quotient
+        value, roundings = log(2.0 ** (4.0 / 3.0) * M**2 * math.exp(g) / 3.0), 13
+    else:
+        raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
+    return value, 2.0 * M_error + g_error + roundings * EPS + EPS * abs(value)
 
 
 # -- the two lattice constants ------------------------------------------------
@@ -173,14 +208,33 @@ def _richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
     return value, abs(2.0 * mid - half - value)
 
 
+def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
+    """`_richardson` at BAND_TERMS, with the rounding of its sums added to
+    its change.
+
+    Each term lies in [0, 1/p^2] and is within EPS (2 + 2 log r)/p of its
+    exact value: a quotient and a log near log(r)/2, two additions of that
+    size, log r itself, and a difference and a quotient of results below
+    1/p (the exact rows round less).  The terms of a block add pairwise,
+    numpy's eight-way leaves of 128 then halving, and then block by block:
+    a chain of at most log2(BAND_BLOCK) + 13 + blocks roundings of results
+    at most the limit.  The limit 2 full - mid triples the error of a sum,
+    and rounds twice more.
+    """
+    P = BAND_TERMS
+    value, change = _richardson(P, r, odd)
+    step = 2 if odd else 1
+    terms = (2.0 + 2.0 * log(r)) * (1.0 + log(2 * step * P))
+    chain = math.log2(BAND_BLOCK) + 13 + 2 * P / BAND_BLOCK
+    return value, change + EPS * (3.0 * (terms + chain * abs(value)) + 2.0 * abs(value))
+
+
 def c_square_eval() -> tuple[float, float]:
-    """Linear-term constant of the square lattice growth law, with error estimate."""
-    g = euler_gamma()
-    L = L_at_one(-4)
-    lpl = L_prime_over_L(-4)
-    zp = zeta_prime_2_over_zeta_2()
-    s1, e1 = _richardson(BAND_TERMS, 3, odd=False)
-    s2, e2 = _richardson(BAND_TERMS, 3, odd=True)
+    """Linear-term constant of the square lattice growth law, and its error:
+    the errors of its inputs carried through, and its own roundings."""
+    (g, eg), (L, eL) = euler_gamma(), L_at_one(-4)
+    (lpl, elpl), (zp, ezp) = L_prime_over_L(-4), zeta_prime_2_over_zeta_2()
+    (s1, e1), (s2, e2) = _band_gap_limit(3, odd=False), _band_gap_limit(3, odd=True)
     bracket = (
         ZETA2
         + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
@@ -188,22 +242,39 @@ def c_square_eval() -> tuple[float, float]:
         - s1
         - (4.0 / 3.0) * s2
     )
-    return L / ZETA2 * bracket, L / ZETA2 * (e1 + 4.0 / 3.0 * e2) + 1e-9
+    # gamma enters three times besides its share of L'/L; ZETA2 rounds four
+    # times; the bracket's 21 roundings each round a result below `size`
+    size = ZETA2 + abs(lpl) + 3.0 * abs(g) + 2.0 * abs(zp) + LOG3 + abs(s1) + 2.0 * abs(s2)
+    bracket_error = (
+        4.0 * EPS * ZETA2
+        + (LOG3 / 3.0) * (elpl + 3.0 * eg + 2.0 * ezp)
+        + e1
+        + (4.0 / 3.0) * e2
+        + 21 * EPS * size
+    )
+    value = L / ZETA2 * bracket
+    # L's error, ZETA2's four roundings, the quotient and the product
+    return value, abs(value) * (eL / abs(L) + 6.0 * EPS) + abs(L / ZETA2) * bracket_error
 
 
 def c_triangle_eval() -> tuple[float, float]:
-    """Linear-term constant of the hexagonal lattice growth law, with error estimate."""
-    g = euler_gamma()
-    L = L_at_one(-3)
-    lpl = L_prime_over_L(-3)
-    zp = zeta_prime_2_over_zeta_2()
-    t1, e1 = _richardson(BAND_TERMS, 9, odd=False)
-    t2, e2 = _richardson(BAND_TERMS, 9, odd=True)
+    """Linear-term constant of the hexagonal lattice growth law, and its
+    error: the errors of its inputs carried through, and its own roundings."""
+    (g, eg), (L, eL) = euler_gamma(), L_at_one(-3)
+    (lpl, elpl), (zp, ezp) = L_prime_over_L(-3), zeta_prime_2_over_zeta_2()
+    (t1, e1), (t2, e2) = _band_gap_limit(9, odd=False), _band_gap_limit(9, odd=True)
     # the band-gap sums enter without the log 3 factor carried by the
     # constant part of the bracket, the odd one with weight 4
     bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - 4.0 * t2
+    # the bracket's 12 roundings each round a result below `size`
+    size = LOG3 * (3.0 * abs(g) + abs(lpl) + 2.0 * abs(zp) + LOG3) + abs(t1) + 4.0 * abs(t2)
+    bracket_error = LOG3 * (3.0 * eg + elpl + 2.0 * ezp) + e1 + 4.0 * e2 + 12 * EPS * size
     scale = 9.0 * L / (16.0 * ZETA2)
-    return L + scale * bracket, scale * (e1 + 4.0 * e2) + 1e-9
+    value = L + scale * bracket
+    # scale: L's error, ZETA2's four roundings and three more; the product
+    # and the sum
+    product_error = abs(scale * bracket) * (eL / abs(L) + 8.0 * EPS)
+    return value, eL + product_error + abs(scale) * bracket_error + EPS * abs(value)
 
 
 # -- growth models ------------------------------------------------------------
@@ -226,13 +297,14 @@ def hexagonal_model() -> AsymptoticModel:
 def constants_table() -> dict[str, tuple[float, float]]:
     """Every constant the `constants` command prints, as (value, abs_error)."""
     return {
-        "L1_chi4": (L_at_one(-4), 1e-14),
-        "L1_chi3": (L_at_one(-3), 1e-14),
-        "Lp_over_L_chi4": (L_prime_over_L(-4), 1e-10),
-        "Lp_over_L_chi3": (L_prime_over_L(-3), 1e-10),
-        "euler_gamma": (euler_gamma(), 1e-12),
-        "zeta2": (ZETA2, 1e-15),
-        "zetap2_over_zeta2": (zeta_prime_2_over_zeta_2(), 1e-10),
+        "L1_chi4": L_at_one(-4),
+        "L1_chi3": L_at_one(-3),
+        "Lp_over_L_chi4": L_prime_over_L(-4),
+        "Lp_over_L_chi3": L_prime_over_L(-3),
+        "euler_gamma": euler_gamma(),
+        # pi twice, the product and the quotient
+        "zeta2": (ZETA2, 4.0 * EPS * ZETA2),
+        "zetap2_over_zeta2": zeta_prime_2_over_zeta_2(),
         "c_square": c_square_eval(),
         "c_triangle": c_triangle_eval(),
     }
@@ -244,8 +316,12 @@ def constants_table() -> dict[str, tuple[float, float]]:
 # ten times that square for `1,0,1` at the CLI's default radius; memory does
 # not grow with it, since `_power_sums` evaluates the grid in blocks
 MAX_GRID_POINTS = 40_000_000
-# grid points evaluated at once by `_power_sums`
-BLOCK_POINTS = 1 << 17
+# grid points evaluated at once by `_power_sums`.  Over the powers of 2 from
+# 2^12 to 2^17, the ladder sums of `1,0,1` at R = 10^6 took 0.117, 0.091,
+# 0.075, 0.070, 0.064 and 0.087 s (in process, the median of nine rounds),
+# and one `epstein --residue` call peaked at 30.0, 29.9, 29.8, 30.6, 31.9 and
+# 34.8 MB: 2^15 is within 10% of the fastest and 1 MB of the smallest peak
+BLOCK_POINTS = 1 << 15
 # the Richardson ladder of `epstein_residue_estimate`: s_j = 1 + 2^-j, j = 1..7
 LADDER = tuple(1.0 + 2.0**-j for j in range(1, 8))
 
@@ -272,30 +348,37 @@ def _power_sums(Q, R: float, exponents) -> tuple[list[float], list[float]]:
 
     Q(-m, -n) = Q(m, n) holds bit for bit in floats, so only the rows n >= 0
     are evaluated, with m > 0 on the row n = 0, and the sums doubled.  The
-    rows go in blocks of about BLOCK_POINTS points, and each block takes one
-    power array per s, which both radii sum.
+    rows go in blocks of about BLOCK_POINTS points.  Each block splits its
+    values once into the inner ones (<= R/4) and the outer ones, and takes
+    each power of each part once: the inner sum goes to both radii, the
+    outer one to R alone.  The powers are `v ** (-s)`: exp(-s log v) errs
+    by up to |s log v| ulp, which on a form scaled by 10^-9 moves the sums
+    by 1.7e-15, relative.  The block sums add up by `math.fsum`, so only
+    each block's own sum depends on where the blocks are cut.
     """
     bound = _bound_for_radius(Q, R)
     a, b, c = _form_floats(Q)
     m = np.arange(-bound, bound + 1)
+    # the whole-disk builder's a*m*m + 2.0*b*m*n + c*n*n, with its operations
+    # in its order, so that the same points pass the mask, bit for bit
+    am2, bm2 = a * m * m, 2.0 * b * m
     rows = max(1, BLOCK_POINTS // m.size)
-    full = [0.0] * len(exponents)
-    quarter = [0.0] * len(exponents)
+    full = [[] for _ in exponents]
+    quarter = [[] for _ in exponents]
     for first in range(0, bound + 1, rows):
         n = np.arange(first, min(first + rows, bound + 1))[:, None]
-        # the whole-disk builder's operations in its order, so that the
-        # same points pass the mask, bit for bit
-        vals = a * m * m + 2.0 * b * m * n + c * n * n
-        mask = (vals > 0) & (vals <= R)
+        v = am2 + bm2 * n + c * n * n
+        mask = (v > 0) & (v <= R)
         if first == 0:
             mask[0, : bound + 1] = False
-        v = vals[mask]
+        v = v[mask]
         inner = v <= R / 4
+        v_inner, v_outer = v[inner], v[~inner]
         for i, s in enumerate(exponents):
-            power = v ** (-s)
-            full[i] += float(np.sum(power))
-            quarter[i] += float(np.sum(power[inner]))
-    return [2.0 * x for x in full], [2.0 * x for x in quarter]
+            inner_sum = float(np.sum(v_inner ** (-s)))
+            quarter[i].append(inner_sum)
+            full[i] += inner_sum, float(np.sum(v_outer ** (-s)))
+    return [2.0 * math.fsum(x) for x in full], [2.0 * math.fsum(x) for x in quarter]
 
 
 def _with_tail(Q, total: float, s: float, R: float) -> float:

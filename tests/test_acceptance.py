@@ -113,8 +113,8 @@ def test_criterion_03_index_set_witness():
 def test_criterion_04_constants():
     c_sq, _ = asympt.c_square_eval()
     c_tr, _ = asympt.c_triangle_eval()
-    lpl4 = asympt.L_prime_over_L(-4)
-    lpl3 = asympt.L_prime_over_L(-3)
+    lpl4, _ = asympt.L_prime_over_L(-4)
+    lpl3, _ = asympt.L_prime_over_L(-3)
     ok = (
         abs(c_sq - 0.6272237) < CONSTANT_TOL
         and abs(c_tr - 0.4915036) < CONSTANT_TOL
