@@ -7,14 +7,20 @@ objects that describe their growth.
 The fitted model of any other lattice lives in `growth`, which needs no
 numpy.  Each float the CLI prints with an error comes from one call here,
 as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
-`epstein_residue_estimate`.  No array on the constants' path grows with the
-size of a sum.  gamma and zeta'(2)/zeta(2) are plain-Python sums of
-EM_TERMS terms with Euler-Maclaurin tails.  Both lattice constants rest on
-one band-gap sum over the band that `dirichlet.pair_band` counts: r = 3 for
-the square lattice, r = 9 for the hexagonal one.  `_band_gap_terms` gives a
+`epstein_residue_estimate`.  Each constant's function returns such a pair;
+its error adds the roundings of its float operations, each taken to be
+within EPS (one ulp) of its exact result, carried through the operations
+that follow, and the next term of a truncated series where there is one.
+No array on the constants' path grows with the size of a sum.  gamma and
+zeta'(2)/zeta(2) are plain-Python sums of EM_TERMS terms with
+Euler-Maclaurin tails.  Both lattice constants rest on one band-gap sum over
+the band that `dirichlet.pair_band` counts: r = 3 for the square lattice,
+r = 9 for the hexagonal one.  `_band_gap_terms` gives a
 block of its terms, each from its row top `dirichlet._isqrt(r p^2 - 1)`
 with no prefix array, and `_band_gap_sums` adds blocks of BAND_BLOCK terms.
-Every Epstein sum comes from one kernel, `_power_sums`, over half the disk.
+Every Epstein sum comes from one kernel, `_power_sums`, over half the disk
+in blocks of BLOCK_POINTS points; each block is split once into its values
+inside R/4 and outside it, so each power is taken once per point.
 `dirichlet` and `growth` are imported inside the functions that use them,
 so an Epstein call loads neither.
 """

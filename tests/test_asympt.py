@@ -370,9 +370,9 @@ def _assert_power_sums_match_meshgrid(Q, R, blocks):
 def _drawn_disks(draw):
     """A positive definite form, integral or float (a from 0.05 10^-9 to
     30 10^9), with |2b| up to a (often close to a) and c from a to 1000 a,
-    and a radius whose meshgrid
-    has at most 2^20 points.  The radius is often Q(2m, 2n), so that points
-    lie on both Q = R and Q = R/4 (scaling by 4 is exact in floats)."""
+    and a radius whose meshgrid has at most 2^20 points.  The radius is often
+    Q(2m, 2n), so that points lie on both Q = R and Q = R/4 (scaling by 4 is
+    exact in floats)."""
     if draw(st.booleans()):
         a = draw(st.integers(1, 30))
         b = draw(st.sampled_from([a // 2, (a - 1) // 2, draw(st.integers(0, a // 2))]))
@@ -442,9 +442,9 @@ class TestOneDisk:
         assert extrapolants == pytest.approx(_meshgrid_extrapolants(Q, R / 4), rel=REL)
 
     def test_epstein_calls_trace_little_memory(self):
-        # one block of BLOCK_POINTS points at a time, split once into the
-        # logs of its inner and outer values: with blocks of 2^17 and one
-        # power array per exponent the traced peak was 5.3 MB
+        # one block of BLOCK_POINTS points at a time, split once into its
+        # inner and outer values: with blocks of 2^17 and one power array
+        # of the whole block per exponent the traced peak was 5.3 MB
         import tracemalloc
 
         tracemalloc.start()
