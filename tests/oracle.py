@@ -710,23 +710,6 @@ def _in_index_family(n: int, require_odd: bool) -> bool:
     return False
 
 
-def closed_form_references() -> dict[str, mpmath.mpf]:
-    """The closed-form constants of `asympt.constants_table`, by mpmath at
-    30 digits."""
-    with mpmath.workdps(30):
-        # the characters mod 4 and mod 3, as mpmath's periodic tables
-        chi4, chi3 = [0, 1, 0, -1], [0, 1, -1]
-        return {
-            "L1_chi4": mpmath.dirichlet(1, chi4),
-            "L1_chi3": mpmath.dirichlet(1, chi3),
-            "Lp_over_L_chi4": mpmath.dirichlet(1, chi4, 1) / mpmath.dirichlet(1, chi4),
-            "Lp_over_L_chi3": mpmath.dirichlet(1, chi3, 1) / mpmath.dirichlet(1, chi3),
-            "euler_gamma": +mpmath.euler,
-            "zeta2": mpmath.zeta(2),
-            "zetap2_over_zeta2": mpmath.zeta(2, derivative=1) / mpmath.zeta(2),
-        }
-
-
 def L_prime_over_L_gamma_form(D: int) -> float:
     """`asympt.L_prime_over_L` through Gamma-function identities."""
     g, _ = asympt.euler_gamma()

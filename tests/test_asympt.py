@@ -65,15 +65,6 @@ class TestConstants:
             assert abs(asympt.euler_gamma()[0] - gamma) <= 1e-15
             assert abs(asympt.zeta_prime_2_over_zeta_2()[0] - ratio) <= 1e-15
 
-    def test_closed_form_errors_bound_mpmath(self):
-        # each abs_error is an estimate of roundings and truncation, not a
-        # floor: it bounds the distance to mpmath at 30 digits, and none is
-        # above 1e-13 (the floors were 1e-14 to 1e-10)
-        table = asympt.constants_table()
-        for name, want in oracle.closed_form_references().items():
-            value, error = table[name]
-            assert abs(value - want) <= error < 1e-13, name
-
     def test_lattice_constants_within_stated_error_of_long_sums(self, monkeypatch):
         # the four band-gap limits at ten times BAND_TERMS values of p
         shipped = asympt.c_square_eval(), asympt.c_triangle_eval()

@@ -536,7 +536,7 @@ class TestOtherCommands:
         assert code == 4
 
     def test_constants_within_stated_error(self, capsys):
-        import oracle
+        import mpmath
 
         code, out, _ = run(capsys, "constants", "--format", "json")
         assert code == 0
@@ -545,10 +545,23 @@ class TestOtherCommands:
             "L1_chi4", "L1_chi3", "Lp_over_L_chi4", "Lp_over_L_chi3", "euler_gamma",
             "zeta2", "zetap2_over_zeta2", "c_square", "c_triangle",
         ]
-        reference = oracle.closed_form_references()
+        with mpmath.workdps(30):
+            # the characters mod 4 and mod 3, as mpmath's periodic tables
+            chi4, chi3 = [0, 1, 0, -1], [0, 1, -1]
+            reference = {
+                "L1_chi4": mpmath.dirichlet(1, chi4),
+                "L1_chi3": mpmath.dirichlet(1, chi3),
+                "Lp_over_L_chi4": mpmath.dirichlet(1, chi4, 1) / mpmath.dirichlet(1, chi4),
+                "Lp_over_L_chi3": mpmath.dirichlet(1, chi3, 1) / mpmath.dirichlet(1, chi3),
+                "euler_gamma": +mpmath.euler,
+                "zeta2": mpmath.zeta(2),
+                "zetap2_over_zeta2": mpmath.zeta(2, derivative=1) / mpmath.zeta(2),
+            }
+        # each abs_error is an estimate of roundings and truncation, not a
+        # floor: it bounds the distance and stays below 1e-13
         for name, want in reference.items():
             entry = table[name]
-            assert abs(entry["value"] - float(want)) <= entry["abs_error"], name
+            assert abs(entry["value"] - float(want)) <= entry["abs_error"] < 1e-13, name
         # the paper's seven decimals: within half of the last digit
         for name, paper in (("c_square", 0.6272237), ("c_triangle", 0.4915036)):
             entry = table[name]
