@@ -1,36 +1,27 @@
-"""Numeric layer: constants, Epstein zeta sums, and the closed-form growth
-models of the square and hexagonal lattices.
+"""Numeric layer: constants, Epstein zeta values and residues, and the
+closed-form growth models of the square and hexagonal lattices.
 
-Everything exact (coefficient streams, censuses, window counts) lives
-elsewhere; here are the closed-form constants and the truncated analytic
-objects that describe their growth.
-The fitted model of any other lattice lives in `growth`, which needs no
-numpy.  Each float the CLI prints with an error comes from one call here,
-as a pair (value, abs_error): `constants_table`, `epstein_truncated`,
-`epstein_residue_estimate`.  Each constant's function returns such a pair;
-its error adds the roundings of its float operations, each taken to be
+Each float the CLI prints with an error comes from one call here, as a pair
+(value, abs_error): `constants_table`, `epstein_truncated`, `epstein_residue`.
+Each error adds the roundings of its float operations, each taken to be
 within EPS (one ulp) of its exact result, carried through the operations
 that follow, and the next term of a truncated series where there is one.
-No array on the constants' path grows with the size of a sum.  gamma and
-zeta'(2)/zeta(2) are plain-Python sums of EM_TERMS terms with
-Euler-Maclaurin tails.  Both lattice constants rest on one band-gap sum over
-the band that `dirichlet.pair_band` counts: r = 3 for the square lattice,
-r = 9 for the hexagonal one.  `_band_gap_terms` gives a
-block of its terms, each from its row top `dirichlet._isqrt(r p^2 - 1)`
-with no prefix array, and `_band_gap_sums` adds blocks of BAND_BLOCK terms.
-Every Epstein sum comes from one kernel, `_power_sums`, over half the disk
-in blocks of BLOCK_POINTS points; each block is split once into its values
-inside R/4 and outside it, so each power is taken once per point.
+No array on the constants' path grows with the size of a sum: gamma and
+zeta'(2)/zeta(2) are sums of EM_TERMS terms with Euler-Maclaurin tails, and
+both lattice constants rest on one band-gap sum over the band that
+`dirichlet.pair_band` counts (r = 3 for the square lattice, r = 9 for the
+hexagonal one), added in blocks of BAND_BLOCK terms.  The Epstein residue at
+s = 1 is pi/sqrt(ac - b^2) on the exact entries; Epstein values come from
+one kernel, `_power_sums`, over half the disk in blocks of BLOCK_POINTS
+points.  The fitted model of any other lattice lives in `growth`.  numpy,
 `dirichlet` and `growth` are imported inside the functions that use them,
-so an Epstein call loads neither.
+so a residue loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from math import isqrt, log, pi, sqrt
-
-import numpy as np
 
 
 class UnsupportedDiscriminantError(ValueError):
@@ -168,6 +159,8 @@ def _band_gap_terms(start: int, stop: int, r: int, odd: bool) -> np.ndarray:
     The rows p < EXACT_P, where the truncated expansion is short of double
     precision, add their 1/q one by one.
     """
+    import numpy as np
+
     from .dirichlet import _isqrt
 
     step = 2 if odd else 1
@@ -195,6 +188,8 @@ def _band_gap_sums(cuts, r: int, odd: bool) -> list[float]:
     block up to k, so it equals the sum of a pass to k alone: it does not
     depend on the other cuts.
     """
+    import numpy as np
+
     prefix = dict.fromkeys(cuts, 0.0)
     total = 0.0
     for start in range(0, cuts[-1], BAND_BLOCK):
@@ -322,14 +317,10 @@ def constants_table() -> dict[str, tuple[float, float]]:
 # ten times that square for `1,0,1` at the CLI's default radius; memory does
 # not grow with it, since `_power_sums` evaluates the grid in blocks
 MAX_GRID_POINTS = 40_000_000
-# grid points evaluated at once by `_power_sums`.  Over the powers of 2 from
-# 2^12 to 2^17, the ladder sums of `1,0,1` at R = 10^6 took 0.117, 0.091,
-# 0.075, 0.070, 0.064 and 0.087 s (in process, the median of nine rounds),
-# and one `epstein --residue` call peaked at 30.0, 29.9, 29.8, 30.6, 31.9 and
-# 34.8 MB: 2^15 is within 10% of the fastest and 1 MB of the smallest peak
+# grid points evaluated at once by `_power_sums`: in a sweep from 2^12 to
+# 2^17 (BENCH_24.json), 2^15 was within 10% of the fastest block and 1 MB of
+# the smallest peak RSS
 BLOCK_POINTS = 1 << 15
-# the Richardson ladder of `epstein_residue_estimate`: s_j = 1 + 2^-j, j = 1..7
-LADDER = tuple(1.0 + 2.0**-j for j in range(1, 8))
 
 
 def _form_floats(Q) -> tuple[float, float, float]:
@@ -348,20 +339,21 @@ def _bound_for_radius(Q, R: float) -> int:
     return isqrt(int(R / lam_min)) + 2
 
 
-def _power_sums(Q, R: float, exponents) -> tuple[list[float], list[float]]:
-    """For each s in `exponents`, the sums of Q(m, n)^(-s) over 0 < Q <= R
-    and over 0 < Q <= R/4.
+def _power_sums(Q, R: float, s: float) -> tuple[float, float]:
+    """The sums of Q(m, n)^(-s) over 0 < Q <= R and over 0 < Q <= R/4.
 
     Q(-m, -n) = Q(m, n) holds bit for bit in floats, so only the rows n >= 0
     are evaluated, with m > 0 on the row n = 0, and the sums doubled.  The
     rows go in blocks of about BLOCK_POINTS points.  Each block splits its
     values once into the inner ones (<= R/4) and the outer ones, and takes
-    each power of each part once: the inner sum goes to both radii, the
+    the power of each part once: the inner sum goes to both radii, the
     outer one to R alone.  The powers are `v ** (-s)`: exp(-s log v) errs
     by up to |s log v| ulp, which on a form scaled by 10^-9 moves the sums
     by 1.7e-15, relative.  The block sums add up by `math.fsum`, so only
     each block's own sum depends on where the blocks are cut.
     """
+    import numpy as np
+
     bound = _bound_for_radius(Q, R)
     a, b, c = _form_floats(Q)
     m = np.arange(-bound, bound + 1)
@@ -369,8 +361,7 @@ def _power_sums(Q, R: float, exponents) -> tuple[list[float], list[float]]:
     # in its order, so that the same points pass the mask, bit for bit
     am2, bm2 = a * m * m, 2.0 * b * m
     rows = max(1, BLOCK_POINTS // m.size)
-    full = [[] for _ in exponents]
-    quarter = [[] for _ in exponents]
+    full, quarter = [], []
     for first in range(0, bound + 1, rows):
         n = np.arange(first, min(first + rows, bound + 1))[:, None]
         v = am2 + bm2 * n + c * n * n
@@ -379,44 +370,44 @@ def _power_sums(Q, R: float, exponents) -> tuple[list[float], list[float]]:
             mask[0, : bound + 1] = False
         v = v[mask]
         inner = v <= R / 4
-        v_inner, v_outer = v[inner], v[~inner]
-        for i, s in enumerate(exponents):
-            inner_sum = float(np.sum(v_inner ** (-s)))
-            quarter[i].append(inner_sum)
-            full[i] += inner_sum, float(np.sum(v_outer ** (-s)))
-    return [2.0 * math.fsum(x) for x in full], [2.0 * math.fsum(x) for x in quarter]
+        quarter.append(float(np.sum(v[inner] ** (-s))))
+        full += quarter[-1], float(np.sum(v[~inner] ** (-s)))
+    return 2.0 * math.fsum(full), 2.0 * math.fsum(quarter)
 
 
-def _with_tail(Q, total: float, s: float, R: float) -> float:
-    """A disk sum plus the integral of Q^(-s) beyond R."""
+def epstein_tail(Q, s: float, R: float) -> float:
+    """The integral of Q^(-s) beyond R, pi/sqrt(ac - b^2) R^(1-s)/(s - 1);
+    inf where it overflows."""
     a, b, c = _form_floats(Q)
-    return total + pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
-
-
-def _extrapolants(Q, sums, R: float) -> tuple[float, float]:
-    """e_7 and e_6 from the disk sums of R at the ladder exponents."""
-    values = [(s - 1.0) * _with_tail(Q, total, s, R) for s, total in zip(LADDER, sums)]
-    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
+    try:
+        return pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def epstein_truncated(Q, s: float, R: float) -> tuple[float, float]:
     """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R plus an integral tail, and
     its change from the same sum at R/4; s must be above 1."""
-    (full,), (quarter,) = _power_sums(Q, R, [s])
-    value = _with_tail(Q, full, s, R)
-    return value, abs(value - _with_tail(Q, quarter, s, R / 4))
+    full, quarter = _power_sums(Q, R, s)
+    value = full + epstein_tail(Q, s, R)
+    return value, abs(value - (quarter + epstein_tail(Q, s, R / 4)))
 
 
-def epstein_residue_estimate(Q, R: float) -> tuple[float, float]:
-    """Residue of the Epstein zeta function at s=1 via a Richardson ladder,
-    and its error.
-
-    The ladder is v_j = (s_j - 1) Z(s_j) at s_j = 1 + 2^-j, j = 1..7, and
-    e_j = 2 v_j - v_{j-1} removes its error term linear in (s - 1).  The
-    error adds the truncation error |e_7(R) - e_7(R/4)| and what the last
-    step leaves, |e_7 - e_6|.
-    """
-    full, quarter = _power_sums(Q, R, LADDER)
-    value, previous = _extrapolants(Q, full, R)
-    rough, _ = _extrapolants(Q, quarter, R / 4)
-    return value, abs(value - rough) + abs(value - previous)
+def epstein_residue(det) -> tuple[float, float]:
+    """Residue pi/sqrt(ac - b^2) of the Epstein zeta function at s = 1, and
+    its error, from the exact ac - b^2 as `det` = {m: c}, the sum of
+    c sqrt(m) over distinct squarefree m.  Each term rounds c, sqrt(m) and
+    their product, and `math.fsum` their sum, so the float ac - b^2 is within
+    delta, relative, of the exact one; pi/sqrt(.) then moves by at most
+    delta/(2 (1 - delta)^(3/2)), and the square root, pi and the quotient
+    round once each.  A sum that cancels within its roundings is refused."""
+    try:
+        terms = [float(c) * sqrt(m) for m, c in det.items()]
+        d = math.fsum(terms)
+        delta = EPS * (3.0 * math.fsum(map(abs, terms)) + d) / d
+    except (OverflowError, ValueError, ZeroDivisionError):
+        delta = math.inf
+    if not 0 < delta < 1:
+        raise DomainError("a*c - b^2 of the form is not above the roundings of its float terms")
+    value = pi / sqrt(d)
+    return value, value * (0.5 * delta / (1.0 - delta) ** 1.5 + 3.0 * EPS)

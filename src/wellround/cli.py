@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .scalar import InvariantError, MixedRadicandError, NotRationalError, Scalar
+from .scalar import InvariantError, MixedRadicandError, NotRationalError, Scalar, _fraction
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -360,11 +360,11 @@ def _radical_sign(x: dict[int, Fraction]) -> int:
         s *= s
 
 
-def _epstein_form(text: str, entries: list[Scalar]) -> tuple[float, float, float]:
-    """The floats of an `epstein` form: positive definiteness is decided on
-    the exact entries, which may lie in different fields, and the floats
-    must keep it: a, b, c and a c - b^2 finite, and a c - b^2 above 0 (so
-    that a and c are too)."""
+def _epstein_form(text: str, entries: list[Scalar]) -> tuple[tuple[float, ...], dict[int, Fraction]]:
+    """The floats a, b, c of an `epstein` form, and its exact a c - b^2: it
+    decides positive definiteness on the exact entries, which may lie in
+    different fields, and the floats must keep it: a, b, c and a c - b^2
+    finite, and a c - b^2 above 0 (so that a and c are too)."""
     # each entry as {m: c}, the sum of c sqrt(m) over squarefree m, m = 1 for Q
     a, b, c = ({1: e.rat, e.root: e.irr} if e.root else {1: e.rat} for e in entries)
     det = _radical_product(a, c)
@@ -383,11 +383,13 @@ def _epstein_form(text: str, entries: list[Scalar]) -> tuple[float, float, float
             "finite as floats, and a*c - b^2 above 0",
             EXIT_BAD_INPUT,
         )
-    return fa, fb, fc
+    return (fa, fb, fc), det
 
 
 def cmd_epstein(args) -> int:
-    from .asympt import epstein_residue_estimate, epstein_truncated
+    """Z(s) summed over the disk Q <= --radius plus an integral tail, or the
+    residue pi/sqrt(ac - b^2) at s = 1, which reads no --radius."""
+    from .asympt import epstein_residue, epstein_tail, epstein_truncated
 
     try:
         entries = [Scalar.parse(v) for v in args.form.split(",")]
@@ -399,10 +401,14 @@ def cmd_epstein(args) -> int:
         raise CliError("--radius must be positive", EXIT_BAD_INPUT)
     if not (args.residue or args.s > 1):
         raise CliError(f"--s must be above 1, not {args.s:g}", EXIT_BAD_INPUT)
-    form = _epstein_form(args.form, entries)
+    form, det = _epstein_form(args.form, entries)
+    # a value adds its tails beyond R and beyond R/4, the larger one
+    finite_tail = args.residue or epstein_tail(form, args.s, args.radius / 4) < math.inf
+    if not (args.radius < math.inf and finite_tail):
+        raise CliError(f"--radius {args.radius:g} or its integral tail is not finite", EXIT_BAD_INPUT)
     # a DomainError (a ValueError) of a radius too large for the form exits 2 through main
     if args.residue:
-        payload = {"residue": _float_field(*epstein_residue_estimate(form, args.radius))}
+        payload = {"residue": _float_field(*epstein_residue(det))}
     else:
         payload = {"value": _float_field(*epstein_truncated(form, args.s, args.radius)), "s": args.s}
     if args.format == "json":
@@ -422,9 +428,10 @@ def _add_lattice_args(p: argparse.ArgumentParser) -> None:
 
 
 def _checkpoint_list(text: str) -> list[int]:
+    # exactly: 1e3 is 1000, and 1000.00000000000001 is no integer
     try:
-        values = [float(part) for part in text.split(",") if part]
-        if all(math.isfinite(v) and v.is_integer() for v in values):
+        values = [_fraction(part) for part in text.split(",") if part]
+        if all(v.denominator == 1 for v in values):
             return [int(v) for v in values]
     except ValueError:
         pass
@@ -472,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epstein", parents=[common])
     p.add_argument("--form", required=True, help="a,b,c of the form a x^2 + 2 b x y + c y^2")
     p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--radius", type=float, default=1.0e6)
-    p.add_argument("--residue", action="store_true")
+    p.add_argument("--radius", type=float, default=1.0e6, help="truncation radius of an --s sum")
+    p.add_argument("--residue", action="store_true", help="the exact residue at s = 1; reads no --radius")
     return parser
 
 

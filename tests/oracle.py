@@ -21,8 +21,14 @@ every candidate sublattice of the unique frame, with no window inequality.
 `disk_values` builds the whole Epstein disk of a form, with an optional
 (m, n) mask; the restricted Epstein sums and their Moebius assembly, whose
 congruence masks are not symmetric under (m, n) -> (-m, -n), are built on
-it.  `richardson` takes the three band-gap sums of `asympt._richardson` from
-three passes of `asympt._band_gap_sums`, the reference for its one pass.
+it.  `meshgrid_disk` builds the disk as the package's first whole-disk
+builder did, on a full float meshgrid and bound of its own, the reference
+for the half-disk kernel `asympt._power_sums`; `meshgrid_truncated` adds
+the integral tail, and `meshgrid_extrapolants` is the Richardson ladder of
+truncated sums that shows the lattice sums reach the residue
+pi/sqrt(ac - b^2).  `richardson` takes the three band-gap sums of
+`asympt._richardson` from three passes of `asympt._band_gap_sums`, the
+reference for its one pass.
 The rest are the paper's statements that only the tests check, kept out of
 the package: `Unimodular` basis changes, `is_well_rounded`, the dual
 invariants `g_star` and `brs_index`, the coincidence lattice of a frame
@@ -555,6 +561,37 @@ def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: f
         if n % c == 0 and mu[c]:
             total += mu[c] * _phi_Q(Q, c * k * C // l, c * k, l, s, R)
     return total
+
+
+def meshgrid_disk(Q, R):
+    """The values 0 < Q <= R as the meshgrid builder computed them: a full
+    (2B+1)^2 float grid per call, then a boolean mask."""
+    a, b, c = (float(v) for v in Q)
+    lam_min = ((a + c) - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
+    bound = math.isqrt(int(R / lam_min)) + 2
+    m = np.arange(-bound, bound + 1, dtype=np.float64)
+    M, Nn = np.meshgrid(m, m, indexing="ij")
+    vals = a * M * M + 2.0 * b * M * Nn + c * Nn * Nn
+    return vals[(vals > 0) & (vals <= R)]
+
+
+def meshgrid_truncated(Q, s, R):
+    a, b, c = (float(v) for v in Q)
+    d = a * c - b * b
+    total = float(np.sum(meshgrid_disk(Q, R) ** (-s)))
+    total += math.pi / math.sqrt(d) * R ** (1.0 - s) / (s - 1.0)
+    return total
+
+
+def meshgrid_extrapolants(Q, R):
+    """e_7 and e_6 of the ladder v_j = (s_j - 1) Z(s_j) at s_j = 1 + 2^-j,
+    j = 1..7, where e_j = 2 v_j - v_(j-1) removes the error term linear in
+    s - 1."""
+    values = []
+    for j in range(1, 8):
+        s = 1.0 + 2.0**-j
+        values.append((s - 1.0) * meshgrid_truncated(Q, s, R))
+    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
 def is_well_rounded(g: GramForm) -> bool:

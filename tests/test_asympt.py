@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -245,27 +247,33 @@ class TestEpstein:
         value, _ = asympt.epstein_truncated((1, 0, 1), 2.0, 1.0e5)
         assert value == pytest.approx(expected, rel=1e-6)
 
-    def test_residues_within_two_percent(self):
-        sq, _ = asympt.epstein_residue_estimate((1, 0, 1), 1.0e5)
-        assert abs(sq - math.pi) / math.pi < 0.02
-        hexa, _ = asympt.epstein_residue_estimate((1, 0.5, 1), 1.0e5)
-        target = math.pi / math.sqrt(0.75)
-        assert abs(hexa - target) / target < 0.02
+    def test_residue_is_pi_over_sqrt_det(self):
+        # ac - b^2 = 1 rounds nowhere; the error counts five roundings
+        value, error = asympt.epstein_residue({1: 1})
+        assert (value, error) == (math.pi, pytest.approx(5 * asympt.EPS * math.pi))
+        value, error = asympt.epstein_residue({1: Fraction(3, 4)})
+        assert abs(value - math.pi / math.sqrt(0.75)) <= error < 1e-14 * value
 
-    def test_extrapolants(self):
-        Q, R = (1, 0, 1), 1.0e4
-        full, _ = asympt._power_sums(Q, R, asympt.LADDER)
-        last, previous = asympt._extrapolants(Q, full, R)
-        assert last == asympt.epstein_residue_estimate(Q, R)[0]
-        # the gap between the last two extrapolants bounds the error at s = 1
-        assert abs(last - math.pi) <= abs(last - previous)
+    def test_residue_error_carries_the_cancellation(self):
+        # ac - b^2 = p - q sqrt(2) = 7.5e-7, from two terms of 6.7e5
+        p, q = 665857, 470832
+        value, error = asympt.epstein_residue({1: p, 2: -q})
+        with mpmath.workdps(30):
+            exact = mpmath.pi / mpmath.sqrt(p - q * mpmath.sqrt(2))
+            assert abs(value - exact) <= error < 1e-3 * value
+
+    def test_residue_refuses_a_det_within_its_roundings(self):
+        # a Pell solution: p - q sqrt(2) = 3.8e-9 from two terms of 1.3e8,
+        # whose float roundings are 1.5e-8 each
+        with pytest.raises(asympt.DomainError, match="roundings"):
+            asympt.epstein_residue({1: 131836323, 2: -93222358})
 
     def test_primitive_sum_factors(self):
         # full sum over Q <= R equals sum over scalings g of
         # g^{-2s} * (coprime sum over Q <= R / g^2), an exact identity
         s = 1.5
         R = 2.0e4
-        (full,), _ = asympt._power_sums((1, 0, 1), R, [s])
+        full, _ = asympt._power_sums((1, 0, 1), R, s)
         assembled = sum(
             g ** (-2 * s)
             * oracle.epstein_primitive_truncated((1, 0, 1), s, R / (g * g))
@@ -290,34 +298,6 @@ class TestEpstein:
 
 
 # -- the half-disk kernel against the meshgrid builder ------------------------
-
-
-def _meshgrid_disk(Q, R):
-    """The values 0 < Q <= R as the meshgrid builder computed them: a full
-    (2B+1)^2 float grid per call, then a boolean mask."""
-    a, b, c = (float(v) for v in Q)
-    lam_min = ((a + c) - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
-    bound = math.isqrt(int(R / lam_min)) + 2
-    m = np.arange(-bound, bound + 1, dtype=np.float64)
-    M, Nn = np.meshgrid(m, m, indexing="ij")
-    vals = a * M * M + 2.0 * b * M * Nn + c * Nn * Nn
-    return vals[(vals > 0) & (vals <= R)]
-
-
-def _meshgrid_truncated(Q, s, R):
-    a, b, c = (float(v) for v in Q)
-    d = a * c - b * b
-    total = float(np.sum(_meshgrid_disk(Q, R) ** (-s)))
-    total += math.pi / math.sqrt(d) * R ** (1.0 - s) / (s - 1.0)
-    return total
-
-
-def _meshgrid_extrapolants(Q, R, depth=7):
-    values = []
-    for j in range(1, depth + 1):
-        s = 1.0 + 2.0**-j
-        values.append((s - 1.0) * _meshgrid_truncated(Q, s, R))
-    return 2.0 * values[-1] - values[-2], 2.0 * values[-2] - values[-3]
 
 
 # the kernel sums the half disk in another order than the meshgrid's one
@@ -345,16 +325,14 @@ ONE_DISK_CASES = [
 def _assert_power_sums_match_meshgrid(Q, R, blocks):
     """At each block size: the exact point counts (s = 0 adds 1 per point) at
     R and R/4, and the sums at other s within REL of the meshgrid's."""
-    exponents = (0.0, 2.0, 1.0 + 2.0**-7)
-    disks = _meshgrid_disk(Q, R), _meshgrid_disk(Q, R / 4)
+    disks = oracle.meshgrid_disk(Q, R), oracle.meshgrid_disk(Q, R / 4)
     for block in blocks:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(asympt, "BLOCK_POINTS", block)
-            sums = asympt._power_sums(Q, R, exponents)
-        for totals, disk in zip(sums, disks):
-            assert totals[0] == disk.size
-            for s, total in zip(exponents[1:], totals[1:]):
-                assert total == pytest.approx(float(np.sum(disk ** (-s))), rel=REL)
+            assert asympt._power_sums(Q, R, 0.0) == tuple(disk.size for disk in disks)
+            for s in (2.0, 1.0 + 2.0**-7):
+                for total, disk in zip(asympt._power_sums(Q, R, s), disks):
+                    assert total == pytest.approx(float(np.sum(disk ** (-s))), rel=REL)
 
 
 @st.composite
@@ -391,7 +369,7 @@ class TestOneDisk:
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_disk_values_equal_meshgrid(self, Q, R):
-        assert np.array_equal(oracle.disk_values(Q, R), _meshgrid_disk(Q, R))
+        assert np.array_equal(oracle.disk_values(Q, R), oracle.meshgrid_disk(Q, R))
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_power_sums_count_the_meshgrid_points(self, Q, R):
@@ -406,31 +384,18 @@ class TestOneDisk:
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_truncated_sums_equal(self, Q, R):
         for s in (2.0, 1.5, 1.0 + 2.0**-7):
-            value = _meshgrid_truncated(Q, s, R)
-            quarter = _meshgrid_truncated(Q, s, R / 4)
+            value = oracle.meshgrid_truncated(Q, s, R)
+            quarter = oracle.meshgrid_truncated(Q, s, R / 4)
             got, error = asympt.epstein_truncated(Q, s, R)
             assert got == pytest.approx(value, rel=REL)
             # each of the two sums is within REL of the oracle's
             assert error == pytest.approx(abs(value - quarter), rel=0, abs=REL * (value + quarter))
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
-    def test_extrapolants_equal(self, Q, R):
-        last, previous = _meshgrid_extrapolants(Q, R)
-        rough, _ = _meshgrid_extrapolants(Q, R / 4)
-        value, error = asympt.epstein_residue_estimate(Q, R)
-        assert value == pytest.approx(last, rel=REL)
-        tolerance = REL * (2 * abs(last) + abs(rough) + abs(previous))
-        assert error == pytest.approx(abs(last - rough) + abs(last - previous), rel=0, abs=tolerance)
-
-    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
     def test_quarter_radius_subset_equals_its_own_disk(self, Q, R):
-        exponents = (2.0, 1.5, 1.0 + 2.0**-7)
-        _, quarter = asympt._power_sums(Q, R, exponents)
-        for s, total in zip(exponents, quarter):
-            assert total == pytest.approx(float(np.sum(_meshgrid_disk(Q, R / 4) ** (-s))), rel=REL)
-        _, quarter = asympt._power_sums(Q, R, asympt.LADDER)
-        extrapolants = asympt._extrapolants(Q, quarter, R / 4)
-        assert extrapolants == pytest.approx(_meshgrid_extrapolants(Q, R / 4), rel=REL)
+        for s in (2.0, 1.5, 1.0 + 2.0**-7):
+            _, quarter = asympt._power_sums(Q, R, s)
+            assert quarter == pytest.approx(float(np.sum(oracle.meshgrid_disk(Q, R / 4) ** (-s))), rel=REL)
 
     def test_epstein_calls_trace_little_memory(self):
         # one block of BLOCK_POINTS points at a time, split once into its
@@ -440,7 +405,7 @@ class TestOneDisk:
 
         tracemalloc.start()
         try:
-            asympt.epstein_residue_estimate((1, 0, 1), 1e6)
+            asympt.epstein_truncated((1, 0, 1), 1.0 + 2.0**-7, 1e6)
             asympt.epstein_truncated((2, 1, 2), 2.0, 1e6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -450,6 +415,6 @@ class TestOneDisk:
     def test_oversized_grid_is_refused(self):
         for Q, R in [((1, 0, 1), 1.0e12), ((1, 0, 1e-12), 1.0e6), ((1, 0, 1e-17), 1.0e6)]:
             with pytest.raises(asympt.DomainError, match="--radius"):
-                asympt._power_sums(Q, R, [2.0])
+                asympt._power_sums(Q, R, 2.0)
         # the guard passes a radius whose square just fits
         assert asympt._bound_for_radius((1, 0, 1), asympt.MAX_GRID_POINTS / 4.0) > 3000

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import wellround
@@ -277,8 +278,10 @@ class TestCensus:
         (["epstein", "--form", "1,0,1", "--radius", "1e12"], "--radius"),
         (["epstein", "--form", "1,0,1", "--radius", "inf", "--residue"], "--radius"),
         (["epstein", "--form", "1,0,1/1000000000000"], "--radius"),
-        (["epstein", "--form", "1,0,1/100000000000000000", "--residue"], "--radius"),
         (["epstein", "--form", "1,0,1e-12"], "--radius"),
+        # radii whose integral tail R^(1 - s) overflows
+        (["epstein", "--form", "1,0,1", "--s", "3", "--radius", "1e-200"], "--radius"),
+        (["epstein", "--form", "1,0,1", "--s", "2", "--radius", "1e-320"], "--radius"),
         # index bounds past cli.MAX_INDEX are refused before any array is built
         (["series", "--name", "a_square", "--max", "10000001"], "--max"),
         (["census", "--preset", "square", "--mode", "formula", "--max", "10000001"], "--max"),
@@ -354,7 +357,8 @@ def test_asympt_presets_read_past_the_array_cap(capsys):
     assert [row[:2] for row in json.loads(out)["rows"]] == [[1000, 1663], [10**7, 32_706_462]]
 
 
-@pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc"])
+# read exactly: 1000.00000000000001 would be 1000 as a float
+@pytest.mark.parametrize("checkpoints", ["inf", "100.9,2000", "abc", "1000.00000000000001", "1e99999"])
 def test_bad_checkpoint_list_exits_2(capsys, checkpoints):
     # refused by argparse while parsing, before any count is made
     with pytest.raises(SystemExit) as exc:
@@ -363,6 +367,12 @@ def test_bad_checkpoint_list_exits_2(capsys, checkpoints):
     assert exc.value.code == 2
     assert out.out == ""
     assert "argument --checkpoints: bad checkpoint list" in out.err
+
+
+def test_checkpoint_list_reads_exponents():
+    from wellround.cli import _checkpoint_list
+
+    assert _checkpoint_list("1e3,1e9,2000.0,30") == [1000, 10**9, 2000, 30]
 
 
 @pytest.mark.parametrize(
@@ -433,6 +443,17 @@ def test_epstein_form_over_two_fields(capsys):
     form = "3+sqrt(2),sqrt(7)-1/10000000000000000000000000,3-sqrt(2)"
     assert run(capsys, "epstein", "--form", form) == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
     assert run(capsys, "epstein", "--form", "1,sqrt(2)/2,sqrt(3)", "--radius", "1e4")[0] == 0
+
+
+@pytest.mark.parametrize("k", [150, 155])
+def test_epstein_residue_refuses_a_det_within_its_roundings(capsys, k):
+    # a = x - y sqrt(2) > 0 with parts near 10^k, and a c - b^2 = a^2 cancels
+    # from terms near 10^(2k): within their float roundings, and at k = 155
+    # beyond the float range
+    y = 10**k + 7
+    a = f"{math.isqrt(2 * y * y) + 1}-{y}*sqrt(2)"
+    code, out, err = run(capsys, "epstein", "--form", f"{a},0,{a}", "--residue")
+    assert (code, out, err) == (2, "", "error: a*c - b^2 of the form is not above the roundings of its float terms\n")
 
 
 @pytest.mark.parametrize("gram", ['"tn"', '"t"', '"n"', '"abc"', "5", "null"])
@@ -585,26 +606,38 @@ class TestOtherCommands:
         assert payload["value"]["value"] == pytest.approx(6.0268, abs=0.01)
         assert payload["value"]["abs_error"] >= 0
 
-    @pytest.mark.parametrize("form, det", [("1,0,1", 1), ("2,1,2", 3)])
+    @pytest.mark.parametrize(
+        "form, det",
+        [
+            ("1,0,1", lambda: 1),
+            ("2,1,2", lambda: 3),
+            ("1,sqrt(2)/2,4", lambda: mpmath.mpf(7) / 2),
+            # over two fields
+            ("1,sqrt(2)/2,sqrt(3)", lambda: mpmath.sqrt(3) - mpmath.mpf(1) / 2),
+            # near-singular: in floats, 1 - 0.999999999999^2 errs by 1.1e-5, relative
+            ("1,999999999999/1000000000000,1", lambda: mpmath.mpf(1999999999999) / 10**24),
+        ],
+        ids=["square", "hexagonal", "sqrt2", "two-fields", "near-singular"],
+    )
     def test_epstein_residue_error_covers_true_error(self, capsys, form, det):
-        # the residue at s = 1 is pi / sqrt(ac - b^2)
-        code, out, _ = run(
-            capsys, "epstein", "--form", form, "--residue", "--radius", "1e4", "--format", "json"
-        )
+        # the residue at s = 1 is pi / sqrt(ac - b^2), on the exact ac - b^2
+        code, out, _ = run(capsys, "epstein", "--form", form, "--residue", "--format", "json")
         assert code == 0
         residue = json.loads(out)["residue"]
-        assert residue["abs_error"] >= abs(residue["value"] - math.pi / math.sqrt(det))
+        with mpmath.workdps(30):
+            distance = abs(residue["value"] - mpmath.pi / mpmath.sqrt(det()))
+        assert distance <= residue["abs_error"] < 1e-14 * residue["value"]
 
     @pytest.mark.parametrize(
         "args, expected",
         [
             (
                 ["--residue", "--format", "csv"],
-                "residue = 3.1415483094221743 ± 0.000135\n",
+                "residue = 3.141592653589793 ± 3.49e-15\n",
             ),
             (
                 ["--residue", "--format", "json"],
-                '{"residue": {"value": 3.1415483094221743, "abs_error": 0.0001354870727618973}}\n',
+                '{"residue": {"value": 3.141592653589793, "abs_error": 3.4878684980086337e-15}}\n',
             ),
             (
                 ["--s", "2", "--format", "csv"],
@@ -617,7 +650,8 @@ class TestOtherCommands:
         ],
     )
     def test_epstein_golden_output(self, capsys, args, expected):
-        # recorded from the half-disk kernel, `asympt._power_sums`
+        # the values recorded from the half-disk kernel, `asympt._power_sums`;
+        # the residue is pi / sqrt(ac - b^2) and does not read --radius
         argv = ["epstein", "--form", "1,0,1", "--radius", "1e4", *args]
         assert run(capsys, *argv) == (0, expected, "")
 
@@ -661,6 +695,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
             ["asympt", "--lattice", "custom", "--gram", gram, "--checkpoints", "30,100"]
             for gram in ["[[2,1],[1,3]]", "diag(1,sqrt(2))", '{"t":"sqrt(2)","n":"4"}', '{"t":"sqrt(2)","n":"3"}']
         ),
+        # an Epstein residue over Q, over Q(sqrt 2) and over two fields
+        *(["epstein", "--form", form, "--residue"] for form in ["2,1,2", "1,sqrt(2)/2,4", "1,sqrt(2)/2,sqrt(3)"]),
     ]
     script = (
         "import json, sys\n"
@@ -780,11 +816,11 @@ def test_cli_starts_no_blas_thread_pool():
 
 
 @pytest.mark.skipif(not ON_LINUX, reason="ru_maxrss is in kilobytes on Linux")
-def test_epstein_residue_peak_rss():
+def test_epstein_value_peak_rss():
     # the half-disk kernel holds one block of points at a time, not the disk;
     # a small Python starts the call, because on Linux a child's peak RSS
     # starts from that of the process that spawned it
-    argv = [sys.executable, "-m", "wellround.cli", "epstein", "--form", "1,0,1", "--residue"]
+    argv = [sys.executable, "-m", "wellround.cli", "epstein", "--form", "1,0,1", "--s", "2"]
     script = (
         "import os, sys\n"
         f"pid = os.posix_spawn(sys.executable, {argv!r}, os.environ)\n"
