@@ -5,7 +5,7 @@ reduction and classification on integer pairs, Hermite-normal-form
 sublattice censuses, Dirichlet coefficient streams for the square and
 hexagonal lattices, and the general rational / non-rational counting
 theory.  The floats live in
-asympt (constants, Epstein sums) and growth (the fitted growth model).
+asympt (constants, Epstein values) and growth (the fitted growth model).
 
 `import wellround` loads no submodule: every public name below loads its
 module on first use, so that a caller pays only for the layers it runs (the

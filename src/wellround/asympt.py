@@ -2,26 +2,25 @@
 closed-form growth models of the square and hexagonal lattices.
 
 Each float the CLI prints with an error comes from one call here, as a pair
-(value, abs_error): `constants_table`, `epstein_truncated`, `epstein_residue`.
+(value, abs_error): `constants_table`, `epstein_value`, `epstein_residue`.
 Each error adds the roundings of its float operations, each taken to be
 within EPS (one ulp) of its exact result, carried through the operations
 that follow, and the next term of a truncated series where there is one.
-No array on the constants' path grows with the size of a sum: gamma and
-zeta'(2)/zeta(2) are sums of EM_TERMS terms with Euler-Maclaurin tails, and
-both lattice constants rest on one band-gap sum over the band that
-`dirichlet.pair_band` counts (r = 3 for the square lattice, r = 9 for the
-hexagonal one), added in blocks of BAND_BLOCK terms.  The Epstein residue at
-s = 1 is pi/sqrt(ac - b^2) on the exact entries; Epstein values come from
-one kernel, `_power_sums`, over half the disk in blocks of BLOCK_POINTS
-points.  The fitted model of any other lattice lives in `growth`.  numpy,
-`dirichlet` and `growth` are imported inside the functions that use them,
-so a residue loads no numpy.
+No array grows with the size of a sum: gamma and zeta'(2)/zeta(2) are sums
+of EM_TERMS terms with Euler-Maclaurin tails, both lattice constants rest on
+one band-gap sum over the band of `dirichlet.pair_band` (r = 3 square, r = 9
+hexagonal) in blocks of BAND_BLOCK terms, and the Epstein values at s > 1
+are a few terms of the Chowla-Selberg series; the residue at s = 1 is
+pi/sqrt(ac - b^2) on the exact entries.  The fitted model of any other
+lattice lives in `growth`.  numpy, `dirichlet`, `gram` and `growth` are
+imported inside the functions that use them: no Epstein call loads numpy.
 """
 
 from __future__ import annotations
 
 import math
-from math import isqrt, log, pi, sqrt
+from fractions import Fraction
+from math import log, pi, sqrt
 
 
 class UnsupportedDiscriminantError(ValueError):
@@ -39,8 +38,8 @@ ZETA2 = pi * pi / 6.0
 # roundings up, carried through the operations that follow them
 EPS = 2.0**-52
 
-# terms summed before the Euler-Maclaurin tails of euler_gamma and
-# zeta'(2)/zeta(2)
+# terms summed before the Euler-Maclaurin tails of euler_gamma,
+# zeta'(2)/zeta(2) and `_zeta`
 EM_TERMS = 1_000
 # values of p in each band-gap sum; `_richardson` also takes twice as many,
 # so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^62, where
@@ -311,86 +310,107 @@ def constants_table() -> dict[str, tuple[float, float]]:
     }
 
 
-# -- Epstein zeta sums --------------------------------------------------------
-
-# the work bound of one Epstein sum: the points of the square |m|, |n| <= B,
-# ten times that square for `1,0,1` at the CLI's default radius; memory does
-# not grow with it, since `_power_sums` evaluates the grid in blocks
-MAX_GRID_POINTS = 40_000_000
-# grid points evaluated at once by `_power_sums`: in a sweep from 2^12 to
-# 2^17 (BENCH_24.json), 2^15 was within 10% of the fastest block and 1 MB of
-# the smallest peak RSS
-BLOCK_POINTS = 1 << 15
+# -- Epstein zeta values ------------------------------------------------------
 
 
-def _form_floats(Q) -> tuple[float, float, float]:
-    a, b, c = (float(v) for v in Q)
-    if a <= 0 or a * c - b * b <= 0:
-        raise DomainError("form must be positive definite")
-    return a, b, c
+def _zeta(x: float) -> tuple[float, float]:
+    """zeta(x), x > 1, by Euler-Maclaurin at n = EM_TERMS, and its error: each
+    k^-x rounds once, each tail term at most seven times and fsum once; the
+    remainder is at most the B4 correction, as 2 zeta(4)/(2 pi)^4 = 1/720."""
+    n, power = float(EM_TERMS), EM_TERMS**-x
+    head = [k**-x for k in range(1, EM_TERMS)]
+    b4 = x * (x + 1.0) * (x + 2.0) * power / (720.0 * n**3)
+    tail = [n * power / (x - 1.0), 0.5 * power, x * power / (12.0 * n), -b4]
+    value = math.fsum(head + tail)
+    return value, EPS * (math.fsum(head) + 7.0 * math.fsum(map(abs, tail)) + value) + b4
 
 
-def _bound_for_radius(Q, R: float) -> int:
-    a, b, c = _form_floats(Q)
-    lam_min = ((a + c) - sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
-    # the disk lies in the square |m|, |n| <= sqrt(R / lam_min); lam_min may round to 0
-    if not 4.0 * R <= lam_min * MAX_GRID_POINTS:
-        raise DomainError(f"--radius {R:g} needs over {MAX_GRID_POINTS:,} grid points for the form")
-    return isqrt(int(R / lam_min)) + 2
+def _bessel_k(nu: float, z: float) -> tuple[float, float]:
+    """K_nu(z) = int_0^inf exp(-z cosh t) cosh(nu t) dt, nu >= 1/2, by the
+    trapezoid rule, and its error: the step halves from 1/2 until the sum
+    moves within the roundings of both sums, a move that is the quadrature
+    error.  The nodes stop past the peak once f(t)/r, r = z sinh t - nu, which
+    bounds the rest, is within EPS of the sum.  A node rounds its exponents
+    within EPS (2 nu t + 3 z cosh t), its exp and each sum once."""
+
+    def trapezoid(h: float) -> tuple[float, float]:
+        t, total = 0.0, 0.5 * math.exp(-z)  # the node t = 0 has weight 1/2
+        rounding = total * (3.0 * z + 3.0)
+        while True:
+            t += h
+            zc = z * math.cosh(t)
+            f = 0.5 * (math.exp(nu * t - zc) + math.exp(-nu * t - zc))
+            total += f
+            rounding += f * (2.0 * nu * t + 3.0 * zc + 3.0)
+            r = z * math.sinh(t) - nu
+            if r > 0 and f <= EPS * r * h * total:
+                return h * total, h * EPS * (rounding + t / h * total) + f / r
+
+    h, (value, error) = 0.5, trapezoid(0.5)
+    while True:
+        h /= 2
+        finer, finer_error = trapezoid(h)
+        if not abs(finer - value) > error + finer_error:
+            return finer, finer_error + abs(finer - value)
+        value, error = finer, finer_error
 
 
-def _power_sums(Q, R: float, s: float) -> tuple[float, float]:
-    """The sums of Q(m, n)^(-s) over 0 < Q <= R and over 0 < Q <= R/4.
+def epstein_value(Q, s: float) -> tuple[float, float]:
+    """Z(s) = sum' Q(m, n)^(-s), s > 1, of a m^2 + 2 b m n + c n^2 for the
+    entries Q = (a, b, c), and its error, by the Chowla-Selberg series on the
+    form reduced exactly by `gram._reduce_int`, |2b| <= a <= c.  With
+    y = sqrt(ac - b^2)/a >= sqrt(3)/2, beta = b/a and nu = s - 1/2, a^s Z(s) is
+    2 zeta(2s) + 2 sqrt(pi) Gamma(nu) zeta(2s - 1) y^(1-2s)/Gamma(s) +
+    8 pi^s y^-nu/Gamma(s) sum_N N^nu sigma_(1-2s)(N) K_nu(2 pi N y) cos(2 pi N beta),
+    at least 2.  The error adds the roundings, carried through (math.gamma
+    within 10 EPS: CPython tests it to 10 ulps), those of `_zeta` and
+    `_bessel_k`, the rounding of a, beta and y, and the Bessel tail, cut
+    once within EPS.  Results outside the float range are refused."""
+    from .gram import _reduce_int
 
-    Q(-m, -n) = Q(m, n) holds bit for bit in floats, so only the rows n >= 0
-    are evaluated, with m > 0 on the row n = 0, and the sums doubled.  The
-    rows go in blocks of about BLOCK_POINTS points.  Each block splits its
-    values once into the inner ones (<= R/4) and the outer ones, and takes
-    the power of each part once: the inner sum goes to both radii, the
-    outer one to R alone.  The powers are `v ** (-s)`: exp(-s log v) errs
-    by up to |s log v| ulp, which on a form scaled by 10^-9 moves the sums
-    by 1.7e-15, relative.  The block sums add up by `math.fsum`, so only
-    each block's own sum depends on where the blocks are cut.
-    """
-    import numpy as np
-
-    bound = _bound_for_radius(Q, R)
-    a, b, c = _form_floats(Q)
-    m = np.arange(-bound, bound + 1)
-    # the whole-disk builder's a*m*m + 2.0*b*m*n + c*n*n, with its operations
-    # in its order, so that the same points pass the mask, bit for bit
-    am2, bm2 = a * m * m, 2.0 * b * m
-    rows = max(1, BLOCK_POINTS // m.size)
-    full, quarter = [], []
-    for first in range(0, bound + 1, rows):
-        n = np.arange(first, min(first + rows, bound + 1))[:, None]
-        v = am2 + bm2 * n + c * n * n
-        mask = (v > 0) & (v <= R)
-        if first == 0:
-            mask[0, : bound + 1] = False
-        v = v[mask]
-        inner = v <= R / 4
-        quarter.append(float(np.sum(v[inner] ** (-s))))
-        full += quarter[-1], float(np.sum(v[~inner] ** (-s)))
-    return 2.0 * math.fsum(full), 2.0 * math.fsum(quarter)
-
-
-def epstein_tail(Q, s: float, R: float) -> float:
-    """The integral of Q^(-s) beyond R, pi/sqrt(ac - b^2) R^(1-s)/(s - 1);
-    inf where it overflows."""
-    a, b, c = _form_floats(Q)
+    A, B, C = (Fraction(v) for v in Q)
+    if not (A > 0 and A * C - B * B > 0 and 1 < s < math.inf):
+        raise DomainError("the form must be positive definite, and s finite and above 1")
+    A, B, C = _reduce_int(A, B, C)
     try:
-        return pi / sqrt(a * c - b * b) * R ** (1.0 - s) / (s - 1.0)
-    except (OverflowError, ZeroDivisionError):
-        return math.inf
-
-
-def epstein_truncated(Q, s: float, R: float) -> tuple[float, float]:
-    """Lattice sum of Q(m,n)^(-s) over 0 < Q <= R plus an integral tail, and
-    its change from the same sum at R/4; s must be above 1."""
-    full, quarter = _power_sums(Q, R, s)
-    value = full + epstein_tail(Q, s, R)
-    return value, abs(value - (quarter + epstein_tail(Q, s, R / 4)))
+        a, beta, y = float(A), float(B / A), sqrt(float((A * C - B * B) / (A * A)))
+        nu, gamma_s, step = s - 0.5, math.gamma(s), 2.0 * pi * y
+        (zeta_2s, zeta_2s_error), (zeta_pole, zeta_pole_error) = _zeta(2.0 * s), _zeta(2.0 * s - 1.0)
+        middle = 2.0 * sqrt(pi) * math.gamma(nu) / gamma_s * zeta_pole * y ** (1.0 - 2.0 * s)
+        prefactor = 8.0 * pi**s * y**-nu / gamma_s
+        terms, term_error, N = [], 0.0, 0
+        while True:
+            N += 1
+            z = N * step
+            k, k_error = _bessel_k(nu, z)
+            size = N**nu * math.fsum(d ** (1.0 - 2.0 * s) for d in range(1, N + 1) if N % d == 0)
+            cosine = math.cos(2.0 * pi * N * beta)
+            terms.append(size * k * cosine)
+            # z and the argument of cos (at most pi N) round within 5 EPS/2; K_nu
+            # moves nu + z times as much as z, as |z K_nu'| = nu K_nu + z K_(nu-1)
+            k_error += k * EPS * (6.0 + 3.0 * (nu + z))
+            term_error += size * (k_error * abs(cosine) + k * EPS * (1.0 + 8.0 * N))
+            # the terms past N, as sigma_(1-2s)(M) <= 2 sqrt(M), M^s <= N^s e^(s (M - N)/N)
+            # and K_nu(z_M) <= e^(z_N - z_M) K_nu(z_N)
+            q = math.exp(s / N - step)
+            tail = 2.0 * N**s * (k + k_error) * q / (1.0 - q) if q < 1.0 else math.inf
+            if prefactor * tail <= EPS:
+                break
+        bessel = math.fsum(terms)
+        bracket = math.fsum([2.0 * zeta_2s, middle, prefactor * bessel])
+        # sqrt(pi), two gammas, a power and four products; pi^s rounds s EPS/2 more
+        middle_error = abs(middle) * (27.0 * EPS + zeta_pole_error / zeta_pole)
+        bessel_error = term_error + tail + abs(bessel) * EPS * (s / 2.0 + 16.0)
+        bracket_error = 2.0 * zeta_2s_error + middle_error + prefactor * bessel_error + EPS * abs(bracket)
+        value = a**-s * bracket
+        # the rounded a, beta, y give a form within 2 EPS of the reduced one entry
+        # by entry, so each Q(m, n) within 6 EPS: a m^2 + 2|b m n| + c n^2 <= 3 Q
+        error = a**-s * bracket_error + abs(value) * (2.0 * EPS + math.expm1(-s * math.log1p(-6.0 * EPS)))
+    except OverflowError:
+        value = error = math.inf
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise DomainError(f"Z(s) of the form at s = {s!r} or its error is outside the float range")
+    return value, error
 
 
 def epstein_residue(det) -> tuple[float, float]:

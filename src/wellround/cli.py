@@ -122,6 +122,10 @@ def _emit_rows(args, header: list[str], rows: list[list]) -> None:
         sys.stdout.write(buf.getvalue())
 
 
+def _emit(args, payload, text: str) -> None:
+    print(json.dumps(payload) if args.format == "json" else text)
+
+
 def _float_field(value: float, abs_error: float) -> dict:
     return {"value": value, "abs_error": abs_error}
 
@@ -135,10 +139,8 @@ def cmd_reduce(args) -> int:
     g = _spec_gram(args)
     reduced = gauss_reduce(g)
     kind = classify(reduced).value.replace("_", " ")
-    if args.format == "json":
-        print(json.dumps({"gram": reduced.to_json(), "type": kind}))
-    else:
-        print(f"[[{reduced.a}, {reduced.b}], [{reduced.b}, {reduced.c}]] ({kind})")
+    text = f"[[{reduced.a}, {reduced.b}], [{reduced.b}, {reduced.c}]] ({kind})"
+    _emit(args, {"gram": reduced.to_json(), "type": kind}, text)
     return EXIT_OK
 
 
@@ -147,10 +149,7 @@ def cmd_classify(args) -> int:
 
     g = _spec_gram(args)
     kind = classify(g).value
-    if args.format == "json":
-        print(json.dumps({"type": kind}))
-    else:
-        print(kind)
+    _emit(args, {"type": kind}, kind)
     return EXIT_OK
 
 
@@ -300,10 +299,7 @@ def cmd_exists(args) -> int:
 
     g = _spec_gram(args)
     verdict = existence(g)
-    if args.format == "json":
-        print(json.dumps({"verdict": verdict.value}))
-    else:
-        print(verdict.value)
+    _emit(args, {"verdict": verdict.value}, verdict.value)
     return EXIT_OK
 
 
@@ -360,36 +356,11 @@ def _radical_sign(x: dict[int, Fraction]) -> int:
         s *= s
 
 
-def _epstein_form(text: str, entries: list[Scalar]) -> tuple[tuple[float, ...], dict[int, Fraction]]:
-    """The floats a, b, c of an `epstein` form, and its exact a c - b^2: it
-    decides positive definiteness on the exact entries, which may lie in
-    different fields, and the floats must keep it: a, b, c and a c - b^2
-    finite, and a c - b^2 above 0 (so that a and c are too)."""
-    # each entry as {m: c}, the sum of c sqrt(m) over squarefree m, m = 1 for Q
-    a, b, c = ({1: e.rat, e.root: e.irr} if e.root else {1: e.rat} for e in entries)
-    det = _radical_product(a, c)
-    for m, t in _radical_product(b, b).items():
-        det[m] = det.get(m, 0) - t
-    if _radical_sign(a) <= 0 or _radical_sign(det) <= 0:
-        raise CliError("form must be positive definite", EXIT_BAD_INPUT)
-    try:
-        fa, fb, fc = (float(e) for e in entries)
-        fdet = fa * fc - fb * fb
-    except OverflowError:
-        fa = fb = fc = fdet = math.inf
-    if not (math.isfinite(fa + fb + fc + fdet) and fdet > 0):
-        raise CliError(
-            f"form {text!r} is outside the float range: a, b, c and a*c - b^2 must be "
-            "finite as floats, and a*c - b^2 above 0",
-            EXIT_BAD_INPUT,
-        )
-    return (fa, fb, fc), det
-
-
 def cmd_epstein(args) -> int:
-    """Z(s) summed over the disk Q <= --radius plus an integral tail, or the
-    residue pi/sqrt(ac - b^2) at s = 1, which reads no --radius."""
-    from .asympt import epstein_residue, epstein_tail, epstein_truncated
+    """Z(s) on the float entries (a result outside the float range exits 2
+    through `main`), or the residue at s = 1 on the exact ones.  --radius is
+    checked and read by nothing."""
+    from .asympt import epstein_residue, epstein_value
 
     try:
         entries = [Scalar.parse(v) for v in args.form.split(",")]
@@ -397,25 +368,32 @@ def cmd_epstein(args) -> int:
         raise CliError(f"cannot parse form {args.form!r}: {e}", EXIT_BAD_INPUT)
     if len(entries) != 3:
         raise CliError("--form needs three entries a,b,c", EXIT_BAD_INPUT)
-    if not args.radius > 0:
-        raise CliError("--radius must be positive", EXIT_BAD_INPUT)
-    if not (args.residue or args.s > 1):
-        raise CliError(f"--s must be above 1, not {args.s:g}", EXIT_BAD_INPUT)
-    form, det = _epstein_form(args.form, entries)
-    # a value adds its tails beyond R and beyond R/4, the larger one
-    finite_tail = args.residue or epstein_tail(form, args.s, args.radius / 4) < math.inf
-    if not (args.radius < math.inf and finite_tail):
-        raise CliError(f"--radius {args.radius:g} or its integral tail is not finite", EXIT_BAD_INPUT)
-    # a DomainError (a ValueError) of a radius too large for the form exits 2 through main
+    if not 0 < args.radius < math.inf:
+        raise CliError("--radius must be finite and above 0", EXIT_BAD_INPUT)
+    if not (args.residue or 1 < args.s < math.inf):
+        raise CliError(f"--s must be finite and above 1, not {args.s:g}", EXIT_BAD_INPUT)
+    # the exact a c - b^2 as {m: c}, the sum of c sqrt(m) over squarefree m:
+    # positive definiteness is decided on the exact entries, in up to two fields
+    a, b, c = ({1: e.rat, e.root: e.irr} if e.root else {1: e.rat} for e in entries)
+    det = _radical_product(a, c)
+    for m, t in _radical_product(b, b).items():
+        det[m] = det.get(m, 0) - t
+    if _radical_sign(a) <= 0 or _radical_sign(det) <= 0:
+        raise CliError("form must be positive definite", EXIT_BAD_INPUT)
     if args.residue:
         payload = {"residue": _float_field(*epstein_residue(det))}
     else:
-        payload = {"value": _float_field(*epstein_truncated(form, args.s, args.radius)), "s": args.s}
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        key, field = next(iter(payload.items()))
-        print(f"{key} = {field['value']} ± {field['abs_error']:.3g}")
+        try:
+            form = tuple(map(float, entries))
+            fdet = form[0] * form[2] - form[1] * form[1]
+        except OverflowError:
+            form, fdet = (), math.inf
+        if not (math.isfinite(sum(form) + fdet) and fdet > 0):
+            message = "a, b, c and a*c - b^2 must be finite as floats, and a*c - b^2 above 0"
+            raise CliError(f"form {args.form!r} is outside the float range: {message}", EXIT_BAD_INPUT)
+        payload = {"value": _float_field(*epstein_value(form, args.s)), "s": args.s}
+    key, field = next(iter(payload.items()))
+    _emit(args, payload, f"{key} = {field['value']} ± {field['abs_error']:.3g}")
     return EXIT_OK
 
 
@@ -479,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epstein", parents=[common])
     p.add_argument("--form", required=True, help="a,b,c of the form a x^2 + 2 b x y + c y^2")
     p.add_argument("--s", type=float, default=2.0)
-    p.add_argument("--radius", type=float, default=1.0e6, help="truncation radius of an --s sum")
-    p.add_argument("--residue", action="store_true", help="the exact residue at s = 1; reads no --radius")
+    p.add_argument("--radius", type=float, default=1.0e6, help="not read; finite and above 0")
+    p.add_argument("--residue", action="store_true", help="the exact residue at s = 1")
     return parser
 
 

@@ -21,12 +21,13 @@ every candidate sublattice of the unique frame, with no window inequality.
 `disk_values` builds the whole Epstein disk of a form, with an optional
 (m, n) mask; the restricted Epstein sums and their Moebius assembly, whose
 congruence masks are not symmetric under (m, n) -> (-m, -n), are built on
-it.  `meshgrid_disk` builds the disk as the package's first whole-disk
-builder did, on a full float meshgrid and bound of its own, the reference
-for the half-disk kernel `asympt._power_sums`; `meshgrid_truncated` adds
-the integral tail, and `meshgrid_extrapolants` is the Richardson ladder of
-truncated sums that shows the lattice sums reach the residue
-pi/sqrt(ac - b^2).  `richardson` takes the three band-gap sums of
+it.  `meshgrid_disk` builds the same disk on a full float meshgrid, as the
+package's first whole-disk builder did; `meshgrid_truncated` adds the
+integral tail, the brute-force check of the series values of
+`asympt.epstein_value`, and `meshgrid_extrapolants` is the Richardson ladder
+of truncated sums that shows the lattice sums reach the residue
+pi/sqrt(ac - b^2).  `epstein_series` is the same Chowla-Selberg series as
+`asympt.epstein_value`, at 30 digits in mpmath.  `richardson` takes the three band-gap sums of
 `asympt._richardson` from three passes of `asympt._band_gap_sums`, the
 reference for its one pass.
 The rest are the paper's statements that only the tests check, kept out of
@@ -56,7 +57,7 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from wellround import asympt
-from wellround.asympt import DomainError, _band_gap_sums, _bound_for_radius, _form_floats
+from wellround.asympt import DomainError, _band_gap_sums
 from wellround.dirichlet import (
     ArithSeq,
     alt_powers,
@@ -506,12 +507,19 @@ def richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
     return value, abs(2.0 * mid - band_gap_sum(P // 2) - value)
 
 
+def _square_bound(Q, R: float) -> tuple[tuple[float, float, float], int]:
+    """The float entries of Q, and a B whose square |m|, |n| <= B holds the
+    disk Q <= R, as m^2 + n^2 <= R / lam_min there."""
+    a, b, c = (float(v) for v in Q)
+    lam_min = ((a + c) - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
+    return (a, b, c), math.isqrt(int(R / lam_min)) + 2
+
+
 def disk_values(Q, R: float, keep=None) -> np.ndarray:
     """Q(m, n) at the points with 0 < Q <= R and keep(m, n), in row-major
     (m, n) order over the whole square |m|, |n| <= B; m is an integer column
     broadcast against a row n."""
-    bound = _bound_for_radius(Q, R)
-    a, b, c = _form_floats(Q)
+    (a, b, c), bound = _square_bound(Q, R)
     m = np.arange(-bound, bound + 1)
     M, N = m[:, None], m[None, :]
     vals = a * M * M + 2.0 * b * M * N + c * N * N
@@ -543,7 +551,7 @@ def epstein_restricted(Q, s: float, k: int, l: int, C: int, D: int, R: float) ->
 def _phi_Q(Q, a_cond: int, k: int, l: int, s: float, R: float) -> float:
     """Sum over coprime (m, n), gcd(n, a_cond) = 1, of Q(k m, l n)^(-s),
     truncated at Q(k m, l n) <= R."""
-    qa, qb, qc = _form_floats(Q)
+    qa, qb, qc = (float(v) for v in Q)
     scaled = (qa * k * k, qb * k * l, qc * l * l)
     v = disk_values(scaled, R, lambda m, n: (np.gcd(m, n) == 1) & (np.gcd(n, a_cond) == 1))
     return disk_sum(v, s)
@@ -563,12 +571,34 @@ def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: f
     return total
 
 
+def epstein_series(Q, s: float) -> mpmath.mpf:
+    """The Chowla-Selberg series of the Epstein zeta function at 30 digits
+    (`mpmath.zeta`, `mpmath.besselk`), on the exact rationals of the entries
+    reduced by `gauss_reduce`: the reference for `asympt.epstein_value`.
+    The Bessel terms stop past the peak of N^s K(2 pi N y), once that bound on
+    a term is below 10^-40 of the sum."""
+    reduced, _ = gauss_reduce(GramForm(*(Scalar(Fraction(v)) for v in Q)))
+    with mpmath.workdps(30):
+        a, b, c = (mpmath.mpf(e.rat.numerator) / e.rat.denominator for e in reduced)
+        s = mpmath.mpf(s)
+        y, nu, pi = mpmath.sqrt(a * c - b * b) / a, s - mpmath.mpf(1) / 2, mpmath.pi
+        total = 2 * mpmath.zeta(2 * s)
+        total += 2 * mpmath.sqrt(pi) * mpmath.gamma(nu) * mpmath.zeta(2 * s - 1) * y ** (1 - 2 * s) / mpmath.gamma(s)
+        prefactor = 8 * pi**s * y**-nu / mpmath.gamma(s)
+        N = 0
+        while True:
+            N += 1
+            k = mpmath.besselk(nu, 2 * pi * N * y)
+            sigma = sum(mpmath.mpf(d) ** (1 - 2 * s) for d in range(1, N + 1) if N % d == 0)
+            total += prefactor * N**nu * sigma * k * mpmath.cos(2 * pi * N * b / a)
+            if 2 * pi * y * N > s and prefactor * 2 * N**s * k < mpmath.mpf(10) ** -40 * abs(total):
+                return total / a**s
+
+
 def meshgrid_disk(Q, R):
     """The values 0 < Q <= R as the meshgrid builder computed them: a full
     (2B+1)^2 float grid per call, then a boolean mask."""
-    a, b, c = (float(v) for v in Q)
-    lam_min = ((a + c) - math.sqrt((a - c) ** 2 + 4 * b * b)) / 2.0
-    bound = math.isqrt(int(R / lam_min)) + 2
+    (a, b, c), bound = _square_bound(Q, R)
     m = np.arange(-bound, bound + 1, dtype=np.float64)
     M, Nn = np.meshgrid(m, m, indexing="ij")
     vals = a * M * M + 2.0 * b * M * Nn + c * Nn * Nn

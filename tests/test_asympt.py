@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellround import asympt, growth
+from wellround.gram import GramForm
 from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4, _isqrt
 
 import oracle
@@ -235,17 +236,39 @@ class TestSandwich:
         assert oracle.sandwich_check_hex(s)
 
 
-class TestEpstein:
-    def test_truncated_positive_definite_only(self):
-        with pytest.raises(asympt.DomainError):
-            asympt.epstein_truncated((1, 2, 1), 2.0, 100.0)
+# Z(s) in closed form: 4 zeta(s) L(s, chi_-4) for x^2 + y^2, and
+# 6 2^-s zeta(s) L(s, chi_-3) for 2(x^2 + xy + y^2), which at s = 2 and 3 is
+# (3/2) zeta(2) L(2, chi_-3) and (3/4) zeta(3) L(3, chi_-3)
+CLOSED_FORMS = {
+    (1, 0, 1): lambda s: 4 * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, 0, -1]),
+    (2, 1, 2): lambda s: 6 * mpmath.mpf(2) ** -s * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, -1]),
+}
 
-    def test_value_against_closed_form(self):
-        # for x^2 + y^2: 4 zeta(s) L(s, chi_4); at s = 2: 4 zeta(2) Catalan
-        catalan = 0.915965594177219
-        expected = 4 * (math.pi**2 / 6) * catalan
-        value, _ = asympt.epstein_truncated((1, 0, 1), 2.0, 1.0e5)
-        assert value == pytest.approx(expected, rel=1e-6)
+
+class TestEpstein:
+    @pytest.mark.parametrize("Q", [(1, 2, 1), (0, 0, 1), (1, 0, -1), (-1, 0, -1)])
+    def test_value_positive_definite_only(self, Q):
+        with pytest.raises(asympt.DomainError, match="positive definite"):
+            asympt.epstein_value(Q, 2.0)
+
+    @pytest.mark.parametrize("s", [1.0, 0.5, math.inf, math.nan])
+    def test_value_needs_s_finite_and_above_1(self, s):
+        with pytest.raises(asympt.DomainError, match="s finite and above 1"):
+            asympt.epstein_value((1, 0, 1), s)
+
+    def test_value_outside_the_float_range_is_refused(self):
+        # a^-s overflows; Gamma(s) overflows past s = 171.6; y^2 = c/a overflows
+        for Q, s in [((0.5, 0, 0.5), 2000.0), ((1, 0, 1), 172.0), ((1e-300, 0, 1e300), 2.0)]:
+            with pytest.raises(asympt.DomainError, match="outside the float range"):
+                asympt.epstein_value(Q, s)
+
+    @pytest.mark.parametrize("Q", list(CLOSED_FORMS))
+    @pytest.mark.parametrize("s", [1.0 + 2.0**-7, 1.5, 2.0, 3.0, 7.5])
+    def test_value_against_closed_form(self, Q, s):
+        value, error = asympt.epstein_value(Q, s)
+        with mpmath.workdps(30):
+            distance = abs(value - CLOSED_FORMS[Q](mpmath.mpf(s)))
+        assert distance <= error < 1e-13 * value
 
     def test_residue_is_pi_over_sqrt_det(self):
         # ac - b^2 = 1 rounds nowhere; the error counts five roundings
@@ -273,7 +296,7 @@ class TestEpstein:
         # g^{-2s} * (coprime sum over Q <= R / g^2), an exact identity
         s = 1.5
         R = 2.0e4
-        full, _ = asympt._power_sums((1, 0, 1), R, s)
+        full = oracle.disk_sum(oracle.disk_values((1, 0, 1), R), s)
         assembled = sum(
             g ** (-2 * s)
             * oracle.epstein_primitive_truncated((1, 0, 1), s, R / (g * g))
@@ -297,12 +320,9 @@ class TestEpstein:
             oracle.epstein_restricted_moebius((1, 0, 1), 2.0, 3, 1, 1, 4, 100.0)
 
 
-# -- the half-disk kernel against the meshgrid builder ------------------------
+# -- the series against the brute-force disk and mpmath ----------------------
 
 
-# the kernel sums the half disk in another order than the meshgrid's one
-# sum: its values agree to a few ulp, and its point set exactly (the counts)
-REL = 1e-15
 R2, R3, R5 = math.sqrt(2), math.sqrt(3), math.sqrt(5)
 # (form, radius): 1,0,1 at R = 100 has points on Q = 100 and on Q = R/4 = 25,
 # and so has 2,1,2 at R = 104 (m^2 + mn + n^2 = 52 and 13)
@@ -316,32 +336,16 @@ ONE_DISK_CASES = [
     ((1, 0.5, R3), 5.0e3),
     ((1, R2 / 2, 4), 5.0e3),
     ((1, R5 / 2, 3 + R5), 5.0e3),
-    # a tiny form: its large powers carry the sums, so they must be rounded
-    # as closely as `**` rounds them (exp(-s log v) is not close enough)
     ((2e-9, 1e-9, 2e-9), 1.0e-5),
 ]
-
-
-def _assert_power_sums_match_meshgrid(Q, R, blocks):
-    """At each block size: the exact point counts (s = 0 adds 1 per point) at
-    R and R/4, and the sums at other s within REL of the meshgrid's."""
-    disks = oracle.meshgrid_disk(Q, R), oracle.meshgrid_disk(Q, R / 4)
-    for block in blocks:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(asympt, "BLOCK_POINTS", block)
-            assert asympt._power_sums(Q, R, 0.0) == tuple(disk.size for disk in disks)
-            for s in (2.0, 1.0 + 2.0**-7):
-                for total, disk in zip(asympt._power_sums(Q, R, s), disks):
-                    assert total == pytest.approx(float(np.sum(disk ** (-s))), rel=REL)
+S_MIN = 1.0 + 2.0**-7
 
 
 @st.composite
-def _drawn_disks(draw):
-    """A positive definite form, integral or float (a from 0.05 10^-9 to
-    30 10^9), with |2b| up to a (often close to a) and c from a to 1000 a,
-    and a radius whose meshgrid has at most 2^20 points.  The radius is often
-    Q(2m, 2n), so that points lie on both Q = R and Q = R/4 (scaling by 4 is
-    exact in floats)."""
+def _drawn_forms(draw):
+    """(Q, s): a reduced form, integral or float (a from 0.05 10^-9 to
+    30 10^9), with |2b| up to a and often close to it, and c from a to
+    1000 a; and s from 1 + 2^-7 to 7.5, often at either end."""
     if draw(st.booleans()):
         a = draw(st.integers(1, 30))
         b = draw(st.sampled_from([a // 2, (a - 1) // 2, draw(st.integers(0, a // 2))]))
@@ -351,14 +355,47 @@ def _drawn_disks(draw):
         b = a / 2 * draw(st.one_of(st.floats(0.9, 1.0), st.floats(0.0, 1.0)))
         c = a * draw(st.floats(1.0, 1000.0))
     b = -b if draw(st.booleans()) else b
-    Q = (a, b, c)
-    fa, fb, fc = (float(v) for v in Q)
-    lam_min = ((fa + fc) - math.sqrt((fa - fc) ** 2 + 4 * fb * fb)) / 2.0
-    m, n = draw(st.integers(1, 120)), draw(st.integers(0, 3))
-    on_points = fa * (2 * m) * (2 * m) + 2.0 * fb * (2 * m) * (2 * n) + fc * (2 * n) * (2 * n)
-    R = draw(st.sampled_from([on_points, lam_min * draw(st.floats(1.0, 6.0e4))]))
-    assume(0 < R and (2 * (math.isqrt(int(R / lam_min)) + 2) + 1) ** 2 <= 1 << 20)
-    return Q, R
+    s = draw(st.one_of(st.sampled_from([S_MIN, 2.0, 7.5]), st.floats(S_MIN, 7.5)))
+    return (a, b, c), s
+
+
+@st.composite
+def _unimodular(draw):
+    """As the benchmark moves its lattices: an upper and a lower shear by
+    +-1 or +-2 in either order, then a signed permutation."""
+    up = oracle.Unimodular(((1, draw(st.sampled_from([-2, -1, 1, 2]))), (0, 1)))
+    low = oracle.Unimodular(((1, 0), (draw(st.sampled_from([-2, -1, 1, 2])), 1)))
+    perm = oracle.Unimodular(draw(st.sampled_from([((1, 0), (0, 1)), ((0, 1), (1, 0))])))
+    signs = oracle.Unimodular(((draw(st.sampled_from([-1, 1])), 0), (0, draw(st.sampled_from([-1, 1])))))
+    return (up @ low if draw(st.booleans()) else low @ up) @ perm @ signs
+
+
+class TestSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(_drawn_forms())
+    def test_within_its_error_of_mpmath(self, drawn):
+        Q, s = drawn
+        value, error = asympt.epstein_value(Q, s)
+        assert abs(value - oracle.epstein_series(Q, s)) <= error < 1e-13 * value
+
+    @settings(max_examples=50, deadline=None)
+    @given(_drawn_forms(), st.integers(-30, 30))
+    def test_scaling(self, drawn, k):
+        # Z(tQ) = t^-s Z(Q); t = 2^k scales the float entries exactly
+        Q, s = drawn
+        t = 2.0**k
+        value, error = asympt.epstein_value(Q, s)
+        scaled, scaled_error = asympt.epstein_value(tuple(t * v for v in Q), s)
+        # t^-s and its product round twice
+        assert abs(scaled - t**-s * value) <= scaled_error + t**-s * (error + 2 * asympt.EPS * value)
+
+    @settings(max_examples=50, deadline=None)
+    @given(_drawn_forms(), _unimodular())
+    def test_unimodular_invariance(self, drawn, U):
+        # the moved form reduces to the same form exactly, so to the same floats
+        Q, s = drawn
+        moved = oracle.transform(GramForm(*(oracle.Scalar.of(Fraction(v)) for v in Q)), U)
+        assert asympt.epstein_value([e.as_fraction() for e in moved], s) == asympt.epstein_value(Q, s)
 
 
 class TestOneDisk:
@@ -372,49 +409,12 @@ class TestOneDisk:
         assert np.array_equal(oracle.disk_values(Q, R), oracle.meshgrid_disk(Q, R))
 
     @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
-    def test_power_sums_count_the_meshgrid_points(self, Q, R):
-        # with blocks of 50 points every case spans many blocks
-        _assert_power_sums_match_meshgrid(Q, R, (asympt.BLOCK_POINTS, 50, 1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(_drawn_disks())
-    def test_power_sums_on_drawn_forms(self, disk):
-        _assert_power_sums_match_meshgrid(*disk, (asympt.BLOCK_POINTS, 1))
-
-    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
-    def test_truncated_sums_equal(self, Q, R):
-        for s in (2.0, 1.5, 1.0 + 2.0**-7):
-            value = oracle.meshgrid_truncated(Q, s, R)
-            quarter = oracle.meshgrid_truncated(Q, s, R / 4)
-            got, error = asympt.epstein_truncated(Q, s, R)
-            assert got == pytest.approx(value, rel=REL)
-            # each of the two sums is within REL of the oracle's
-            assert error == pytest.approx(abs(value - quarter), rel=0, abs=REL * (value + quarter))
-
-    @pytest.mark.parametrize("Q, R", ONE_DISK_CASES)
-    def test_quarter_radius_subset_equals_its_own_disk(self, Q, R):
-        for s in (2.0, 1.5, 1.0 + 2.0**-7):
-            _, quarter = asympt._power_sums(Q, R, s)
-            assert quarter == pytest.approx(float(np.sum(oracle.meshgrid_disk(Q, R / 4) ** (-s))), rel=REL)
-
-    def test_epstein_calls_trace_little_memory(self):
-        # one block of BLOCK_POINTS points at a time, split once into its
-        # inner and outer values: with blocks of 2^17 and one power array
-        # of the whole block per exponent the traced peak was 5.3 MB
-        import tracemalloc
-
-        tracemalloc.start()
-        try:
-            asympt.epstein_truncated((1, 0, 1), 1.0 + 2.0**-7, 1e6)
-            asympt.epstein_truncated((2, 1, 2), 2.0, 1e6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2**20
-
-    def test_oversized_grid_is_refused(self):
-        for Q, R in [((1, 0, 1), 1.0e12), ((1, 0, 1e-12), 1.0e6), ((1, 0, 1e-17), 1.0e6)]:
-            with pytest.raises(asympt.DomainError, match="--radius"):
-                asympt._power_sums(Q, R, 2.0)
-        # the guard passes a radius whose square just fits
-        assert asympt._bound_for_radius((1, 0, 1), asympt.MAX_GRID_POINTS / 4.0) > 3000
+    def test_series_within_the_grid_change(self, Q, R):
+        # the grid's error oscillates with the lattice points near Q = R: its
+        # change from R/4 alone falls below it on 3,-1,2, on 1,0,sqrt(2) and on
+        # 1,1/2,sqrt(3), so the larger change, from R/4 or from R/16, bounds it
+        for s in (2.0, 1.5, S_MIN):
+            grid = oracle.meshgrid_truncated(Q, s, R)
+            change = max(abs(grid - oracle.meshgrid_truncated(Q, s, R / 4**k)) for k in (1, 2))
+            value, error = asympt.epstein_value(Q, s)
+            assert abs(value - grid) <= change + error

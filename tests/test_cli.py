@@ -274,20 +274,17 @@ class TestCensus:
         (["epstein", "--form", "1,0,1", "--radius", "-5"], "--radius"),
         (["epstein", "--form", "1,0,1", "--radius", "0", "--residue"], "--radius"),
         (["frames", "--preset", "square", "--bound", "-1"], "--bound"),
-        # grids past asympt.MAX_GRID_POINTS are refused before they are built
-        (["epstein", "--form", "1,0,1", "--radius", "1e12"], "--radius"),
         (["epstein", "--form", "1,0,1", "--radius", "inf", "--residue"], "--radius"),
-        (["epstein", "--form", "1,0,1/1000000000000"], "--radius"),
-        (["epstein", "--form", "1,0,1e-12"], "--radius"),
-        # radii whose integral tail R^(1 - s) overflows
-        (["epstein", "--form", "1,0,1", "--s", "3", "--radius", "1e-200"], "--radius"),
-        (["epstein", "--form", "1,0,1", "--s", "2", "--radius", "1e-320"], "--radius"),
+        (["epstein", "--form", "1,0,1", "--radius", "nan"], "--radius"),
         # index bounds past cli.MAX_INDEX are refused before any array is built
         (["series", "--name", "a_square", "--max", "10000001"], "--max"),
         (["census", "--preset", "square", "--mode", "formula", "--max", "10000001"], "--max"),
         (["asympt", "--lattice", "custom", "--gram", "[[2,1],[1,3]]", "--checkpoints", "1000,10000001"], "--checkpoints"),
         (["epstein", "--form", "1,0,1", "--s", "nan"], "--s"),
         (["epstein", "--form", "1,0,1", "--s", "1"], "--s"),
+        (["epstein", "--form", "1,0,1", "--s", "inf"], "--s"),
+        # a^-s overflows: no inf value, nor a NaN error
+        (["epstein", "--form", "0.5,0,0.5", "--s", "2000"], "s = 2000.0"),
         # a --gram that asympt would otherwise ignore
         (["asympt", "--lattice", "square", "--gram", "[[1,0],[0,2]]"], "--gram"),
         (["asympt", "--lattice", "hex", "--gram", "[[1,0],[0,2]]"], "--gram"),
@@ -302,6 +299,27 @@ def test_bad_flag_value_exits_2(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # radii of every size, and a thin form: no value is truncated
+        ["--form", "1,0,1", "--radius", "1e12"],
+        ["--form", "1,0,1", "--s", "3", "--radius", "1e-200"],
+        ["--form", "1,0,1", "--s", "2", "--radius", "1e-320"],
+        ["--form", "1,0,1/1000000000000"],
+        ["--form", "1,0,1e-12", "--radius", "1e-6"],
+    ],
+)
+def test_epstein_value_reads_no_radius(capsys, argv):
+    # each call prints a value, the one of the same call without --radius
+    code, out, err = run(capsys, "epstein", *argv)
+    if "--radius" in argv:
+        i = argv.index("--radius")
+        argv = argv[:i] + argv[i + 2 :]
+    assert (code, err) == (0, "") and out.startswith("value = ")
+    assert run(capsys, "epstein", *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(
@@ -408,17 +426,24 @@ _FLOAT_RANGE = (
 
 
 @pytest.mark.parametrize(
-    "form, args",
+    "form",
     [
         # float(1e400) overflows; 1e-400 rounds to 0; a*c = 1e600 overflows
-        ("1e400,0,1", ["--s", "2"]),
-        ("1e-400,0,1", ["--s", "2"]),
-        ("1e300,0,1e300", ["--residue"]),
+        "1e400,0,1",
+        "1e-400,0,1",
+        "1e300,0,1e300",
     ],
 )
-def test_epstein_form_outside_the_float_range_exits_2(capsys, form, args):
+def test_epstein_form_outside_the_float_range_exits_2(capsys, form):
     # each form is positive definite; its floats are not
-    assert run(capsys, "epstein", "--form", form, *args) == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+    assert run(capsys, "epstein", "--form", form, "--s", "2") == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+
+
+def test_epstein_residue_needs_no_float_form(capsys):
+    # a residue reads only the exact a c - b^2: 10^600 is refused only because
+    # its float terms overflow, with the message of a det within its roundings
+    code, out, err = run(capsys, "epstein", "--form", "1e300,0,1e300", "--residue")
+    assert (code, out, err) == (2, "", "error: a*c - b^2 of the form is not above the roundings of its float terms\n")
 
 
 @pytest.mark.parametrize(
@@ -439,9 +464,16 @@ def test_epstein_positive_definiteness_is_exact(capsys, form):
 
 def test_epstein_form_over_two_fields(capsys):
     # a c - b^2 = 7 - (sqrt(7) - 10^-25)^2 > 0 is decided exactly; in floats
-    # it is -1.8e-15, so the form is refused as outside the float range
+    # it is -1.8e-15, so a value is refused as outside the float range, while
+    # the residue reads only the exact a c - b^2 = 2 sqrt(7)/10^25 - 10^-50
     form = "3+sqrt(2),sqrt(7)-1/10000000000000000000000000,3-sqrt(2)"
-    assert run(capsys, "epstein", "--form", form) == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+    assert run(capsys, "epstein", "--form", form, "--s", "2") == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
+    code, out, err = run(capsys, "epstein", "--form", form, "--residue", "--format", "json")
+    assert (code, err) == (0, "")
+    residue = json.loads(out)["residue"]
+    with mpmath.workdps(60):
+        det = 2 * mpmath.sqrt(7) / mpmath.mpf(10) ** 25 - mpmath.mpf(10) ** -50
+        assert abs(residue["value"] - mpmath.pi / mpmath.sqrt(det)) <= residue["abs_error"]
     assert run(capsys, "epstein", "--form", "1,sqrt(2)/2,sqrt(3)", "--radius", "1e4")[0] == 0
 
 
@@ -588,23 +620,20 @@ class TestOtherCommands:
             entry = table[name]
             assert abs(entry["value"] - paper) <= 5e-8 + entry["abs_error"], name
 
-    def test_epstein_value(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "epstein",
-            "--form",
-            "1,0,1",
-            "--s",
-            "2",
-            "--radius",
-            "1e4",
-            "--format",
-            "json",
-        )
+    @pytest.mark.parametrize(
+        "form, closed_form",
+        [
+            # 4 zeta(2) G with Catalan's G, and (3/2) zeta(2) L(2, chi_-3)
+            ("1,0,1", lambda: 4 * mpmath.zeta(2) * mpmath.catalan),
+            ("2,1,2", lambda: 1.5 * mpmath.zeta(2) * mpmath.dirichlet(2, [0, 1, -1])),
+        ],
+    )
+    def test_epstein_value(self, capsys, form, closed_form):
+        code, out, _ = run(capsys, "epstein", "--form", form, "--s", "2", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["value"]["value"] == pytest.approx(6.0268, abs=0.01)
-        assert payload["value"]["abs_error"] >= 0
+        value = json.loads(out)["value"]
+        with mpmath.workdps(30):
+            assert abs(value["value"] - closed_form()) <= value["abs_error"] < 1e-13 * value["value"]
 
     @pytest.mark.parametrize(
         "form, det",
@@ -641,17 +670,17 @@ class TestOtherCommands:
             ),
             (
                 ["--s", "2", "--format", "csv"],
-                "value = 6.026812049804921 ± 1.46e-06\n",
+                "value = 6.02681203969194 ± 4.78e-14\n",
             ),
             (
                 ["--s", "2", "--format", "json"],
-                '{"value": {"value": 6.026812049804921, "abs_error": 1.461798659896374e-06}, "s": 2.0}\n',
+                '{"value": {"value": 6.02681203969194, "abs_error": 4.783709291909603e-14}, "s": 2.0}\n',
             ),
         ],
     )
     def test_epstein_golden_output(self, capsys, args, expected):
-        # the values recorded from the half-disk kernel, `asympt._power_sums`;
-        # the residue is pi / sqrt(ac - b^2) and does not read --radius
+        # the values recorded from the Chowla-Selberg series, `asympt.epstein_value`;
+        # the residue is pi / sqrt(ac - b^2); neither reads --radius
         argv = ["epstein", "--form", "1,0,1", "--radius", "1e4", *args]
         assert run(capsys, *argv) == (0, expected, "")
 
@@ -697,6 +726,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
         ),
         # an Epstein residue over Q, over Q(sqrt 2) and over two fields
         *(["epstein", "--form", form, "--residue"] for form in ["2,1,2", "1,sqrt(2)/2,4", "1,sqrt(2)/2,sqrt(3)"]),
+        # an Epstein value over Q and over two fields
+        *(["epstein", "--form", form, "--s", "2"] for form in ["2,1,2", "1,sqrt(2)/2,sqrt(3)"]),
     ]
     script = (
         "import json, sys\n"
@@ -753,9 +784,12 @@ def test_asympt_preset_loads_its_own_lattice(lattice, module, other):
 
 
 def test_epstein_loads_only_the_float_layer():
-    loaded = _modules_loaded_by(["epstein", "--form", "1,0,1", "--radius", "100"])
-    assert "wellround.asympt" in loaded
-    assert [m for m in loaded if m.startswith("wellround.")] == ["wellround.asympt", "wellround.cli", "wellround.scalar"]
+    # a value reduces its form by `gram._reduce_int`; neither call loads numpy
+    for argv in (["epstein", "--form", "1,0,1", "--s", "2"], ["epstein", "--form", "1,0,1", "--residue"]):
+        loaded = _modules_loaded_by(argv)
+        gram = ["wellround.gram"] if "--s" in argv else []
+        assert [m for m in loaded if m.startswith("wellround.")] == ["wellround.asympt", "wellround.cli", *gram, "wellround.scalar"]
+        assert "numpy" not in loaded
 
 
 def test_bare_import_loads_no_submodule():
@@ -791,12 +825,14 @@ def test_environment_sets_no_defaults():
 ON_LINUX = sys.platform.startswith("linux") and os.path.isdir("/proc/self/task")
 
 
-def _epstein_child(env: dict) -> list:
-    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran an epstein call."""
+def _constants_child(env: dict) -> list:
+    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran a constants
+    call, which loads numpy."""
     script = (
-        "import json, os\n"
+        "import json, os, sys\n"
         "import wellround.cli\n"
-        "code = wellround.cli.main(['epstein', '--form', '1,0,1', '--radius', '100'])\n"
+        "code = wellround.cli.main(['constants'])\n"
+        "assert 'numpy' in sys.modules\n"
         "print(json.dumps([code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
@@ -809,17 +845,17 @@ def test_cli_starts_no_blas_thread_pool():
     # numpy's import starts OpenBLAS workers, which no wellround code uses
     env = _child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    assert _epstein_child(env) == [0, 1, "1"]
+    assert _constants_child(env) == [0, 1, "1"]
     # a value the user gave is kept
-    code, _, given = _epstein_child(_child_env(OPENBLAS_NUM_THREADS="2"))
+    code, _, given = _constants_child(_child_env(OPENBLAS_NUM_THREADS="2"))
     assert (code, given) == (0, "2")
 
 
 @pytest.mark.skipif(not ON_LINUX, reason="ru_maxrss is in kilobytes on Linux")
 def test_epstein_value_peak_rss():
-    # the half-disk kernel holds one block of points at a time, not the disk;
-    # a small Python starts the call, because on Linux a child's peak RSS
-    # starts from that of the process that spawned it
+    # the series holds a few terms and loads no numpy; a small Python starts
+    # the call, because on Linux a child's peak RSS starts from that of the
+    # process that spawned it
     argv = [sys.executable, "-m", "wellround.cli", "epstein", "--form", "1,0,1", "--s", "2"]
     script = (
         "import os, sys\n"
