@@ -19,6 +19,7 @@ imported inside the functions that use them: no Epstein call loads numpy.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from math import log, pi, sqrt
 
@@ -420,9 +421,14 @@ def epstein_residue(det) -> tuple[float, float]:
     their product, and `math.fsum` their sum, so the float ac - b^2 is within
     delta, relative, of the exact one; pi/sqrt(.) then moves by at most
     delta/(2 (1 - delta)^(3/2)), and the square root, pi and the quotient
-    round once each.  A sum that cancels within its roundings is refused."""
+    round once each.  The terms are divided first by the exact 4^k that
+    brings the largest near 1, and the residue by 2^k, so an ac - b^2 outside
+    the float range is read; a sum that cancels within its roundings, or a
+    residue outside the normal float range, is refused."""
+    k = max((c.numerator.bit_length() - c.denominator.bit_length() + m.bit_length() // 2
+             for m, c in det.items() if c), default=0) // 2
     try:
-        terms = [float(c) * sqrt(m) for m, c in det.items()]
+        terms = [float(Fraction(c) / Fraction(4) ** k) * sqrt(m) for m, c in det.items()]
         d = math.fsum(terms)
         delta = EPS * (3.0 * math.fsum(map(abs, terms)) + d) / d
     except (OverflowError, ValueError, ZeroDivisionError):
@@ -430,4 +436,6 @@ def epstein_residue(det) -> tuple[float, float]:
     if not 0 < delta < 1:
         raise DomainError("a*c - b^2 of the form is not above the roundings of its float terms")
     value = pi / sqrt(d)
-    return value, value * (0.5 * delta / (1.0 - delta) ** 1.5 + 3.0 * EPS)
+    if not sys.float_info.min_exp <= math.frexp(value)[1] - k <= sys.float_info.max_exp:
+        raise DomainError("the residue of the form is outside the float range")
+    return math.ldexp(value, -k), math.ldexp(value * (0.5 * delta / (1.0 - delta) ** 1.5 + 3.0 * EPS), -k)

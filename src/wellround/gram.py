@@ -18,8 +18,9 @@ Q(sqrt(D)), which decides signs by `_sign_pair` (integer squaring) and
 round(b/a) by `_floor_pair`, the one exact floor of (p + q sqrt(D)) / w; the
 window rows of `general` use it too.  Since sqrt(D) is irrational, two
 pairs are equal exactly when their components are, so `_classify_pair`
-reads the type off component-wise.  The census calls the loops directly;
-`gauss_reduce` divides the reduced pairs by L again to give Scalars.
+reads the type off component-wise.  The census inlines the loop over Q and
+calls `_reduce_pair`; `gauss_reduce` divides the reduced pairs by L again
+to give Scalars.
 `general` decides the lattice's rationality class on the same pairs.
 """
 
@@ -41,8 +42,8 @@ class NotPositiveDefiniteError(ValueError):
 
 class LatticeType(enum.Enum):
     # members are singletons compared by identity, so the identity hash agrees
-    # with ==; it spares each dict lookup (one per census tally) the
-    # Python-level Enum.__hash__
+    # with ==; it spares each dict lookup (one per census sublattice over
+    # Q(sqrt(D))) the Python-level Enum.__hash__
     __hash__ = object.__hash__
 
     GENERAL = "general"

@@ -7,14 +7,14 @@ exhaustive census of sublattice types up to a given index, the brute-force
 oracle against which every generating-function counter is checked.
 
 `wr_census_bruteforce` walks the HNF triples directly, m, then l <= N // m,
-then k < m, so no divisor is searched for; the form is scaled once to
-integer pairs, and the reduction loop of its field is chosen before the
-walk: plain-int `_reduce_int` for a form over Q, whose type is read off
-inline, and the Z[sqrt(D)] pair loop `_reduce_pair` otherwise.  The pairs
-come from `gram._checked_pairs`, and these are the loops that
-`gram.gauss_reduce` runs, so the census and the public reduction share one
-reduction per field.  Each sublattice is counted by one
-`CensusReport.tally` call.
+then m values of k, so no divisor is searched for; the form is scaled once
+to integer pairs by `gram._checked_pairs`, and the field is chosen before
+the walk.  Over Q, the k of each (m, l) run over the centred window of m
+cosets of k modulo m whose form has -a <= 2b < a, so the first shear of
+the reduction is done; the rest of `gram._reduce_int` and the type test of
+`gram._classify_pair` are inlined, and each sublattice adds 1 to its
+type's list in `CensusReport.by_type`.  Over Q(sqrt(D)), the census calls
+`gram._reduce_pair` and `_classify_pair`, the loops `gram.gauss_reduce` runs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import csv
 import io
 import json
 
-from .gram import GramForm, LatticeType, _checked_pairs, _classify_pair, _reduce_int, _reduce_pair
+from .gram import GramForm, LatticeType, _checked_pairs, _classify_pair, _reduce_pair
 
 
 _TYPE_ORDER = [
@@ -59,9 +59,6 @@ class CensusReport:
     def __init__(self, N: int):
         self.N = N
         self.by_type = {t: [0] * N for t in _TYPE_ORDER}
-
-    def tally(self, n: int, t: LatticeType) -> None:
-        self.by_type[t][n - 1] += 1
 
     def total(self, n: int) -> int:
         return sum(self.by_type[t][n - 1] for t in _TYPE_ORDER)
@@ -101,49 +98,54 @@ class CensusReport:
 def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     """Classify every sublattice of index <= N; exhaustive oracle.
 
-    Walks the HNF triples by m, then l <= N // m, then 0 <= k < m.  The form
-    of (m, k, l) is (a m^2, a m k + b m l, a k^2 + 2 b k l + c l^2) on g's
-    integer pairs; over Q its terms that do not depend on k are computed once
-    per (m, l).  Its type is tallied at index n = ml.
+    Walks the HNF triples by m, then l <= N // m, then k.  The form of
+    (m, k, l) is (A, B, C) = (a m^2, a m k + b m l, a k^2 + 2 b k l + c l^2)
+    on g's integer pairs; k and k + m give the same sublattice, with B moved
+    by A.  Over Q, k runs over k0 <= k < k0 + m, k0 = -floor((A + 2 b m l) /
+    2 a m), where -A <= 2B < A; the terms that do not depend on k are
+    computed once per (m, l), the reduction goes on from |B|, and the type
+    is tallied inline at index n = ml.  Over Q(sqrt(D)), k runs over 0 <= k < m.
     """
     D, _, ((ax, ay), (bx, by), (cx, cy)) = _checked_pairs(g)
     if N < 1:
         raise ValueError("census bound must be positive")
     report = CensusReport(N)
-    tally = report.tally
+    by_type = report.by_type
     if D is None:
-        general, rectangular, centred, rhombic, square, hexagonal = _TYPE_ORDER
+        general, rectangular, centred, rhombic, square, hexagonal = map(by_type.get, _TYPE_ORDER)
         for m in range(1, N + 1):
-            a, axm = ax * m * m, ax * m
+            A, axm = ax * m * m, ax * m
             for l in range(1, N // m + 1):
-                n, b0, bl2, cl = m * l, bx * m * l, 2 * bx * l, cx * l * l
-                for k in range(m):
+                i, b0, bl2, cl = m * l - 1, bx * m * l, 2 * bx * l, cx * l * l
+                k0 = -((A + 2 * b0) // (2 * axm))
+                for k in range(k0, k0 + m):
+                    # -A <= 2b < A: _reduce_int after its first shear, inlined
+                    a, b, c = A, axm * k + b0, (ax * k + bl2) * k + cl
+                    if b < 0:
+                        b = -b
+                    while a > c:
+                        a, c = c, a
+                        # round(b/a) for int a > 0, b >= 0
+                        q = (b + (a >> 1)) // a
+                        r = b - q * a
+                        c -= q * (b + r)
+                        b = -r if r < 0 else r
                     # _classify_pair, inlined: b = 0, then a = c, then a = 2b
-                    ra, rb, rc = _reduce_int(a, axm * k + b0, (ax * k + bl2) * k + cl)
-                    if not rb:
-                        tally(n, square if ra == rc else rectangular)
-                    elif ra == rc:
-                        tally(n, hexagonal if ra == 2 * rb else rhombic)
+                    if not b:
+                        (square if a == c else rectangular)[i] += 1
+                    elif a == c:
+                        (hexagonal if a == 2 * b else rhombic)[i] += 1
                     else:
-                        tally(n, centred if ra == 2 * rb else general)
+                        (centred if a == 2 * b else general)[i] += 1
         return report
     for m in range(1, N + 1):
         for l in range(1, N // m + 1):
             n = m * l
             for k in range(m):
                 mm, mk, kk, kl, ll = m * m, m * k, k * k, 2 * k * l, l * l
-                tally(
-                    n,
-                    _classify_pair(
-                        *_reduce_pair(
-                            ax * mm,
-                            ay * mm,
-                            ax * mk + bx * n,
-                            ay * mk + by * n,
-                            ax * kk + bx * kl + cx * ll,
-                            ay * kk + by * kl + cy * ll,
-                            D,
-                        )
-                    ),
+                r = _reduce_pair(
+                    ax * mm, ay * mm, ax * mk + bx * n, ay * mk + by * n,
+                    ax * kk + bx * kl + cx * ll, ay * kk + by * kl + cy * ll, D,
                 )
+                by_type[_classify_pair(*r)][n - 1] += 1
     return report

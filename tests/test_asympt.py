@@ -285,6 +285,15 @@ class TestEpstein:
             exact = mpmath.pi / mpmath.sqrt(p - q * mpmath.sqrt(2))
             assert abs(value - exact) <= error < 1e-3 * value
 
+    @pytest.mark.parametrize("j", [-700, -300, 300, 700])
+    def test_residue_scales_exactly_by_powers_of_four(self, j):
+        # ac - b^2 times 4^j, past the float range at |j| = 700, gives the
+        # residue and its error times 2^-j, bit for bit
+        for det in ({1: 3}, {1: Fraction(3, 4)}, {1: 665857, 2: -470832}):
+            scaled = {m: c * Fraction(4) ** j for m, c in det.items()}
+            value, error = asympt.epstein_residue(det)
+            assert asympt.epstein_residue(scaled) == (math.ldexp(value, -j), math.ldexp(error, -j))
+
     def test_residue_refuses_a_det_within_its_roundings(self):
         # a Pell solution: p - q sqrt(2) = 3.8e-9 from two terms of 1.3e8,
         # whose float roundings are 1.5e-8 each

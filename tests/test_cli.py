@@ -439,11 +439,23 @@ def test_epstein_form_outside_the_float_range_exits_2(capsys, form):
     assert run(capsys, "epstein", "--form", form, "--s", "2") == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
 
 
-def test_epstein_residue_needs_no_float_form(capsys):
-    # a residue reads only the exact a c - b^2: 10^600 is refused only because
-    # its float terms overflow, with the message of a det within its roundings
-    code, out, err = run(capsys, "epstein", "--form", "1e300,0,1e300", "--residue")
-    assert (code, out, err) == (2, "", "error: a*c - b^2 of the form is not above the roundings of its float terms\n")
+@pytest.mark.parametrize("form, det", [("1e300,0,1e300", "1e600"), ("1e-400,0,1", "1e-400")])
+def test_epstein_residue_needs_no_float_form(capsys, form, det):
+    # a residue reads only the exact a c - b^2, here outside the float range,
+    # while pi/sqrt(a c - b^2) is a normal float
+    code, out, err = run(capsys, "epstein", "--form", form, "--residue", "--format", "json")
+    assert (code, err) == (0, "")
+    residue = json.loads(out)["residue"]
+    with mpmath.workdps(30):
+        exact = mpmath.pi / mpmath.sqrt(mpmath.mpf(det))
+        assert abs(residue["value"] - exact) <= residue["abs_error"] < 1e-14 * exact
+
+
+@pytest.mark.parametrize("form", ["1e-700,0,1e-700", "1e400,0,1e400"])
+def test_epstein_residue_outside_the_float_range_exits_2(capsys, form):
+    # pi 10^700 overflows, and pi 10^-400 is below the normal floats
+    code, out, err = run(capsys, "epstein", "--form", form, "--residue")
+    assert (code, out, err) == (2, "", "error: the residue of the form is outside the float range\n")
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,30 @@ def _oracle_csv(g: GramForm, N: int) -> str:
     return report.to_csv()
 
 
+@st.composite
+def unreduced_integral_forms(draw):
+    """Integral forms (a, b, c) with |b| up to 3a, so that most bases are not
+    reduced (2|b| > a, or a > c), and c at most 6 above the least c with
+    ac - b^2 > 0."""
+    a = draw(st.integers(1, 12))
+    b = draw(st.integers(-3 * a, 3 * a))
+    return GramForm.of(a, b, b * b // a + 1 + draw(st.integers(0, 6)))
+
+
+class TestCentredWindow:
+    # Each (m, l) block starts at k0 = -floor(m/2 + b l / a), which puts
+    # -A <= 2b < A for A = a m^2; at N = 1 the one block is m = l = 1
+    @settings(max_examples=60, deadline=None)
+    @given(unreduced_integral_forms(), st.integers(1, 24))
+    @example(GramForm.of(3, 5, 9), 1)  # k0 = -2; A + 2 b0 = 13 is odd
+    @example(GramForm.of(4, 1, 4), 1)  # k0 = 0
+    @example(GramForm.of(2, -5, 13), 1)  # k0 = 2
+    @example(GramForm.of(5, -7, 10), 1)  # k0 = 1; A + 2 b0 = -9 is odd
+    @example(GramForm.of(7, -20, 58), 40)  # 2|b| = 40 > a = 7
+    def test_matches_scalar_oracle(self, g, N):
+        assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
+
+
 class TestIntegerCensusCore:
     @settings(max_examples=20, deadline=None)
     @given(quadratic_forms(), st.integers(1, 30))
