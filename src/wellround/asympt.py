@@ -423,8 +423,9 @@ def epstein_residue(det) -> tuple[float, float]:
     delta/(2 (1 - delta)^(3/2)), and the square root, pi and the quotient
     round once each.  The terms are divided first by the exact 4^k that
     brings the largest near 1, and the residue by 2^k, so an ac - b^2 outside
-    the float range is read; a sum that cancels within its roundings, or a
-    residue outside the normal float range, is refused."""
+    the float range is read, and an error below the normal floats is rounded
+    up; a sum that cancels within its roundings, or a residue outside the
+    normal float range, is refused."""
     k = max((c.numerator.bit_length() - c.denominator.bit_length() + m.bit_length() // 2
              for m, c in det.items() if c), default=0) // 2
     try:
@@ -438,4 +439,5 @@ def epstein_residue(det) -> tuple[float, float]:
     value = pi / sqrt(d)
     if not sys.float_info.min_exp <= math.frexp(value)[1] - k <= sys.float_info.max_exp:
         raise DomainError("the residue of the form is outside the float range")
-    return math.ldexp(value, -k), math.ldexp(value * (0.5 * delta / (1.0 - delta) ** 1.5 + 3.0 * EPS), -k)
+    error = math.ldexp(value * (0.5 * delta / (1.0 - delta) ** 1.5 + 3.0 * EPS), -k)
+    return math.ldexp(value, -k), error if error >= sys.float_info.min else math.nextafter(error, math.inf)

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -285,14 +286,21 @@ class TestEpstein:
             exact = mpmath.pi / mpmath.sqrt(p - q * mpmath.sqrt(2))
             assert abs(value - exact) <= error < 1e-3 * value
 
-    @pytest.mark.parametrize("j", [-700, -300, 300, 700])
+    @pytest.mark.parametrize("j", [-700, -300, 300, 700, 1021])
     def test_residue_scales_exactly_by_powers_of_four(self, j):
-        # ac - b^2 times 4^j, past the float range at |j| = 700, gives the
-        # residue and its error times 2^-j, bit for bit
+        # ac - b^2 times 4^j, past the float range at |j| >= 700, gives the
+        # residue and its error times 2^-j, bit for bit; at j = 1021 the error
+        # falls below the normal floats, where it may only round up
         for det in ({1: 3}, {1: Fraction(3, 4)}, {1: 665857, 2: -470832}):
             scaled = {m: c * Fraction(4) ** j for m, c in det.items()}
             value, error = asympt.epstein_residue(det)
-            assert asympt.epstein_residue(scaled) == (math.ldexp(value, -j), math.ldexp(error, -j))
+            scaled_value, scaled_error = asympt.epstein_residue(scaled)
+            assert scaled_value == math.ldexp(value, -j)
+            assert Fraction(scaled_error) >= Fraction(error) / Fraction(2) ** j
+            if math.ldexp(error, -j) >= sys.float_info.min:
+                assert scaled_error == math.ldexp(error, -j)
+            else:
+                assert j == 1021
 
     def test_residue_refuses_a_det_within_its_roundings(self):
         # a Pell solution: p - q sqrt(2) = 3.8e-9 from two terms of 1.3e8,

@@ -439,10 +439,13 @@ def test_epstein_form_outside_the_float_range_exits_2(capsys, form):
     assert run(capsys, "epstein", "--form", form, "--s", "2") == (2, "", f"error: form {form!r} {_FLOAT_RANGE}")
 
 
-@pytest.mark.parametrize("form, det", [("1e300,0,1e300", "1e600"), ("1e-400,0,1", "1e-400")])
+@pytest.mark.parametrize(
+    "form, det", [("1e300,0,1e300", "1e600"), ("1e-400,0,1", "1e-400"), ("1e308,0,1e308", "1e616")]
+)
 def test_epstein_residue_needs_no_float_form(capsys, form, det):
     # a residue reads only the exact a c - b^2, here outside the float range,
-    # while pi/sqrt(a c - b^2) is a normal float
+    # while pi/sqrt(a c - b^2) is a normal float; pi 10^-308 has an error
+    # of a few units below the normal floats
     code, out, err = run(capsys, "epstein", "--form", form, "--residue", "--format", "json")
     assert (code, err) == (0, "")
     residue = json.loads(out)["residue"]

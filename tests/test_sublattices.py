@@ -139,29 +139,22 @@ def unreduced_integral_forms(draw):
     return GramForm.of(a, b, b * b // a + 1 + draw(st.integers(0, 6)))
 
 
-class TestCentredWindow:
-    # Each (m, l) block starts at k0 = -floor(m/2 + b l / a), which puts
-    # -A <= 2b < A for A = a m^2; at N = 1 the one block is m = l = 1
-    @settings(max_examples=60, deadline=None)
-    @given(unreduced_integral_forms(), st.integers(1, 24))
-    @example(GramForm.of(3, 5, 9), 1)  # k0 = -2; A + 2 b0 = 13 is odd
-    @example(GramForm.of(4, 1, 4), 1)  # k0 = 0
-    @example(GramForm.of(2, -5, 13), 1)  # k0 = 2
-    @example(GramForm.of(5, -7, 10), 1)  # k0 = 1; A + 2 b0 = -9 is odd
-    @example(GramForm.of(7, -20, 58), 40)  # 2|b| = 40 > a = 7
-    def test_matches_scalar_oracle(self, g, N):
-        assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
-
-
 class TestIntegerCensusCore:
-    @settings(max_examples=20, deadline=None)
-    @given(quadratic_forms(), st.integers(1, 30))
+    # Over Q each (m, l) block starts at k0 = -floor(m/2 + b l / a), which
+    # puts -A <= 2b < A for A = a m^2; at N = 1 the one block is m = l = 1
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(quadratic_forms(), unreduced_integral_forms()), st.integers(1, 24))
     @example(GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2)), 30)
     @example(GramForm.of(1, Fraction(1, 2), Fraction(1, 3)), 30)
     # large entries (past 2^63 in the first), and b < 0 in a basis that is not reduced
     @example(GramForm.of(10**19, 1, 10**19 + 7), 30)
     @example(GramForm.of(1, 0, 10**12), 30)
     @example(GramForm.of(5, -7, 11), 30)
+    @example(GramForm.of(3, 5, 9), 1)  # k0 = -2; A + 2 b0 = 13 is odd
+    @example(GramForm.of(4, 1, 4), 1)  # k0 = 0
+    @example(GramForm.of(2, -5, 13), 1)  # k0 = 2
+    @example(GramForm.of(5, -7, 10), 1)  # k0 = 1; A + 2 b0 = -9 is odd
+    @example(GramForm.of(7, -20, 58), 40)  # 2|b| = 40 > a = 7
     def test_matches_scalar_oracle(self, g, N):
         assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
 
