@@ -13,8 +13,10 @@ the walk.  Over Q, the k of each (m, l) run over the centred window of m
 cosets of k modulo m whose form has -a <= 2b < a, so the first shear of
 the reduction is done; the rest of `gram._reduce_int` and the type test of
 `gram._classify_pair` are inlined, and each sublattice adds 1 to its
-type's list in `CensusReport.by_type`.  Over Q(sqrt(D)), the census calls
-`gram._reduce_pair` and `_classify_pair`, the loops `gram.gauss_reduce` runs.
+type's list in `CensusReport.by_type`.  Where a | 2bl, the forms with b and
+-b are mirror images, so only 0 <= 2b <= a is reduced, each adding 2, less
+one at each end.  Over Q(sqrt(D)), the census calls `gram._reduce_pair` and
+`_classify_pair`, the loops `gram.gauss_reduce` runs.
 """
 
 from __future__ import annotations
@@ -104,7 +106,14 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     by A.  Over Q, k runs over k0 <= k < k0 + m, k0 = -floor((A + 2 b m l) /
     2 a m), where -A <= 2B < A; the terms that do not depend on k are
     computed once per (m, l), the reduction goes on from |B|, and the type
-    is tallied inline at index n = ml.  Over Q(sqrt(D)), k runs over 0 <= k < m.
+    is tallied inline at index n = ml.  Where a | 2bl, the window is folded:
+    k' = -k - 2bl/a gives B(k') = -B(k) and C(k') = C(k) = (B^2 + n^2 d)/A,
+    d = ac - b^2, so the two forms are equivalent under diag(1, -1) and have
+    one type; and k' is in the window -A < 2B <= A exactly when -A < 2B(k) < A.
+    So k runs over 0 <= 2B <= A, each sublattice adds 2, and the ends, their
+    own mirrors, take one back: at B = 0, (A, 0, C) is square if C = A, else
+    rectangular; at 2B = A, the last one tallied (the k0 + m shear of the one
+    at 2B = -A).  Over Q(sqrt(D)), k runs over 0 <= k < m.
     """
     D, _, ((ax, ay), (bx, by), (cx, cy)) = _checked_pairs(g)
     if N < 1:
@@ -117,9 +126,13 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
             A, axm = ax * m * m, ax * m
             for l in range(1, N // m + 1):
                 i, b0, bl2, cl = m * l - 1, bx * m * l, 2 * bx * l, cx * l * l
-                k0 = -((A + 2 * b0) // (2 * axm))
-                for k in range(k0, k0 + m):
-                    # -A <= 2b < A: _reduce_int after its first shear, inlined
+                if bl2 % ax:  # -A <= 2B < A, each sublattice once
+                    k0, w = -((A + 2 * b0) // (2 * axm)), 1
+                    stop = k0 + m
+                else:  # 0 <= 2B <= A, each sublattice and its mirror
+                    k0, stop, w = -(bx * l // ax), (A - 2 * b0) // (2 * axm) + 1, 2
+                for k in range(k0, stop):
+                    # _reduce_int after its first shear, inlined
                     a, b, c = A, axm * k + b0, (ax * k + bl2) * k + cl
                     if b < 0:
                         b = -b
@@ -132,11 +145,17 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
                         b = -r if r < 0 else r
                     # _classify_pair, inlined: b = 0, then a = c, then a = 2b
                     if not b:
-                        (square if a == c else rectangular)[i] += 1
+                        t = square if a == c else rectangular
                     elif a == c:
-                        (hexagonal if a == 2 * b else rhombic)[i] += 1
+                        t = hexagonal if a == 2 * b else rhombic
                     else:
-                        (centred if a == 2 * b else general)[i] += 1
+                        t = centred if a == 2 * b else general
+                    t[i] += w
+                if w == 2:
+                    if not b0 % axm:  # B = 0 at k0: (A, 0, C) is its own mirror
+                        (square if (ax * k0 + bl2) * k0 + cl == A else rectangular)[i] -= 1
+                    if not (A - 2 * b0) % (2 * axm):  # 2B = A at the last k: the k0 + m shear of 2B = -A
+                        t[i] -= 1
         return report
     for m in range(1, N + 1):
         for l in range(1, N // m + 1):

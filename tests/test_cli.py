@@ -582,6 +582,31 @@ class TestSeries:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+class TestCensusPinned:
+    @pytest.mark.parametrize(
+        "lattice, N, fmt, digest",
+        [
+            ("--preset square", 600, "csv", "19d64227765ce145e947568a1a93694be8faf0574d7013d1666941db3813831a"),
+            ("--preset square", 600, "json", "503ded3a3eb2240c7838dbd11c510ab6c0c27d95204a2d4dca15c03aba814e4c"),
+            ("--preset hexagonal", 600, "csv", "73047089ed80c4289e704ca8c4c81f65c997ffb4420dab50c460e2940db22223"),
+            ("--preset hexagonal", 600, "json", "527f479d57bf64ea5fedce907bf5395f68c4469d9f3d5b5a0d9f72e1eea79861"),
+            ("--gram [[2,1],[1,3]]", 600, "csv", "3966416a08a3b5d3447ab95daeb9614e1fc1532a7acd2a97717a40690ad43a5b"),
+            ("--gram [[2,1],[1,3]]", 600, "json", "8255d06b9b4851de2d872d1a26237bb64e5f0a265187cf2cfb25bcd4baf3a4ef"),
+            # a basis of the hexagonal lattice that folds only where 7 | l: the same census
+            ("--gram [[14,5],[5,2]]", 600, "csv", "73047089ed80c4289e704ca8c4c81f65c997ffb4420dab50c460e2940db22223"),
+            ("--gram [[14,5],[5,2]]", 600, "json", "527f479d57bf64ea5fedce907bf5395f68c4469d9f3d5b5a0d9f72e1eea79861"),
+            ("--gram diag(1,sqrt(2))", 60, "csv", "a96a8a096b1cb3c769034afd66cd7101def08598dd916700c48e0c8191b8c0cf"),
+            ("--gram diag(1,sqrt(2))", 60, "json", "f2b97f550852d5f1981f94a1cd8c23622179f6d3af473b7b3c7385b82ba32c4d"),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, lattice, N, fmt, digest):
+        # sha256 of the census: any change to a tally, to the walk's window
+        # or to the format shows
+        code, out, err = run(capsys, "--format", fmt, "census", *lattice.split(), "--max", str(N))
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestOtherCommands:
     def test_exists_verdicts(self, capsys):
         code, out, _ = run(capsys, "exists", "--gram", '{"t": "sqrt(2)", "n": "3"}')

@@ -141,7 +141,9 @@ def unreduced_integral_forms(draw):
 
 class TestIntegerCensusCore:
     # Over Q each (m, l) block starts at k0 = -floor(m/2 + b l / a), which
-    # puts -A <= 2b < A for A = a m^2; at N = 1 the one block is m = l = 1
+    # puts -A <= 2b < A for A = a m^2; at N = 1 the one block is m = l = 1.
+    # Where a | 2bl the window is folded to 0 <= 2B <= A, each form counted
+    # twice, and the ends B = 0 and 2B = A once
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(quadratic_forms(), unreduced_integral_forms()), st.integers(1, 24))
     @example(GramForm(Scalar(1), Scalar(0), Scalar(0, 1, 2)), 30)
@@ -155,6 +157,11 @@ class TestIntegerCensusCore:
     @example(GramForm.of(2, -5, 13), 1)  # k0 = 2
     @example(GramForm.of(5, -7, 10), 1)  # k0 = 1; A + 2 b0 = -9 is odd
     @example(GramForm.of(7, -20, 58), 40)  # 2|b| = 40 > a = 7
+    @example(GramForm.of(1, 0, 1), 8)  # folded; both ends at every even m
+    @example(GramForm.of(2, 1, 3), 12)  # folded; B = 0 only at even l
+    @example(GramForm.of(2, -1, 3), 12)
+    @example(GramForm.of(3, 1, 3), 9)  # folds only where 3 | l
+    @example(GramForm.of(14, 5, 2), 30)  # a hexagonal basis, folds only where 7 | l
     def test_matches_scalar_oracle(self, g, N):
         assert wr_census_bruteforce(g, N).to_csv() == _oracle_csv(g, N)
 
