@@ -8,12 +8,13 @@ within EPS (one ulp) of its exact result, carried through the operations
 that follow, and the next term of a truncated series where there is one.
 No array grows with the size of a sum: gamma and zeta'(2)/zeta(2) are sums
 of EM_TERMS terms with Euler-Maclaurin tails, both lattice constants rest on
-one band-gap sum over the band of `dirichlet.pair_band` (r = 3 square, r = 9
-hexagonal) in blocks of BAND_BLOCK terms, and the Epstein values at s > 1
-are a few terms of the Chowla-Selberg series; the residue at s = 1 is
-pi/sqrt(ac - b^2) on the exact entries.  The fitted model of any other
-lattice lives in `growth`.  numpy, `dirichlet`, `gram` and `growth` are
-imported inside the functions that use them: no Epstein call loads numpy.
+one band-gap sum over the band of `dirichlet.pair_band`, in blocks of
+BAND_BLOCK terms at r = 3 (square) and in closed form at r = 9 (hexagonal),
+and the Epstein values at s > 1 are a few terms of the Chowla-Selberg
+series; the residue at s = 1 is pi/sqrt(ac - b^2) on the exact entries.  The
+fitted model of any other lattice lives in `growth`.  numpy, `dirichlet`,
+`gram` and `growth` are imported inside the functions that use them: no
+Epstein call loads numpy.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ BAND_TERMS = 400_000
 BAND_BLOCK = 1 << 13
 # the rows p < EXACT_P of a band-gap sum add their 1/q one by one
 EXACT_P = 64
+BERNOULLI = tuple(Fraction(n, d) for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)))
 
 
 def euler_gamma() -> tuple[float, float]:
@@ -171,13 +173,17 @@ def _band_gap_terms(start: int, stop: int, r: int, odd: bool) -> np.ndarray:
     else:
         lo, hi, tail = p, top, _harmonic_tail
     lo, hi = lo.astype(np.float64), hi.astype(np.float64)
-    gap_log = log(r) / (2 * step)
     # over odd q the expansion carries the factor 1/2 = 1/step
-    gap = (gap_log - (np.log(hi / lo) + tail(hi) - tail(lo)) / step) / p
+    gap = (log(r) / (2 * step) - (np.log(hi / lo) + tail(hi) - tail(lo)) / step) / p
     for i in range(int(np.count_nonzero(p < EXACT_P))):
-        row, last = int(p[i]), int(top[i])
-        gap[i] = (gap_log - math.fsum(1.0 / q for q in range(row + step, last + 1, step))) / row
+        gap[i] = _exact_gap(int(p[i]), r, step)
     return gap
+
+
+def _exact_gap(p: int, r: int, step: int) -> float:
+    """The band-gap term of row p, its 1/q added one by one."""
+    top = math.isqrt(r * p * p - 1)
+    return (log(r) / (2 * step) - math.fsum(1.0 / q for q in range(p + step, top + 1, step))) / p
 
 
 def _band_gap_sums(cuts, r: int, odd: bool) -> list[float]:
@@ -230,6 +236,42 @@ def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
     return value, change + EPS * (3.0 * (terms + chain * abs(value)) + 2.0 * abs(value))
 
 
+def _hurwitz(s: int, a: Fraction) -> tuple[Fraction, Fraction]:
+    """zeta(s, a) = sum_(n >= 0) (a + n)^-s, s >= 2, exactly to the B_10 term
+    of Euler-Maclaurin at a, and the B_12 term, which bounds the rest, as
+    x^-s is completely monotone."""
+    total, rising, term = a ** (1 - s) / (s - 1) + a**-s / 2, Fraction(s), 0
+    for j, b in enumerate(BERNOULLI, 1):
+        total += term
+        term = b / math.factorial(2 * j) * rising * a ** (1 - s - 2 * j)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total, abs(term)
+
+
+def _band_gap_limit_9(odd: bool) -> tuple[float, float]:
+    """The limit of the band-gap sums at r = 9 in closed form, and its error.
+    A row's top is 3p - 1, so its term is T(p) = (log 3 - psi(3p) + psi(p + 1))/p
+    over all q, T(p/2)/4 over odd q.  The rows p < EXACT_P are exact, each within
+    EPS (2 + 2 log 9)/p as in `_band_gap_limit`; past them T(x) = 2/(3x^2) -
+    sum_k c_k x^(-2k-1), c_k = (B_2k/2k)(1 - 9^-k), within the first omitted
+    term, as both digamma remainders have its sign, and three terms summed over
+    x = a + n by `_hurwitz` are exact and round once.  fsum rounds the total."""
+    step = 2 if odd else 1
+    head = [_exact_gap(p, 9, step) for p in range(1, EXACT_P, step)]
+    a = Fraction(EXACT_P + step - 1, step)
+    tail, rest = (Fraction(2, 3) * v for v in _hurwitz(2, a))
+    for k, b in enumerate(BERNOULLI[:3], 1):
+        c = b / (2 * k) * (1 - Fraction(1, 9**k))
+        zeta, zeta_rest = _hurwitz(2 * k + 1, a)
+        tail, rest = tail - c * zeta, rest + abs(c) * zeta_rest
+    # the omitted B_8 term, with zeta(9, a) <= a^-9 + a^-8/8
+    rest += abs(BERNOULLI[3]) / 8 * (a**-9 + a**-8 / 8)
+    tail, rest = float(tail / step**2), float(rest / step**2)
+    value = math.fsum(head + [tail])
+    rows = (2.0 + 2.0 * log(9)) * math.fsum(1.0 / p for p in range(1, EXACT_P, step))
+    return value, rest + EPS * (rows + abs(tail) + abs(value))
+
+
 def c_square_eval() -> tuple[float, float]:
     """Linear-term constant of the square lattice growth law, and its error:
     the errors of its inputs carried through, and its own roundings."""
@@ -263,7 +305,7 @@ def c_triangle_eval() -> tuple[float, float]:
     error: the errors of its inputs carried through, and its own roundings."""
     (g, eg), (L, eL) = euler_gamma(), L_at_one(-3)
     (lpl, elpl), (zp, ezp) = L_prime_over_L(-3), zeta_prime_2_over_zeta_2()
-    (t1, e1), (t2, e2) = _band_gap_limit(9, odd=False), _band_gap_limit(9, odd=True)
+    (t1, e1), (t2, e2) = _band_gap_limit_9(odd=False), _band_gap_limit_9(odd=True)
     # the band-gap sums enter without the log 3 factor carried by the
     # constant part of the bracket, the odd one with weight 4
     bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - 4.0 * t2

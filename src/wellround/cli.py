@@ -42,6 +42,11 @@ MAX_SUMMATORY_INDEX = 10**9
 # on [[1,0],[0,1000]]
 MAX_FRAME_BOUND = 700
 DEFAULT_CHECKPOINTS = (1000, 10_000, 100_000)
+# the largest --max whose preset formula counts come from `general.count_wr`,
+# not the Dirichlet identity and its numpy import; CLI wall times, identity /
+# count_wr (medians of 7, 2-CPU VM), square: 0.117 / 0.057 s at 600, 0.126 /
+# 0.092 s at 10^4, 0.146 / 0.201 s at 4*10^4; hexagonal alike
+PRESET_IDENTITY_FROM = 10**4
 
 
 class CliError(Exception):
@@ -154,15 +159,15 @@ def cmd_classify(args) -> int:
 
 
 def _formula_counts(g: GramForm, N: int, preset: str | None) -> list[int]:
-    """Well-rounded counts by index 1..N; a(n) is at position n - 1."""
-    if preset == "square":
-        from .square import a_square
-
-        return list(a_square(N))
-    if preset == "hexagonal":
-        from .hexagonal import a_hex
-
-        return list(a_hex(N))
+    """Well-rounded counts by index 1..N; a(n) is at position n - 1.  A
+    preset above PRESET_IDENTITY_FROM takes its Dirichlet identity (numpy);
+    every other call takes `general.count_wr`, which gives the same counts."""
+    if preset and N > PRESET_IDENTITY_FROM:
+        if preset == "square":
+            from .square import a_square as counts
+        else:
+            from .hexagonal import a_hex as counts
+        return list(counts(N))
     from .general import count_wr
 
     return count_wr(g, N)

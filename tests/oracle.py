@@ -29,7 +29,8 @@ of truncated sums that shows the lattice sums reach the residue
 pi/sqrt(ac - b^2).  `epstein_series` is the same Chowla-Selberg series as
 `asympt.epstein_value`, at 30 digits in mpmath.  `richardson` takes the three band-gap sums of
 `asympt._richardson` from three passes of `asympt._band_gap_sums`, the
-reference for its one pass.
+reference for its one pass; `band_gap_limit_9` is the limit of those sums at
+r = 9, by mpmath's `nsum` of their digamma form.
 The rest are the paper's statements that only the tests check, kept out of
 the package: `Unimodular` basis changes, `is_well_rounded`, the dual
 invariants `g_star` and `brs_index`, the coincidence lattice of a frame
@@ -47,6 +48,7 @@ evaluate truncated series (`evaluate`) against mpmath's zeta and L values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -505,6 +507,21 @@ def richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
     mid = band_gap_sum(P)
     value = 2.0 * band_gap_sum(2 * P) - mid
     return value, abs(2.0 * mid - band_gap_sum(P // 2) - value)
+
+
+@functools.cache
+def band_gap_limit_9(odd: bool) -> mpmath.mpf:
+    """The limit of `asympt`'s band-gap sums at r = 9, at 30 digits: the
+    mpmath `nsum` over p of (log 3 - psi(3p) + psi(p + 1))/p, or over odd p
+    of (log 3 - psi(3p/2) + psi(p/2 + 1))/(2p)."""
+    with mpmath.workdps(30):
+        if odd:
+            def term(j):
+                return (mpmath.log(3) - mpmath.digamma(3 * j + 1.5) + mpmath.digamma(j + 1.5)) / (4 * j + 2)
+        else:
+            def term(p):
+                return (mpmath.log(3) - mpmath.digamma(3 * p) + mpmath.digamma(p + 1)) / p
+        return mpmath.nsum(term, [0 if odd else 1, mpmath.inf])
 
 
 def _square_bound(Q, R: float) -> tuple[tuple[float, float, float], int]:

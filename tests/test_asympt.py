@@ -70,9 +70,11 @@ class TestConstants:
             assert abs(asympt.zeta_prime_2_over_zeta_2()[0] - ratio) <= 1e-15
 
     def test_lattice_constants_within_stated_error_of_long_sums(self, monkeypatch):
-        # the four band-gap limits at ten times BAND_TERMS values of p
+        # c_square from its two band-gap limits at ten times BAND_TERMS values
+        # of p, c_triangle from its two at 30 digits in mpmath
         shipped = asympt.c_square_eval(), asympt.c_triangle_eval()
         monkeypatch.setattr(asympt, "BAND_TERMS", 10 * asympt.BAND_TERMS)
+        monkeypatch.setattr(asympt, "_band_gap_limit_9", lambda odd: (float(oracle.band_gap_limit_9(odd)), 0.0))
         long = asympt.c_square_eval()[0], asympt.c_triangle_eval()[0]
         for (value, error), reference in zip(shipped, long):
             # the estimate bounds the distance, and is no floor
@@ -161,6 +163,32 @@ class TestBandGapSum:
             p = np.arange(largest - 2000, largest + 1, dtype=np.int64)
             top = _isqrt(r * p * p - 1)
             assert [int(t) for t in top] == [math.isqrt(r * int(v) * int(v) - 1) for v in p]
+
+
+class TestBandGapClosedForm:
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_within_its_error_of_mpmath(self, odd):
+        value, error = asympt._band_gap_limit_9(odd)
+        assert abs(value - oracle.band_gap_limit_9(odd)) <= error < 1e-14
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_within_the_extrapolated_sums_error(self, odd):
+        # the numpy path of c_square, at r = 9, stays a cross-check
+        value, _ = asympt._band_gap_limit_9(odd)
+        extrapolated, error = asympt._band_gap_limit(9, odd)
+        assert abs(value - extrapolated) <= error
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 7, 9])
+    @pytest.mark.parametrize("a", [Fraction(64), Fraction(65, 2), Fraction(3)])
+    def test_hurwitz_within_its_rest_of_mpmath(self, s, a):
+        # the Euler-Maclaurin terms to B_10 are exact, and the B_12 term
+        # bounds the rest
+        def mp(x):
+            return mpmath.mpf(x.numerator) / x.denominator
+
+        value, rest = asympt._hurwitz(s, a)
+        with mpmath.workdps(40):
+            assert abs(mp(value) - mpmath.zeta(s, mp(a))) <= mp(rest)
 
 
 class TestIntervalSumBounds:

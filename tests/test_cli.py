@@ -582,6 +582,16 @@ class TestSeries:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("N", [1, 600, 10_000, 10_001])
+@pytest.mark.parametrize("preset, gram", [("square", "[[1,0],[0,1]]"), ("hexagonal", "[[2,1],[1,2]]")])
+def test_preset_formula_equals_its_gram_spelling(capsys, preset, gram, N):
+    # count_wr on both sides up to PRESET_IDENTITY_FROM, the Dirichlet
+    # identity against count_wr past it
+    for fmt in ("csv", "json"):
+        argv = ["--format", fmt, "census", "--max", str(N), "--mode", "formula"]
+        assert run(capsys, *argv, "--preset", preset) == run(capsys, *argv, "--gram", gram)
+
+
 class TestCensusPinned:
     @pytest.mark.parametrize(
         "lattice, N, fmt, digest",
@@ -755,6 +765,9 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
     calls = [
         ["classify", "--preset", "square"],
         ["census", "--preset", "square", "--max", "30"],
+        # a preset's formula counts up to PRESET_IDENTITY_FROM come from count_wr
+        *(["census", "--preset", preset, "--max", "600", "--mode", mode]
+          for preset in ["square", "hexagonal"] for mode in ["formula", "both"]),
         *(
             ["census", "--gram", gram, "--max", "30", "--mode", mode]
             for gram in ["[[2,1],[1,3]]", "diag(1,sqrt(2))"]
@@ -811,6 +824,15 @@ def test_census_and_classify_load_no_counting_theory(argv):
     loaded = _modules_loaded_by(argv)
     assert "wellround.gram" in loaded
     assert not {"wellround.general", "dataclasses"} & set(loaded)
+
+
+@pytest.mark.parametrize("preset", ["square", "hexagonal"])
+def test_preset_formula_past_the_switch_loads_the_identity(preset):
+    from wellround.cli import PRESET_IDENTITY_FROM
+
+    loaded = _modules_loaded_by(["census", "--preset", preset, "--max", str(PRESET_IDENTITY_FROM + 1), "--mode", "formula"])
+    assert {"wellround.dirichlet", "numpy"} <= set(loaded)
+    assert "wellround.general" not in loaded
 
 
 @pytest.mark.parametrize(
