@@ -5,20 +5,18 @@ Each float the CLI prints with an error comes from one call here, as a pair
 (value, abs_error): `constants_table`, `epstein_value`, `epstein_residue`.
 Each error adds the roundings of its float operations, each taken to be
 within EPS (one ulp) of its exact result, carried through the operations
-that follow, and the next term of a truncated series where there is one.
-No array grows with the size of a sum: gamma and zeta'(2)/zeta(2) are sums
-of EM_TERMS terms with Euler-Maclaurin tails, both lattice constants rest on
-one band-gap sum over the band of `dirichlet.pair_band`, in blocks of
-BAND_BLOCK terms at r = 3 (square) and in closed form at r = 9 (hexagonal),
-and the Epstein values at s > 1 are a few terms of the Chowla-Selberg
-series; the residue at s = 1 is pi/sqrt(ac - b^2) on the exact entries.  The
-fitted model of any other lattice lives in `growth`.  numpy, `dirichlet`,
-`gram` and `growth` are imported inside the functions that use them: no
-Epstein call loads numpy.
+that follow, and a bound on the rest of each truncated series.  Nothing here
+builds an array or loads numpy: gamma and zeta'(2)/zeta(2) are sums of
+EM_TERMS terms with Euler-Maclaurin tails, both lattice constants rest on
+band-gap limits summed over unimodular cones in closed form, Epstein values
+at s > 1 are a few terms of the Chowla-Selberg series (or lattice shells at
+large s), and the residue at s = 1 is pi/sqrt(ac - b^2) on the exact
+entries.  The fitted model of any other lattice lives in `growth`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -33,6 +31,7 @@ class DomainError(ValueError):
     pass
 
 
+LOG2 = log(2.0)
 LOG3 = log(3.0)
 ZETA2 = pi * pi / 6.0
 # one ulp of 1.0: each float operation and libm call here is taken to land
@@ -43,17 +42,12 @@ EPS = 2.0**-52
 # terms summed before the Euler-Maclaurin tails of euler_gamma,
 # zeta'(2)/zeta(2) and `_zeta`
 EM_TERMS = 1_000
-# values of p in each band-gap sum; `_richardson` also takes twice as many,
-# so odd p reaches 4 * BAND_TERMS and r p^2 stays below 2^62, where
-# `dirichlet._isqrt` is exact
-BAND_TERMS = 400_000
-# values of p whose band-gap terms are evaluated at once; of the powers of 2
-# from 2^11 to 2^17, 2^13 ran the two lattice constants fastest, and from
-# 2^14 up the block raises the peak RSS (2^17: 27 -> 41 MB)
-BAND_BLOCK = 1 << 13
-# the rows p < EXACT_P of a band-gap sum add their 1/q one by one
-EXACT_P = 64
-BERNOULLI = tuple(Fraction(n, d) for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730)))
+# an Epstein value whose series error exceeds SHELL_FROM of it is also summed
+# over its lattice's shells (`_shell_sum`), at most up to q = SHELL_MAX
+SHELL_FROM, SHELL_MAX = 1e-13, 1 << 10
+# B_2, B_4, ..., B_22
+BERNOULLI = tuple(Fraction(n, d) for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730),
+                                              (7, 6), (-3617, 510), (43867, 798), (-174611, 330), (854513, 138)))
 
 
 def euler_gamma() -> tuple[float, float]:
@@ -84,17 +78,15 @@ def zeta_prime_2_over_zeta_2() -> tuple[float, float]:
 
 
 def L_at_one(D: int) -> tuple[float, float]:
-    """L(1, chi_D) from the finite character sum, and its error: pi, the
-    power, the quotient and the product, each within EPS."""
-    from .dirichlet import CHI_MINUS3, CHI_MINUS4
-
-    chi = {-4: CHI_MINUS4, -3: CHI_MINUS3}.get(D)
-    if chi is None:
+    """L(1, chi_D), and its error: the residue of Z(s) = units zeta(s) L(s, chi_D)
+    of x^2 + y^2 (4 units) or x^2 + xy + y^2 (Gram entries (1, 1/2, 1), 6
+    units) from `epstein_residue`, over the units, rounded once more."""
+    if D not in (-4, -3):
         raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-    q = chi.modulus
-    total = sum(n * chi(n) for n in range(1, q))
-    value = -pi / q ** 1.5 * total
-    return value, 4.0 * EPS * abs(value)
+    units, det = (4, {1: 1}) if D == -4 else (6, {1: Fraction(3, 4)})
+    residue, error = epstein_residue(det)
+    value = residue / units
+    return value, error / units + EPS * value
 
 
 def _agm(x: float, y: float) -> tuple[float, float]:
@@ -133,112 +125,22 @@ def L_prime_over_L(D: int) -> tuple[float, float]:
 
 # -- the two lattice constants ------------------------------------------------
 
-
-def _harmonic_tail(n: np.ndarray) -> np.ndarray:
-    """H(n) - log n - gamma = 1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(252n^6)
-    + 1/(240n^8) - ..."""
-    x = 1.0 / n
-    y = x * x
-    return 0.5 * x - y * (1.0 / 12 - y * (1.0 / 120 - y * (1.0 / 252 - y / 240)))
-
-
-def _half_digamma_tail(x: np.ndarray) -> np.ndarray:
-    """psi(x + 1/2) - log x = 1/(24x^2) - 7/(960x^4) + 31/(8064x^6)
-    - 127/(30720x^8) + ..."""
-    y = 1.0 / (x * x)
-    return y * (1.0 / 24 - y * (7.0 / 960 - y * (31.0 / 8064 - y * (127.0 / 30720))))
-
-
-def _band_gap_terms(start: int, stop: int, r: int, odd: bool) -> np.ndarray:
-    """The terms (1/p)(log(r)/(2 step) - sum_q 1/q) of the band-gap sum over
-    the band of `dirichlet.pair_band(N, r, odd)`, for the values of p from
-    the start-th to before the stop-th, odd only when `odd`, and for each p
-    the q = p (mod step) with p < q and q^2 < r p^2.
-
-    Each row's sum over q is one log of a ratio plus the corrections of an
-    asymptotic expansion: H(top) - H(p) over all q, and over odd q
-    (psi(b + 1/2) - psi(a + 1/2))/2 with a = (p + 1)/2 and b = (top + 1)//2.
-    The rows p < EXACT_P, where the truncated expansion is short of double
-    precision, add their 1/q one by one.
-    """
-    import numpy as np
-
-    from .dirichlet import _isqrt
-
-    step = 2 if odd else 1
-    p = np.arange(1 + step * start, 1 + step * stop, step, dtype=np.int64)
-    top = _isqrt(r * p * p - 1)
-    if odd:
-        lo, hi, tail = (p + 1) // 2, (top + 1) // 2, _half_digamma_tail
-    else:
-        lo, hi, tail = p, top, _harmonic_tail
-    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
-    # over odd q the expansion carries the factor 1/2 = 1/step
-    gap = (log(r) / (2 * step) - (np.log(hi / lo) + tail(hi) - tail(lo)) / step) / p
-    for i in range(int(np.count_nonzero(p < EXACT_P))):
-        gap[i] = _exact_gap(int(p[i]), r, step)
-    return gap
-
-
-def _exact_gap(p: int, r: int, step: int) -> float:
-    """The band-gap term of row p, its 1/q added one by one."""
-    top = math.isqrt(r * p * p - 1)
-    return (log(r) / (2 * step) - math.fsum(1.0 / q for q in range(p + step, top + 1, step))) / p
-
-
-def _band_gap_sums(cuts, r: int, odd: bool) -> list[float]:
-    """The band-gap sums over the first k terms, for each k of the ascending
-    `cuts`, in one pass over blocks of BAND_BLOCK terms.
-
-    The sum to k adds the sums of the blocks before k's block and of that
-    block up to k, so it equals the sum of a pass to k alone: it does not
-    depend on the other cuts.
-    """
-    import numpy as np
-
-    prefix = dict.fromkeys(cuts, 0.0)
-    total = 0.0
-    for start in range(0, cuts[-1], BAND_BLOCK):
-        gap = _band_gap_terms(start, min(start + BAND_BLOCK, cuts[-1]), r, odd)
-        for k in cuts:
-            if start < k <= start + gap.size:
-                prefix[k] = total + float(np.sum(gap[: k - start]))
-        total += float(np.sum(gap))
-    return [prefix[k] for k in cuts]
-
-
-def _richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
-    """The limit of the band-gap sums over P terms, and its change from P/2."""
-    half, mid, full = _band_gap_sums((P // 2, P, 2 * P), r, odd)
-    # partial sums approach the limit like A/P; eliminate the leading tail
-    value = 2.0 * full - mid
-    return value, abs(2.0 * mid - half - value)
-
-
-def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
-    """`_richardson` at BAND_TERMS, with the rounding of its sums added to
-    its change.
-
-    Each term lies in [0, 1/p^2] and is within EPS (2 + 2 log r)/p of its
-    exact value: a quotient and a log near log(r)/2, two additions of that
-    size, log r itself, and a difference and a quotient of results below
-    1/p (the exact rows round less).  The terms of a block add pairwise,
-    numpy's eight-way leaves of 128 then halving, and then block by block:
-    a chain of at most log2(BAND_BLOCK) + 13 + blocks roundings of results
-    at most the limit.  The limit 2 full - mid triples the error of a sum,
-    and rounds twice more.
-    """
-    P = BAND_TERMS
-    value, change = _richardson(P, r, odd)
-    step = 2 if odd else 1
-    terms = (2.0 + 2.0 * log(r)) * (1.0 + log(2 * step * P))
-    chain = math.log2(BAND_BLOCK) + 13 + 2 * P / BAND_BLOCK
-    return value, change + EPS * (3.0 * (terms + chain * abs(value)) + 2.0 * abs(value))
+# the r = 3 bands summed (the rest adds at most 1.1e-16); the values of nu each
+# cone sums by digamma, and the last Bernoulli index of its Euler-Maclaurin
+# tail; a digamma difference adds terms until x >= PSI_SHIFT, then its
+# asymptotic series until a term is below PSI_CUT of the first
+BANDS_3, CONE_NU, CONE_ORDER, PSI_SHIFT, PSI_CUT = 27, 10, 16, 10, 2.0**-58
+# B_2k/2k; and (-1)^(k-1) B_k(c)/k for k = 1 and the even k to CONE_ORDER,
+# by 2c, with B_1(c) = c - 1/2 and B_k(1/2) = (2^(1-k) - 1) B_k
+PSI_COEFFS = tuple(float(b / (2 * j)) for j, b in enumerate(BERNOULLI, 1))
+CONE_COEFFS = {c2: (c2 / 2 - 0.5, *(float(b / (2 * j) * ((1 - Fraction(2, 4**j)) if c2 == 1 else -1))
+                                  for j, b in enumerate(BERNOULLI[: CONE_ORDER // 2], 1)))
+               for c2 in (0, 1, 2)}
 
 
 def _hurwitz(s: int, a: Fraction) -> tuple[Fraction, Fraction]:
-    """zeta(s, a) = sum_(n >= 0) (a + n)^-s, s >= 2, exactly to the B_10 term
-    of Euler-Maclaurin at a, and the B_12 term, which bounds the rest, as
+    """zeta(s, a) = sum_(n >= 0) (a + n)^-s, s >= 2, exactly to the B_20 term
+    of Euler-Maclaurin at a, and the B_22 term, which bounds the rest, as
     x^-s is completely monotone."""
     total, rising, term = a ** (1 - s) / (s - 1) + a**-s / 2, Fraction(s), 0
     for j, b in enumerate(BERNOULLI, 1):
@@ -248,28 +150,102 @@ def _hurwitz(s: int, a: Fraction) -> tuple[Fraction, Fraction]:
     return total, abs(term)
 
 
-def _band_gap_limit_9(odd: bool) -> tuple[float, float]:
-    """The limit of the band-gap sums at r = 9 in closed form, and its error.
-    A row's top is 3p - 1, so its term is T(p) = (log 3 - psi(3p) + psi(p + 1))/p
-    over all q, T(p/2)/4 over odd q.  The rows p < EXACT_P are exact, each within
-    EPS (2 + 2 log 9)/p as in `_band_gap_limit`; past them T(x) = 2/(3x^2) -
-    sum_k c_k x^(-2k-1), c_k = (B_2k/2k)(1 - 9^-k), within the first omitted
-    term, as both digamma remainders have its sign, and three terms summed over
-    x = a + n by `_hurwitz` are exact and round once.  fsum rounds the total."""
-    step = 2 if odd else 1
-    head = [_exact_gap(p, 9, step) for p in range(1, EXACT_P, step)]
-    a = Fraction(EXACT_P + step - 1, step)
-    tail, rest = (Fraction(2, 3) * v for v in _hurwitz(2, a))
-    for k, b in enumerate(BERNOULLI[:3], 1):
-        c = b / (2 * k) * (1 - Fraction(1, 9**k))
-        zeta, zeta_rest = _hurwitz(2 * k + 1, a)
-        tail, rest = tail - c * zeta, rest + abs(c) * zeta_rest
-    # the omitted B_8 term, with zeta(9, a) <= a^-9 + a^-8/8
-    rest += abs(BERNOULLI[3]) / 8 * (a**-9 + a**-8 / 8)
-    tail, rest = float(tail / step**2), float(rest / step**2)
-    value = math.fsum(head + [tail])
-    rows = (2.0 + 2.0 * log(9)) * math.fsum(1.0 / p for p in range(1, EXACT_P, step))
-    return value, rest + EPS * (rows + abs(tail) + abs(value))
+@functools.cache
+def _tail_zetas(twice_nu: int) -> tuple[tuple[float, float], ...]:
+    """(zeta(k + 1, twice_nu/2), error) for k = 1 and the even k to CONE_ORDER."""
+    pairs = (_hurwitz(k + 1, Fraction(twice_nu, 2)) for k in (1, *range(2, CONE_ORDER + 1, 2)))
+    return tuple((float(v), EPS * float(v) + (1.0 + EPS) * float(rest)) for v, rest in pairs)
+
+
+def _cone_gap(a, b, include_b: bool, odd: bool) -> tuple[float, float]:
+    """The share in `_band_gap_limit(r, odd)` of the points strictly inside
+    the cone of a = (alpha, gamma), b = (beta, delta), alpha delta - beta gamma
+    = 1, and on b's ray with `include_b`, and its error.  The points are
+    e((i + c) a + nu b), i >= 0: e = 1, c = 0 (1 without b's ray), nu >= 1 over
+    all p; e = 2, c, nu in {0, 1/2, 1} + Z giving (1, 1) mod 2 over odd p.  The
+    share is (gamma_E + log e) I0/e^2, I0 = log1p(1/(beta gamma)), less the
+    constant term at s = 0 of sum p^(-1-s)/q, whose rows nu < nu_min + CONE_NU
+    are digamma differences and the rest Euler-Maclaurin sums in i (README,
+    `wellround.asympt`).  The error adds each term's roundings times its size,
+    the fsum's, the bound on each truncated series and the zeta values'."""
+    (al, ga), (be, de) = a, b
+    # over odd p, m a + n b = (1, 1) mod 2 at m = delta - beta, n = alpha - gamma
+    m, n = ((de - be) % 2, (al - ga) % 2) if odd else (0, 0)
+    e, c2, n2 = 1 + odd, m or (0 if include_b else 2), 2 - n
+    terms, size, rest = [], 0.0, 0.0  # size: each term's size times its roundings
+    for m2 in range(n2, n2 + 2 * CONE_NU, 2):
+        # X = 2 alpha (i + u), Y = 2 gamma (i + w), m2 = 2 nu
+        X, Y, i = al * c2 + be * m2, ga * c2 + de * m2, 0
+        while X < 2 * PSI_SHIFT * al:
+            terms.append(-4 / (X * Y))
+            size -= terms[-1]
+            X, Y, i = X + 2 * al, Y + 2 * ga, i + 1
+        term, first = 2 / m2 * math.log1p((2 * i + c2) / (be * Y)), 4 / (X * Y)
+        terms += (term, -first / 2)
+        size += 4.0 * term + first / 2
+        # h = sum_(j <= n) x^-j y^-(n-j) = y^-n + h / x, with 1/x = ix
+        ix, iy, h, power = 2 * al / X, 2 * ga / Y, 1.0, 1.0
+        for k, coeff in enumerate(PSI_COEFFS, 1):
+            power, h = power * iy, power * iy + ix * h
+            term = coeff * first * h
+            if abs(term) <= PSI_CUT * first or k == len(PSI_COEFFS):
+                rest += abs(term)
+                break
+            terms.append(-term)
+            size += (6 * k + 4) * abs(term)
+            power, h = power * iy, power * iy + ix * h
+    # 2 log 2 I0 where e = 2, nu_min = 1; -I'0 (beta rounds past 2^53; H_m/m
+    # falls, so the first term below PSI_CUT eta over 1 - eta bounds the rest)
+    I0 = math.log1p(1 / (be * ga))
+    terms += (2.0 * LOG2 * I0 * (e == n2 == 2), math.log(be) * I0)
+    size += 4.0 * terms[-2] + 6.0 * terms[-1]
+    eta, H, m = 1 / (al * de), 1.0, 1
+    while (term := H / m / (al * de) ** m) > PSI_CUT * eta:
+        terms.append(term)
+        size += (2 * m + 3) * term
+        m += 1
+        H += 1.0 / m
+    rest += term / (1.0 - eta)
+    # T: rho_a^k - rho_b^k = P/(beta delta), P_k = rho_a P_(k-1) + rho_b^(k-1)
+    rho_a, rho_b, gap, P, power = al / be, ga / de, 1 / (be * de), 0.0, 1.0
+    tail = iter(zip(CONE_COEFFS[c2], _tail_zetas(n2 + 2 * CONE_NU)))
+    for k in range(1, CONE_ORDER + 1):
+        P, power = rho_a * P + power, power * rho_b
+        if k == 1 or k % 2 == 0:
+            coeff, (z, z_error) = next(tail)
+            terms.append(coeff * P * gap * z)
+            size += (3 * k + 5) * abs(terms[-1])
+            rest += abs(coeff) * P * gap * z_error
+    rest += abs(float(BERNOULLI[CONE_ORDER // 2 - 1])) / CONE_ORDER * P * gap * (z + z_error)
+    value = math.fsum(terms)
+    return value / e**2, (EPS * (size + abs(value)) + rest) / e**2
+
+
+def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
+    """L(r, odd) = sum_p (1/p)(log(r)/(2 step) - sum_q 1/q) over the band
+    p < q < sqrt(r) p of `dirichlet.pair_band(N, r, odd)` (step 2: odd p, q),
+    r = 3 or 9, and its error: the fsum of the shares of unimodular cones
+    (`_cone_gap`; Shintani and Zagier's cone decomposition).  At r = 9 the
+    cones are those of (1, 1), (1, 2) and (1, 2), (1, 3); at r = 3, band j is
+    U^j of those of (1, 1), (2, 3) and (2, 3), (3, 5), U = [[2, 1], [3, 2]]
+    the unit 2 + sqrt 3.  Past BANDS_3 bands, lam = q/p of (p, q) = U^J (1, 1)
+    < q/p < sqrt(3): each row is within 1/(lam p) of A/step, A = log1p(2/q^2)/2,
+    and the rows below Q, the p of U^J (2, 3), are empty, so the rest adds at
+    most A (1 + log Q) + 1/(lam (Q - 1)), rounded up."""
+    if r not in (3, 9):
+        raise UnsupportedDiscriminantError(f"band-gap limit at r = {r} not supported")
+    rays, upper, bands = ((1, 1), (1, 2), (1, 3)), False, 1
+    if r == 3:
+        rays, upper, bands = ((1, 1), (2, 3), (3, 5)), True, BANDS_3
+    cones = []
+    for _ in range(bands):
+        cones += [(rays[0], rays[1], True), (rays[1], rays[2], upper)]
+        rays = tuple((2 * p + q, 3 * p + 2 * q) for p, q in rays)
+    (p, q), Q = rays[0], rays[1][0]
+    rest = (r == 3) * (math.log1p(2 / q**2) / 2 * (1 + math.log(Q)) + p / (q * (Q - 1))) * (1 + 8 * EPS)
+    shares = [_cone_gap(a, b, include_b, odd) for a, b, include_b in cones]
+    value = math.fsum(v for v, _ in shares)
+    return value, math.fsum(e for _, e in shares) + EPS * abs(value) + rest
 
 
 def c_square_eval() -> tuple[float, float]:
@@ -278,23 +254,13 @@ def c_square_eval() -> tuple[float, float]:
     (g, eg), (L, eL) = euler_gamma(), L_at_one(-4)
     (lpl, elpl), (zp, ezp) = L_prime_over_L(-4), zeta_prime_2_over_zeta_2()
     (s1, e1), (s2, e2) = _band_gap_limit(3, odd=False), _band_gap_limit(3, odd=True)
-    bracket = (
-        ZETA2
-        + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
-        + (LOG3 / 3.0) * (2.0 * g - LOG3 / 4.0 - log(2.0) / 6.0)
-        - s1
-        - (4.0 / 3.0) * s2
-    )
+    bracket = (ZETA2 + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
+               + (LOG3 / 3.0) * (2.0 * g - LOG3 / 4.0 - log(2.0) / 6.0) - s1 - (4.0 / 3.0) * s2)
     # gamma enters three times besides its share of L'/L; ZETA2 rounds four
     # times; the bracket's 21 roundings each round a result below `size`
     size = ZETA2 + abs(lpl) + 3.0 * abs(g) + 2.0 * abs(zp) + LOG3 + abs(s1) + 2.0 * abs(s2)
-    bracket_error = (
-        4.0 * EPS * ZETA2
-        + (LOG3 / 3.0) * (elpl + 3.0 * eg + 2.0 * ezp)
-        + e1
-        + (4.0 / 3.0) * e2
-        + 21 * EPS * size
-    )
+    bracket_error = (4.0 * EPS * ZETA2 + (LOG3 / 3.0) * (elpl + 3.0 * eg + 2.0 * ezp)
+                     + e1 + (4.0 / 3.0) * e2 + 21 * EPS * size)
     value = L / ZETA2 * bracket
     # L's error, ZETA2's four roundings, the quotient and the product
     return value, abs(value) * (eL / abs(L) + 6.0 * EPS) + abs(L / ZETA2) * bracket_error
@@ -305,7 +271,7 @@ def c_triangle_eval() -> tuple[float, float]:
     error: the errors of its inputs carried through, and its own roundings."""
     (g, eg), (L, eL) = euler_gamma(), L_at_one(-3)
     (lpl, elpl), (zp, ezp) = L_prime_over_L(-3), zeta_prime_2_over_zeta_2()
-    (t1, e1), (t2, e2) = _band_gap_limit_9(odd=False), _band_gap_limit_9(odd=True)
+    (t1, e1), (t2, e2) = _band_gap_limit(9, odd=False), _band_gap_limit(9, odd=True)
     # the band-gap sums enter without the log 3 factor carried by the
     # constant part of the bracket, the odd one with weight 4
     bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - 4.0 * t2
@@ -408,7 +374,8 @@ def epstein_value(Q, s: float) -> tuple[float, float]:
     at least 2.  The error adds the roundings, carried through (math.gamma
     within 10 EPS: CPython tests it to 10 ulps), those of `_zeta` and
     `_bessel_k`, the rounding of a, beta and y, and the Bessel tail, cut
-    once within EPS.  Results outside the float range are refused."""
+    once within EPS; past SHELL_FROM of the value, `_shell_sum` may give a
+    smaller one.  Results outside the float range are refused."""
     from .gram import _reduce_int
 
     A, B, C = (Fraction(v) for v in Q)
@@ -451,9 +418,43 @@ def epstein_value(Q, s: float) -> tuple[float, float]:
         error = a**-s * bracket_error + abs(value) * (2.0 * EPS + math.expm1(-s * math.log1p(-6.0 * EPS)))
     except OverflowError:
         value = error = math.inf
+    if not error < SHELL_FROM * value:
+        shells = _shell_sum(A, B, C, s)
+        if shells is not None and not shells[1] >= error:
+            value, error = shells
     if not (math.isfinite(value) and math.isfinite(error)):
         raise DomainError(f"Z(s) of the form at s = {s!r} or its error is outside the float range")
     return value, error
+
+
+def _shell_sum(A: Fraction, B: Fraction, C: Fraction, s: float) -> tuple[float, float] | None:
+    """Z(s) of the reduced form (A, B, C) as its lattice sum over q = Q/A <= k,
+    the first power of 2 whose tail bound is within EPS, and its error; None
+    past SHELL_MAX or the float range.  At most (2 sqrt(t/delta) + 1)
+    (2 sqrt(t) + 1) points have q <= t, delta = (AC - B^2)/A^2 >= 3/4, which
+    bounds the points past k.  Each q rounds once and q^-s s + 1 times as
+    much; the fsum once, A^-s s + 1 times and the product once."""
+    k, root = 2, sqrt(0.75)
+    c1, c2 = 4 * s / (root * (s - 1)), 2 * s * (1 / root + 1) / (s - 0.5)
+    while not (tail := k**-s * (c1 * k + c2 * sqrt(k) + 1)) <= EPS:
+        k *= 2
+        if k > SHELL_MAX:
+            return None
+    L = math.lcm(A.denominator, B.denominator, C.denominator)
+    a, b, c = int(A * L), int(B * L), int(C * L)
+    # q <= k: (a m + b n)^2 + (ac - b^2) n^2 <= k a^2, on a superset of each row
+    d, rows = a * c - b * b, math.isqrt(k * a * a // (a * c - b * b))
+    terms = [((a * m * m + 2 * b * m * n + c * n * n) / a) ** -s for n in range(-rows, rows + 1)
+             for r in [math.isqrt(max(k * a * a - d * n * n, 0)) + 1]
+             for m in range((-b * n - r) // a, (-b * n + r) // a + 2) if m or n]
+    try:
+        scale = float(A) ** -s
+    except OverflowError:
+        return None
+    value = scale * math.fsum(terms)
+    if not 0 < value < math.inf:
+        return None
+    return value, value * math.expm1((2 * s + 4) * math.log1p(EPS)) + scale * tail
 
 
 def epstein_residue(det) -> tuple[float, float]:

@@ -220,9 +220,8 @@ def _band_rows(t: int, r: int, odd: bool) -> tuple[np.ndarray, np.ndarray, int]:
 def pair_band(N: int, r: int, odd: bool = False) -> ArithSeq:
     """w(n) = number of factorizations n = p*q with p < q and q^2 < r p^2.
 
-    With `odd`, p and q are both odd.  The band-gap sums of the lattice
-    constants run over the same band: `asympt._band_gap_terms` at r = 3, and
-    `asympt._band_gap_limit_9`, in closed form, at r = 9.  The odd
+    With `odd`, p and q are both odd.  The band-gap limits of the lattice
+    constants (`asympt._band_gap_limit`) run over the same band.  The odd
     loop may start at p = 1: no odd q lies in (1, sqrt(r)) for r <= 9.
     """
     rows, tops, step = _band_rows(N, r, odd)

@@ -27,10 +27,13 @@ integral tail, the brute-force check of the series values of
 `asympt.epstein_value`, and `meshgrid_extrapolants` is the Richardson ladder
 of truncated sums that shows the lattice sums reach the residue
 pi/sqrt(ac - b^2).  `epstein_series` is the same Chowla-Selberg series as
-`asympt.epstein_value`, at 30 digits in mpmath.  `richardson` takes the three band-gap sums of
-`asympt._richardson` from three passes of `asympt._band_gap_sums`, the
-reference for its one pass; `band_gap_limit_9` is the limit of those sums at
-r = 9, by mpmath's `nsum` of their digamma form.
+`asympt.epstein_value`, at 30 digits in mpmath.  The band-gap limits of
+`asympt._band_gap_limit` come two more ways: `band_gap_limit`, the long
+numpy row sums (`band_gap_terms` in blocks by `band_gap_sums`) with a
+Richardson step (`richardson`), and `cone_limit`, the same cone
+decomposition at 30 digits on mpmath's digamma, Hurwitz zeta, Bernoulli
+polynomials and dilogarithm; `band_row_sum` sums the first band by rows in
+plain Python.
 The rest are the paper's statements that only the tests check, kept out of
 the package: `Unimodular` basis changes, `is_well_rounded`, the dual
 invariants `g_star` and `brs_index`, the coincidence lattice of a frame
@@ -59,9 +62,10 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from wellround import asympt
-from wellround.asympt import DomainError, _band_gap_sums
+from wellround.asympt import DomainError
 from wellround.dirichlet import (
     ArithSeq,
+    _isqrt,
     alt_powers,
     convolve,
     moebius_seq,
@@ -498,30 +502,178 @@ def nonrational_census(g: GramForm, x: int) -> ArithSeq:
     return ArithSeq(counts)
 
 
+# -- band-gap limits: long numpy row sums and the 30-digit cone decomposition --
+
+# values of p in each band-gap sum; `richardson` also takes twice as many, so
+# odd p reaches 4 P and r p^2 stays below 2^62, where `dirichlet._isqrt` is
+# exact up to P = 10 BAND_TERMS
+BAND_TERMS = 400_000
+# values of p whose band-gap terms are evaluated at once
+BAND_BLOCK = 1 << 13
+# the rows p < EXACT_P of a band-gap sum add their 1/q one by one
+EXACT_P = 64
+
+
+def _harmonic_tail(n: np.ndarray) -> np.ndarray:
+    """H(n) - log n - gamma = 1/(2n) - 1/(12n^2) + 1/(120n^4) - 1/(252n^6)
+    + 1/(240n^8) - ..."""
+    x = 1.0 / n
+    y = x * x
+    return 0.5 * x - y * (1.0 / 12 - y * (1.0 / 120 - y * (1.0 / 252 - y / 240)))
+
+
+def _half_digamma_tail(x: np.ndarray) -> np.ndarray:
+    """psi(x + 1/2) - log x = 1/(24x^2) - 7/(960x^4) + 31/(8064x^6)
+    - 127/(30720x^8) + ..."""
+    y = 1.0 / (x * x)
+    return y * (1.0 / 24 - y * (7.0 / 960 - y * (31.0 / 8064 - y * (127.0 / 30720))))
+
+
+def exact_gap(p: int, r: int, step: int) -> float:
+    """The band-gap term of row p, its 1/q added one by one."""
+    top = math.isqrt(r * p * p - 1)
+    return (math.log(r) / (2 * step) - math.fsum(1.0 / q for q in range(p + step, top + 1, step))) / p
+
+
+def band_gap_terms(start: int, stop: int, r: int, odd: bool) -> np.ndarray:
+    """The terms (1/p)(log(r)/(2 step) - sum_q 1/q) of the band-gap sum over
+    the band of `dirichlet.pair_band(N, r, odd)`, for the values of p from
+    the start-th to before the stop-th, odd only when `odd`, and for each p
+    the q = p (mod step) with p < q and q^2 < r p^2.
+
+    Each row's sum over q is one log of a ratio plus the corrections of an
+    asymptotic expansion: H(top) - H(p) over all q, and over odd q
+    (psi(b + 1/2) - psi(a + 1/2))/2 with a = (p + 1)/2 and b = (top + 1)//2.
+    The rows p < EXACT_P, where the truncated expansion is short of double
+    precision, add their 1/q one by one.
+    """
+    step = 2 if odd else 1
+    p = np.arange(1 + step * start, 1 + step * stop, step, dtype=np.int64)
+    top = _isqrt(r * p * p - 1)
+    if odd:
+        lo, hi, tail = (p + 1) // 2, (top + 1) // 2, _half_digamma_tail
+    else:
+        lo, hi, tail = p, top, _harmonic_tail
+    lo, hi = lo.astype(np.float64), hi.astype(np.float64)
+    # over odd q the expansion carries the factor 1/2 = 1/step
+    gap = (math.log(r) / (2 * step) - (np.log(hi / lo) + tail(hi) - tail(lo)) / step) / p
+    for i in range(int(np.count_nonzero(p < EXACT_P))):
+        gap[i] = exact_gap(int(p[i]), r, step)
+    return gap
+
+
+def band_gap_sums(cuts, r: int, odd: bool) -> list[float]:
+    """The band-gap sums over the first k terms, for each k of the ascending
+    `cuts`, in one pass over blocks of BAND_BLOCK terms: the sum to k adds
+    the sums of the blocks before k's block and of that block up to k, so it
+    equals the sum of a pass to k alone."""
+    prefix = dict.fromkeys(cuts, 0.0)
+    total = 0.0
+    for start in range(0, cuts[-1], BAND_BLOCK):
+        gap = band_gap_terms(start, min(start + BAND_BLOCK, cuts[-1]), r, odd)
+        for k in cuts:
+            if start < k <= start + gap.size:
+                prefix[k] = total + float(np.sum(gap[: k - start]))
+        total += float(np.sum(gap))
+    return [prefix[k] for k in cuts]
+
+
 def richardson(P: int, r: int, odd: bool) -> tuple[float, float]:
-    """`asympt._richardson` with each band-gap sum from its own pass."""
+    """The limit of the band-gap sums over P terms, and its change from P/2."""
+    half, mid, full = band_gap_sums((P // 2, P, 2 * P), r, odd)
+    # partial sums approach the limit like A/P; eliminate the leading tail
+    value = 2.0 * full - mid
+    return value, abs(2.0 * mid - half - value)
 
-    def band_gap_sum(k: int) -> float:
-        return _band_gap_sums((k,), r, odd)[0]
 
-    mid = band_gap_sum(P)
-    value = 2.0 * band_gap_sum(2 * P) - mid
-    return value, abs(2.0 * mid - band_gap_sum(P // 2) - value)
+def band_gap_limit(P: int, r: int, odd: bool) -> tuple[float, float]:
+    """`richardson` at P, with the rounding of its sums added to its change:
+    each term lies in [0, 1/p^2] and is within EPS (2 + 2 log r)/p of its
+    exact value, the terms of a block add pairwise (numpy's eight-way leaves
+    of 128, then halving) and then block by block, and the limit
+    2 full - mid triples the error of a sum and rounds twice more."""
+    value, change = richardson(P, r, odd)
+    step = 2 if odd else 1
+    terms = (2.0 + 2.0 * math.log(r)) * (1.0 + math.log(2 * step * P))
+    chain = math.log2(BAND_BLOCK) + 13 + 2 * P / BAND_BLOCK
+    return value, change + asympt.EPS * (3.0 * (terms + chain * abs(value)) + 2.0 * abs(value))
+
+
+def band_row_sum(P: int, r: int, odd: bool) -> float:
+    """Band 0 of `asympt._band_gap_limit(r, odd)` by rows in plain Python: the
+    sum over p <= P (odd only with `odd`) of (1/p)(a/step - sum_q 1/q) for
+    p < q <= 5p/3 at r = 3 (a = log(5/3)), p < q < 3p at r = 9 (a = log 3),
+    q = p (mod step).  Each row's sum over q is within 1/p of a/step, so the
+    rows past P add at most 1/P.  The sums over q are differences of
+    H(n) = sum_(k <= n) 1/k, exact below 64 and by the expansion above."""
+    euler = float(mpmath.euler)
+
+    def H(n: int) -> float:
+        if n < 64:
+            return math.fsum(1.0 / k for k in range(1, n + 1))
+        y = 1.0 / (n * n)
+        return math.log(n) + euler + 0.5 / n - y * (1.0 / 12 - y * (1.0 / 120 - y / 252))
+
+    def odd_sum(n: int) -> float:
+        # sum of 1/q over odd q <= n
+        return H(n) - H(n // 2) / 2
+
+    step = 2 if odd else 1
+    a = math.log(5 / 3) if r == 3 else math.log(3)
+    rows = []
+    for p in range(1, P + 1, step):
+        top = 5 * p // 3 if r == 3 else 3 * p - 1
+        inner = odd_sum(top) - odd_sum(p) if odd else H(top) - H(p)
+        rows.append((a / step - inner) / p)
+    return math.fsum(rows)
+
+
+def _cone_share(a, b, include_b: bool, odd: bool, nu1: int = 16, K: int = 24) -> mpmath.mpf:
+    """The share of one cone in a band-gap limit, by the decomposition of
+    `asympt._cone_gap` with mpmath's digamma, Hurwitz zeta, Bernoulli
+    polynomials and dilogarithm: -I'0 = log(beta) I0 + (Li2(eta) +
+    log(1 - eta)^2/2), the sum over m of eta^m H_m/m.  nu1 values of nu
+    are summed exactly and the Euler-Maclaurin tail runs to B_K."""
+    al, ga = a
+    be, de = b
+    if odd:
+        e = 2
+        c = mpmath.mpf(1) / 2 if (de - be) % 2 else mpmath.mpf(0 if include_b else 1)
+        nu_min = mpmath.mpf(1) / 2 if (al - ga) % 2 else mpmath.mpf(1)
+    else:
+        e, c, nu_min = 1, mpmath.mpf(0 if include_b else 1), mpmath.mpf(1)
+    nus = [nu_min + k for k in range(nu1)]
+    tail_from = nu_min + nu1
+    I0 = mpmath.log(mpmath.mpf(al * de) / (be * ga))
+    exact = mpmath.fsum((mpmath.digamma(c + de * v / ga) - mpmath.digamma(c + be * v / al)) / v for v in nus)
+    eta = mpmath.mpf(1) / (al * de)
+    minus_ip = mpmath.log(be) * I0 + mpmath.polylog(2, eta) + mpmath.log1p(-eta) ** 2 / 2
+    rho_a, rho_b = mpmath.mpf(al) / be, mpmath.mpf(ga) / de
+    tail = mpmath.fsum(
+        (-1) ** (k - 1) * mpmath.bernpoly(k, c) / k * (rho_a**k - rho_b**k) * mpmath.zeta(k + 1, tail_from)
+        for k in range(1, K + 1)
+    )
+    # gamma_E I0 - CT Z over all p, (I0/4)(gamma_E + log 2) - CT Z over odd p, with
+    # CT Z = (Y0 - log(e) I0)/e^2, Y0 = exact - I'0 - psi(nu1) I0 - tail
+    y0 = exact - minus_ip - mpmath.digamma(tail_from) * I0 - tail
+    return I0 * (mpmath.euler + mpmath.log(e)) / e**2 - (y0 - mpmath.log(e) * I0) / e**2
 
 
 @functools.cache
-def band_gap_limit_9(odd: bool) -> mpmath.mpf:
-    """The limit of `asympt`'s band-gap sums at r = 9, at 30 digits: the
-    mpmath `nsum` over p of (log 3 - psi(3p) + psi(p + 1))/p, or over odd p
-    of (log 3 - psi(3p/2) + psi(p/2 + 1))/(2p)."""
-    with mpmath.workdps(30):
-        if odd:
-            def term(j):
-                return (mpmath.log(3) - mpmath.digamma(3 * j + 1.5) + mpmath.digamma(j + 1.5)) / (4 * j + 2)
+def cone_limit(r: int, odd: bool) -> mpmath.mpf:
+    """L(r, odd) at 30 digits by the cone decomposition of
+    `asympt._band_gap_limit`, at 40 digits inside: at r = 3 over the first 34
+    bands, whose rest `asympt._band_tail` bounds by 1e-19."""
+    with mpmath.workdps(40):
+        if r == 9:
+            total = _cone_share((1, 1), (1, 2), True, odd) + _cone_share((1, 2), (1, 3), False, odd)
         else:
-            def term(p):
-                return (mpmath.log(3) - mpmath.digamma(3 * p) + mpmath.digamma(p + 1)) / p
-        return mpmath.nsum(term, [0 if odd else 1, mpmath.inf])
+            total, rays = mpmath.mpf(0), ((1, 1), (2, 3), (3, 5))
+            for _ in range(34):
+                total += _cone_share(rays[0], rays[1], True, odd) + _cone_share(rays[1], rays[2], True, odd)
+                rays = tuple((2 * p + q, 3 * p + 2 * q) for p, q in rays)
+    with mpmath.workdps(30):
+        return +total
 
 
 def _square_bound(Q, R: float) -> tuple[tuple[float, float, float], int]:

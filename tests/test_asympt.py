@@ -70,19 +70,48 @@ class TestConstants:
             assert abs(asympt.zeta_prime_2_over_zeta_2()[0] - ratio) <= 1e-15
 
     def test_lattice_constants_within_stated_error_of_long_sums(self, monkeypatch):
-        # c_square from its two band-gap limits at ten times BAND_TERMS values
-        # of p, c_triangle from its two at 30 digits in mpmath
+        # c_square from its two band-gap limits by the long numpy row sums at
+        # ten times BAND_TERMS values of p, c_triangle from its two by the cone
+        # decomposition at 30 digits in mpmath
         shipped = asympt.c_square_eval(), asympt.c_triangle_eval()
-        monkeypatch.setattr(asympt, "BAND_TERMS", 10 * asympt.BAND_TERMS)
-        monkeypatch.setattr(asympt, "_band_gap_limit_9", lambda odd: (float(oracle.band_gap_limit_9(odd)), 0.0))
-        long = asympt.c_square_eval()[0], asympt.c_triangle_eval()[0]
-        for (value, error), reference in zip(shipped, long):
+
+        def long_limit(r, odd):
+            if r == 9:
+                return float(oracle.cone_limit(r, odd)), 0.0
+            return oracle.band_gap_limit(10 * oracle.BAND_TERMS, r, odd)
+
+        monkeypatch.setattr(asympt, "_band_gap_limit", long_limit)
+        long = asympt.c_square_eval(), asympt.c_triangle_eval()
+        for (value, error), (reference, reference_error) in zip(shipped, long):
             # the estimate bounds the distance, and is no floor
-            assert abs(value - reference) <= error < 1e-11
+            assert abs(value - reference) <= error + reference_error
+            assert error < 1e-13
+
+    def test_lattice_constants_within_stated_error_of_mpmath(self):
+        # the brackets of c_square_eval and c_triangle_eval at 30 digits, on
+        # the band-gap limits of oracle.cone_limit
+        with mpmath.workdps(30):
+            g, zp = mpmath.euler, mpmath.zeta(2, derivative=1) / mpmath.zeta(2)
+            log2, log3 = mpmath.log(2), mpmath.log(3)
+            L4, L3 = mpmath.dirichlet(1, [0, 1, 0, -1]), mpmath.dirichlet(1, [0, 1, -1])
+            lpl4 = mpmath.dirichlet(1, [0, 1, 0, -1], 1) / L4
+            lpl3 = mpmath.dirichlet(1, [0, 1, -1], 1) / L3
+            s1, s2, t1, t2 = (oracle.cone_limit(r, odd) for r in (3, 9) for odd in (False, True))
+            square = L4 / mpmath.zeta(2) * (
+                mpmath.zeta(2) + log3 / 3 * (lpl4 + g - 2 * zp) + log3 / 3 * (2 * g - log3 / 4 - log2 / 6)
+                - s1 - mpmath.mpf(4) / 3 * s2
+            )
+            triangle = L3 + 9 * L3 / (16 * mpmath.zeta(2)) * (log3 * ((g + lpl3 - 2 * zp) + 2 * g - log3 / 4) - t1 - 4 * t2)
+            assert abs(square - mpmath.mpf("0.62722373024582520")) < 1e-17
+            for (value, error), exact, bound in (
+                (asympt.c_square_eval(), square, 1e-13),
+                (asympt.c_triangle_eval(), triangle, 1.75e-14),
+            ):
+                assert abs(value - exact) <= error < bound
 
     def test_constants_trace_little_memory(self):
-        # every sum runs in blocks of at most BAND_BLOCK values: the traced
-        # peak of the prefix-array kernel was 36.7 MB
+        # no sum builds an array: the traced peak of the prefix-array kernel
+        # was 36.7 MB
         import tracemalloc
 
         import wellround.dirichlet  # noqa: F401  (imports are not measured)
@@ -116,11 +145,14 @@ def _band_gap_reference(P, r, odd):
 
 
 class TestBandGapSum:
+    """The long numpy row sums of `oracle.band_gap_limit`, the reference the
+    cone decomposition is checked against."""
+
     @pytest.mark.parametrize("odd", [False, True])
     @pytest.mark.parametrize("r", [3, 9])
     @pytest.mark.parametrize("P", [1, 2, 2000])
     def test_matches_plain_reference(self, P, r, odd):
-        assert asympt._band_gap_sums((P,), r, odd) == [
+        assert oracle.band_gap_sums((P,), r, odd) == [
             pytest.approx(_band_gap_reference(P, r, odd), rel=0, abs=1e-12)
         ]
 
@@ -129,17 +161,22 @@ class TestBandGapSum:
     def test_richardson_equals_three_sums(self, r, odd, monkeypatch):
         # the sums over P/2, P and 2P terms come from one pass; with blocks of
         # 7 terms the cuts also fall inside blocks and on block ends
-        for P in (1, 3, 2000, asympt.BAND_TERMS):
-            assert asympt._richardson(P, r, odd) == oracle.richardson(P, r, odd)
-        monkeypatch.setattr(asympt, "BAND_BLOCK", 7)
+        def three_passes(P):
+            half, mid, full = (oracle.band_gap_sums((k,), r, odd)[0] for k in (P // 2, P, 2 * P))
+            value = 2.0 * full - mid
+            return value, abs(2.0 * mid - half - value)
+
+        for P in (1, 3, 2000, oracle.BAND_TERMS):
+            assert oracle.richardson(P, r, odd) == three_passes(P)
+        monkeypatch.setattr(oracle, "BAND_BLOCK", 7)
         for P in (1, 3, 7, 14, 2000):
-            assert asympt._richardson(P, r, odd) == oracle.richardson(P, r, odd)
+            assert oracle.richardson(P, r, odd) == three_passes(P)
 
     @pytest.mark.parametrize("odd", [False, True])
     @pytest.mark.parametrize("r", [3, 9])
     def test_terms_do_not_depend_on_the_block(self, r, odd):
-        whole = asympt._band_gap_terms(0, 300, r, odd)
-        parts = [asympt._band_gap_terms(k, min(k + 7, 300), r, odd) for k in range(0, 300, 7)]
+        whole = oracle.band_gap_terms(0, 300, r, odd)
+        parts = [oracle.band_gap_terms(k, min(k + 7, 300), r, odd) for k in range(0, 300, 7)]
         assert np.array_equal(whole, np.concatenate(parts))
 
     @pytest.mark.parametrize("odd", [False, True])
@@ -148,46 +185,79 @@ class TestBandGapSum:
         # the rows past EXACT_P by the expansion, against their exact sums:
         # each row's sum over q within 1e-15
         p = np.arange(1, 800, 2 if odd else 1)[:400]
-        past = p >= asympt.EXACT_P
-        expanded = asympt._band_gap_terms(0, 400, r, odd)
-        monkeypatch.setattr(asympt, "EXACT_P", 800)
-        exact = asympt._band_gap_terms(0, 400, r, odd)
+        past = p >= oracle.EXACT_P
+        expanded = oracle.band_gap_terms(0, 400, r, odd)
+        monkeypatch.setattr(oracle, "EXACT_P", 800)
+        exact = oracle.band_gap_terms(0, 400, r, odd)
         assert np.max(np.abs(expanded - exact)[past] * p[past]) <= 1e-15
 
     @pytest.mark.parametrize("r", [3, 9])
     def test_top_is_exact_at_largest_p(self, r):
-        # _richardson takes 2 * BAND_TERMS values of p, so odd p reaches
-        # 4 * BAND_TERMS - 1, and 40 * BAND_TERMS - 1 in the long sums of
-        # the error test; the row tops are dirichlet._isqrt(r p^2 - 1)
-        for largest in (4 * asympt.BAND_TERMS - 1, 40 * asympt.BAND_TERMS - 1):
+        # richardson takes 2 P values of p, so odd p reaches 4 BAND_TERMS - 1,
+        # and 40 BAND_TERMS - 1 in the long sums of the constants' test; the
+        # row tops are dirichlet._isqrt(r p^2 - 1)
+        for largest in (4 * oracle.BAND_TERMS - 1, 40 * oracle.BAND_TERMS - 1):
             p = np.arange(largest - 2000, largest + 1, dtype=np.int64)
             top = _isqrt(r * p * p - 1)
             assert [int(t) for t in top] == [math.isqrt(r * int(v) * int(v) - 1) for v in p]
 
 
+# the band 1 < q/p < sqrt(r) from (1, 1): its first band, the whole of it at r = 9
+BAND_0 = {
+    3: [((1, 1), (2, 3), True), ((2, 3), (3, 5), True)],
+    9: [((1, 1), (1, 2), True), ((1, 2), (1, 3), False)],
+}
+
+
 class TestBandGapClosedForm:
     @pytest.mark.parametrize("odd", [False, True])
-    def test_within_its_error_of_mpmath(self, odd):
-        value, error = asympt._band_gap_limit_9(odd)
-        assert abs(value - oracle.band_gap_limit_9(odd)) <= error < 1e-14
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_within_its_error_of_mpmath(self, r, odd):
+        value, error = asympt._band_gap_limit(r, odd)
+        assert abs(value - oracle.cone_limit(r, odd)) <= error < 1e-14
 
     @pytest.mark.parametrize("odd", [False, True])
-    def test_within_the_extrapolated_sums_error(self, odd):
-        # the numpy path of c_square, at r = 9, stays a cross-check
-        value, _ = asympt._band_gap_limit_9(odd)
-        extrapolated, error = asympt._band_gap_limit(9, odd)
-        assert abs(value - extrapolated) <= error
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_within_the_extrapolated_sums_error(self, r, odd):
+        # the long numpy row sums, independent of the cones
+        value, error = asympt._band_gap_limit(r, odd)
+        extrapolated, extrapolated_error = oracle.band_gap_limit(oracle.BAND_TERMS, r, odd)
+        assert abs(value - extrapolated) <= error + extrapolated_error
 
-    @pytest.mark.parametrize("s", [2, 3, 5, 7, 9])
-    @pytest.mark.parametrize("a", [Fraction(64), Fraction(65, 2), Fraction(3)])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("r", [3, 9])
+    def test_band_0_against_its_row_sums(self, r, odd):
+        # the rows past P add at most 1/P
+        P = 200_000
+        shares = [asympt._cone_gap(a, b, include_b, odd) for a, b, include_b in BAND_0[r]]
+        band = math.fsum(v for v, _ in shares)
+        assert abs(band - oracle.band_row_sum(P, r, odd)) <= 1.0 / P + 1e-12
+
+    def test_band_tail_bound(self):
+        # past band 27 the bands of both limits add at most 1.1e-16; the first
+        # row of the bands from j on is that of U^j (2, 3), by brute force
+        rays = ((1, 1), (2, 3))
+        for j in range(6):
+            (p, q), first = rays
+            row = next(x for x in range(1, 10**6) if math.floor(Fraction(q, p) * x) + 1 < math.sqrt(3) * x)
+            assert row == first[0]
+            rays = tuple((2 * x + y, 3 * x + 2 * y) for x, y in rays)
+        for _ in range(asympt.BANDS_3 - 6):
+            rays = tuple((2 * x + y, 3 * x + 2 * y) for x, y in rays)
+        (p, q), Q = rays[0], rays[1][0]
+        assert (math.log1p(2 / q**2) / 2 * (1 + math.log(Q)) + p / (q * (Q - 1))) < 1.2e-16
+
+    @pytest.mark.parametrize("s", [2, 3, 5, 7, 9, 17])
+    @pytest.mark.parametrize("a", [Fraction(64), Fraction(65, 2), Fraction(11), Fraction(21, 2), Fraction(3)])
     def test_hurwitz_within_its_rest_of_mpmath(self, s, a):
-        # the Euler-Maclaurin terms to B_10 are exact, and the B_12 term
+        # the Euler-Maclaurin terms to B_20 are exact, and the B_22 term
         # bounds the rest
         def mp(x):
             return mpmath.mpf(x.numerator) / x.denominator
 
         value, rest = asympt._hurwitz(s, a)
-        with mpmath.workdps(40):
+        # at 40 digits mpmath's zeta(17, 64) errs by 1e-19 relative
+        with mpmath.workdps(60):
             assert abs(mp(value) - mpmath.zeta(s, mp(a))) <= mp(rest)
 
 
@@ -286,8 +356,9 @@ class TestEpstein:
             asympt.epstein_value((1, 0, 1), s)
 
     def test_value_outside_the_float_range_is_refused(self):
-        # a^-s overflows; Gamma(s) overflows past s = 171.6; y^2 = c/a overflows
-        for Q, s in [((0.5, 0, 0.5), 2000.0), ((1, 0, 1), 172.0), ((1e-300, 0, 1e300), 2.0)]:
+        # a^-s overflows; a^-s underflows (past s = 171.6, where Gamma(s)
+        # overflows, only the shell sum is left); y^2 = c/a overflows
+        for Q, s in [((0.5, 0, 0.5), 2000.0), ((2, 1, 2), 2000.0), ((1e-300, 0, 1e300), 2.0)]:
             with pytest.raises(asympt.DomainError, match="outside the float range"):
                 asympt.epstein_value(Q, s)
 
@@ -298,6 +369,25 @@ class TestEpstein:
         with mpmath.workdps(30):
             distance = abs(value - CLOSED_FORMS[Q](mpmath.mpf(s)))
         assert distance <= error < 1e-13 * value
+
+    @pytest.mark.parametrize("Q, s", [((2, 1, 2), 171.0), ((2, 1, 2), 100.0), ((1, 0, 1), 200.0), ((1, 0, 1), 172.0)])
+    def test_large_s_against_closed_form(self, Q, s):
+        # the series cancels (2,1,2 at s = 100: 27% error) or Gamma(s)
+        # overflows (s > 171.6); the shell sum then states the smaller error
+        value, error = asympt.epstein_value(Q, s)
+        with mpmath.workdps(30):
+            distance = abs(value - CLOSED_FORMS[Q](mpmath.mpf(s)))
+        assert value > 0 and distance <= error < 1e-12 * value
+
+    @pytest.mark.parametrize("Q", list(CLOSED_FORMS))
+    def test_shells_only_where_the_series_errs(self, Q, monkeypatch):
+        # at s = 2 the series error is about 1e-14 relative: no shell sum
+        def refuse(*args):
+            raise AssertionError("shell sum at s = 2")
+
+        monkeypatch.setattr(asympt, "_shell_sum", refuse)
+        value, error = asympt.epstein_value(Q, 2.0)
+        assert error < asympt.SHELL_FROM * value
 
     def test_residue_is_pi_over_sqrt_det(self):
         # ac - b^2 = 1 rounds nowhere; the error counts five roundings
@@ -422,6 +512,19 @@ class TestSeries:
         Q, s = drawn
         value, error = asympt.epstein_value(Q, s)
         assert abs(value - oracle.epstein_series(Q, s)) <= error < 1e-13 * value
+
+    @settings(max_examples=30, deadline=None)
+    @given(_drawn_forms(), st.floats(8.0, 30.0))
+    def test_shell_sum_within_its_error_of_mpmath(self, drawn, s):
+        # where the float range holds the value; the series in mpmath keeps
+        # 20 digits to s = 30
+        from wellround.gram import _reduce_int
+
+        Q, _ = drawn
+        shells = asympt._shell_sum(*_reduce_int(*(Fraction(v) for v in Q)), s)
+        assume(shells is not None)
+        value, error = shells
+        assert abs(value - oracle.epstein_series(Q, s)) <= error < 1e-12 * value
 
     @settings(max_examples=50, deadline=None)
     @given(_drawn_forms(), st.integers(-30, 30))

@@ -734,6 +734,23 @@ class TestOtherCommands:
         argv = ["epstein", "--form", "1,0,1", "--radius", "1e4", *args]
         assert run(capsys, *argv) == (0, expected, "")
 
+    @pytest.mark.parametrize(
+        "form, s, closed_form",
+        [
+            # 4 zeta(s) L(s, chi_-4), and 6 2^-s zeta(s) L(s, chi_-3)
+            ("1,0,1", "200", lambda s: 4 * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, 0, -1])),
+            ("2,1,2", "171", lambda s: 6 * mpmath.mpf(2) ** -s * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, -1])),
+            ("2,1,2", "100", lambda s: 6 * mpmath.mpf(2) ** -s * mpmath.zeta(s) * mpmath.dirichlet(s, [0, 1, -1])),
+        ],
+    )
+    def test_epstein_value_at_large_s(self, capsys, form, s, closed_form):
+        # past the series' reach the lattice sum in shells states the smaller error
+        code, out, _ = run(capsys, "epstein", "--form", form, "--s", s, "--format", "json")
+        assert code == 0
+        value = json.loads(out)["value"]
+        with mpmath.workdps(30):
+            assert abs(value["value"] - closed_form(mpmath.mpf(s))) <= value["abs_error"] < 1e-12 * value["value"]
+
     def test_epstein_bad_form_exits_2(self, capsys):
         code, _, _ = run(capsys, "epstein", "--form", "1,0")
         assert code == 2
@@ -781,6 +798,9 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
         *(["epstein", "--form", form, "--residue"] for form in ["2,1,2", "1,sqrt(2)/2,4", "1,sqrt(2)/2,sqrt(3)"]),
         # an Epstein value over Q and over two fields
         *(["epstein", "--form", form, "--s", "2"] for form in ["2,1,2", "1,sqrt(2)/2,sqrt(3)"]),
+        # the constants' band-gap limits are cone sums in plain math
+        ["constants"],
+        ["constants", "--format", "json"],
     ]
     script = (
         "import json, sys\n"
@@ -887,13 +907,13 @@ def test_environment_sets_no_defaults():
 ON_LINUX = sys.platform.startswith("linux") and os.path.isdir("/proc/self/task")
 
 
-def _constants_child(env: dict) -> list:
-    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran a constants
-    call, which loads numpy."""
+def _numpy_child(env: dict) -> list:
+    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran an asympt
+    call on the square lattice, which loads numpy."""
     script = (
         "import json, os, sys\n"
         "import wellround.cli\n"
-        "code = wellround.cli.main(['constants'])\n"
+        "code = wellround.cli.main(['asympt', '--checkpoints', '1000'])\n"
         "assert 'numpy' in sys.modules\n"
         "print(json.dumps([code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )
@@ -907,9 +927,9 @@ def test_cli_starts_no_blas_thread_pool():
     # numpy's import starts OpenBLAS workers, which no wellround code uses
     env = _child_env()
     env.pop("OPENBLAS_NUM_THREADS", None)
-    assert _constants_child(env) == [0, 1, "1"]
+    assert _numpy_child(env) == [0, 1, "1"]
     # a value the user gave is kept
-    code, _, given = _constants_child(_child_env(OPENBLAS_NUM_THREADS="2"))
+    code, _, given = _numpy_child(_child_env(OPENBLAS_NUM_THREADS="2"))
     assert (code, given) == (0, "2")
 
 
