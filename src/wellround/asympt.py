@@ -214,7 +214,7 @@ def _cone_gap(a, b, include_b: bool, odd: bool) -> tuple[float, float]:
         if k == 1 or k % 2 == 0:
             coeff, (z, z_error) = next(tail)
             terms.append(coeff * P * gap * z)
-            size += (3 * k + 5) * abs(terms[-1])
+            size += (4 * k + 4) * abs(terms[-1])
             rest += abs(coeff) * P * gap * z_error
     rest += abs(float(BERNOULLI[CONE_ORDER // 2 - 1])) / CONE_ORDER * P * gap * (z + z_error)
     value = math.fsum(terms)
@@ -255,7 +255,7 @@ def c_square_eval() -> tuple[float, float]:
     (lpl, elpl), (zp, ezp) = L_prime_over_L(-4), zeta_prime_2_over_zeta_2()
     (s1, e1), (s2, e2) = _band_gap_limit(3, odd=False), _band_gap_limit(3, odd=True)
     bracket = (ZETA2 + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
-               + (LOG3 / 3.0) * (2.0 * g - LOG3 / 4.0 - log(2.0) / 6.0) - s1 - (4.0 / 3.0) * s2)
+               + (LOG3 / 3.0) * (2.0 * g - LOG3 / 4.0 - LOG2 / 6.0) - s1 - (4.0 / 3.0) * s2)
     # gamma enters three times besides its share of L'/L; ZETA2 rounds four
     # times; the bracket's 21 roundings each round a result below `size`
     size = ZETA2 + abs(lpl) + 3.0 * abs(g) + 2.0 * abs(zp) + LOG3 + abs(s1) + 2.0 * abs(s2)
