@@ -125,11 +125,12 @@ def L_prime_over_L(D: int) -> tuple[float, float]:
 
 # -- the two lattice constants ------------------------------------------------
 
-# the r = 3 bands summed (the rest adds at most 1.1e-16); the values of nu each
-# cone sums by digamma, and the last Bernoulli index of its Euler-Maclaurin
-# tail; a digamma difference adds terms until x >= PSI_SHIFT, then its
-# asymptotic series until a term is below PSI_CUT of the first
-BANDS_3, CONE_NU, CONE_ORDER, PSI_SHIFT, PSI_CUT = 27, 10, 16, 10, 2.0**-58
+# the r = 3 bands are summed until `_band_tail` bounds the rest by TAIL_CUT;
+# the values of nu each cone sums by digamma, and the last Bernoulli index of
+# its Euler-Maclaurin tail; a digamma difference adds terms until
+# x >= PSI_SHIFT, then its asymptotic series until a term is below PSI_CUT of
+# the first
+TAIL_CUT, CONE_NU, CONE_ORDER, PSI_SHIFT, PSI_CUT = EPS / 2, 10, 16, 10, 2.0**-58
 # B_2k/2k; and (-1)^(k-1) B_k(c)/k for k = 1 and the even k to CONE_ORDER,
 # by 2c, with B_1(c) = c - 1/2 and B_k(1/2) = (2^(1-k) - 1) B_k
 PSI_COEFFS = tuple(float(b / (2 * j)) for j, b in enumerate(BERNOULLI, 1))
@@ -221,6 +222,26 @@ def _cone_gap(a, b, include_b: bool, odd: bool) -> tuple[float, float]:
     return value / e**2, (EPS * (size + abs(value)) + rest) / e**2
 
 
+def _band_tail(p: int, q: int) -> float:
+    """A bound on the share in `_band_gap_limit(3, odd)`, either odd, of the
+    points with lam < q'/p' < sqrt(3), lam = q/p for (p, q) = U^J (1, 1): the
+    bands from J on.  Row p' adds (1/p')(A/step - sum of 1/q' over its q'),
+    A = log(sqrt(3)/lam) = log1p(2/q^2)/2 as 3p^2 - q^2 = 2, and that sum is
+    within 1/(lam p') of A/step, so the rows past P = pq add at most
+    1/(lam P) = 1/q^2.  As (sqrt(3) - lam) P < 1, a row to P holds at most one
+    q': those rows add at most A (1 + log P) less a sum of 1/(p'q') < 1/(lam p'^2)
+    over their points, so at most the larger of the two.  Over a cone of
+    generators with p = alpha <= beta the points to P add at most
+    zeta(2)(1/alpha^2 + 1/beta^2) on the rays, 1/(alpha + beta)^2 at a + b,
+    and log(P/alpha)/(alpha beta) at the others, each within its unit cell's
+    integral of 1/(s alpha + t beta)^2 over s, t >= 0.  Band J's two cones
+    have alpha = p, so add at most (4 zeta(2) + 1/2 + 2 log q)/p^2, and as
+    each band at least triples p, all bands from J add 9/8 of that."""
+    A = math.log1p(2 / q**2) / 2
+    points = 9 * (4 * ZETA2 + 0.5 + 2 * math.log(q)) / (8 * q * p)
+    return (max(A * (1 + math.log(p * q)), points) + 1 / q**2) * (1 + 16 * EPS)
+
+
 def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
     """L(r, odd) = sum_p (1/p)(log(r)/(2 step) - sum_q 1/q) over the band
     p < q < sqrt(r) p of `dirichlet.pair_band(N, r, odd)` (step 2: odd p, q),
@@ -228,21 +249,18 @@ def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
     (`_cone_gap`; Shintani and Zagier's cone decomposition).  At r = 9 the
     cones are those of (1, 1), (1, 2) and (1, 2), (1, 3); at r = 3, band j is
     U^j of those of (1, 1), (2, 3) and (2, 3), (3, 5), U = [[2, 1], [3, 2]]
-    the unit 2 + sqrt 3.  Past BANDS_3 bands, lam = q/p of (p, q) = U^J (1, 1)
-    < q/p < sqrt(3): each row is within 1/(lam p) of A/step, A = log1p(2/q^2)/2,
-    and the rows below Q, the p of U^J (2, 3), are empty, so the rest adds at
-    most A (1 + log Q) + 1/(lam (Q - 1)), rounded up."""
+    the unit 2 + sqrt 3, and the bands are summed until `_band_tail` bounds
+    the rest by TAIL_CUT."""
     if r not in (3, 9):
         raise UnsupportedDiscriminantError(f"band-gap limit at r = {r} not supported")
-    rays, upper, bands = ((1, 1), (1, 2), (1, 3)), False, 1
+    rays, upper = ((1, 1), (1, 2), (1, 3)), False
     if r == 3:
-        rays, upper, bands = ((1, 1), (2, 3), (3, 5)), True, BANDS_3
-    cones = []
-    for _ in range(bands):
+        rays, upper = ((1, 1), (2, 3), (3, 5)), True
+    cones, rest = [], math.inf
+    while rest > TAIL_CUT:
         cones += [(rays[0], rays[1], True), (rays[1], rays[2], upper)]
         rays = tuple((2 * p + q, 3 * p + 2 * q) for p, q in rays)
-    (p, q), Q = rays[0], rays[1][0]
-    rest = (r == 3) * (math.log1p(2 / q**2) / 2 * (1 + math.log(Q)) + p / (q * (Q - 1))) * (1 + 8 * EPS)
+        rest = _band_tail(*rays[0]) if r == 3 else 0.0
     shares = [_cone_gap(a, b, include_b, odd) for a, b, include_b in cones]
     value = math.fsum(v for v, _ in shares)
     return value, math.fsum(e for _, e in shares) + EPS * abs(value) + rest

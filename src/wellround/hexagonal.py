@@ -10,8 +10,9 @@ pairs (p, q, z) and (3q, p, w) describe the same sublattice, which is
 absorbed by restricting z away from the ramified prime, the 1/(1 + 3^{-s})
 factor below.  The counts are `dirichlet.Preset`'s identity on the data
 `HEXAGONAL`: `a_hex(N)` gives every count to N; `a_hex_summatory(xs)`
-gives the partial sums A(x) from the same factors on tables of about
-x^(2/3) coefficients, with no array of length x (`asympt --lattice hex`).
+gives the partial sums A(x) from the same factors on plain-Python tables of
+about x^0.6 coefficients, with no array of length x and no numpy
+(`asympt --lattice hex`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from .dirichlet import CHI_MINUS3, ArithSeq, Preset
 
-HEXAGONAL = Preset(CHI_MINUS3, r=9, w=3, shift=4, even=3, odd=3)
+HEXAGONAL = Preset(CHI_MINUS3, cross=1, r=9, w=3, shift=4, even=3, odd=3)
 
 
 def b_hex(N: int) -> ArithSeq:
@@ -41,5 +42,5 @@ def a_hex_summatory(xs: Sequence[int]) -> list[int]:
     """A(x) = a(1) + ... + a(x) of `a_hex` for each x in xs, exact:
     A(x) = B_3(x) + 3 S(x // 4; bpr', w_9) + 3 S(x; bpr', w_9^odd) with
     bpr' = alt_3 * bpr, each S the partial sum of a convolution by
-    `hyperbola_sum`, on tables of about max(xs)^(2/3) coefficients."""
+    `hyperbola_sum`, on tables of about max(xs)^0.6 coefficients."""
     return HEXAGONAL.summatory(xs)

@@ -9,8 +9,9 @@ yields exactly the well-rounded ones.  All window inequalities are decided
 by integer squaring; the boundary q^2 = 3 p^2 has no integer solutions.
 The counts are `dirichlet.Preset`'s identity on the data `SQUARE`:
 `a_square(N)` gives every count to N; `a_square_summatory(xs)` gives the
-partial sums A(x) from the same factors on tables of about x^(2/3)
-coefficients, with no array of length x (`asympt --lattice square`).
+partial sums A(x) from the same factors on plain-Python tables of about
+x^0.6 coefficients, with no array of length x and no numpy
+(`asympt --lattice square`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .dirichlet import CHI_MINUS4, ArithSeq, Preset
 
-SQUARE = Preset(CHI_MINUS4, r=3, w=2, shift=2, even=None, odd=2)
+SQUARE = Preset(CHI_MINUS4, cross=0, r=3, w=2, shift=2, even=None, odd=2)
 
 
 def b_square(N: int) -> ArithSeq:
@@ -41,5 +42,5 @@ def a_square_summatory(xs: Sequence[int]) -> list[int]:
     """A(x) = a(1) + ... + a(x) of `a_square` for each x in xs, exact:
     A(x) = B_4(x) + 2 S(x // 2; bpr, w_3) + 2 S(x; alt_2 * bpr, w_3^odd),
     each S the partial sum of a convolution by `hyperbola_sum`, on tables of
-    about max(xs)^(2/3) coefficients."""
+    about max(xs)^0.6 coefficients."""
     return SQUARE.summatory(xs)

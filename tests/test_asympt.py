@@ -234,18 +234,36 @@ class TestBandGapClosedForm:
         assert abs(band - oracle.band_row_sum(P, r, odd)) <= 1.0 / P + 1e-12
 
     def test_band_tail_bound(self):
-        # past band 27 the bands of both limits add at most 1.1e-16; the first
-        # row of the bands from j on is that of U^j (2, 3), by brute force
-        rays = ((1, 1), (2, 3))
-        for j in range(6):
-            (p, q), first = rays
-            row = next(x for x in range(1, 10**6) if math.floor(Fraction(q, p) * x) + 1 < math.sqrt(3) * x)
-            assert row == first[0]
-            rays = tuple((2 * x + y, 3 * x + 2 * y) for x, y in rays)
-        for _ in range(asympt.BANDS_3 - 6):
-            rays = tuple((2 * x + y, 3 * x + 2 * y) for x, y in rays)
-        (p, q), Q = rays[0], rays[1][0]
-        assert (math.log1p(2 / q**2) / 2 * (1 + math.log(Q)) + p / (q * (Q - 1))) < 1.2e-16
+        # the r = 3 walk stops after band 16, where the rest is below 2.6e-17
+        def advance(rays):
+            return tuple((2 * x + y, 3 * x + 2 * y) for x, y in rays)
+
+        rays, bounds = ((1, 1),), []
+        for _ in range(16):
+            rays = advance(rays)
+            bounds.append(asympt._band_tail(*rays[0]))
+        assert bounds[-1] <= asympt.TAIL_CUT < bounds[-2]
+        assert bounds[-1] < 2.7e-17
+        # a row p' <= pq holds at most one q' with lam p' < q' < sqrt(3) p', by
+        # brute force
+        rays = ((1, 1),)
+        for _ in range(3):
+            rays = advance(rays)
+            (p, q), = rays
+            for row in range(1, p * q + 1):
+                inside = [x for x in range(q * row // p + 1, 2 * row) if x * x < 3 * row * row]
+                assert len(inside) <= 1
+        # the bound covers the next six bands of the shipped cone shares
+        for odd in (False, True):
+            rays = ((1, 1), (2, 3), (3, 5))
+            shares = []
+            for _ in range(14):
+                shares.append(math.fsum(asympt._cone_gap(a, b, True, odd)[0] for a, b in (rays[:2], rays[1:])))
+                rays = advance(rays)
+            rays = ((1, 1),)
+            for j in range(1, 9):
+                rays = advance(rays)
+                assert abs(math.fsum(shares[j : j + 6])) <= asympt._band_tail(*rays[0])
 
     @pytest.mark.parametrize("s", [2, 3, 5, 7, 9, 17])
     @pytest.mark.parametrize("a", [Fraction(64), Fraction(65, 2), Fraction(11), Fraction(21, 2), Fraction(3)])

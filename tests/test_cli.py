@@ -801,6 +801,8 @@ def test_exact_commands_load_neither_numpy_nor_mpmath():
         # the constants' band-gap limits are cone sums in plain math
         ["constants"],
         ["constants", "--format", "json"],
+        # the preset A(x) are sums past plain-Python tables
+        *(["asympt", "--lattice", lattice, "--format", fmt] for lattice in ["square", "hex"] for fmt in ["csv", "json"]),
     ]
     script = (
         "import json, sys\n"
@@ -862,7 +864,7 @@ def test_preset_formula_past_the_switch_loads_the_identity(preset):
 def test_asympt_preset_loads_its_own_lattice(lattice, module, other):
     loaded = _modules_loaded_by(["asympt", "--lattice", lattice, "--checkpoints", "30,100"])
     assert module in loaded
-    assert not {other, "wellround.general", "wellround.gram"} & set(loaded)
+    assert not {other, "wellround.general", "wellround.gram", "numpy"} & set(loaded)
 
 
 def test_epstein_loads_only_the_float_layer():
@@ -908,12 +910,12 @@ ON_LINUX = sys.platform.startswith("linux") and os.path.isdir("/proc/self/task")
 
 
 def _numpy_child(env: dict) -> list:
-    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran an asympt
-    call on the square lattice, which loads numpy."""
+    """[exit code, threads, OPENBLAS_NUM_THREADS] after `main` ran a series
+    of the square lattice, which loads numpy."""
     script = (
         "import json, os, sys\n"
         "import wellround.cli\n"
-        "code = wellround.cli.main(['asympt', '--checkpoints', '1000'])\n"
+        "code = wellround.cli.main(['series', '--name', 'a_square', '--max', '20'])\n"
         "assert 'numpy' in sys.modules\n"
         "print(json.dumps([code, len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS')]))\n"
     )

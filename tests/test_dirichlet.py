@@ -10,21 +10,21 @@ from wellround.dirichlet import (
     CHI_MINUS3,
     CHI_MINUS4,
     ArithSeq,
-    DirichletCharacter,
     OutOfRangeError,
     Summatory,
     _isqrt,
     alt_powers,
-    band_count,
+    band_summatory,
     character_seq,
     convolve,
-    divisor_summatory,
     hyperbola_sum,
     moebius_seq,
+    norm_summatory,
     ones_seq,
     pair_band,
     sparse_times,
     squares_moebius,
+    squares_moebius_times,
     summatory_length,
     times_sparse,
 )
@@ -208,7 +208,7 @@ def short_table(seq: ArithSeq, N: int) -> Summatory:
     """The partial sums of `seq` from a table of its first N coefficients,
     and from its whole prefix past them."""
     prefix = [0] + seq.summatory_all()
-    return Summatory(ArithSeq(list(seq)[:N]), lambda t: prefix[t])
+    return Summatory([0, *list(seq)[:N]], prefix.__getitem__, seq.N)
 
 
 class TestSummatoryPath:
@@ -219,9 +219,13 @@ class TestSummatoryPath:
 
     @pytest.mark.parametrize("r", [3, 9])
     @pytest.mark.parametrize("odd", [False, True])
-    def test_band_count_is_the_band_prefix(self, r, odd):
+    def test_band_summatory_is_the_band_prefix(self, r, odd):
+        # tables short and long: past a short one most t count rows
         prefix = [0] + pair_band(600, r, odd).summatory_all()
-        assert [band_count(t, r, odd) for t in range(601)] == prefix
+        for N in (1, 2, 30, 600):
+            band = band_summatory(N, r, odd, 600)
+            assert band.c == [0, *pair_band(600, r, odd)][: N + 1]
+            assert [band(t) for t in range(601)] == prefix
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -240,31 +244,37 @@ class TestSummatoryPath:
         with pytest.raises(OutOfRangeError):
             hyperbola_sum(100, short_table(ones_seq(100), 9), short_table(ones_seq(100), 10))
 
-    @pytest.mark.parametrize("chi", [CHI_MINUS4, CHI_MINUS3])
-    def test_divisor_summatory_past_its_table(self, chi):
+    def test_no_partial_sum_past_the_reach(self):
+        B = norm_summatory(0, 10, 50)
+        assert B(50) == convolve(ones_seq(50), character_seq(CHI_MINUS4, 50)).summatory(50)
+        with pytest.raises(OutOfRangeError):
+            B(51)
+
+    @pytest.mark.parametrize("cross, chi", [(0, CHI_MINUS4), (1, CHI_MINUS3)])
+    def test_norm_summatory_is_the_divisor_sum_prefix(self, cross, chi):
+        # the norm form's points against chi's divisor sums, on both sides
+        # of a short table
         N = 2000
         b = convolve(ones_seq(N), character_seq(chi, N))
-        B = divisor_summatory(chi, ArithSeq(list(b)[:50]))
+        assert norm_summatory(cross, N, N).c == [0, *b]
+        B = norm_summatory(cross, 50, N)
         assert [B(t) for t in range(N + 1)] == [0] + b.summatory_all()
-
-    def test_divisor_summatory_refuses_a_principal_character(self):
-        with pytest.raises(ValueError):
-            divisor_summatory(DirichletCharacter(1, (1,)), ones_seq(10))
 
     def test_sparse_factors(self):
         N = 3000
         b = convolve(ones_seq(N), character_seq(CHI_MINUS4, N))
         B = short_table(b, 60)
         primitive = convolve(dense(*squares_moebius(N), N), b)
-        P = sparse_times(*squares_moebius(N), B)
+        P = squares_moebius_times(B)
+        assert P.c == [0, *primitive][:61]
         assert [P(t) for t in range(N + 1)] == [0] + primitive.summatory_all()
         off_three = convolve(dense(*alt_powers(3, N), N), primitive)
         A = sparse_times(*alt_powers(3, N), P)
         assert [A(t) for t in range(N + 1)] == [0] + off_three.summatory_all()
 
     def test_summatory_length(self):
-        assert summatory_length(10**6) == 10**4 + 1
-        assert summatory_length(10**9) == 10**6 + 1
+        assert summatory_length(10**6) == 3982
+        assert summatory_length(10**9) == 251190
         for x in (1, 2, 3, 8, 1000):
             assert math.isqrt(x) < summatory_length(x) <= x + 1
 

@@ -91,19 +91,24 @@ class TestSummatory:
         assert a_hex_summatory(checkpoints) == [prefix[x - 1] for x in checkpoints]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.lists(st.integers(1, 200_000), min_size=1, max_size=4))
+    @given(st.lists(st.integers(1, 10**6), min_size=1, max_size=4))
     def test_drawn_x(self, xs):
-        prefix = _prefix(200_000)
+        # the numpy stream is the reference for the plain-Python path
+        prefix = _prefix(10**6)
         assert a_hex_summatory(xs) == [prefix[x - 1] for x in xs]
 
     def test_builds_no_array_near_x(self, monkeypatch):
         lengths = []
-        init = dirichlet.ArithSeq.__init__
+        init = dirichlet.Summatory.__init__
 
-        def record(self, values):
-            init(self, values)
-            lengths.append(self.N)
+        def record(self, c, beyond, reach):
+            init(self, c, beyond, reach)
+            lengths.append(len(c) - 1)
 
-        monkeypatch.setattr(dirichlet.ArithSeq, "__init__", record)
+        monkeypatch.setattr(dirichlet.Summatory, "__init__", record)
         a_hex_summatory([10**6])
         assert 0 < max(lengths) <= dirichlet.summatory_length(10**6)
+
+    def test_value_at_the_cli_cap(self):
+        # the value the numpy summatory gave
+        assert a_hex_summatory([10**9]) == [4971374480]
