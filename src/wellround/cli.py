@@ -36,7 +36,7 @@ DEFAULT_MAX = 1000
 MAX_INDEX = 10**7
 # the largest --checkpoints entry of asympt --lattice square|hex, whose A(x)
 # come from plain-Python tables of about x^0.6 entries: at 10^9 a call takes
-# about 0.4 s and peaks at 81 MB (2-CPU VM)
+# 0.4-0.5 s and peaks at 81 MB (2-CPU VM)
 MAX_SUMMATORY_INDEX = 10**9
 # the largest --bound of frames; the frame list grows as its square, and at
 # 700 `frames --format json` peaks at 345 MB on the square lattice and 688 MB
