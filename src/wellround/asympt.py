@@ -7,11 +7,13 @@ Each error adds the roundings of its float operations, each taken to be
 within EPS (one ulp) of its exact result, carried through the operations
 that follow, and a bound on the rest of each truncated series.  Nothing here
 builds an array or loads numpy: gamma and zeta'(2)/zeta(2) are sums of
-EM_TERMS terms with Euler-Maclaurin tails, both lattice constants rest on
-band-gap limits summed over unimodular cones in closed form, Epstein values
-at s > 1 are a few terms of the Chowla-Selberg series (or lattice shells at
-large s), and the residue at s = 1 is pi/sqrt(ac - b^2) on the exact
-entries.  The fitted model of any other lattice lives in `growth`.
+EM_TERMS terms with Euler-Maclaurin tails, L(1, chi) and L'/L(1, chi) come
+from the principal form's Epstein function (residue, Kronecker's limit
+formula), both lattice constants rest on band-gap limits summed over
+unimodular cones in closed form, Epstein values at s > 1 are a few terms of
+the Chowla-Selberg series (or lattice shells at large s), and the residue at
+s = 1 is pi/sqrt(ac - b^2) on the exact entries.  The fitted model of any
+other lattice lives in `growth`.
 """
 
 from __future__ import annotations
@@ -77,50 +79,65 @@ def zeta_prime_2_over_zeta_2() -> tuple[float, float]:
     return ratio, rounding + 5.0 * EPS * abs(ratio) + next_term
 
 
-def L_at_one(D: int) -> tuple[float, float]:
-    """L(1, chi_D), and its error: the residue of Z(s) = units zeta(s) L(s, chi_D)
-    of x^2 + y^2 (4 units) or x^2 + xy + y^2 (Gram entries (1, 1/2, 1), 6
-    units) from `epstein_residue`, over the units, rounded once more."""
-    if D not in (-4, -3):
+def _principal_form(D: int) -> tuple[int, Fraction, int, int]:
+    """The principal form of discriminant D, as the Gram entries (a, b, c) of
+    a m^2 + 2 b m n + c n^2, and its number of units: x^2 + y^2 for D = -4,
+    x^2 + xy + y^2 for D = -3.  Z(s) = units zeta(s) L(s, chi_D) on it."""
+    forms = {-4: (1, Fraction(0), 1, 4), -3: (1, Fraction(1, 2), 1, 6)}
+    if D not in forms:
         raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-    units, det = (4, {1: 1}) if D == -4 else (6, {1: Fraction(3, 4)})
-    residue, error = epstein_residue(det)
+    return forms[D]
+
+
+def L_at_one(D: int) -> tuple[float, float]:
+    """L(1, chi_D), and its error: the residue of Z(s) on the principal form
+    of D (`epstein_residue`), over its units, rounded once more."""
+    a, b, c, units = _principal_form(D)
+    residue, error = epstein_residue({1: a * c - b * b})
     value = residue / units
     return value, error / units + EPS * value
 
 
-def _agm(x: float, y: float) -> tuple[float, float]:
-    """The arithmetic-geometric mean of x and y, and the relative error of
-    its own roundings: each step rounds a sum, and a product under a square
-    root, at most 2 EPS in all, since the mean moves no more than its
-    arguments do; the last mean adds one EPS, and the exact mean lies
-    between the last x and y."""
-    steps = 0
-    while abs(x - y) > 1e-16 * abs(x):
-        x, y = (x + y) / 2.0, sqrt(x * y)
-        steps += 1
-    return (x + y) / 2.0, (2 * steps + 1) * EPS + abs(x - y) / (2.0 * min(x, y))
-
-
 def L_prime_over_L(D: int) -> tuple[float, float]:
-    """Logarithmic derivative L'(1, chi_D)/L(1, chi_D), AGM closed form, and
-    its error: the log of a product, whose relative error adds twice the
-    AGM's, gamma's error, and one EPS per other rounding, counted twice for
-    the AGM's argument, which enters squared; plus the log's rounding."""
+    """Logarithmic derivative L'(1, chi_D)/L(1, chi_D), and its error:
+    `_kronecker` on the principal form of D, as C/R = gamma + L'/L for
+    Z(s) = units zeta(s) L(s, chi_D)."""
+    return _kronecker(*_principal_form(D)[:3])
+
+
+def _kronecker(a, b, c) -> tuple[float, float]:
+    """C/R - gamma of the Epstein function Z(s) = R/(s - 1) + C + O(s - 1) of
+    the exact reduced Gram entries (a, b, c), |2b| <= a <= c, and its error,
+    by Kronecker's first limit formula: with d = ac - b^2, y = sqrt(d)/a and
+    q = exp(2 pi i (b + i sqrt(d))/a), |q| = r = exp(-2 pi y) <= exp(-pi sqrt(3)),
+        C/R - gamma = gamma + pi y/3 - 2 log 2 + log(a/d) - 4 sum_n log|1 - q^n|,
+    log|1 - q^n| = log1p(r^2n - 2 r^n cos(2 pi n b/a))/2.  Terms are added
+    until r^(N+1)/((1 - r)(1 - r^(N+1))), which bounds the rest by
+    sum_(n > N) -log(1 - r^n), is within EPS/8.  The error adds gamma's,
+    which enters once, the head's roundings (4.5 in pi y/3, two in log(a/d))
+    and the fsum's; per term, r's relative delta (4 EPS in 2 pi y, one in
+    exp) n times in r^n and 2n in r^2n, the cosine's 20 EPS (its argument
+    from the exact n b/a mod 1), three roundings in u and log1p's, u's error
+    moving log1p(u) by at most 1/(1 - |u|) of it; and the rest, four times."""
     g, g_error = euler_gamma()
-    if D == -4:
-        M, M_error = _agm(1.0, sqrt(2.0))
-        # sqrt 2 twice; the square, exp, the product and the quotient
-        value, roundings = log(M**2 * math.exp(g) / 2.0), 6
-    elif D == -3:
-        # exponent 4/3: agm(1, cos(pi/12)) = 2^{4/3} pi^2 / (3^{1/4} Gamma(1/3)^3)
-        M, M_error = _agm(1.0, math.cos(pi / 12.0))
-        # pi, pi/12 and the cosine twice each; 4/3, the power, the square,
-        # exp, two products and the quotient
-        value, roundings = log(2.0 ** (4.0 / 3.0) * M**2 * math.exp(g) / 3.0), 13
-    else:
-        raise UnsupportedDiscriminantError(f"discriminant {D} not supported")
-    return value, 2.0 * M_error + g_error + roundings * EPS + EPS * abs(value)
+    a, b, c = map(Fraction, (a, b, c))
+    d = a * c - b * b
+    y = sqrt(float(d / (a * a)))
+    r, delta = math.exp(-2.0 * pi * y), 8.0 * pi * y * EPS + EPS
+    p, m = (b / a).as_integer_ratio()
+    terms, term_error, rest, n = [], 0.0, 1.0, 0
+    while rest > EPS / 8.0:
+        n += 1
+        rn = r**n
+        u = rn * rn - 2.0 * rn * math.cos(2.0 * pi * (n * p % m / m))
+        size = rn * rn + 2.0 * rn
+        terms.append(math.log1p(u) / 2.0)
+        term_error += size * (n * delta + 11.5 * EPS) / (1.0 - size) + EPS * abs(terms[-1])
+        rest = r ** (n + 1) / ((1.0 - r) * (1.0 - r ** (n + 1)))
+    head = [g, pi * y / 3.0, -2.0 * LOG2, math.log(float(a / d))]
+    value = math.fsum(head + [-4.0 * t for t in terms])
+    roundings = 4.5 * head[1] - head[2] + 1.0 + abs(head[3]) + abs(value)
+    return value, g_error + EPS * roundings + 4.0 * (term_error + rest)
 
 
 # -- the two lattice constants ------------------------------------------------

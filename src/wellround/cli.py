@@ -45,8 +45,9 @@ MAX_FRAME_BOUND = 700
 DEFAULT_CHECKPOINTS = (1000, 10_000, 100_000)
 # the largest --max whose preset formula counts come from `general.count_wr`,
 # not the Dirichlet identity and its numpy import; CLI wall times, identity /
-# count_wr (medians of 7, 2-CPU VM), square: 0.117 / 0.057 s at 600, 0.126 /
-# 0.092 s at 10^4, 0.146 / 0.201 s at 4*10^4; hexagonal alike
+# count_wr (medians of 11, 2-CPU VM), square: 0.137 / 0.089 s at 600, 0.141 /
+# 0.098 s at 10^4, 0.167 / 0.240 s at 4*10^4; hexagonal 0.139 / 0.067,
+# 0.147 / 0.118 and 0.168 / 0.300 s
 PRESET_IDENTITY_FROM = 10**4
 
 

@@ -134,38 +134,6 @@ def convolve(f: ArithSeq, g: ArithSeq) -> ArithSeq:
     return ArithSeq(out[1:])
 
 
-def ones_seq(N: int) -> ArithSeq:
-    """Coefficients of zeta(s)."""
-    import numpy as np
-
-    return ArithSeq(np.ones(N, dtype=np.int64))
-
-
-class DirichletCharacter:
-    """Periodic totally multiplicative sign table."""
-
-    def __init__(self, modulus: int, table: Sequence[int]):
-        if len(table) != modulus:
-            raise ValueError("table length must equal the modulus")
-        self.modulus = modulus
-        # table[r] is the value at n with n % modulus == r
-        self.table = tuple(table)
-
-    def __call__(self, n: int) -> int:
-        return self.table[n % self.modulus]
-
-
-# quadratic characters mod 4 and mod 3
-CHI_MINUS4 = DirichletCharacter(4, (0, 1, 0, -1))
-CHI_MINUS3 = DirichletCharacter(3, (0, 1, -1))
-
-
-def character_seq(chi: DirichletCharacter, N: int) -> ArithSeq:
-    import numpy as np
-
-    return ArithSeq(np.array(chi.table, dtype=np.int64)[np.arange(1, N + 1) % chi.modulus])
-
-
 def _moebius(n: int) -> list[int]:
     """mu(0), ..., mu(n), with mu(0) = 0, by sieve."""
     mu, composite = [0] + [1] * n, bytearray(n + 1)
@@ -395,18 +363,18 @@ class Preset(NamedTuple):
         a = b + w m^{-s} (band_r * E b_pr) + w (band_r^odd * O b_pr),
     and of their partial sums,
         A(x) = B(x) + w S(x // m; E b_pr, band_r) + w S(x; O b_pr, band_r^odd).
-    Here b = 1 * chi counts the similar sublattices, which are also the
-    points u >= 1, v >= 0 of the norm form u^2 + cross uv + v^2 of each
-    index; b_pr = b / zeta(2s) counts the primitive ones, band_r is
-    `pair_band(., r)`, w is the weight of each pair, m the index shift of
-    the even part (`shift`), and S(y; f, g) is the partial sum of f * g to y
-    (`hyperbola_sum`).  E and O are the factors 1/(1 + k^{-s}) on the even
-    and odd parts, given by their base k (`even`, `odd`), or None for the
-    factor 1.  The streams (`similar`, `primitive`, `counts`) convolve chi's
-    divisor sums in numpy; `summatory` counts the norm form's points in
-    plain Python."""
+    A lattice is its norm form u^2 + cross uv + v^2 (cross 0 or 1) and the
+    data of its pairs.  b counts the similar sublattices, the points u >= 1,
+    v >= 0 of the norm form of each index (their series is the norm form's
+    Epstein function over its units); b_pr = b / zeta(2s) counts the
+    primitive ones, band_r is `pair_band(., r)`, w is the weight of each
+    pair, m the index shift of the even part (`shift`), and S(y; f, g) is
+    the partial sum of f * g to y (`hyperbola_sum`).  E and O are the
+    factors 1/(1 + k^{-s}) on the even and odd parts, given by their base k
+    (`even`, `odd`), or None for the factor 1.  The streams (`similar`,
+    `primitive`, `counts`) count the norm form's points in numpy;
+    `summatory` counts them in plain Python."""
 
-    chi: DirichletCharacter
     cross: int
     r: int
     w: int
@@ -415,8 +383,19 @@ class Preset(NamedTuple):
     odd: int | None
 
     def similar(self, N: int) -> ArithSeq:
-        """b(1..N), the similar sublattices by index."""
-        return convolve(ones_seq(N), character_seq(self.chi, N))
+        """b(1..N), the similar sublattices by index: the norm form's values
+        on the rows of `norm_summatory`, row v holding the u from 1 to
+        (isqrt(4N - (4 - cross^2) v^2) - cross v) // 2, tallied at once."""
+        import numpy as np
+
+        c, d = self.cross, 4 - self.cross**2
+        u = np.arange(1, isqrt(N) + 1, dtype=np.int64)
+        tops = [(isqrt(4 * N - d * v * v) - c * v) // 2 for v in range(isqrt(N) + 1)]
+        values, end = np.empty(sum(tops), dtype=np.int64), 0
+        for v, top in enumerate(tops):
+            values[end : end + top] = v * v + u[:top] * (u[:top] + c * v)
+            end += top
+        return ArithSeq(np.bincount(values, minlength=N + 1)[1:])
 
     def primitive(self, N: int) -> ArithSeq:
         """b_pr(1..N), the primitive similar sublattices by index."""

@@ -1,9 +1,10 @@
 """Counting sublattices of the hexagonal lattice by geometric type.
 
-Similar sublattices of the Eisenstein integers are counted by the divisor
-sum of the quadratic character mod 3.  Well-rounded sublattices decompose
-into the hexagonal ones (exactly the similar sublattices here; square type
-is impossible) and rhombic ones parametrized by p, q of equal parity with
+Similar sublattices of the Eisenstein integers of index n are the points
+u >= 1, v >= 0 of their norm form u^2 + uv + v^2 = n, as many as the
+divisor sum of chi_-3.  Well-rounded sublattices decompose into the
+hexagonal ones (exactly the similar sublattices here; square type is
+impossible) and rhombic ones parametrized by p, q of equal parity with
 p < q < 3p and a primitive generator z, giving index pq|z|^2 (even case
 scaled by 4) with a three-fold orientation multiplicity.  The parameter
 pairs (p, q, z) and (3q, p, w) describe the same sublattice, which is
@@ -19,13 +20,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .dirichlet import CHI_MINUS3, ArithSeq, Preset
+from .dirichlet import ArithSeq, Preset
 
-HEXAGONAL = Preset(CHI_MINUS3, cross=1, r=9, w=3, shift=4, even=3, odd=3)
+HEXAGONAL = Preset(cross=1, r=9, w=3, shift=4, even=3, odd=3)
 
 
 def b_hex(N: int) -> ArithSeq:
-    """Similar sublattices of the hexagonal lattice by index."""
+    """Similar sublattices of the hexagonal lattice by index: the points of u^2 + uv + v^2."""
     return HEXAGONAL.similar(N)
 
 

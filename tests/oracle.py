@@ -27,7 +27,9 @@ integral tail, the brute-force check of the series values of
 `asympt.epstein_value`, and `meshgrid_extrapolants` is the Richardson ladder
 of truncated sums that shows the lattice sums reach the residue
 pi/sqrt(ac - b^2).  `epstein_series` is the same Chowla-Selberg series as
-`asympt.epstein_value`, at 30 digits in mpmath.  The band-gap limits of
+`asympt.epstein_value`, in mpmath at 30 digits or at any other precision;
+`kronecker_reference` reads C/R - gamma from it at 60 digits near s = 1, the
+reference of `asympt._kronecker`.  The band-gap limits of
 `asympt._band_gap_limit` come two more ways: `band_gap_limit`, the long
 numpy row sums (`band_gap_terms` in blocks by `band_gap_sums`) with a
 Richardson step (`richardson`), and `cone_limit`, the same cone
@@ -42,8 +44,11 @@ of a non-rational lattice as a `ReflectionFrame`.  For the square lattice:
 the type series `rhombic_square_series` and `primitive_type_series`, the
 admissible indices (`is_admissible_index_square`) and the larger candidate
 set of Fukshansky's (`fukshansky_superset_member`).  The census's
-`well_rounded_list`.  The float checks: the Gamma-function form of
-L'/L (`L_prime_over_L_gamma_form`), the interval-sum lemma
+`well_rounded_list`.  The characters mod 4 and mod 3 as tables
+(`CHI_MINUS4`, `CHI_MINUS3`) and their divisor sums
+(`character_divisor_sums`), the reference of the similar counts, and
+zeta(s)'s coefficients (`ones_seq`).  The float checks: the
+Gamma-function form of L'/L (`L_prime_over_L_gamma_form`), the interval-sum lemma
 (`interval_sum_bounds`), and the Dirichlet-series sandwiches of the square
 and hexagonal counts (`sandwich_check_square`, `sandwich_check_hex`), which
 evaluate truncated series (`evaluate`) against mpmath's zeta and L values.
@@ -69,7 +74,6 @@ from wellround.dirichlet import (
     alt_powers,
     convolve,
     moebius_seq,
-    ones_seq,
     squares_moebius,
     times_sparse,
 )
@@ -740,14 +744,15 @@ def epstein_restricted_moebius(Q, s: float, k: int, l: int, C: int, D: int, R: f
     return total
 
 
-def epstein_series(Q, s: float) -> mpmath.mpf:
-    """The Chowla-Selberg series of the Epstein zeta function at 30 digits
+def epstein_series(Q, s, dps: int = 30) -> mpmath.mpf:
+    """The Chowla-Selberg series of the Epstein zeta function at `dps` digits
     (`mpmath.zeta`, `mpmath.besselk`), on the exact rationals of the entries
     reduced by `gauss_reduce`: the reference for `asympt.epstein_value`.
-    The Bessel terms stop past the peak of N^s K(2 pi N y), once that bound on
-    a term is below 10^-40 of the sum."""
+    s is a float, or an mpf for an s nearer 1 than a float can be.  The
+    Bessel terms stop past the peak of N^s K(2 pi N y), once that bound on a
+    term is below 10^-(dps + 10) of the sum."""
     reduced, _ = gauss_reduce(GramForm(*(Scalar(Fraction(v)) for v in Q)))
-    with mpmath.workdps(30):
+    with mpmath.workdps(dps):
         a, b, c = (mpmath.mpf(e.rat.numerator) / e.rat.denominator for e in reduced)
         s = mpmath.mpf(s)
         y, nu, pi = mpmath.sqrt(a * c - b * b) / a, s - mpmath.mpf(1) / 2, mpmath.pi
@@ -760,8 +765,20 @@ def epstein_series(Q, s: float) -> mpmath.mpf:
             k = mpmath.besselk(nu, 2 * pi * N * y)
             sigma = sum(mpmath.mpf(d) ** (1 - 2 * s) for d in range(1, N + 1) if N % d == 0)
             total += prefactor * N**nu * sigma * k * mpmath.cos(2 * pi * N * b / a)
-            if 2 * pi * y * N > s and prefactor * 2 * N**s * k < mpmath.mpf(10) ** -40 * abs(total):
+            if 2 * pi * y * N > s and prefactor * 2 * N**s * k < mpmath.mpf(10) ** -(dps + 10) * abs(total):
                 return total / a**s
+
+
+def kronecker_reference(Q) -> mpmath.mpf:
+    """C/R - gamma for Z(s) = R/(s - 1) + C + O(s - 1) of the form Q, the
+    reference for `asympt._kronecker`: f(s) = (s - 1) Z(s) from
+    `epstein_series` at 60 digits at s = 1 + h and 1 + 2h, h = 10^-20, gives
+    R = 2 f(1 + h) - f(1 + 2h) and C = (f(1 + 2h) - f(1 + h))/h, each within
+    about 3h |f''| of the exact value."""
+    with mpmath.workdps(60):
+        h = mpmath.mpf(10) ** -20
+        f1, f2 = (k * h * epstein_series(Q, 1 + k * h, dps=60) for k in (1, 2))
+        return (f2 - f1) / h / (2 * f1 - f2) - mpmath.euler
 
 
 def meshgrid_disk(Q, R):
@@ -984,6 +1001,27 @@ def interval_sum_bounds(l: int, alpha: float, beta: float, gamma: float, s: floa
 
 # coefficients of each truncated series in the sandwich checks
 SANDWICH_TERMS = 20_000
+
+
+# the quadratic characters mod 4 and mod 3: chi(n) is CHI[n % len(CHI)]
+CHI_MINUS4 = (0, 1, 0, -1)
+CHI_MINUS3 = (0, 1, -1)
+
+
+def character_divisor_sums(chi: tuple[int, ...], N: int) -> list[int]:
+    """[0, b(1), ..., b(N)] with b(n) = sum over d | n of chi(d): the
+    similar sublattices of the square (chi_-4) or hexagonal (chi_-3) lattice
+    by index, one divisor at a time in plain Python."""
+    b = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            b[n] += chi[d % len(chi)]
+    return b
+
+
+def ones_seq(N: int) -> ArithSeq:
+    """Coefficients of zeta(s)."""
+    return ArithSeq(np.ones(N, dtype=np.int64))
 
 
 def delta_seq(N: int) -> ArithSeq:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from wellround import asympt, growth
 from wellround.gram import GramForm
-from wellround.dirichlet import CHI_MINUS3, CHI_MINUS4, _isqrt
+from wellround.dirichlet import _isqrt
 
 import oracle
 
@@ -34,14 +34,18 @@ class TestConstants:
             asympt.L_at_one(-7)
 
     def test_L_at_one_partial_sum_crosscheck(self):
-        for chi, value in ((CHI_MINUS4, math.pi / 4), (CHI_MINUS3, math.pi / (3 * math.sqrt(3)))):
+        for chi, value in ((oracle.CHI_MINUS4, math.pi / 4), (oracle.CHI_MINUS3, math.pi / (3 * math.sqrt(3)))):
             N = 1_000_000
-            total = sum(chi(n) / n for n in range(1, N))
+            total = sum(chi[n % len(chi)] / n for n in range(1, N))
             assert abs(total - value) < 1e-5
 
     def test_L_prime_over_L(self):
         assert asympt.L_prime_over_L(-4)[0] == pytest.approx(0.2456096, abs=1e-6)
         assert asympt.L_prime_over_L(-3)[0] == pytest.approx(0.3682816, abs=1e-6)
+
+    def test_L_prime_over_L_refuses_other_discriminants(self):
+        with pytest.raises(asympt.UnsupportedDiscriminantError):
+            asympt.L_prime_over_L(-7)
 
     def test_both_closed_forms_agree(self):
         for D in (-4, -3):
@@ -132,6 +136,40 @@ class TestConstants:
         for entry in table.values():
             assert len(entry) == 2
         assert table["c_square"][0] == pytest.approx(0.6272237, abs=1e-5)
+
+
+@st.composite
+def _reduced_forms(draw):
+    """Exact reduced Gram entries (a, b, c), |2b| <= a <= c: integral or
+    with b a half-integer, 2b often at +-a, and c from a to 100 a."""
+    a = draw(st.integers(1, 40))
+    b = Fraction(draw(st.one_of(st.sampled_from([-a, a]), st.integers(-a, a))), 2)
+    return a, b, a * draw(st.integers(1, 100)) + draw(st.integers(0, a - 1))
+
+
+class TestKronecker:
+    """`asympt._kronecker`, C/R - gamma of the Epstein function, against the
+    60-digit Laurent coefficients of (s - 1) Z(s)."""
+
+    @pytest.mark.parametrize("Q", [(1, 0, 1), (2, 1, 2), (2, 1, 3), (7, 3, 11), (3, -1, 5),
+                                   (1, Fraction(1, 2), 1), (5, 2, 9), (1, 0, 1000)])
+    def test_within_its_error_of_the_laurent_series(self, Q):
+        value, error = asympt._kronecker(*Q)
+        assert abs(value - oracle.kronecker_reference(Q)) <= error < 1e-13 * max(1.0, abs(value))
+
+    @settings(max_examples=10, deadline=None)
+    @given(_reduced_forms())
+    def test_drawn_forms(self, Q):
+        value, error = asympt._kronecker(*Q)
+        assert abs(value - oracle.kronecker_reference(Q)) <= error < 1e-13 * max(1.0, abs(value))
+
+    def test_principal_forms_give_L_prime_over_L(self):
+        # the reference itself on the two principal forms, against mpmath's L'/L:
+        # it errs by O(h), 3.5e-21 and 6.1e-21 here
+        for Q, chi in (((1, 0, 1), [0, 1, 0, -1]), ((1, Fraction(1, 2), 1), [0, 1, -1])):
+            with mpmath.workdps(30):
+                exact = mpmath.dirichlet(1, chi, 1) / mpmath.dirichlet(1, chi)
+                assert abs(oracle.kronecker_reference(Q) - exact) < 1e-19
 
 
 def _band_gap_reference(P, r, odd):

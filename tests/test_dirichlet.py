@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -7,20 +8,16 @@ from hypothesis import strategies as st
 import numpy as np
 
 from wellround.dirichlet import (
-    CHI_MINUS3,
-    CHI_MINUS4,
     ArithSeq,
     OutOfRangeError,
     Summatory,
     _isqrt,
     alt_powers,
     band_summatory,
-    character_seq,
     convolve,
     hyperbola_sum,
     moebius_seq,
     norm_summatory,
-    ones_seq,
     pair_band,
     sparse_times,
     squares_moebius,
@@ -28,8 +25,10 @@ from wellround.dirichlet import (
     summatory_length,
     times_sparse,
 )
+from wellround.hexagonal import b_hex, b_hex_primitive
+from wellround.square import b_square, b_square_primitive
 
-from oracle import delta_seq
+from oracle import CHI_MINUS3, CHI_MINUS4, character_divisor_sums, delta_seq, ones_seq
 
 small_seqs = st.builds(
     ArithSeq, st.lists(st.integers(-9, 9), min_size=1, max_size=40)
@@ -122,14 +121,14 @@ class TestConvolution:
 
 class TestBuildingBlocks:
     def test_characters(self):
-        assert [CHI_MINUS4(n) for n in range(1, 9)] == [1, 0, -1, 0, 1, 0, -1, 0]
-        assert [CHI_MINUS3(n) for n in range(1, 7)] == [1, -1, 0, 1, -1, 0]
+        assert [CHI_MINUS4[n % 4] for n in range(1, 9)] == [1, 0, -1, 0, 1, 0, -1, 0]
+        assert [CHI_MINUS3[n % 3] for n in range(1, 7)] == [1, -1, 0, 1, -1, 0]
 
-    def test_character_seq_multiplicative(self):
-        chi = character_seq(CHI_MINUS4, 100)
+    @pytest.mark.parametrize("chi", [CHI_MINUS4, CHI_MINUS3])
+    def test_characters_multiplicative(self, chi):
         for m in range(1, 10):
             for n in range(1, 10):
-                assert chi[m * n] == chi[m] * chi[n]
+                assert chi[m * n % len(chi)] == chi[m % len(chi)] * chi[n % len(chi)]
 
     def test_inv_zeta_2s(self):
         s = dense(*squares_moebius(20), 20)
@@ -149,6 +148,35 @@ class TestBuildingBlocks:
     def test_shift_support(self):
         f = ArithSeq([1, 2, 3, 4])
         assert list(times_sparse((2,), (1,), f)) == [0, 1, 0, 2]
+
+
+def check_similar(similar, primitive, chi, N: int) -> None:
+    """b(1..N) of the norm form's points equals the oracle's divisor sums of
+    chi, and b_pr(1..N) their part free of square factors: b = b_pr * zeta(2s),
+    each b(n) the sum of b_pr(n / k^2) over k^2 | n."""
+    b = character_divisor_sums(chi, N)
+    assert list(similar(N)) == b[1:]
+    bpr, total = [0, *primitive(N)], [0] * (N + 1)
+    for k in range(1, math.isqrt(N) + 1):
+        for m in range(1, N // (k * k) + 1):
+            total[m * k * k] += bpr[m]
+    assert total == b
+
+
+SIMILAR = [(b_square, b_square_primitive, CHI_MINUS4), (b_hex, b_hex_primitive, CHI_MINUS3)]
+
+
+class TestSimilarCounts:
+    @pytest.mark.parametrize("similar, primitive, chi", SIMILAR)
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_smallest_N(self, similar, primitive, chi, N):
+        check_similar(similar, primitive, chi, N)
+
+    @pytest.mark.parametrize("similar, primitive, chi", SIMILAR)
+    @settings(max_examples=20, deadline=None)
+    @given(N=st.integers(1, 2 * 10**4))
+    def test_drawn_N(self, similar, primitive, chi, N):
+        check_similar(similar, primitive, chi, N)
 
 
 def dense(n, c, N: int) -> ArithSeq:
@@ -246,7 +274,7 @@ class TestSummatoryPath:
 
     def test_no_partial_sum_past_the_reach(self):
         B = norm_summatory(0, 10, 50)
-        assert B(50) == convolve(ones_seq(50), character_seq(CHI_MINUS4, 50)).summatory(50)
+        assert B(50) == sum(character_divisor_sums(CHI_MINUS4, 50))
         with pytest.raises(OutOfRangeError):
             B(51)
 
@@ -255,14 +283,14 @@ class TestSummatoryPath:
         # the norm form's points against chi's divisor sums, on both sides
         # of a short table
         N = 2000
-        b = convolve(ones_seq(N), character_seq(chi, N))
-        assert norm_summatory(cross, N, N).c == [0, *b]
+        b = character_divisor_sums(chi, N)
+        assert norm_summatory(cross, N, N).c == b
         B = norm_summatory(cross, 50, N)
-        assert [B(t) for t in range(N + 1)] == [0] + b.summatory_all()
+        assert [B(t) for t in range(N + 1)] == list(accumulate(b))
 
     def test_sparse_factors(self):
         N = 3000
-        b = convolve(ones_seq(N), character_seq(CHI_MINUS4, N))
+        b = ArithSeq(character_divisor_sums(CHI_MINUS4, N)[1:])
         B = short_table(b, 60)
         primitive = convolve(dense(*squares_moebius(N), N), b)
         P = squares_moebius_times(B)
