@@ -1,16 +1,18 @@
 """Numeric layer: constants, Epstein zeta values and residues, and the
-closed-form growth models of the square and hexagonal lattices.
+growth models of the square and hexagonal lattices.
 
 Each float the CLI prints with an error comes from one call here, as a pair
 (value, abs_error): `constants_table`, `epstein_value`, `epstein_residue`.
 Each error adds the roundings of its float operations, each taken to be
 within EPS (one ulp) of its exact result, carried through the operations
 that follow, and a bound on the rest of each truncated series.  Nothing here
-builds an array or loads numpy: gamma and zeta'(2)/zeta(2) are sums of
-EM_TERMS terms with Euler-Maclaurin tails, L(1, chi) and L'/L(1, chi) come
-from the principal form's Epstein function (residue, Kronecker's limit
-formula), both lattice constants rest on band-gap limits summed over
-unimodular cones in closed form, Epstein values at s > 1 are a few terms of
+builds an array or loads numpy: gamma is H_9 - psi(10) by psi's asymptotic
+series, zeta'(2)/zeta(2) a sum of EM_TERMS terms with an Euler-Maclaurin
+tail, L(1, chi) and L'/L(1, chi) come from the principal form's Epstein
+function (residue, Kronecker's limit formula), and both lattices' constants
+and models are one Laurent expansion at s = 1 of each preset's Dirichlet
+identity (`preset_constants`), whose band-gap limits are summed over
+unimodular cones in closed form.  Epstein values at s > 1 are a few terms of
 the Chowla-Selberg series (or lattice shells at large s), and the residue at
 s = 1 is pi/sqrt(ac - b^2) on the exact entries.  The fitted model of any
 other lattice lives in `growth`.
@@ -34,15 +36,13 @@ class DomainError(ValueError):
 
 
 LOG2 = log(2.0)
-LOG3 = log(3.0)
 ZETA2 = pi * pi / 6.0
 # one ulp of 1.0: each float operation and libm call here is taken to land
 # within EPS, relative, of its exact result; every abs_error adds these
 # roundings up, carried through the operations that follow them
 EPS = 2.0**-52
 
-# terms summed before the Euler-Maclaurin tails of euler_gamma,
-# zeta'(2)/zeta(2) and `_zeta`
+# terms summed before the Euler-Maclaurin tails of zeta'(2)/zeta(2) and `_zeta`
 EM_TERMS = 1_000
 # an Epstein value whose series error exceeds SHELL_FROM of it is also summed
 # over its lattice's shells (`_shell_sum`), at most up to q = SHELL_MAX
@@ -53,14 +53,16 @@ BERNOULLI = tuple(Fraction(n, d) for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30
 
 
 def euler_gamma() -> tuple[float, float]:
-    """Euler-Mascheroni constant by Euler-Maclaurin corrected harmonic sum,
-    and its error: the EM_TERMS reciprocals and the fsum of H, log n, and
-    four additions of results near gamma, each within EPS; plus the next
-    Euler-Maclaurin term 1/(252 n^6)."""
-    n = float(EM_TERMS)
-    H = math.fsum(1.0 / k for k in range(1, EM_TERMS + 1))
-    g = H - log(n) - 1.0 / (2 * n) + 1.0 / (12 * n * n) - 1.0 / (120 * n**4)
-    return g, EPS * (2.0 * H + log(n) + 4.0 * (g + 1.0 / n)) + 1.0 / (252 * n**6)
+    """Euler-Mascheroni constant H_(x-1) - psi(x) at x = PSI_SHIFT, psi(x) =
+    log x - 1/(2x) - sum_k B_2k/(2k x^2k) to the B_20 term, and its error:
+    H_(x-1) exact and rounded once, log x, 1/(2x), each term's coefficient and
+    quotient, the fsum, and the B_22 term, which bounds the rest for x > 0."""
+    x = PSI_SHIFT
+    head = [float(sum(Fraction(1, k) for k in range(1, x))), -log(x), 1 / (2 * x)]
+    series = [c / x ** (2 * k) for k, c in enumerate(PSI_COEFFS[:-1], 1)]
+    value = math.fsum(head + series)
+    rounding = math.fsum(map(abs, head)) + 2.0 * math.fsum(map(abs, series)) + value
+    return value, EPS * rounding + abs(PSI_COEFFS[-1]) / x ** (2 * len(PSI_COEFFS))
 
 
 def zeta_prime_2_over_zeta_2() -> tuple[float, float]:
@@ -140,13 +142,13 @@ def _kronecker(a, b, c) -> tuple[float, float]:
     return value, g_error + EPS * roundings + 4.0 * (term_error + rest)
 
 
-# -- the two lattice constants ------------------------------------------------
+# -- the lattice constants and growth models ----------------------------------
 
 # the r = 3 bands are summed until `_band_tail` bounds the rest by TAIL_CUT;
 # the values of nu each cone sums by digamma, and the last Bernoulli index of
 # its Euler-Maclaurin tail; a digamma difference adds terms until
 # x >= PSI_SHIFT, then its asymptotic series until a term is below PSI_CUT of
-# the first
+# the first, and euler_gamma reads psi at PSI_SHIFT
 TAIL_CUT, CONE_NU, CONE_ORDER, PSI_SHIFT, PSI_CUT = EPS / 2, 10, 16, 10, 2.0**-58
 # B_2k/2k; and (-1)^(k-1) B_k(c)/k for k = 1 and the even k to CONE_ORDER,
 # by 2c, with B_1(c) = c - 1/2 and B_k(1/2) = (2^(1-k) - 1) B_k
@@ -283,63 +285,53 @@ def _band_gap_limit(r: int, odd: bool) -> tuple[float, float]:
     return value, math.fsum(e for _, e in shares) + EPS * abs(value) + rest
 
 
-def c_square_eval() -> tuple[float, float]:
-    """Linear-term constant of the square lattice growth law, and its error:
-    the errors of its inputs carried through, and its own roundings."""
-    (g, eg), (L, eL) = euler_gamma(), L_at_one(-4)
-    (lpl, elpl), (zp, ezp) = L_prime_over_L(-4), zeta_prime_2_over_zeta_2()
-    (s1, e1), (s2, e2) = _band_gap_limit(3, odd=False), _band_gap_limit(3, odd=True)
-    bracket = (ZETA2 + (LOG3 / 3.0) * (lpl + g - 2.0 * zp)
-               + (LOG3 / 3.0) * (2.0 * g - LOG3 / 4.0 - LOG2 / 6.0) - s1 - (4.0 / 3.0) * s2)
-    # gamma enters three times besides its share of L'/L; ZETA2 rounds four
-    # times; the bracket's 21 roundings each round a result below `size`
-    size = ZETA2 + abs(lpl) + 3.0 * abs(g) + 2.0 * abs(zp) + LOG3 + abs(s1) + 2.0 * abs(s2)
-    bracket_error = (4.0 * EPS * ZETA2 + (LOG3 / 3.0) * (elpl + 3.0 * eg + 2.0 * ezp)
-                     + e1 + (4.0 / 3.0) * e2 + 21 * EPS * size)
-    value = L / ZETA2 * bracket
-    # L's error, ZETA2's four roundings, the quotient and the product
-    return value, abs(value) * (eL / abs(L) + 6.0 * EPS) + abs(L / ZETA2) * bracket_error
+def preset_constants(p: Preset) -> tuple[float, float, float]:
+    """(c1, c, abs_error) of the preset lattice p, abs_error that of c: its
+    series is c1/(s - 1)^2 + c/(s - 1) + O(1) at s = 1, so A(x) =
+    c1 x log x + (c - c1) x + o(x).  They are read off p's identity
+    (`dirichlet.Preset`) Phi = B + w m^-s W_r E P + w W_r^odd O P at s = 1:
+      B = zeta(s) L(s, chi_D) = L/(s - 1) + O(1), D = cross^2 - 4, L = L(1, chi_D);
+      P = B/zeta(2s) = (L/zeta(2)) (1/(s - 1) + gamma + L'/L - 2 zeta'(2)/zeta(2));
+      W_r = R/(s - 1) + R (2 gamma - log(r)/4) - Lambda, R = log(r)/4, and W_r^odd
+        the same plus 2 log(2) R, R = log(r)/16, Lambda = `_band_gap_limit(r, odd)`;
+      E or O = 1/(1 + k^-s) is k/(k + 1), with log-derivative log(k)/(k + 1)
+        (1 and 0 for None), and m^-s is 1/m, with -log m.
+    So the even part (m = shift) and the odd one (m = 1) each add u R to c1
+    and u (R T - Lambda) to c - L, u = (w/m) E(1) L/zeta(2), T the sum of the
+    constant terms.  The error adds each input's error times its weight, and
+    8 EPS of each part's size: a term of R T rounds at most seven times (w/m
+    times E(1) twice, R once, its constant twice, two products), the fsum once."""
+    D = p.cross**2 - 4
+    (g, g_error), (L, L_error) = euler_gamma(), L_at_one(D)
+    (lpl, lpl_error), (zp, zp_error) = L_prime_over_L(D), zeta_prime_2_over_zeta_2()
+    log_r, scale, c1, terms, error = log(p.r), L / ZETA2, 0.0, [], 0.0
+    for m, k, odd in ((p.shift, p.even, False), (1, p.odd, True)):
+        gap, gap_error = _band_gap_limit(p.r, odd)
+        v, R = p.w / m * (k / (k + 1) if k else 1.0), log_r / (16 if odd else 4)
+        T = [3.0 * g, lpl, -2.0 * zp, -log_r / 4, 2.0 * LOG2 * odd, log(k) / (k + 1) if k else 0.0, -log(m)]
+        c1 += v * scale * R
+        terms += [v * R * t for t in T] + [-v * gap]
+        size = v * (R * sum(map(abs, T)) + abs(gap))
+        error += v * (R * (3.0 * g_error + lpl_error + 2.0 * zp_error) + gap_error) + 8 * EPS * size
+    c = L + scale * math.fsum(terms)
+    # L's error moves L and scale; scale rounds ZETA2's four times and its own,
+    # and the product and the sum round once each
+    return c1, c, L_error * abs(c) / L + scale * error + 6.0 * EPS * abs(c - L) + EPS * abs(c)
 
 
-def c_triangle_eval() -> tuple[float, float]:
-    """Linear-term constant of the hexagonal lattice growth law, and its
-    error: the errors of its inputs carried through, and its own roundings."""
-    (g, eg), (L, eL) = euler_gamma(), L_at_one(-3)
-    (lpl, elpl), (zp, ezp) = L_prime_over_L(-3), zeta_prime_2_over_zeta_2()
-    (t1, e1), (t2, e2) = _band_gap_limit(9, odd=False), _band_gap_limit(9, odd=True)
-    # the band-gap sums enter without the log 3 factor carried by the
-    # constant part of the bracket, the odd one with weight 4
-    bracket = LOG3 * ((g + lpl - 2.0 * zp) + 2.0 * g - LOG3 / 4.0) - t1 - 4.0 * t2
-    # the bracket's 12 roundings each round a result below `size`
-    size = LOG3 * (3.0 * abs(g) + abs(lpl) + 2.0 * abs(zp) + LOG3) + abs(t1) + 4.0 * abs(t2)
-    bracket_error = LOG3 * (3.0 * eg + elpl + 2.0 * ezp) + e1 + 4.0 * e2 + 12 * EPS * size
-    scale = 9.0 * L / (16.0 * ZETA2)
-    value = L + scale * bracket
-    # scale: L's error, ZETA2's four roundings and three more; the product
-    # and the sum
-    product_error = abs(scale * bracket) * (eL / abs(L) + 8.0 * EPS)
-    return value, eL + product_error + abs(scale) * bracket_error + EPS * abs(value)
-
-
-# -- growth models ------------------------------------------------------------
-
-
-def square_model() -> AsymptoticModel:
+def preset_model(p: Preset) -> AsymptoticModel:
+    """c1 x log x + (c - c1) x of the preset lattice p, from `preset_constants`."""
     from .growth import AsymptoticModel
 
-    c1 = LOG3 / (2.0 * pi)
-    return AsymptoticModel(c1, c_square_eval()[0] - c1)
-
-
-def hexagonal_model() -> AsymptoticModel:
-    from .growth import AsymptoticModel
-
-    c1 = 3.0 * sqrt(3.0) * LOG3 / (8.0 * pi)
-    return AsymptoticModel(c1, c_triangle_eval()[0] - c1)
+    c1, c, _ = preset_constants(p)
+    return AsymptoticModel(c1, c - c1)
 
 
 def constants_table() -> dict[str, tuple[float, float]]:
     """Every constant the `constants` command prints, as (value, abs_error)."""
+    from .hexagonal import HEXAGONAL
+    from .square import SQUARE
+
     return {
         "L1_chi4": L_at_one(-4),
         "L1_chi3": L_at_one(-3),
@@ -349,8 +341,8 @@ def constants_table() -> dict[str, tuple[float, float]]:
         # pi twice, the product and the quotient
         "zeta2": (ZETA2, 4.0 * EPS * ZETA2),
         "zetap2_over_zeta2": zeta_prime_2_over_zeta_2(),
-        "c_square": c_square_eval(),
-        "c_triangle": c_triangle_eval(),
+        "c_square": preset_constants(SQUARE)[1:],
+        "c_triangle": preset_constants(HEXAGONAL)[1:],
     }
 
 

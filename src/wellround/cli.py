@@ -69,7 +69,7 @@ def _parse_gram(text: str) -> GramForm:
         if text.startswith("diag(") and text.endswith(")"):
             u, v = text[5:-1].split(",")
             g = GramForm(Scalar.parse(u), Scalar(0), Scalar.parse(v))
-        elif isinstance(obj := json.loads(text), list):
+        elif isinstance(obj := json.loads(text, parse_float=_json_float), list):
             (a, b), (b2, c) = obj
             g = GramForm(_scalar(a), _scalar(b), _scalar(c))
             if _scalar(b2) != g.b:
@@ -85,6 +85,15 @@ def _parse_gram(text: str) -> GramForm:
         raise CliError(f"cannot parse Gram form {text!r} of --gram: {e}", EXIT_BAD_INPUT)
     _checked_pairs(g)
     return g
+
+
+def _json_float(literal: str) -> float:
+    """A JSON float literal as its double, refused unless that is the
+    literal's exact decimal: 1e-400 is not 0."""
+    value = float(literal)
+    if math.isfinite(value) and _fraction(literal) != value:
+        raise ValueError(f'non-exact entry {literal}; pass a string like "3/2" or "sqrt(2)"')
+    return value
 
 
 def _scalar(v) -> Scalar:
@@ -270,17 +279,14 @@ def cmd_asympt(args) -> int:
         points = _summatory_points(count_wr(_parse_gram(args.gram), max(checkpoints)), checkpoints)
         model = fit_model(points)
     else:
-        from . import asympt
+        from .asympt import preset_model
 
         if args.lattice == "square":
-            from .square import a_square_summatory as summatory
-
-            model = asympt.square_model()
+            from .square import SQUARE as preset
         else:
-            from .hexagonal import a_hex_summatory as summatory
-
-            model = asympt.hexagonal_model()
-        points = list(zip(checkpoints, summatory(checkpoints)))
+            from .hexagonal import HEXAGONAL as preset
+        model = preset_model(preset)
+        points = list(zip(checkpoints, preset.summatory(checkpoints)))
     rows = model_report(points, model)
     _emit_rows(
         args,

@@ -373,7 +373,8 @@ class Preset(NamedTuple):
     factors 1/(1 + k^{-s}) on the even and odd parts, given by their base k
     (`even`, `odd`), or None for the factor 1.  The streams (`similar`,
     `primitive`, `counts`) count the norm form's points in numpy;
-    `summatory` counts them in plain Python."""
+    `summatory` counts them in plain Python.  `asympt.preset_constants`
+    reads the growth constants off the identity's series at s = 1."""
 
     cross: int
     r: int

@@ -15,8 +15,8 @@ import pytest
 from wellround import asympt
 from wellround.general import count_wr
 from wellround.gram import GramForm, classify, gauss_reduce
-from wellround.hexagonal import a_hex, b_hex
-from wellround.square import a_square, b_square
+from wellround.hexagonal import HEXAGONAL, a_hex, b_hex
+from wellround.square import SQUARE, a_square, b_square
 from wellround.sublattices import wr_census_bruteforce
 
 from oracle import gauss_reduce as oracle_reduce
@@ -112,8 +112,8 @@ def test_criterion_03_index_set_witness():
 
 
 def test_criterion_04_constants():
-    c_sq, _ = asympt.c_square_eval()
-    c_tr, _ = asympt.c_triangle_eval()
+    _, c_sq, _ = asympt.preset_constants(SQUARE)
+    _, c_tr, _ = asympt.preset_constants(HEXAGONAL)
     lpl4, _ = asympt.L_prime_over_L(-4)
     lpl3, _ = asympt.L_prime_over_L(-3)
     ok = (
@@ -133,8 +133,8 @@ def test_criterion_04_constants():
 def test_criterion_05_growth_fit(a_square_big, a_hex_big):
     results = []
     for counts, model in (
-        (a_square_big, asympt.square_model()),
-        (a_hex_big, asympt.hexagonal_model()),
+        (a_square_big, asympt.preset_model(SQUARE)),
+        (a_hex_big, asympt.preset_model(HEXAGONAL)),
     ):
         A = counts.summatory(BIG_X)
         resid = abs(A - model(BIG_X)) / BIG_X

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from wellround import asympt, growth
 from wellround.gram import GramForm
 from wellround.dirichlet import _isqrt
+from wellround.hexagonal import HEXAGONAL
+from wellround.square import SQUARE
 
 import oracle
 
@@ -54,8 +56,8 @@ class TestConstants:
             )
 
     def test_growth_constants(self):
-        c_sq, err_sq = asympt.c_square_eval()
-        c_tr, err_tr = asympt.c_triangle_eval()
+        _, c_sq, err_sq = asympt.preset_constants(SQUARE)
+        _, c_tr, err_tr = asympt.preset_constants(HEXAGONAL)
         assert c_sq == pytest.approx(0.6272237, abs=1e-5)
         assert c_tr == pytest.approx(0.4915036, abs=1e-5)
         assert 0 < err_sq < 1e-5 and 0 < err_tr < 1e-5
@@ -77,7 +79,7 @@ class TestConstants:
         # c_square from its two band-gap limits by the long numpy row sums at
         # ten times BAND_TERMS values of p, c_triangle from its two by the cone
         # decomposition at 30 digits in mpmath
-        shipped = asympt.c_square_eval(), asympt.c_triangle_eval()
+        shipped = asympt.preset_constants(SQUARE)[1:], asympt.preset_constants(HEXAGONAL)[1:]
 
         def long_limit(r, odd):
             if r == 9:
@@ -85,15 +87,16 @@ class TestConstants:
             return oracle.band_gap_limit(10 * oracle.BAND_TERMS, r, odd)
 
         monkeypatch.setattr(asympt, "_band_gap_limit", long_limit)
-        long = asympt.c_square_eval(), asympt.c_triangle_eval()
+        long = asympt.preset_constants(SQUARE)[1:], asympt.preset_constants(HEXAGONAL)[1:]
         for (value, error), (reference, reference_error) in zip(shipped, long):
             # the estimate bounds the distance, and is no floor
             assert abs(value - reference) <= error + reference_error
             assert error < 1e-13
 
     def test_lattice_constants_within_stated_error_of_mpmath(self):
-        # the brackets of c_square_eval and c_triangle_eval at 30 digits, on
-        # the band-gap limits of oracle.cone_limit
+        # the two constants' brackets by hand at 30 digits, on the band-gap
+        # limits of oracle.cone_limit: a reference independent of the
+        # expansion of each preset's identity in preset_constants
         with mpmath.workdps(30):
             g, zp = mpmath.euler, mpmath.zeta(2, derivative=1) / mpmath.zeta(2)
             log2, log3 = mpmath.log(2), mpmath.log(3)
@@ -108,10 +111,19 @@ class TestConstants:
             triangle = L3 + 9 * L3 / (16 * mpmath.zeta(2)) * (log3 * ((g + lpl3 - 2 * zp) + 2 * g - log3 / 4) - t1 - 4 * t2)
             assert abs(square - mpmath.mpf("0.62722373024582520")) < 1e-17
             for (value, error), exact, bound in (
-                (asympt.c_square_eval(), square, 1e-13),
-                (asympt.c_triangle_eval(), triangle, 1.75e-14),
+                (asympt.preset_constants(SQUARE)[1:], square, 1e-13),
+                (asympt.preset_constants(HEXAGONAL)[1:], triangle, 1.75e-14),
             ):
                 assert abs(value - exact) <= error < bound
+
+    def test_derived_c1_is_the_closed_form(self):
+        # the x log x coefficients log 3/(2 pi) and 3 sqrt 3 log 3/(8 pi),
+        # each within 2 ulps; the model's c1 is the same float
+        for preset, closed in ((SQUARE, math.log(3) / (2 * math.pi)),
+                               (HEXAGONAL, 3 * math.sqrt(3) * math.log(3) / (8 * math.pi))):
+            c1 = asympt.preset_constants(preset)[0]
+            assert abs(c1 - closed) <= 2 * math.ulp(closed)
+            assert asympt.preset_model(preset).c1 == c1
 
     def test_constants_trace_little_memory(self):
         # no sum builds an array: the traced peak of the prefix-array kernel
@@ -124,8 +136,8 @@ class TestConstants:
         tracemalloc.start()
         try:
             asympt.constants_table()
-            asympt.square_model()
-            asympt.hexagonal_model()
+            asympt.preset_model(SQUARE)
+            asympt.preset_model(HEXAGONAL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -362,7 +374,7 @@ class TestModels:
         from wellround.square import a_square
 
         points = [(x, a_square(1000).summatory(x)) for x in (100, 1000)]
-        rows = growth.model_report(points, asympt.square_model())
+        rows = growth.model_report(points, asympt.preset_model(SQUARE))
         assert [(r["x"], r["A"]) for r in rows] == points
         for r in rows:
             assert r["A"] >= 0 and "residual_over_sqrt_x" in r
@@ -378,7 +390,7 @@ class TestModels:
         from wellround.square import a_square
 
         with pytest.raises(OutOfRangeError):
-            growth.model_report([(1000, a_square(100).summatory(1000))], asympt.square_model())
+            growth.model_report([(1000, a_square(100).summatory(1000))], asympt.preset_model(SQUARE))
 
 
 class TestSandwich:

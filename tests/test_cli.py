@@ -404,11 +404,24 @@ def test_inexact_gram_entry_exits_2(capsys, gram):
     assert err.startswith("error: cannot parse Gram form") and "non-exact entry 1.1" in err
 
 
+def test_json_float_literal_of_an_integer_is_read_exactly(capsys):
+    # 2.0 and 1e22 are their doubles exactly, and so integers
+    assert run(capsys, "classify", "--gram", "[[2.0,0],[0,1e22]]") == (0, "rectangular\n", "")
+    assert run(capsys, "classify", "--gram", "[[1e22,0],[0,1e22]]") == (0, "square\n", "")
+
+
 @pytest.mark.parametrize(
     "command, gram, entry",
     [
         # a float part of an exact entry is read as JSON's binary value
         ("reduce", '[[{"rat":0.1,"irr":"0","D":2},0],[0,1]]', "non-exact entry 0.1"),
+        # a literal whose double is another number (0 and 2) is refused, not
+        # read as that double, which gives another lattice
+        ("classify", "[[1,1e-400],[1e-400,1]]", "non-exact entry 1e-400; "),
+        ("classify", "[[2,1],[1,2.0000000000000000001]]", "non-exact entry 2.0000000000000000001; "),
+        ("classify", '{"a":1,"b":1e-400,"c":1}', "non-exact entry 1e-400; "),
+        ("classify", '{"t":1e-400,"n":1}', "non-exact entry 1e-400; "),
+        ("reduce", '[[{"rat":1e-400,"irr":"1","D":2},0],[0,2]]', "non-exact entry 1e-400; "),
         ("classify", '[[true,0],[0,true]]', "boolean entry true"),
         ("classify", '{"t":true,"n":2}', "boolean entry true"),
     ],
