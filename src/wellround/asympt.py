@@ -52,6 +52,7 @@ BERNOULLI = tuple(Fraction(n, d) for n, d in ((1, 6), (-1, 30), (1, 42), (-1, 30
                                               (7, 6), (-3617, 510), (43867, 798), (-174611, 330), (854513, 138)))
 
 
+@functools.cache
 def euler_gamma() -> tuple[float, float]:
     """Euler-Mascheroni constant H_(x-1) - psi(x) at x = PSI_SHIFT, psi(x) =
     log x - 1/(2x) - sum_k B_2k/(2k x^2k) to the B_20 term, and its error:
@@ -65,6 +66,7 @@ def euler_gamma() -> tuple[float, float]:
     return value, EPS * rounding + abs(PSI_COEFFS[-1]) / x ** (2 * len(PSI_COEFFS))
 
 
+@functools.cache
 def zeta_prime_2_over_zeta_2() -> tuple[float, float]:
     """zeta'(2)/zeta(2) from the log-weighted sum with an integral tail, and
     its error: each term of the sum rounds a log and a quotient, and fsum
@@ -394,7 +396,7 @@ def _bessel_k(nu: float, z: float) -> tuple[float, float]:
 def epstein_value(Q, s: float) -> tuple[float, float]:
     """Z(s) = sum' Q(m, n)^(-s), s > 1, of a m^2 + 2 b m n + c n^2 for the
     entries Q = (a, b, c), and its error, by the Chowla-Selberg series on the
-    form reduced exactly by `gram._reduce_int`, |2b| <= a <= c.  With
+    form reduced exactly by `gram.gauss_reduce`, |2b| <= a <= c.  With
     y = sqrt(ac - b^2)/a >= sqrt(3)/2, beta = b/a and nu = s - 1/2, a^s Z(s) is
     2 zeta(2s) + 2 sqrt(pi) Gamma(nu) zeta(2s - 1) y^(1-2s)/Gamma(s) +
     8 pi^s y^-nu/Gamma(s) sum_N N^nu sigma_(1-2s)(N) K_nu(2 pi N y) cos(2 pi N beta),
@@ -403,12 +405,12 @@ def epstein_value(Q, s: float) -> tuple[float, float]:
     `_bessel_k`, the rounding of a, beta and y, and the Bessel tail, cut
     once within EPS; past SHELL_FROM of the value, `_shell_sum` may give a
     smaller one.  Results outside the float range are refused."""
-    from .gram import _reduce_int
+    from .gram import GramForm, gauss_reduce
 
     A, B, C = (Fraction(v) for v in Q)
     if not (A > 0 and A * C - B * B > 0 and 1 < s < math.inf):
         raise DomainError("the form must be positive definite, and s finite and above 1")
-    A, B, C = _reduce_int(A, B, C)
+    A, B, C = (e.rat for e in gauss_reduce(GramForm.of(A, B, C)))
     try:
         a, beta, y = float(A), float(B / A), sqrt(float((A * C - B * B) / (A * A)))
         nu, gamma_s, step = s - 0.5, math.gamma(s), 2.0 * pi * y

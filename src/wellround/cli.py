@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import csv
 import importlib
-import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, count, islice
 
 from .scalar import InvariantError, MixedRadicandError, NotRationalError, Scalar, _fraction
 
@@ -31,8 +30,9 @@ EXIT_UNSUPPORTED = 4
 
 DEFAULT_MAX = 1000
 # the largest index bound of every path that builds an array of that length
-# (--max, and --checkpoints of asympt --lattice custom): a_square(10^7) peaks
-# at about 750 MB, and the census allocates six lists of this length
+# (--max, and --checkpoints of asympt --lattice custom): `series --name
+# a_square --max 10^7` peaks at 735 MB, nearly all of it a_square's own arrays
+# (2-CPU VM), and the census allocates six lists of this length
 MAX_INDEX = 10**7
 # the largest --checkpoints entry of asympt --lattice square|hex, whose A(x)
 # come from plain-Python tables of about x^0.6 entries: at 10^9 a call takes
@@ -49,6 +49,8 @@ DEFAULT_CHECKPOINTS = (1000, 10_000, 100_000)
 # 0.098 s at 10^4, 0.167 / 0.240 s at 4*10^4; hexagonal 0.139 / 0.067,
 # 0.147 / 0.118 and 0.168 / 0.300 s
 PRESET_IDENTITY_FROM = 10**4
+# rows per json.dumps call of a streamed JSON table
+JSON_BLOCK = 4096
 
 
 class CliError(Exception):
@@ -127,15 +129,24 @@ def _positive_max(args) -> int:
     return args.max
 
 
-def _emit_rows(args, header: list[str], rows: list[list]) -> None:
-    if args.format == "json":
-        print(json.dumps({"columns": header, "rows": rows}))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
+def _emit_rows(args, header: list[str], rows, **head) -> None:
+    """Write a table as its rows come, from any iterable: CSV through one
+    csv.writer, or JSON as {**head, "columns": header, "rows": [...]}, byte
+    for byte one json.dumps of the whole table, with one json.dumps per
+    block of JSON_BLOCK rows."""
+    out = sys.stdout
+    if args.format != "json":
+        writer = csv.writer(out, lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
-        sys.stdout.write(buf.getvalue())
+        return
+    # the table with no rows, less its closing "]}"
+    out.write(json.dumps({**head, "columns": header, "rows": []})[:-2])
+    rows, sep = iter(rows), ""
+    while block := list(islice(rows, JSON_BLOCK)):
+        out.write(sep + json.dumps(block)[1:-1])
+        sep = ", "
+    out.write("]}\n")
 
 
 def _emit(args, payload, text: str) -> None:
@@ -188,34 +199,25 @@ def cmd_census(args) -> int:
     g = _spec_gram(args)
     N = _positive_max(args)
     if args.mode == "formula":
-        counts = _formula_counts(g, N, args.preset)
-        _emit_rows(
-            args,
-            ["n", "well_rounded"],
-            [[n, counts[n - 1]] for n in range(1, N + 1)],
-        )
+        _emit_rows(args, ["n", "well_rounded"], zip(count(1), _formula_counts(g, N, args.preset)))
         return EXIT_OK
     from .sublattices import _CSV_HEADER, wr_census_bruteforce
 
     report = wr_census_bruteforce(g, N)
     if args.mode == "bruteforce":
-        if args.format == "json":
-            print(report.to_json())
-        else:
-            sys.stdout.write(report.to_csv())
+        _emit_rows(args, _CSV_HEADER, map(report.row, range(1, N + 1)), N=N)
         return EXIT_OK
     # mode both: brute force columns plus formula count and diff
     counts = _formula_counts(g, N, args.preset)
-    header = _CSV_HEADER + ["formula", "diff"]
-    rows = [
+    bad = next((n for n in range(1, N + 1) if counts[n - 1] != report.well_rounded(n)), None)
+    rows = (
         report.row(n) + [counts[n - 1], counts[n - 1] - report.well_rounded(n)]
         for n in range(1, N + 1)
-    ]
-    _emit_rows(args, header, rows)
-    n = next((row[0] for row in rows if row[-1]), None)
-    if n is not None:
+    )
+    _emit_rows(args, _CSV_HEADER + ["formula", "diff"], rows)
+    if bad is not None:
         print(
-            f"census mismatch at n={n}: census {report.well_rounded(n)}, formula {counts[n - 1]}",
+            f"census mismatch at n={bad}: census {report.well_rounded(bad)}, formula {counts[bad - 1]}",
             file=sys.stderr,
         )
         return EXIT_INVARIANT
@@ -241,13 +243,8 @@ def cmd_series(args) -> int:
         )
     N = _positive_max(args)
     module = importlib.import_module(f".{_SERIES[args.name]}", __package__)
-    seq = getattr(module, args.name)(N)
-    prefix = seq.summatory_all()
-    _emit_rows(
-        args,
-        ["n", "a", "A"],
-        [[n, seq[n], prefix[n - 1]] for n in range(1, args.max + 1)],
-    )
+    a = list(getattr(module, args.name)(N))
+    _emit_rows(args, ["n", "a", "A"], zip(count(1), a, accumulate(a)))
     return EXIT_OK
 
 
@@ -509,6 +506,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): end quietly, with stdout on
+        # devnull so that the flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -12,15 +12,14 @@ Every exact computation enters through `_checked_pairs`: it scales the form
 by the common denominator L of its six rational parts, writes each entry
 x + y sqrt(D) as a pair (x, y) of integers, and refuses a form that is not
 positive definite or whose entries lie in two fields.  There is one
-reduction loop per field on these pairs: `_reduce_int` on plain ints for
-forms over Q, and `_reduce_pair` on integer pairs for forms over
-Q(sqrt(D)), which decides signs by `_sign_pair` (integer squaring) and
-round(b/a) by `_floor_pair`, the one exact floor of (p + q sqrt(D)) / w; the
-window rows of `general` use it too.  Since sqrt(D) is irrational, two
-pairs are equal exactly when their components are, so `_classify_pair`
-reads the type off component-wise.  The census inlines the loop over Q and
-calls `_reduce_pair`; `gauss_reduce` divides the reduced pairs by L again
-to give Scalars.
+reduction loop on these pairs, `_reduce_pair`, over Q(sqrt(D)) and over Q
+at D = 0: it decides signs by `_sign_pair` (integer squaring) and round(b/a)
+by `_floor_pair`, the one exact floor of (p + q sqrt(D)) / w; the window
+rows of `general` use it too.  Since sqrt(D) is irrational, two pairs are
+equal exactly when their components are, so `_classify_pair` reads the type
+off component-wise.  The census inlines the loop on plain ints over Q and
+calls `_reduce_pair` over Q(sqrt(D)); `gauss_reduce` divides the reduced
+pairs by L again to give Scalars.
 `general` decides the lattice's rationality class on the same pairs.
 """
 
@@ -121,12 +120,9 @@ def _checked_pairs(g: GramForm) -> tuple[int | None, int, tuple[Pair, Pair, Pair
 
 def _reduced_pairs(g: GramForm) -> tuple[int | None, int, tuple[int, ...]]:
     """(D, L, (ax, ay, bx, by, cx, cy)): the reduced form of g's integer
-    pairs, by `_reduce_int` over Q and by `_reduce_pair` over Q(sqrt(D))."""
+    pairs by `_reduce_pair`, at D = 0 over Q, where every y is 0."""
     D, L, ((ax, ay), (bx, by), (cx, cy)) = _checked_pairs(g)
-    if D is None:
-        a, b, c = _reduce_int(ax, bx, cx)
-        return D, L, (a, 0, b, 0, c, 0)
-    return D, L, _reduce_pair(ax, ay, bx, by, cx, cy, D)
+    return D, L, _reduce_pair(ax, ay, bx, by, cx, cy, D or 0)
 
 
 def gauss_reduce(g: GramForm) -> GramForm:
@@ -137,27 +133,6 @@ def gauss_reduce(g: GramForm) -> GramForm:
     """
     D, L, r = _reduced_pairs(g)
     return GramForm(*(Scalar(Fraction(x, L), Fraction(y, L), D) for x, y in zip(r[::2], r[1::2])))
-
-
-def _reduce_int(a: int, b: int, c: int) -> tuple[int, int, int]:
-    """Lagrange reduction of an integer form (a, b, c).
-
-    Loop: swap so a <= c, shear w <- w - round(b/a) v, flip the sign of w to
-    make b >= 0.  The first entry strictly decreases whenever a step changes
-    it, and takes values in a discrete set, so the loop terminates with
-    0 <= 2b <= a <= c.
-    """
-    while True:
-        if a > c:
-            a, c = c, a
-        # round(b/a) = floor(b/a + 1/2)
-        m = (2 * b + a) // (2 * a)
-        if m:
-            b, c = b - m * a, c - 2 * m * b + m * m * a
-        if b < 0:
-            b = -b
-        if a <= c and 2 * b <= a:
-            return a, b, c
 
 
 def _floor_pair(p: int, q: int, w: int, D: int | None) -> int:
@@ -192,10 +167,14 @@ def _round_half_pair(bx: int, by: int, ax: int, ay: int, D: int) -> int:
 def _reduce_pair(
     ax: int, ay: int, bx: int, by: int, cx: int, cy: int, D: int
 ) -> tuple[int, int, int, int, int, int]:
-    """_reduce_int over Z[sqrt(D)]: entries are integer pairs (x, y) = x + y sqrt(D).
+    """Lagrange reduction over Z[sqrt(D)]: entries are integer pairs
+    (x, y) = x + y sqrt(D), and D = 0 reduces an integer form (a, b, c).
 
-    After the shear, -a <= 2b < a, so once b is made nonnegative 2b <= a
-    holds and only a <= c is left to test.
+    Loop: swap so a <= c, shear w <- w - round(b/a) v, flip the sign of w to
+    make b >= 0.  The first entry strictly decreases whenever a step changes
+    it, and takes values in a discrete set, so the loop terminates with
+    0 <= 2b <= a <= c.  After the shear, -a <= 2b < a, so once b is made
+    nonnegative 2b <= a holds and only a <= c is left to test.
     """
     while True:
         if _sign_pair(ax - cx, ay - cy, D) > 0:

@@ -11,19 +11,16 @@ then m values of k, so no divisor is searched for; the form is scaled once
 to integer pairs by `gram._checked_pairs`, and the field is chosen before
 the walk.  Over Q, the k of each (m, l) run over the centred window of m
 cosets of k modulo m whose form has -a <= 2b < a, so the first shear of
-the reduction is done; the rest of `gram._reduce_int` and the type test of
-`gram._classify_pair` are inlined, and each sublattice adds 1 to its
-type's list in `CensusReport.by_type`.  Where a | 2bl, the forms with b and
--b are mirror images, so only 0 <= 2b <= a is reduced, each adding 2, less
-one at each end.  Over Q(sqrt(D)), the census calls `gram._reduce_pair` and
-`_classify_pair`, the loops `gram.gauss_reduce` runs.
+the reduction is done; the rest of the reduction loop of `gram._reduce_pair`
+and the type test of `gram._classify_pair` are inlined on plain ints, and
+each sublattice adds 1 to its type's list in `CensusReport.by_type`.  Where
+a | 2bl, the forms with b and -b are mirror images, so only 0 <= 2b <= a is
+reduced, each adding 2, less one at each end.  Over Q(sqrt(D)), the census
+calls `gram._reduce_pair` and `_classify_pair`, the loops
+`gram.gauss_reduce` runs.
 """
 
 from __future__ import annotations
-
-import csv
-import io
-import json
 
 from .gram import GramForm, LatticeType, _checked_pairs, _classify_pair, _reduce_pair
 
@@ -79,23 +76,6 @@ class CensusReport:
             + [self.well_rounded(n)]
         )
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(_CSV_HEADER)
-        for n in range(1, self.N + 1):
-            writer.writerow(self.row(n))
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "N": self.N,
-                "columns": _CSV_HEADER,
-                "rows": [self.row(n) for n in range(1, self.N + 1)],
-            }
-        )
-
 
 def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
     """Classify every sublattice of index <= N; exhaustive oracle.
@@ -132,7 +112,7 @@ def wr_census_bruteforce(g: GramForm, N: int) -> CensusReport:
                 else:  # 0 <= 2B <= A, each sublattice and its mirror
                     k0, stop, w = -(bx * l // ax), (A - 2 * b0) // (2 * axm) + 1, 2
                 for k in range(k0, stop):
-                    # _reduce_int after its first shear, inlined
+                    # the reduction loop after its first shear, inlined
                     a, b, c = A, axm * k + b0, (ax * k + bl2) * k + cl
                     if b < 0:
                         b = -b

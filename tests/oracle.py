@@ -6,8 +6,8 @@ ordering over Q(sqrt D); `form` turns a Gram form's entries into such
 Scalars, and `discriminant`, `check_positive_definite`, `scale`, `value`
 and `transform` compute on them.  They are the reference for the package's
 integer pairs: `gram._checked_pairs` (the positive definiteness check, and
-the pairs, against `integer_pair` of one entry), the reduction loops
-`_reduce_int` and `_reduce_pair`, the exact floor `_floor_pair` and the HNF
+the pairs, against `integer_pair` of one entry), the reduction loop
+`_reduce_pair` (over Q at D = 0), the exact floor `_floor_pair` and the HNF
 loop of `wellround.sublattices`.  The reduction here tracks the change of
 basis, so that a test can compare the package's integer loops against a
 computation that shares none of their code.

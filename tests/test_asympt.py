@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellround import asympt, growth
-from wellround.gram import GramForm
+from wellround.gram import GramForm, gauss_reduce
 from wellround.dirichlet import _isqrt
 from wellround.hexagonal import HEXAGONAL
 from wellround.square import SQUARE
@@ -148,6 +148,15 @@ class TestConstants:
         for entry in table.values():
             assert len(entry) == 2
         assert table["c_square"][0] == pytest.approx(0.6272237, abs=1e-5)
+
+    def test_constants_table_computes_each_input_once(self):
+        # gamma enters 7 times and zeta'(2)/zeta(2) 3 times: directly, and
+        # through L'/L and both lattice constants
+        shared = (asympt.euler_gamma, asympt.zeta_prime_2_over_zeta_2)
+        for f in shared:
+            f.cache_clear()
+        asympt.constants_table()
+        assert [f.cache_info().misses for f in shared] == [1, 1]
 
 
 @st.composite
@@ -586,10 +595,8 @@ class TestSeries:
     def test_shell_sum_within_its_error_of_mpmath(self, drawn, s):
         # where the float range holds the value; the series in mpmath keeps
         # 20 digits to s = 30
-        from wellround.gram import _reduce_int
-
         Q, _ = drawn
-        shells = asympt._shell_sum(*_reduce_int(*(Fraction(v) for v in Q)), s)
+        shells = asympt._shell_sum(*(e.rat for e in gauss_reduce(GramForm.of(*Q))), s)
         assume(shells is not None)
         value, error = shells
         assert abs(value - oracle.epstein_series(Q, s)) <= error < 1e-12 * value

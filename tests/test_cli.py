@@ -1,10 +1,13 @@
+import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from itertools import accumulate
 from pathlib import Path
 
 import mpmath
@@ -12,6 +15,7 @@ import pytest
 
 import wellround
 from wellround.cli import main
+from wellround.gram import GramForm
 
 
 def run(capsys, *argv):
@@ -630,6 +634,66 @@ class TestCensusPinned:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_census_csv_shape(capsys):
+    code, out, _ = run(capsys, "census", "--preset", "square", "--max", "3")
+    assert code == 0
+    lines = out.split("\r\n")
+    assert lines[0].split(",") == [
+        "n",
+        "total",
+        "general",
+        "rectangular",
+        "centred_rect",
+        "rhombic",
+        "square",
+        "hexagonal",
+        "well_rounded",
+    ]
+    assert len(lines) == 5  # header + 3 rows + trailing newline
+
+
+def _whole_table(header: list[str], rows: list[list]) -> tuple[str, str]:
+    """The CSV and the JSON of a table, each written at once."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue(), json.dumps({"columns": header, "rows": rows}) + "\n"
+
+
+@pytest.mark.parametrize("block", [None, 4])
+@pytest.mark.parametrize("N", [1, 4, 5, 4096, 4097, 8197])
+def test_streamed_table_equals_the_whole_table(capsys, monkeypatch, block, N):
+    # rows are written as they come, JSON in blocks of JSON_BLOCK rows; the
+    # output is that of one csv.writer and one json.dumps of the whole table,
+    # at and across each block boundary
+    from wellround.general import count_wr
+    from wellround.square import b_square
+
+    if block:
+        monkeypatch.setattr("wellround.cli.JSON_BLOCK", block)
+    a, wr = list(b_square(N)), count_wr(GramForm.of(2, 1, 3), N)
+    tables = {
+        ("series", "--name", "b_square"): (["n", "a", "A"], list(map(list, zip(range(1, N + 1), a, accumulate(a))))),
+        ("census", "--gram", "[[2,1],[1,3]]", "--mode", "formula"): (["n", "well_rounded"], list(map(list, zip(range(1, N + 1), wr)))),
+    }
+    for argv, table in tables.items():
+        for fmt, expected in zip(("csv", "json"), _whole_table(*table)):
+            assert run(capsys, "--format", fmt, *argv, "--max", str(N)) == (0, expected, "")
+
+
+def test_closed_stdout_ends_quietly():
+    # `wellround series --name a_square --max 1000000 | head -c 10`: the reader
+    # closes the pipe long before the table ends
+    argv = [sys.executable, "-m", "wellround.cli", "series", "--name", "a_square", "--max", "1000000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err, head) == (0, b"", b"n,a,A\r\n1,1")
+
+
 class TestOtherCommands:
     def test_exists_verdicts(self, capsys):
         code, out, _ = run(capsys, "exists", "--gram", '{"t": "sqrt(2)", "n": "3"}')
@@ -881,7 +945,7 @@ def test_asympt_preset_loads_its_own_lattice(lattice, module, other):
 
 
 def test_epstein_loads_only_the_float_layer():
-    # a value reduces its form by `gram._reduce_int`; neither call loads numpy
+    # a value reduces its form by `gram.gauss_reduce`; neither call loads numpy
     for argv in (["epstein", "--form", "1,0,1", "--s", "2"], ["epstein", "--form", "1,0,1", "--residue"]):
         loaded = _modules_loaded_by(argv)
         gram = ["wellround.gram"] if "--s" in argv else []
